@@ -134,8 +134,15 @@ func TestAllocGate(t *testing.T) {
 		gated++
 		t.Run(id, func(t *testing.T) {
 			fn() // warm pools, plan caches, and shard headers outside the measurement
-			if allocs := testing.AllocsPerRun(3, fn); allocs != 0 {
-				t.Errorf("%s: %v allocs/op in steady state; the committed contract is 0", id, allocs)
+			// Minimum over a few attempts: a GC emptying a sync.Pool in the
+			// middle of one attempt is noise, while a real regression
+			// allocates on every attempt.
+			allocs := testing.AllocsPerRun(3, fn)
+			for attempt := 1; attempt < 4 && allocs != 0; attempt++ {
+				allocs = min(allocs, testing.AllocsPerRun(3, fn))
+			}
+			if allocs != 0 {
+				t.Errorf("%s: %v allocs/op in steady state on every attempt; the committed contract is 0", id, allocs)
 			}
 		})
 	}

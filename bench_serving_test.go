@@ -26,8 +26,10 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -222,7 +224,7 @@ func BenchmarkServing(b *testing.B) {
 		}
 		rows = append(rows, row)
 	}
-	// Merge rather than overwrite: BenchmarkTransport owns the "transport"
+	// Merge rather than overwrite: BenchmarkRebalance owns the "rebalance"
 	// key of the same artifact.
 	mergeBenchArtifact(b, "BENCH_serving.json", map[string]any{
 		"benchmark": "BenchmarkServing",
@@ -230,4 +232,28 @@ func BenchmarkServing(b *testing.B) {
 		"rows":      rows,
 	})
 	b.Logf("wrote BENCH_serving.json (%d configs)", len(rows))
+}
+
+// mergeBenchArtifact read-modify-writes a JSON artifact, replacing only the
+// given top-level keys: BenchmarkServing and BenchmarkRebalance each own a
+// section of BENCH_serving.json, and either may run (and refresh its
+// section) without erasing the other's.
+func mergeBenchArtifact(tb testing.TB, path string, set map[string]any) {
+	tb.Helper()
+	doc := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			tb.Fatalf("existing %s is not JSON: %v", path, err)
+		}
+	}
+	for k, v := range set {
+		doc[k] = v
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		tb.Fatal(err)
+	}
 }

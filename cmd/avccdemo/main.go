@@ -1,9 +1,8 @@
 // Command avccdemo runs the full AVCC protocol over REAL TCP connections:
 // it starts 12 worker servers on loopback (one of them Byzantine, per
 // -attack), encodes a random matrix with the (12,9) MDS code, ships the
-// shards, and drives verified coded matrix-vector rounds through them.
-// -transport picks the data plane: the framed streaming transport
-// (default) or the legacy net/rpc executor.
+// shards, and drives verified coded matrix-vector rounds through them over
+// the framed streaming transport.
 //
 // This demonstrates that the master logic is transport-agnostic: the same
 // code paths that the experiments drive under the virtual-time simulator
@@ -31,28 +30,23 @@ func main() {
 	rounds := flag.Int("rounds", 3, "number of coded matvec rounds")
 	byzantine := flag.Int("byzantine", 5, "worker id to corrupt (-1 for none)")
 	attackName := flag.String("attack", "reverse", "reverse | constant")
-	transport := flag.String("transport", "frames", "data-plane transport: frames | netrpc")
 	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt unlocks the O(N log N) encode path)")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 
-	if err := run(*rows, *cols, *rounds, *byzantine, *attackName, *transport, *fieldName, *seed); err != nil {
+	if err := run(*rows, *cols, *rounds, *byzantine, *attackName, *fieldName, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(rows, cols, rounds, byzantine int, attackName, transport, fieldName string, seed int64) error {
+func run(rows, cols, rounds, byzantine int, attackName, fieldName string, seed int64) error {
 	const n, k = 12, 9
 	f, err := field.Select(fieldName)
 	if err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
-
-	if transport != "frames" && transport != "netrpc" {
-		return fmt.Errorf("unknown transport %q (want frames or netrpc)", transport)
-	}
 
 	// Master side first: encode and generate keys, so worker endpoints can
 	// be fully provisioned (shards, behaviour) BEFORE their servers start
@@ -85,44 +79,22 @@ func run(rows, cols, rounds, byzantine int, attackName, transport, fieldName str
 	}
 
 	// Start the provisioned worker endpoints on loopback.
-	fmt.Printf("starting %d worker servers on loopback (%s transport)...\n", n, transport)
+	fmt.Printf("starting %d worker servers on loopback...\n", n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		var addr string
-		var closer interface{ Close() error }
-		if transport == "frames" {
-			srv, err := rpccluster.ServeFrames("127.0.0.1:0", f, workers[i])
-			if err != nil {
-				return err
-			}
-			addr, closer = srv.Addr, srv
-		} else {
-			srv, err := rpccluster.Serve("127.0.0.1:0", f, workers[i])
-			if err != nil {
-				return err
-			}
-			addr, closer = srv.Addr, srv
-		}
-		defer closer.Close()
-		addrs[i] = addr
-		fmt.Printf("  worker %2d listening on %s\n", i, addr)
-	}
-	var exec cluster.Executor
-	if transport == "frames" {
-		fe, err := rpccluster.DialFrames(addrs, nil)
+		srv, err := rpccluster.ServeFrames("127.0.0.1:0", f, workers[i])
 		if err != nil {
 			return err
 		}
-		defer fe.Close()
-		exec = fe
-	} else {
-		re, err := rpccluster.Dial(addrs, nil)
-		if err != nil {
-			return err
-		}
-		defer re.Close()
-		exec = re
+		defer srv.Close()
+		addrs[i] = srv.Addr
+		fmt.Printf("  worker %2d listening on %s\n", i, srv.Addr)
 	}
+	exec, err := rpccluster.DialFrames(addrs, nil)
+	if err != nil {
+		return err
+	}
+	defer exec.Close()
 	master.SetExecutor(exec)
 	fmt.Printf("encoded %dx%d matrix into %d shards ((%d,%d) MDS), keys generated\n",
 		rows, cols, n, n, k)

@@ -22,13 +22,12 @@
 package avcc
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
-	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/lcc"
@@ -99,8 +98,12 @@ type Options struct {
 	DeterministicKeys bool
 }
 
-// Master is the AVCC main server.
+// Master is the AVCC main server: the cluster.Driver's round sequence under
+// AVCC's policy — ask the non-quarantined workers, Freivalds-check every
+// arrival, decode from the first threshold verified results, and feed what
+// the round observed to the adaptation rule.
 type Master struct {
+	*cluster.Driver
 	f   *field.Field
 	opt Options
 	rng *rand.Rand
@@ -108,37 +111,32 @@ type Master struct {
 	// data holds the full (unencoded) matrix per round key; the master
 	// needs it to re-encode under a new (N_t, K_t).
 	data map[string]*fieldmat.Matrix
-	// origRows remembers each key's true row count before padding.
-	origRows map[string]int
-
-	workers []*cluster.Worker
-	exec    cluster.Executor
 
 	// Current coding state.
 	nCur, kCur int
 	code       *lcc.Code
+	alphas     []field.Elem
 	// active lists the non-quarantined worker IDs.
 	active []int
 	// codePos maps worker ID → its shard's position in the current code.
 	// Quarantining removes a worker from active but leaves the remaining
 	// positions valid (the whole point of MDS: any threshold-many of the
 	// surviving shards still decode) — only a re-encode reassigns positions.
-	codePos map[int]int
+	codePos []int
 	// keys[key][workerID] is the Freivalds key for that worker's shard.
-	keys        map[string][]*verify.AmplifiedKey
-	keySrc      verify.Source
-	quarantined map[int]bool
-	// issuer builds round receipts when Options.Receipts is set.
-	issuer *commit.Issuer
+	keys   map[string][]*verify.AmplifiedKey
+	keySrc verify.Source
 
 	// Per-iteration observations feeding the adaptation rule. obsIter is the
 	// iteration the observations belong to: a round starting a NEW iteration
 	// clears them first, so observations stranded by a failed iteration (one
 	// whose FinishIteration the caller rightly skipped) cannot bleed into the
-	// next iteration's adaptation decision.
+	// next iteration's adaptation decision. Only successful rounds record.
 	obsIter        int
 	iterByzantine  map[int]bool
 	iterStragglers int
+	// arrivals is Observe's scratch for the round's consumed arrival times.
+	arrivals []float64
 }
 
 // NewMaster builds an AVCC deployment: N workers with the given behaviours,
@@ -152,45 +150,27 @@ func NewMaster(f *field.Field, opt Options, data map[string]*fieldmat.Matrix,
 		return nil, fmt.Errorf("avcc: params %+v violate N >= (K+T-1)degF+S+M+1 = %d",
 			opt.Params, lcc.RequiredWorkersAVCC(opt.K, opt.T, opt.S, opt.M, opt.DegF))
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("avcc: no data matrices supplied")
-	}
-	if behaviors != nil && len(behaviors) != opt.N {
-		return nil, fmt.Errorf("avcc: %d behaviours for %d workers", len(behaviors), opt.N)
-	}
-	if !opt.Sim.Validate() {
-		return nil, fmt.Errorf("avcc: invalid latency model")
+	if opt.Receipts && opt.T > 0 {
+		return nil, fmt.Errorf("avcc: receipts require T == 0 (got T = %d)", opt.T)
 	}
 	m := &Master{
-		f:           f,
-		opt:         opt,
-		rng:         rand.New(rand.NewSource(opt.Seed)),
-		data:        data,
-		origRows:    make(map[string]int, len(data)),
-		workers:     make([]*cluster.Worker, opt.N),
-		quarantined: make(map[int]bool),
+		f:    f,
+		opt:  opt,
+		rng:  rand.New(rand.NewSource(opt.Seed)),
+		data: data,
+	}
+	name := "static-vcc"
+	if opt.Dynamic {
+		name = "avcc"
+	}
+	var err error
+	m.Driver, err = cluster.NewDriver(f, name, m, opt.N, data, opt.Sim, opt.Seed, opt.Receipts, behaviors, stragglers)
+	if err != nil {
+		return nil, err
 	}
 	m.keySrc = verify.Crypto()
 	if opt.DeterministicKeys {
 		m.keySrc = verify.Seeded(m.rng)
-	}
-	if opt.Receipts {
-		if opt.T > 0 {
-			return nil, fmt.Errorf("avcc: receipts require T == 0 (got T = %d)", opt.T)
-		}
-		m.issuer = commit.NewIssuer(f, m.Name())
-	}
-	for key, x := range data {
-		m.origRows[key] = x.Rows
-		if m.issuer != nil {
-			m.issuer.Commit(key, x)
-		}
-	}
-	for i := range m.workers {
-		m.workers[i] = cluster.NewWorker(i)
-		if behaviors != nil {
-			m.workers[i].Behavior = behaviors[i]
-		}
 	}
 	m.active = make([]int, opt.N)
 	for i := range m.active {
@@ -199,36 +179,8 @@ func NewMaster(f *field.Field, opt Options, data map[string]*fieldmat.Matrix,
 	if _, _, err := m.installCoding(opt.N, opt.K); err != nil {
 		return nil, err
 	}
-	ve := cluster.NewVirtualExecutor(f, opt.Sim, m.workers, stragglers, opt.Seed+1)
-	ve.CommitOutputs = opt.Receipts
-	m.exec = ve
 	m.resetIterObservations()
 	return m, nil
-}
-
-// ReceiptDigests implements commit.DigestProvider: the public digest of
-// every committed round key (nil when receipts are disabled).
-func (m *Master) ReceiptDigests() map[string][]commit.Digest {
-	if m.issuer == nil {
-		return nil
-	}
-	return m.issuer.Digests()
-}
-
-// SetExecutor swaps the executor (tests and real-transport runs).
-func (m *Master) SetExecutor(e cluster.Executor) { m.exec = e }
-
-// Workers exposes the master's worker objects so real-transport deployments
-// (rpccluster, cmd/avccdemo) can ship the encoded shards to the matching
-// remote endpoints.
-func (m *Master) Workers() []*cluster.Worker { return m.workers }
-
-// Name implements cluster.Master.
-func (m *Master) Name() string {
-	if m.opt.Dynamic {
-		return "avcc"
-	}
-	return "static-vcc"
 }
 
 // Coding returns the current (N_t, K_t).
@@ -248,8 +200,9 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 	if len(m.active) != n {
 		return 0, 0, fmt.Errorf("avcc: %d active workers for code length %d", len(m.active), n)
 	}
+	workers := m.Workers()
 	newKeys := make(map[string][]*verify.AmplifiedKey, len(m.data))
-	newPos := make(map[int]int, len(m.active))
+	newPos := make([]int, len(workers))
 	for pos, id := range m.active {
 		newPos[id] = pos
 	}
@@ -263,9 +216,9 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 		// Encoding each shard combines K+T blocks of shard-size elements.
 		shardElems := float64(shards[0].Rows) * float64(shards[0].Cols)
 		encodeOps += float64(k+m.opt.T) * shardElems * float64(n)
-		keys := make([]*verify.AmplifiedKey, len(m.workers))
+		keys := make([]*verify.AmplifiedKey, len(workers))
 		for pos, id := range m.active {
-			m.workers[id].Shards[key] = shards[pos]
+			workers[id].Shards[key] = shards[pos]
 			keys[id] = verify.NewAmplifiedKey(m.f, m.keySrc, shards[pos], trials)
 			distElems += shardElems
 		}
@@ -274,6 +227,7 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 		newKeys[key] = keys
 	}
 	m.code = code
+	m.alphas = code.Alphas()
 	m.nCur, m.kCur = n, k
 	m.keys = newKeys
 	m.codePos = newPos
@@ -285,31 +239,9 @@ func (m *Master) resetIterObservations() {
 	m.iterStragglers = 0
 }
 
-// RunRound implements cluster.Master: broadcast input for the round key,
-// verify results in arrival order, decode from the first threshold-many
-// verified results. It is the batch-of-one projection of RunRoundBatch, so
-// the two paths cannot drift.
-func (m *Master) RunRound(ctx context.Context, key string, input []field.Elem, iter int) (*cluster.RoundOutput, error) {
-	b, err := m.RunRoundBatch(ctx, key, [][]field.Elem{input}, iter)
-	if err != nil {
-		return nil, err
-	}
-	return b.Round(0), nil
-}
-
-// RunRoundBatch implements cluster.Master: the whole batch runs as ONE coded
-// round — inputs packed into one broadcast, each worker computing the full
-// batch against its shard, ONE stacked Freivalds sweep per arriving result
-// (verify.CheckBatch), and one decode whose interpolation weights are shared
-// by every vector in the batch.
-func (m *Master) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*cluster.BatchOutput, error) {
-	if _, ok := m.data[key]; !ok {
-		return nil, fmt.Errorf("avcc: unknown round key %q", key)
-	}
-	packed, _, err := cluster.PackInputs(inputs)
-	if err != nil {
-		return nil, fmt.Errorf("avcc: %w", err)
-	}
+// Plan implements cluster.Policy: the non-quarantined workers at their
+// current code positions, complete at the recovery threshold.
+func (m *Master) Plan(_ string, iter int) cluster.Plan {
 	if iter != m.obsIter {
 		// First round of a new iteration: discard observations stranded by a
 		// previous iteration whose FinishIteration never ran (failed rounds
@@ -317,137 +249,57 @@ func (m *Master) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		m.resetIterObservations()
 		m.obsIter = iter
 	}
-	batch := len(inputs)
-	results := m.exec.RunRound(ctx, key, packed, batch, iter, m.active)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("avcc: round cancelled: %w", err)
+	return cluster.Plan{
+		Active: m.active, Pos: m.codePos, Alphas: m.alphas,
+		K: m.kCur, Need: m.code.Threshold(),
 	}
-	threshold := m.code.Threshold()
-	trials := float64(m.opt.trials())
+}
 
-	out := &cluster.BatchOutput{}
-	var masterFree float64 // when the master finishes its current check
-	var verifiedWorkers []int
-	var verifiedOutputs [][]field.Elem
-	var verifiedCommits [][]byte
-	var maxCompute, maxComm float64
-	var processedArrivals []float64
+// Check implements cluster.Policy: ONE stacked Freivalds sweep over the
+// worker's whole packed result (verify.CheckBatch), at trials × (input +
+// output) operations.
+func (m *Master) Check(r *cluster.Round, res *cluster.Result) (bool, float64) {
+	ops := float64(m.opt.trials()) * float64(len(r.Input)+len(res.Output))
+	return m.keys[r.Key][res.Worker].CheckBatch(r.Input, res.Output, r.Batch), ops
+}
 
-	for _, r := range results {
-		if len(verifiedWorkers) == threshold {
-			break
-		}
-		processedArrivals = append(processedArrivals, r.ArriveAt)
-		if r.Err != nil {
-			return nil, fmt.Errorf("avcc: worker %d failed: %w", r.Worker, r.Err)
-		}
-		start := r.ArriveAt
-		if masterFree > start {
-			start = masterFree
-		}
-		checkOps := trials * float64(len(packed)+len(r.Output))
-		checkTime := m.opt.Sim.MasterTime(checkOps)
-		masterFree = start + checkTime
-		out.Breakdown.Verify += checkTime
+// Decode implements cluster.Policy.
+func (m *Master) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
+	return cluster.DecodeVerified(m.code, r)
+}
 
-		if m.keys[key][r.Worker].CheckBatch(packed, r.Output, batch) {
-			verifiedWorkers = append(verifiedWorkers, r.Worker)
-			verifiedOutputs = append(verifiedOutputs, r.Output)
-			verifiedCommits = append(verifiedCommits, r.Commit)
-			if r.ComputeSec > maxCompute {
-				maxCompute = r.ComputeSec
-			}
-			if r.CommSec > maxComm {
-				maxComm = r.CommSec
-			}
-		} else {
-			out.Byzantine = append(out.Byzantine, r.Worker)
-			m.iterByzantine[r.Worker] = true
-		}
+// Observe implements cluster.Policy: it records the round's caught
+// Byzantines and counts the observed stragglers S_t — workers whose results
+// arrived (or would arrive) anomalously late relative to the round's typical
+// arrival. This covers both stragglers the master skipped AND stragglers it
+// was *forced* to wait for when Byzantines ate its slack (the paper's Fig. 5
+// scenario) — while NOT counting spare fast workers it simply did not need,
+// nor a fast worker that happened to rank just past the threshold.
+func (m *Master) Observe(r *cluster.Round) int {
+	for _, id := range r.Byzantine {
+		m.iterByzantine[id] = true
 	}
-	if len(verifiedWorkers) < threshold {
-		return nil, fmt.Errorf("avcc: only %d verified results, need %d (Byzantines exceed budget)",
-			len(verifiedWorkers), threshold)
+	m.arrivals = m.arrivals[:0]
+	for _, res := range r.Results[:r.Consumed] {
+		m.arrivals = append(m.arrivals, res.ArriveAt)
 	}
-
-	// Translate worker IDs to code positions for the decoder.
-	codeIdx := make([]int, len(verifiedWorkers))
-	for i, id := range verifiedWorkers {
-		codeIdx[i] = m.codePos[id]
-	}
-	blocks, err := m.code.DecodeVectors(codeIdx, verifiedOutputs)
-	if err != nil {
-		return nil, fmt.Errorf("avcc: decode: %w", err)
-	}
-	var decodedLen int
-	for _, blk := range blocks {
-		decodedLen += len(blk)
-	}
-	decodeOps := float64(threshold)*float64(decodedLen) + float64(threshold*threshold)
-	decodeTime := m.opt.Sim.MasterTime(decodeOps)
-
-	out.Outputs = cluster.UnpackBlocks(blocks, batch, m.origRows[key])
-	out.Used = verifiedWorkers
-
-	if m.issuer != nil {
-		// The receipt binds exactly what the decode consumed: the verified
-		// threshold set, at the CURRENT (possibly re-coded) split.
-		rw := make([]commit.RoundWorker, len(verifiedWorkers))
-		alphas := m.code.Alphas()
-		for i, id := range verifiedWorkers {
-			rw[i] = commit.RoundWorker{
-				ID:     id,
-				Alpha:  alphas[m.codePos[id]],
-				Output: verifiedOutputs[i],
-				Commit: verifiedCommits[i],
-			}
-		}
-		rec, rerr := m.issuer.Issue(commit.Round{
-			Key: key, Iter: iter, Batch: batch,
-			K: m.kCur, BlockRows: (m.origRows[key] + m.kCur - 1) / m.kCur,
-			Inputs: packed, Outputs: out.Outputs, Workers: rw,
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("avcc: receipt: %w", rerr)
-		}
-		out.Receipt = rec
-	}
-
-	// Observed stragglers S_t: workers whose results arrived (or would
-	// arrive) anomalously late relative to the round's typical arrival.
-	// This covers both stragglers the master skipped AND stragglers it was
-	// *forced* to wait for when Byzantines ate its slack (the paper's
-	// Fig. 5 scenario) — while NOT counting spare fast workers it simply
-	// did not need, nor a fast worker that happened to rank just past the
-	// threshold.
-	byzSet := make(map[int]bool, len(out.Byzantine))
-	for _, id := range out.Byzantine {
-		byzSet[id] = true
-	}
-	med := median(processedArrivals)
-	arrived := make(map[int]bool, len(results))
-	for _, r := range results {
-		arrived[r.Worker] = true
-		if r.ArriveAt > stragglerDetectFactor*med && !byzSet[r.Worker] {
-			out.StragglersObserved++
+	late := stragglerDetectFactor * median(m.arrivals)
+	stragglers := 0
+	for _, res := range r.Results {
+		if res.ArriveAt > late && !slices.Contains(r.Byzantine, res.Worker) {
+			stragglers++
 		}
 	}
 	// Active workers with no result at all — crashed nodes, dropped
 	// messages — are stragglers with infinite arrival time: erasures the
 	// adaptation rule must see, or churn would never trigger a re-code.
 	for _, id := range m.active {
-		if !arrived[id] {
-			out.StragglersObserved++
+		if !slices.ContainsFunc(r.Results, func(res cluster.Result) bool { return res.Worker == id }) {
+			stragglers++
 		}
 	}
-	if out.StragglersObserved > m.iterStragglers {
-		m.iterStragglers = out.StragglersObserved
-	}
-	out.Breakdown.Compute = maxCompute
-	out.Breakdown.Comm = maxComm
-	out.Breakdown.Decode = decodeTime
-	out.Breakdown.Wall = masterFree + decodeTime
-	return out, nil
+	m.iterStragglers = max(m.iterStragglers, stragglers)
+	return stragglers
 }
 
 // FinishIteration implements the dynamic coding rule (eq. 16–19). With M_t
@@ -473,11 +325,9 @@ func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
 	if mt > 0 {
 		keep := m.active[:0]
 		for _, id := range m.active {
-			if m.iterByzantine[id] {
-				m.quarantined[id] = true
-				continue
+			if !m.iterByzantine[id] {
+				keep = append(keep, id)
 			}
-			keep = append(keep, id)
 		}
 		m.active = keep
 		m.nCur = len(m.active)
@@ -523,19 +373,13 @@ func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
 // from jitter even when link time dilutes the compute gap.
 const stragglerDetectFactor = 2.0
 
-// median returns the median of xs (0 for empty input). xs is not modified.
+// median returns the median of xs (0 for empty input), sorting xs in place.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	// Insertion sort: the slice is at most N (≈ a dozen) entries.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	return cp[len(cp)/2]
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // floorDiv is integer division rounding toward negative infinity (Go's /

@@ -1,12 +1,10 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
-	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/simnet"
@@ -35,15 +33,8 @@ type UncodedOptions struct {
 // and no verification, so Byzantine results flow straight into the output —
 // both effects the paper's figures show.
 type UncodedMaster struct {
-	f        *field.Field
-	opt      UncodedOptions
-	workers  []*cluster.Worker
-	exec     cluster.Executor
-	origRows map[string]int
-	// blockRows[key] is the padded per-worker row count, needed to stitch
-	// results back in worker order.
-	blockRows map[string]int
-	issuer    *commit.Issuer
+	*cluster.Driver
+	plan cluster.Plan
 }
 
 // NewUncodedMaster splits each data matrix into K contiguous uncoded row
@@ -51,166 +42,49 @@ type UncodedMaster struct {
 func NewUncodedMaster(f *field.Field, opt UncodedOptions, data map[string]*fieldmat.Matrix,
 	behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (*UncodedMaster, error) {
 	if opt.K < 1 {
-		return nil, fmt.Errorf("baseline: uncoded needs K >= 1")
+		return nil, fmt.Errorf("uncoded: needs K >= 1")
 	}
-	if behaviors != nil && len(behaviors) != opt.K {
-		return nil, fmt.Errorf("baseline: %d behaviours for %d workers", len(behaviors), opt.K)
-	}
-	if !opt.Sim.Validate() {
-		return nil, fmt.Errorf("baseline: invalid latency model")
-	}
-	m := &UncodedMaster{
-		f:         f,
-		opt:       opt,
-		workers:   make([]*cluster.Worker, opt.K),
-		origRows:  make(map[string]int, len(data)),
-		blockRows: make(map[string]int, len(data)),
-	}
-	for i := range m.workers {
-		m.workers[i] = cluster.NewWorker(i)
-		if behaviors != nil {
-			m.workers[i].Behavior = behaviors[i]
-		}
-	}
-	if opt.Receipts {
-		m.issuer = commit.NewIssuer(f, m.Name())
-	}
-	for key, x := range data {
-		m.origRows[key] = x.Rows
-		if m.issuer != nil {
-			m.issuer.Commit(key, x)
-		}
-		padded := fieldmat.PadRows(x, opt.K)
-		blocks := fieldmat.SplitRows(padded, opt.K)
-		m.blockRows[key] = blocks[0].Rows
-		for i, b := range blocks {
-			m.workers[i].Shards[key] = b
-		}
-	}
-	ve := cluster.NewVirtualExecutor(f, opt.Sim, m.workers, stragglers, opt.Seed+1)
-	ve.CommitOutputs = opt.Receipts
-	m.exec = ve
-	return m, nil
-}
-
-// ReceiptDigests implements commit.DigestProvider: the public digest of
-// every committed round key (nil when receipts are disabled).
-func (m *UncodedMaster) ReceiptDigests() map[string][]commit.Digest {
-	if m.issuer == nil {
-		return nil
-	}
-	return m.issuer.Digests()
-}
-
-// SetExecutor swaps the executor (tests and real-transport runs).
-func (m *UncodedMaster) SetExecutor(e cluster.Executor) { m.exec = e }
-
-// Workers exposes the master's worker objects so real-transport deployments
-// can ship the uncoded blocks to the matching remote endpoints.
-func (m *UncodedMaster) Workers() []*cluster.Worker { return m.workers }
-
-// Name implements cluster.Master.
-func (m *UncodedMaster) Name() string { return "uncoded" }
-
-// RunRound implements cluster.Master: wait for every worker and concatenate
-// their block results in worker order. It is the batch-of-one projection of
-// RunRoundBatch.
-func (m *UncodedMaster) RunRound(ctx context.Context, key string, input []field.Elem, iter int) (*cluster.RoundOutput, error) {
-	b, err := m.RunRoundBatch(ctx, key, [][]field.Elem{input}, iter)
+	m := &UncodedMaster{}
+	var err error
+	m.Driver, err = cluster.NewDriver(f, "uncoded", m, opt.K, data, opt.Sim, opt.Seed, opt.Receipts, behaviors, stragglers)
 	if err != nil {
 		return nil, err
 	}
-	return b.Round(0), nil
+	// The uncoded split IS the systematic part of the block code: worker i
+	// holds block i, i.e. the evaluation at interpolation point i+1.
+	m.plan = cluster.Plan{Active: make([]int, opt.K), Alphas: f.DistinctPoints(opt.K, 1), K: opt.K, Need: opt.K}
+	for i := range m.plan.Active {
+		m.plan.Active[i] = i
+	}
+	for key, x := range data {
+		for i, b := range fieldmat.SplitRows(fieldmat.PadRows(x, opt.K), opt.K) {
+			m.Workers()[i].Shards[key] = b
+		}
+	}
+	return m, nil
 }
 
-// RunRoundBatch implements cluster.Master: one broadcast of the packed
-// inputs; every worker returns its block's results for the whole batch and
-// the master stitches them back per vector in worker order.
-func (m *UncodedMaster) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*cluster.BatchOutput, error) {
-	if _, ok := m.origRows[key]; !ok {
-		return nil, fmt.Errorf("baseline: unknown round key %q", key)
-	}
-	packed, _, err := cluster.PackInputs(inputs)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	batch := len(inputs)
-	active := make([]int, m.opt.K)
-	for i := range active {
-		active[i] = i
-	}
-	results := m.exec.RunRound(ctx, key, packed, batch, iter, active)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("baseline: round cancelled: %w", err)
-	}
-	// No redundancy means no erasure tolerance: a crashed worker's block is
-	// simply gone. Fail loudly rather than silently zero-filling the output.
-	if len(results) < m.opt.K {
-		return nil, fmt.Errorf("baseline: uncoded round got %d of %d worker results (a worker crashed or its message was lost; the uncoded scheme cannot recover)",
-			len(results), m.opt.K)
-	}
+// Plan implements cluster.Policy: all K workers, and all K must answer.
+func (m *UncodedMaster) Plan(string, int) cluster.Plan { return m.plan }
 
-	out := &cluster.BatchOutput{}
-	blockLen := m.blockRows[key]
-	out.Outputs = make([][]field.Elem, batch)
-	concat := make([][]field.Elem, batch)
-	for c := range concat {
-		concat[c] = make([]field.Elem, m.opt.K*blockLen)
+// Check implements cluster.Policy: the uncoded scheme verifies nothing.
+func (m *UncodedMaster) Check(*cluster.Round, *cluster.Result) (bool, float64) { return true, 0 }
+
+// Decode implements cluster.Policy: each worker's result IS its block, so
+// decoding is putting the blocks back in worker order, at no cost. No
+// redundancy means no erasure tolerance: a missing block is simply gone, and
+// the round fails loudly rather than silently zero-filling the output.
+func (m *UncodedMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
+	if len(r.Workers) < m.plan.K {
+		return nil, 0, fmt.Errorf("got %d of %d worker results (mis-sized: workers %v; the rest crashed or were lost) and the uncoded scheme cannot recover",
+			len(r.Workers), m.plan.K, r.Byzantine)
 	}
-	var lastArrival, maxCompute, maxComm float64
-	var rw []commit.RoundWorker
-	var alphas []field.Elem
-	if m.issuer != nil {
-		// The uncoded split IS the systematic part of the block code: worker
-		// i holds block i, i.e. the evaluation at interpolation point i+1.
-		alphas = m.f.DistinctPoints(m.opt.K, 1)
+	blocks := make([][]field.Elem, m.plan.K)
+	for i, id := range r.Workers {
+		blocks[id] = r.Outputs[i]
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("baseline: worker %d failed: %w", r.Worker, r.Err)
-		}
-		if len(r.Output) != batch*blockLen {
-			return nil, fmt.Errorf("baseline: worker %d returned %d values, want %d",
-				r.Worker, len(r.Output), batch*blockLen)
-		}
-		for c := 0; c < batch; c++ {
-			copy(concat[c][r.Worker*blockLen:], r.Output[c*blockLen:(c+1)*blockLen])
-		}
-		if m.issuer != nil {
-			rw = append(rw, commit.RoundWorker{
-				ID: r.Worker, Alpha: alphas[r.Worker], Output: r.Output, Commit: r.Commit,
-			})
-		}
-		out.Used = append(out.Used, r.Worker)
-		if r.ArriveAt > lastArrival {
-			lastArrival = r.ArriveAt
-		}
-		if r.ComputeSec > maxCompute {
-			maxCompute = r.ComputeSec
-		}
-		if r.CommSec > maxComm {
-			maxComm = r.CommSec
-		}
-	}
-	for c := 0; c < batch; c++ {
-		out.Outputs[c] = concat[c][:m.origRows[key]]
-	}
-	if m.issuer != nil {
-		rec, rerr := m.issuer.Issue(commit.Round{
-			Key: key, Iter: iter, Batch: batch,
-			K: m.opt.K, BlockRows: blockLen,
-			Inputs: packed, Outputs: out.Outputs, Workers: rw,
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("baseline: receipt: %w", rerr)
-		}
-		out.Receipt = rec
-	}
-	out.Breakdown.Compute = maxCompute
-	out.Breakdown.Comm = maxComm
-	out.Breakdown.Wall = lastArrival // no verify, no decode
-	return out, nil
+	return blocks, 0, nil
 }
 
-// FinishIteration implements cluster.Master; the uncoded scheme never adapts.
-func (m *UncodedMaster) FinishIteration(int) (float64, bool) { return 0, false }
+// Observe implements cluster.Policy: every worker was waited for.
+func (m *UncodedMaster) Observe(*cluster.Round) int { return 0 }

@@ -11,8 +11,9 @@
 //     is injected as sleeps. Used by examples and the integration tests
 //     that exercise real concurrency.
 //
-// Masters (internal/avcc, internal/baseline) are written against the
-// Executor interface so the same protocol logic runs on either.
+// Driver (driver.go) runs the one round sequence against the Executor
+// interface, so the same protocol logic runs on either; the scheme masters
+// (internal/avcc, internal/gavcc, internal/baseline) plug a Policy into it.
 package cluster
 
 import (

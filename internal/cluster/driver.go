@@ -1,0 +1,318 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/attack"
+	"repro/internal/commit"
+	"repro/internal/field"
+	"repro/internal/fieldmat"
+	"repro/internal/lcc"
+	"repro/internal/simnet"
+)
+
+// Plan is the code geometry one round runs under. Static schemes return the
+// same Plan every round; AVCC's changes when it quarantines or re-codes.
+type Plan struct {
+	// Active lists the workers asked this round.
+	Active []int
+	// Pos maps a worker ID to its shard's position in the code; nil means
+	// the ID is the position.
+	Pos []int
+	// Alphas is the evaluation point of every code position (receipts bind
+	// each contribution to its point).
+	Alphas []field.Elem
+	// K is the number of data blocks the matrix is split into.
+	K int
+	// Need is how many accepted results complete the round.
+	Need int
+	// Gram marks the input-free degree-2 round f(X̃) = X̃·X̃ᵀ: inputs must be
+	// empty, every batch entry is served by ONE computation and shares its
+	// decode, and a worker result is a flattened b×b block.
+	Gram bool
+}
+
+// Round is one round's state as the driver advances it; the policy hooks
+// read it and Decode may refine Byzantine and Attest.
+type Round struct {
+	Key   string
+	Iter  int
+	Batch int // vectors packed into Input (1 for a Gram round)
+	Rows  int // true (un-padded) row count of the key's matrix
+	Input []field.Elem
+	// Results is everything the executor delivered, in arrival order; the
+	// acceptance loop looked at the first Consumed of them.
+	Results  []Result
+	Consumed int
+	// Workers, Positions, Outputs and Commits describe the accepted results,
+	// in arrival order (Positions are code positions: Plan.Pos applied).
+	Workers   []int
+	Positions []int
+	Outputs   [][]field.Elem
+	Commits   [][]byte
+	// Byzantine lists the workers whose results were rejected: mis-sized,
+	// failed Check, or located as corrupt by Decode.
+	Byzantine []int
+	// Attest indexes the accepted results the decode actually consumed — what
+	// the receipt attests. nil means all of them.
+	Attest []int
+}
+
+// Policy is everything a scheme contributes to a round. The Driver owns the
+// sequence; a scheme decides who is asked, which arrivals are acceptable, how
+// the accepted set decodes, and what it learns from the round.
+type Policy interface {
+	// Plan opens a round: the driver calls it once, before any worker is
+	// asked.
+	Plan(key string, iter int) Plan
+	// Check verifies one arriving result before it may enter the decoder and
+	// returns the master-side operation count the check cost (charged
+	// serially, arrival by arrival). Schemes that cannot verify per arrival
+	// accept everything at zero cost.
+	Check(r *Round, res *Result) (ok bool, ops float64)
+	// Decode turns the accepted results into the K data blocks (block j holds
+	// its rows for vector 0, then vector 1, …) and returns the decode's
+	// operation count. It errors when the accepted set cannot decode.
+	Decode(r *Round) (blocks [][]field.Elem, ops float64, err error)
+	// Observe closes a successful round and returns the stragglers observed.
+	Observe(r *Round) int
+}
+
+// Driver runs coded rounds for one deployment. It owns the state every
+// scheme shares — workers, executor, receipt issuer, per-key row counts — and
+// the one round sequence:
+//
+//	key check → pack → Plan → execute → ctx check → accept (size check, Check)
+//	→ Decode → unpack → receipt → Observe → Breakdown
+//
+// and implements cluster.Master over it, so a scheme master is a Policy plus
+// a constructor embedding *Driver.
+type Driver struct {
+	name    string
+	policy  Policy
+	sim     simnet.Config
+	workers []*Worker
+	exec    Executor
+	issuer  *commit.Issuer
+	rows    map[string]int
+}
+
+// NewDriver builds the shared deployment state: n workers with the given
+// behaviours (nil: all honest), the virtual executor on the seed+1 jitter
+// stream, and — with receipts on — an issuer holding a commitment to every
+// data matrix. The policy fills the workers' shards afterwards.
+func NewDriver(f *field.Field, name string, p Policy, n int, data map[string]*fieldmat.Matrix,
+	sim simnet.Config, seed int64, receipts bool,
+	behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (*Driver, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("%s: no data matrices supplied", name)
+	}
+	if behaviors != nil && len(behaviors) != n {
+		return nil, fmt.Errorf("%s: %d behaviours for %d workers", name, len(behaviors), n)
+	}
+	if !sim.Validate() {
+		return nil, fmt.Errorf("%s: invalid latency model", name)
+	}
+	d := &Driver{
+		name:    name,
+		policy:  p,
+		sim:     sim,
+		workers: make([]*Worker, n),
+		rows:    make(map[string]int, len(data)),
+	}
+	if receipts {
+		d.issuer = commit.NewIssuer(f, name)
+	}
+	for key, x := range data {
+		d.rows[key] = x.Rows
+		if d.issuer != nil {
+			d.issuer.Commit(key, x)
+		}
+	}
+	for i := range d.workers {
+		d.workers[i] = NewWorker(i)
+		if behaviors != nil {
+			d.workers[i].Behavior = behaviors[i]
+		}
+	}
+	ve := NewVirtualExecutor(f, sim, d.workers, stragglers, seed+1)
+	ve.CommitOutputs = receipts
+	d.exec = ve
+	return d, nil
+}
+
+// Name implements Master.
+func (d *Driver) Name() string { return d.name }
+
+// SetExecutor swaps the executor (tests and real-transport runs).
+func (d *Driver) SetExecutor(e Executor) { d.exec = e }
+
+// Workers exposes the worker objects so real-transport deployments can ship
+// each worker's shards to the matching remote endpoint.
+func (d *Driver) Workers() []*Worker { return d.workers }
+
+// ReceiptDigests implements commit.DigestProvider: the public digest of
+// every committed round key (nil when receipts are disabled).
+func (d *Driver) ReceiptDigests() map[string][]commit.Digest {
+	if d.issuer == nil {
+		return nil
+	}
+	return d.issuer.Digests()
+}
+
+// FinishIteration implements Master for schemes that never adapt; AVCC
+// shadows it with the dynamic coding rule.
+func (d *Driver) FinishIteration(int) (float64, bool) { return 0, false }
+
+// RunRound implements Master as the batch-of-one projection of RunRoundBatch,
+// so the two paths cannot drift.
+func (d *Driver) RunRound(ctx context.Context, key string, input []field.Elem, iter int) (*RoundOutput, error) {
+	b, err := d.RunRoundBatch(ctx, key, [][]field.Elem{input}, iter)
+	if err != nil {
+		return nil, err
+	}
+	return b.Round(0), nil
+}
+
+// RunRoundBatch implements Master: the whole batch runs as ONE coded round.
+func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*BatchOutput, error) {
+	rows, ok := d.rows[key]
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown round key %q", d.name, key)
+	}
+	packed, _, err := PackInputs(inputs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.name, err)
+	}
+	plan := d.policy.Plan(key, iter)
+	blockRows := (rows + plan.K - 1) / plan.K
+	batch, decodedLen := len(inputs), rows
+	resultLen := batch * blockRows
+	if plan.Gram {
+		if len(packed) != 0 {
+			return nil, fmt.Errorf("%s: the %q round takes no input", d.name, key)
+		}
+		packed, batch = nil, 1
+		resultLen, decodedLen = blockRows*blockRows, plan.K*blockRows*blockRows
+	}
+
+	r := &Round{
+		Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
+		Workers: make([]int, 0, plan.Need),
+		Outputs: make([][]field.Elem, 0, plan.Need),
+		Commits: make([][]byte, 0, plan.Need),
+	}
+	r.Results = d.exec.RunRound(ctx, key, packed, batch, iter, plan.Active)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%s: round cancelled: %w", d.name, err)
+	}
+
+	// Accept in arrival order until Need results are in. masterFree is when
+	// the master finishes its current check: arrivals queue behind it.
+	out := &BatchOutput{}
+	var masterFree float64
+	for i := range r.Results {
+		if len(r.Workers) == plan.Need {
+			break
+		}
+		res := &r.Results[i]
+		r.Consumed++
+		if res.Err != nil {
+			return nil, fmt.Errorf("%s: worker %d failed: %w", d.name, res.Worker, res.Err)
+		}
+		// A result of the wrong size can be neither verified nor decoded;
+		// it costs one worker of redundancy, never the round.
+		if len(res.Output) != resultLen {
+			r.Byzantine = append(r.Byzantine, res.Worker)
+			continue
+		}
+		good, ops := d.policy.Check(r, res)
+		checkTime := d.sim.MasterTime(ops)
+		masterFree = max(masterFree, res.ArriveAt) + checkTime
+		out.Breakdown.Verify += checkTime
+		if !good {
+			r.Byzantine = append(r.Byzantine, res.Worker)
+			continue
+		}
+		r.Workers = append(r.Workers, res.Worker)
+		r.Outputs = append(r.Outputs, res.Output)
+		r.Commits = append(r.Commits, res.Commit)
+		out.Breakdown.Compute = max(out.Breakdown.Compute, res.ComputeSec)
+		out.Breakdown.Comm = max(out.Breakdown.Comm, res.CommSec)
+	}
+	r.Positions = r.Workers
+	if plan.Pos != nil {
+		r.Positions = make([]int, len(r.Workers))
+		for i, id := range r.Workers {
+			r.Positions[i] = plan.Pos[id]
+		}
+	}
+
+	blocks, decodeOps, err := d.policy.Decode(r)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.name, err)
+	}
+	out.Outputs = UnpackBlocks(blocks, batch, decodedLen)
+	out.Used = r.Workers
+	out.Byzantine = r.Byzantine
+
+	if d.issuer != nil {
+		// The receipt binds exactly what the decode consumed, at the round's
+		// (possibly re-coded) split.
+		rw := make([]commit.RoundWorker, 0, len(r.Workers))
+		attest := func(i int) {
+			rw = append(rw, commit.RoundWorker{
+				ID: r.Workers[i], Alpha: plan.Alphas[r.Positions[i]],
+				Output: r.Outputs[i], Commit: r.Commits[i],
+			})
+		}
+		if r.Attest == nil {
+			for i := range r.Workers {
+				attest(i)
+			}
+		}
+		for _, i := range r.Attest {
+			attest(i)
+		}
+		out.Receipt, err = d.issuer.Issue(commit.Round{
+			Key: key, Iter: iter, Batch: batch, Gram: plan.Gram,
+			K: plan.K, BlockRows: blockRows,
+			Inputs: packed, Outputs: out.Outputs, Workers: rw,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: receipt: %w", d.name, err)
+		}
+	}
+	// Decoded is caller-private, so every further entry of a Gram batch gets
+	// its own copy of the one shared decode.
+	for len(out.Outputs) < len(inputs) {
+		out.Outputs = append(out.Outputs, field.CopyVec(out.Outputs[0]))
+	}
+
+	out.StragglersObserved = d.policy.Observe(r)
+	decodeTime := d.sim.MasterTime(decodeOps)
+	out.Breakdown.Decode = decodeTime
+	out.Breakdown.Wall = masterFree + decodeTime
+	return out, nil
+}
+
+// DecodeVerified is the decoder of the schemes that verify before they decode
+// (AVCC, Generalized AVCC): every accepted result is known good, so the
+// first threshold of them interpolate directly.
+func DecodeVerified(code *lcc.Code, r *Round) ([][]field.Elem, float64, error) {
+	threshold := code.Threshold()
+	if len(r.Workers) < threshold {
+		return nil, 0, fmt.Errorf("only %d verified results, need %d (Byzantines exceed budget; rejected %v)",
+			len(r.Workers), threshold, r.Byzantine)
+	}
+	blocks, err := code.DecodeVectors(r.Positions, r.Outputs)
+	if err != nil {
+		return nil, 0, fmt.Errorf("decode: %w", err)
+	}
+	var decodedLen int
+	for _, blk := range blocks {
+		decodedLen += len(blk)
+	}
+	return blocks, float64(threshold)*float64(decodedLen) + float64(threshold*threshold), nil
+}

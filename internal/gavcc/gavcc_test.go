@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/simnet"
@@ -24,6 +25,28 @@ func quietSim() simnet.Config {
 // N = 7 + S + M (+1 headroom).
 func opts16(s, m, t int) Options {
 	return Options{N: 7 + 2*t + s + m, K: 4, S: s, M: m, T: t, Sim: quietSim(), Seed: 5}
+}
+
+// gramRound is one round's output with the flattened decode reshaped into the
+// K b×b Gram blocks.
+type gramRound struct {
+	*cluster.RoundOutput
+	Blocks []*fieldmat.Matrix
+}
+
+func runGram(m *Master, iter int) (*gramRound, error) {
+	out, err := m.RunRound(context.Background(), GramKey, nil, iter)
+	if err != nil {
+		return nil, err
+	}
+	b := m.BlockRows()
+	g := &gramRound{RoundOutput: out}
+	for off := 0; off < len(out.Decoded); off += b * b {
+		blk := fieldmat.NewMatrix(b, b)
+		copy(blk.Data, out.Decoded[off:off+b*b])
+		g.Blocks = append(g.Blocks, blk)
+	}
+	return g, nil
 }
 
 func gramOf(b *fieldmat.Matrix) *fieldmat.Matrix {
@@ -62,7 +85,7 @@ func TestHonestGramDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Run(context.Background(), 0)
+	out, err := runGram(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +114,7 @@ func TestGramWithByzantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Run(context.Background(), 0)
+	out, err := runGram(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +146,7 @@ func TestGramWithStragglerSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Run(context.Background(), 0)
+	out, err := runGram(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +173,7 @@ func TestGramWithPrivacyMasks(t *testing.T) {
 	}
 	// With T=1 no worker shard may equal a raw block.
 	blocks := fieldmat.SplitRows(x, 4)
-	for _, w := range m.workers {
+	for _, w := range m.Workers() {
 		sh := w.Shards[GramKey]
 		for j, b := range blocks {
 			if sh.Equal(b) {
@@ -158,7 +181,7 @@ func TestGramWithPrivacyMasks(t *testing.T) {
 			}
 		}
 	}
-	out, err := m.Run(context.Background(), 0)
+	out, err := runGram(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +202,7 @@ func TestGramPadding(t *testing.T) {
 	if m.BlockRows() != 4 {
 		t.Fatalf("block rows %d, want 4", m.BlockRows())
 	}
-	out, err := m.Run(context.Background(), 0)
+	out, err := runGram(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +229,7 @@ func TestGramTooManyByzantineFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(context.Background(), 0); err == nil {
+	if _, err := runGram(m, 0); err == nil {
 		t.Fatal("round succeeded without enough honest workers")
 	}
 }
@@ -221,7 +244,7 @@ func BenchmarkGramRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(context.Background(), i); err != nil {
+		if _, err := runGram(m, i); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,15 +1,11 @@
-// The framed wire protocol: the purpose-built replacement for net/rpc on
-// the data plane.
+// The framed wire protocol of the data plane.
 //
-// net/rpc cost this path three ways. Every call re-encoded its arguments
-// with gob — reflection over []uint64 payloads that are already in wire
-// shape. A round broadcasting one input to N workers paid that encoding N
-// times. And an abandoned call (timeout, cancellation) stayed pinned in the
-// client's pending map until the server eventually answered or the
-// connection closed — a wedged server leaked every abandoned call for the
-// executor's lifetime.
-//
-// The framed protocol fixes all three structurally:
+// A general-purpose RPC layer costs this path three ways: every call
+// re-encodes its arguments by reflection over []uint64 payloads that are
+// already in wire shape, a round broadcasting one input to N workers pays
+// that encoding N times, and an abandoned call (timeout, cancellation) stays
+// pinned in the client's pending map until the server eventually answers.
+// The framed protocol avoids all three structurally:
 //
 //   - Length-prefixed binary frames with explicit little-endian layout: no
 //     reflection, no per-call encoder state.

@@ -97,8 +97,7 @@ func (c *frameConn) attach(id uint64, ch chan *responseFrame) (net.Conn, error) 
 
 // reap abandons a pending call: the entry is removed NOW, so the response —
 // if it ever arrives — is discarded at the read loop instead of pinning the
-// entry until the executor closes (the net/rpc failure mode this transport
-// exists to fix).
+// entry until the executor closes.
 func (c *frameConn) reap(id uint64) {
 	c.mu.Lock()
 	delete(c.pending, id)
@@ -237,8 +236,8 @@ type FrameExecutor struct {
 	ids    []int
 	idx    map[int]int
 	nextID atomic.Uint64
-	// Timeout is the per-call deadline cap, with exactly RPCExecutor's
-	// semantics: the effective deadline is Timeout ∧ the context's deadline,
+	// Timeout is the per-call deadline cap: the effective deadline is
+	// Timeout ∧ the context's deadline,
 	// 0 means DefaultCallTimeout, negative leaves only the context
 	// governing. A call that exceeds its deadline or fails at the transport
 	// layer yields no Result (an erasure); a server-side application error
@@ -297,12 +296,10 @@ func (e *FrameExecutor) pendingCalls() int {
 	return n
 }
 
-// RunRound implements cluster.Executor with the same result semantics as
-// the net/rpc executor — workers whose calls time out or fail at the
-// transport layer are omitted (erasures), server-side errors surface as
-// Result.Err, results are ordered by real completion time — but encodes the
-// round's broadcast input ONCE and writes it to every worker, instead of
-// re-serialising the full coded payload per call.
+// RunRound implements cluster.Executor: workers whose calls time out or fail
+// at the transport layer are omitted (erasures), server-side errors surface
+// as Result.Err, and results are ordered by real completion time. The
+// round's broadcast input is encoded ONCE and written to every worker.
 func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
 	tail := encodeRequestTail(key, batch, iter, e.CommitOutputs, input)
 	start := time.Now()

@@ -11,11 +11,10 @@ import (
 	"repro/internal/field"
 )
 
-// FrameServer is one worker endpoint speaking the framed wire protocol. It
-// mirrors the net/rpc Server's lifecycle contract: Close tears down the
-// listener AND every established connection, so closing a server mid-round
-// behaves like the machine dying — in-flight calls fail at the client
-// instead of hanging.
+// FrameServer is one worker endpoint speaking the framed wire protocol.
+// Close tears down the listener AND every established connection, so closing
+// a server mid-round behaves like the machine dying — in-flight calls fail at
+// the client instead of hanging.
 type FrameServer struct {
 	Addr     string
 	listener net.Listener
@@ -33,7 +32,7 @@ type FrameServer struct {
 // to pick a free port) hosting the given workers, keyed by their IDs. One
 // server can host many workers — tests and the demo binary colocate them —
 // and a request naming a worker the server does not host is answered with
-// an application error, exactly like net/rpc's unknown-service reply.
+// an application error.
 func ServeFrames(addr string, f *field.Field, workers ...*cluster.Worker) (*FrameServer, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("rpccluster: ServeFrames needs at least one worker")

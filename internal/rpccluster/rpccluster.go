@@ -1,19 +1,12 @@
 // Package rpccluster runs the worker side of the protocol as real network
-// services, and gives masters (AVCC or baseline) executors that drive those
+// services, and gives masters (AVCC or baseline) an executor that drives those
 // remote workers instead of the virtual-time simulator.
 //
-// Two transports are provided, with identical cluster.Executor semantics
-// (deadline ∧ context, transport failure ⇒ erasure, server-side error ⇒
-// Result.Err) so the conformance suites run against either:
-//
-//   - FrameExecutor / FrameServer: the streaming binary transport
-//     (frame.go) — length-prefixed frames over persistent connections,
-//     explicit request IDs with immediate reaping of abandoned calls,
-//     zero-copy []field.Elem payloads, and broadcast-once rounds. This is
-//     the deployment data plane.
-//   - RPCExecutor / Server: the legacy net/rpc path, kept as the
-//     comparison baseline, with its abandoned-call leak fixed by
-//     connection recycling (see rpcEndpoint).
+// FrameExecutor / FrameServer are the data plane (frame.go): length-prefixed
+// frames over persistent connections, explicit request IDs with immediate
+// reaping of abandoned calls, zero-copy []field.Elem payloads, and
+// broadcast-once rounds, under the cluster.Executor semantics deadline ∧
+// context, transport failure ⇒ erasure, server-side error ⇒ Result.Err.
 //
 // This is the "it actually distributes" path: the algebra, verification and
 // decode logic are byte-identical to the simulated runs; only arrival times
@@ -24,302 +17,19 @@ package rpccluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
-	"net/rpc"
-	"sort"
-	"sync"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/commit"
-	"repro/internal/field"
 )
 
-// ComputeArgs is the RPC request: apply the worker's shard for the round
-// key to the input vector. Batch > 1 means Input packs that many
-// equal-length vectors and the reply packs the matching outputs (a batched
-// round); 0 is read as 1 for wire-compatibility with single-vector clients.
-type ComputeArgs struct {
-	Key   string
-	Input []field.Elem
-	Batch int
-	Iter  int
-	// Commit asks the worker to ship a Merkle commitment to its output
-	// (commit.OutputRoot) alongside the result. Absent/false keeps the wire
-	// format cost-free for receipt-less deployments.
-	Commit bool
-}
-
-// ComputeReply is the RPC response.
-type ComputeReply struct {
-	Output []field.Elem
-	// Commit is the worker's output commitment when the request asked for
-	// one, nil otherwise.
-	Commit []byte
-}
-
-// WorkerService is the RPC-exposed wrapper around a cluster.Worker.
-type WorkerService struct {
-	f *field.Field
-	w *cluster.Worker
-}
-
-// Compute implements the RPC method. Byzantine behaviour (if the worker is
-// configured with one) is applied server-side, exactly as a compromised
-// machine would.
-func (s *WorkerService) Compute(args *ComputeArgs, reply *ComputeReply) error {
-	batch := args.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	out, _, err := s.w.Compute(s.f, args.Key, args.Input, batch, args.Iter)
-	if err != nil {
-		return err
-	}
-	reply.Output = out
-	if args.Commit {
-		// The commitment covers what the worker actually sends — behaviour
-		// included — exactly like the virtual executors: a Byzantine worker
-		// commits to its lie, it does not get to lie about its commitment.
-		reply.Commit = commit.OutputRoot(out)
-	}
-	return nil
-}
-
-// Server is one running worker endpoint. Close tears down the listener AND
-// every established connection, so closing a server mid-round behaves like
-// the machine dying: in-flight calls fail at the client instead of hanging.
-type Server struct {
-	Addr     string
-	listener net.Listener
-	wg       sync.WaitGroup
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-// Serve starts a worker RPC server on addr (use "127.0.0.1:0" to pick a
-// free port). Close the returned server to stop it.
-func Serve(addr string, f *field.Field, w *cluster.Worker) (*Server, error) {
-	srv := rpc.NewServer()
-	// Register under a worker-unique name so multiple workers can share a
-	// process in tests and the demo binary.
-	name := fmt.Sprintf("Worker%d", w.ID)
-	if err := srv.RegisterName(name, &WorkerService{f: f, w: w}); err != nil {
-		return nil, err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{Addr: l.Addr().String(), listener: l, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			if !s.track(conn) {
-				conn.Close()
-				return
-			}
-			go func() {
-				defer s.untrack(conn)
-				srv.ServeConn(conn)
-			}()
-		}
-	}()
-	return s, nil
-}
-
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	conn.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// Close stops accepting connections, severs all established connections
-// (failing any in-flight calls), and waits for the accept loop to exit.
-func (s *Server) Close() error {
-	err := s.listener.Close()
-	s.mu.Lock()
-	s.closed = true
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-// DefaultCallTimeout bounds each worker RPC unless the caller overrides
+// DefaultCallTimeout bounds each worker call unless the caller overrides
 // Timeout. A crashed or wedged endpoint costs one timeout, not a wedged
 // round: coded computing treats the worker as missing (an erasure) and
 // decodes from the survivors.
 const DefaultCallTimeout = 30 * time.Second
 
-// rpcEndpoint wraps one net/rpc client connection with the recycling that
-// keeps the legacy path leak-free. net/rpc offers no way to cancel a
-// pending call: an abandoned (timed-out, cancelled) call's entry sits in
-// the client's pending map — pinning its arguments and reply — until the
-// server eventually answers or the connection closes. A wedged server
-// therefore used to leak every abandoned call for the executor's lifetime.
-// Recycling closes the connection the moment a call is abandoned on it
-// (freeing everything pending) and redials lazily on the next call.
-type rpcEndpoint struct {
-	addr string
-
-	mu     sync.Mutex
-	client *rpc.Client
-	gen    int // increments per recycle, so stale abandons can't close a fresh client
-	closed bool
-	// recycles counts connection replacements; the wedged-server soak
-	// asserts abandoned calls trigger them instead of accumulating.
-	recycles int
-}
-
-// get returns the live client, redialling if the previous connection was
-// recycled or died. The generation identifies the returned client for a
-// later recycle call.
-func (ep *rpcEndpoint) get() (*rpc.Client, int, error) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return nil, 0, errConnClosed
-	}
-	if ep.client == nil {
-		c, err := rpc.Dial("tcp", ep.addr)
-		if err != nil {
-			return nil, 0, err
-		}
-		ep.client = c
-	}
-	return ep.client, ep.gen, nil
-}
-
-// recycle retires the client a call was abandoned on. Closing it releases
-// every entry in its pending map (net/rpc fails them with ErrShutdown), so
-// nothing stays pinned; concurrent calls still in flight on the same
-// connection fail as transport errors, which the caller already absorbs as
-// erasures. A stale generation (the client was already replaced) is a no-op.
-func (ep *rpcEndpoint) recycle(gen int) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.client == nil || ep.gen != gen {
-		return
-	}
-	ep.client.Close()
-	ep.client = nil
-	ep.gen++
-	ep.recycles++
-}
-
-func (ep *rpcEndpoint) close() {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.closed = true
-	if ep.client != nil {
-		ep.client.Close()
-		ep.client = nil
-	}
-}
-
-// RPCExecutor implements cluster.Executor against remote workers over
-// net/rpc. It is the legacy transport — FrameExecutor is the streaming
-// replacement — kept as the comparison baseline and for wire compatibility
-// with existing worker fleets, with its data-plane leaks fixed by
-// connection recycling (see rpcEndpoint).
-type RPCExecutor struct {
-	endpoints []*rpcEndpoint
-	ids       []int
-	// idx and methods are precomputed at Dial so the per-round hot path
-	// does not rebuild the id→client map or re-Sprintf the service method
-	// name on every call.
-	idx     map[int]int
-	methods []string
-	// Timeout is the per-call deadline CAP. The effective deadline of each
-	// worker call derives from the round's context first: a caller deadline
-	// tighter than Timeout wins, and cancelling the context aborts every
-	// in-flight call of the round immediately. A call that exceeds its
-	// deadline — or fails at the transport layer (dead endpoint, severed
-	// connection) — yields no Result at all: the worker is reported missing,
-	// an erasure the master's code absorbs, exactly as the virtual executor
-	// models crashed workers. Worker-side application errors (e.g. a missing
-	// shard) still surface as Result.Err: the endpoint is alive and
-	// answered, so hiding its answer would mask deployment bugs. Zero means
-	// DefaultCallTimeout; negative leaves only the caller's context
-	// governing the call.
-	Timeout time.Duration
-	// CommitOutputs makes every call request an output commitment from the
-	// worker (the committed-verification plane).
-	CommitOutputs bool
-}
-
-// Dial connects to worker endpoints. addrs[i] must host the worker whose
-// ID is ids[i] (or 0..len-1 when ids is nil).
-func Dial(addrs []string, ids []int) (*RPCExecutor, error) {
-	if ids == nil {
-		ids = make([]int, len(addrs))
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	if len(ids) != len(addrs) {
-		return nil, fmt.Errorf("rpccluster: %d ids for %d addrs", len(ids), len(addrs))
-	}
-	e := &RPCExecutor{ids: ids, idx: make(map[int]int, len(ids)), methods: make([]string, len(ids))}
-	for i, id := range ids {
-		e.idx[id] = i
-		e.methods[i] = fmt.Sprintf("Worker%d.Compute", id)
-	}
-	for _, a := range addrs {
-		ep := &rpcEndpoint{addr: a}
-		if _, _, err := ep.get(); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("rpccluster: dial %s: %w", a, err)
-		}
-		e.endpoints = append(e.endpoints, ep)
-	}
-	return e, nil
-}
-
-// Close tears down all client connections.
-func (e *RPCExecutor) Close() {
-	for _, ep := range e.endpoints {
-		ep.close()
-	}
-}
-
-// recycles sums connection replacements across endpoints (test hook).
-func (e *RPCExecutor) recycleCount() int {
-	n := 0
-	for _, ep := range e.endpoints {
-		ep.mu.Lock()
-		n += ep.recycles
-		ep.mu.Unlock()
-	}
-	return n
-}
-
 // errCallTimeout marks a call that outlived the per-call deadline.
 var errCallTimeout = errors.New("rpccluster: call deadline exceeded")
 
-// effectiveTimeout resolves the per-call deadline shared by both transports:
+// effectiveTimeout resolves the per-call deadline of a worker call:
 // the configured cap (with 0 meaning DefaultCallTimeout and negative
 // meaning no cap) tightened by whatever deadline the round's context
 // carries. The boolean reports whether any deadline applies at all.
@@ -338,98 +48,4 @@ func effectiveTimeout(cap time.Duration, ctx context.Context) (time.Duration, bo
 		}
 	}
 	return limit, has
-}
-
-// call issues one worker RPC under the effective deadline (configured cap ∧
-// context deadline) and aborts on context cancellation. An abandoned call
-// (timeout or cancellation) recycles its connection so nothing stays pinned
-// in net/rpc's pending map; the caller treats the worker as missing.
-func (e *RPCExecutor) call(ctx context.Context, ci int, args *ComputeArgs, reply *ComputeReply) error {
-	timeout, has := effectiveTimeout(e.Timeout, ctx)
-	if has && timeout <= 0 {
-		// The caller's deadline had already passed before the call could go
-		// out: attribute it to the context, not to a slow worker — callers
-		// must be able to distinguish their own cancellation from a wedged
-		// endpoint. (This used to return errCallTimeout.)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return context.DeadlineExceeded
-	}
-	client, gen, err := e.endpoints[ci].get()
-	if err != nil {
-		return err
-	}
-	c := client.Go(e.methods[ci], args, reply, make(chan *rpc.Call, 1))
-	if !has {
-		select {
-		case <-c.Done:
-			return c.Error
-		case <-ctx.Done():
-			e.endpoints[ci].recycle(gen)
-			return ctx.Err()
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-c.Done:
-		return c.Error
-	case <-timer.C:
-		e.endpoints[ci].recycle(gen)
-		return errCallTimeout
-	case <-ctx.Done():
-		e.endpoints[ci].recycle(gen)
-		return ctx.Err()
-	}
-}
-
-// RunRound implements cluster.Executor: issue all calls concurrently under
-// per-call deadlines derived from the caller's context and order results by
-// real completion time. Workers whose calls time out or fail at the
-// transport layer are omitted from the results — erasures, matching the
-// virtual executor's crash semantics — so a dead endpoint costs the master
-// one deadline instead of a hung round, and cancelling ctx releases the
-// whole round at once (the master reports the cancellation; the abandoned
-// replies are discarded).
-func (e *RPCExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
-	start := time.Now()
-	var mu sync.Mutex
-	results := make([]cluster.Result, 0, len(active))
-	var wg sync.WaitGroup
-	for _, id := range active {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			res := cluster.Result{Worker: id}
-			ci, ok := e.idx[id]
-			if !ok {
-				res.Err = fmt.Errorf("rpccluster: no connection for worker %d", id)
-			} else {
-				t0 := time.Now()
-				var reply ComputeReply
-				err := e.call(ctx, ci,
-					&ComputeArgs{Key: key, Input: input, Batch: batch, Iter: iter, Commit: e.CommitOutputs}, &reply)
-				var serverErr rpc.ServerError
-				if err != nil && !errors.As(err, &serverErr) {
-					// Timeout, cancellation or transport failure: the
-					// endpoint is gone as far as this round is concerned.
-					// Report the worker missing rather than poisoning the
-					// round with an error the master cannot act on.
-					return
-				}
-				res.ComputeSec = time.Since(t0).Seconds()
-				res.Output = reply.Output
-				res.Commit = reply.Commit
-				res.Err = err
-			}
-			res.ArriveAt = time.Since(start).Seconds()
-			mu.Lock()
-			results = append(results, res)
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
-	sort.Slice(results, func(i, j int) bool { return results[i].ArriveAt < results[j].ArriveAt })
-	return results
 }

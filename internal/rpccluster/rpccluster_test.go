@@ -30,66 +30,16 @@ func (s stall) Apply(_ *field.Field, _ int, honest []field.Elem) []field.Elem {
 
 func (stall) Name() string { return "stall" }
 
-// tunableExec is the transport-independent executor surface the conformance
-// suite drives: both RPCExecutor and FrameExecutor satisfy it.
-type tunableExec interface {
-	cluster.Executor
-	Close()
-	setTimeout(time.Duration)
-	setCommit(bool)
+// overFrames runs fn as the "frames" subtest. The suite was written
+// parametrized over two transports; the framed data plane is the one left,
+// and the subtest name is kept so results stay comparable across commits.
+func overFrames(t *testing.T, fn func(t *testing.T)) {
+	t.Run("frames", fn)
 }
 
-func (e *RPCExecutor) setTimeout(d time.Duration)   { e.Timeout = d }
-func (e *RPCExecutor) setCommit(on bool)            { e.CommitOutputs = on }
-func (e *FrameExecutor) setTimeout(d time.Duration) { e.Timeout = d }
-func (e *FrameExecutor) setCommit(on bool)          { e.CommitOutputs = on }
-
-// transport abstracts serve+dial so every regression test runs over BOTH
-// the legacy net/rpc path and the framed streaming transport: the two must
-// keep bit-exact cluster.Executor semantics (deadline ∧ ctx, transport
-// failure ⇒ erasure, server error ⇒ Result.Err) or the conformance suites
-// lose their meaning.
-type transport struct {
-	name  string
-	serve func(f *field.Field, w *cluster.Worker) (addr string, closer func() error, err error)
-	dial  func(addrs []string, ids []int) (tunableExec, error)
-}
-
-var transports = []transport{
-	{
-		name: "netrpc",
-		serve: func(f *field.Field, w *cluster.Worker) (string, func() error, error) {
-			s, err := Serve("127.0.0.1:0", f, w)
-			if err != nil {
-				return "", nil, err
-			}
-			return s.Addr, s.Close, nil
-		},
-		dial: func(addrs []string, ids []int) (tunableExec, error) { return Dial(addrs, ids) },
-	},
-	{
-		name: "frames",
-		serve: func(f *field.Field, w *cluster.Worker) (string, func() error, error) {
-			s, err := ServeFrames("127.0.0.1:0", f, w)
-			if err != nil {
-				return "", nil, err
-			}
-			return s.Addr, s.Close, nil
-		},
-		dial: func(addrs []string, ids []int) (tunableExec, error) { return DialFrames(addrs, ids) },
-	},
-}
-
-func forEachTransport(t *testing.T, fn func(t *testing.T, tr transport)) {
-	for _, tr := range transports {
-		t.Run(tr.name, func(t *testing.T) { fn(t, tr) })
-	}
-}
-
-// startServers spins n worker endpoints on loopback over the given
-// transport, returning the workers, their addresses, and per-server
-// closers (for kill-mid-round tests). Servers not closed by the test are
-// closed at cleanup.
+// startServers spins n framed worker endpoints on loopback, returning the
+// workers, their addresses, and per-server closers (for kill-mid-round
+// tests). Servers not closed by the test are closed at cleanup.
 //
 // Worker state (shards, behaviours) must be configured in prepare, which
 // runs BEFORE any server goroutine exists: server handlers read worker
@@ -97,7 +47,7 @@ func forEachTransport(t *testing.T, fn func(t *testing.T, tr transport)) {
 // configure-then-serve — exactly the deployment-time contract. A test
 // that must flip behaviour mid-run needs a self-synchronising Behavior
 // (see adjustableStall in leak_test.go).
-func startServers(t *testing.T, tr transport, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, []string, []func() error) {
+func startServers(t *testing.T, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, []string, []func() error) {
 	t.Helper()
 	workers := make([]*cluster.Worker, n)
 	for i := 0; i < n; i++ {
@@ -109,22 +59,22 @@ func startServers(t *testing.T, tr transport, n int, prepare func(workers []*clu
 	addrs := make([]string, n)
 	closers := make([]func() error, n)
 	for i := 0; i < n; i++ {
-		addr, closer, err := tr.serve(f, workers[i])
+		srv, err := ServeFrames("127.0.0.1:0", f, workers[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = addr
-		closers[i] = closer
-		t.Cleanup(func() { closer() })
+		addrs[i] = srv.Addr
+		closers[i] = srv.Close
+		t.Cleanup(func() { srv.Close() })
 	}
 	return workers, addrs, closers
 }
 
 // startCluster is startServers plus a connected executor.
-func startCluster(t *testing.T, tr transport, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, tunableExec) {
+func startCluster(t *testing.T, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, *FrameExecutor) {
 	t.Helper()
-	workers, addrs, _ := startServers(t, tr, n, prepare)
-	exec, err := tr.dial(addrs, nil)
+	workers, addrs, _ := startServers(t, n, prepare)
+	exec, err := DialFrames(addrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +83,10 @@ func startCluster(t *testing.T, tr transport, n int, prepare func(workers []*clu
 }
 
 func TestRPCRoundTrip(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(200))
 		shards := make([]*fieldmat.Matrix, 4)
-		_, exec := startCluster(t, tr, 4, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 4, func(workers []*cluster.Worker) {
 			for i, w := range workers {
 				shards[i] = fieldmat.Rand(f, rng, 6, 8)
 				w.Shards["fwd"] = shards[i]
@@ -165,8 +115,8 @@ func TestRPCRoundTrip(t *testing.T) {
 }
 
 func TestRPCWorkerErrorPropagates(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport) {
-		_, exec := startCluster(t, tr, 1, nil) // worker 0 has no shards
+	overFrames(t, func(t *testing.T) {
+		_, exec := startCluster(t, 1, nil) // worker 0 has no shards
 		results := exec.RunRound(context.Background(), "missing", []field.Elem{1}, 1, 0, []int{0})
 		if len(results) != 1 || results[0].Err == nil {
 			t.Fatal("expected a wire-propagated worker error")
@@ -175,9 +125,9 @@ func TestRPCWorkerErrorPropagates(t *testing.T) {
 }
 
 func TestRPCByzantineAppliedServerSide(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(201))
-		_, exec := startCluster(t, tr, 2, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 2, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 3, 3)
 			}
@@ -197,20 +147,20 @@ func TestRPCByzantineAppliedServerSide(t *testing.T) {
 }
 
 func TestRPCDialUnknownAddress(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport) {
-		if _, err := tr.dial([]string{"127.0.0.1:1"}, nil); err == nil {
+	overFrames(t, func(t *testing.T) {
+		if _, err := DialFrames([]string{"127.0.0.1:1"}, nil); err == nil {
 			t.Fatal("dialing a dead port should fail")
 		}
-		if _, err := tr.dial([]string{"127.0.0.1:1", "127.0.0.1:2"}, []int{0}); err == nil {
+		if _, err := DialFrames([]string{"127.0.0.1:1", "127.0.0.1:2"}, []int{0}); err == nil {
 			t.Fatal("id/addr mismatch accepted")
 		}
 	})
 }
 
 func TestRPCMissingWorkerConnection(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(202))
-		_, exec := startCluster(t, tr, 1, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 1, func(workers []*cluster.Worker) {
 			workers[0].Shards["fwd"] = fieldmat.Rand(f, rng, 2, 2)
 		})
 		results := exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 2), 1, 0, []int{0, 5})
@@ -229,16 +179,16 @@ func TestRPCMissingWorkerConnection(t *testing.T) {
 func TestRPCCommitShipping(t *testing.T) {
 	// The committed-verification plane rides the wire: with CommitOutputs
 	// set, every result carries the worker's Merkle commitment to exactly
-	// the output it sent — over either transport.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	// the output it sent.
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(211))
-		_, exec := startCluster(t, tr, 2, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 2, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 3, 4)
 			}
 			workers[1].Behavior = attack.Constant{V: 9} // commits to its lie
 		})
-		exec.setCommit(true)
+		exec.CommitOutputs = true
 		results := exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1})
 		if len(results) != 2 {
 			t.Fatalf("got %d results", len(results))
@@ -253,7 +203,7 @@ func TestRPCCommitShipping(t *testing.T) {
 			}
 		}
 		// And without the flag the wire stays commitment-free.
-		exec.setCommit(false)
+		exec.CommitOutputs = false
 		for _, r := range exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1}) {
 			if r.Commit != nil {
 				t.Fatal("commitment shipped without being requested")
@@ -267,15 +217,15 @@ func TestRPCCallDeadlineReportsWorkerMissing(t *testing.T) {
 	// worker blocked the round forever. A call that outlives Timeout must
 	// be reported as an erasure — no result for that worker — while the
 	// healthy workers' results come back.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(204))
-		_, exec := startCluster(t, tr, 3, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 3, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 2, 2)
 			}
 			workers[1].Behavior = stall{Delay: 5 * time.Second}
 		})
-		exec.setTimeout(100 * time.Millisecond)
+		exec.Timeout = 100 * time.Millisecond
 
 		start := time.Now()
 		results := exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 2), 1, 0, []int{0, 1, 2})
@@ -300,21 +250,21 @@ func TestRPCServerKilledMidRoundBecomesErasure(t *testing.T) {
 	// Regression: kill a worker's server while its call is in flight. The
 	// severed connection must surface as an erasure — the master decodes
 	// from the survivors — not as a round-poisoning error or a hang.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(205))
-		_, addrs, closers := startServers(t, tr, 3, func(workers []*cluster.Worker) {
+		_, addrs, closers := startServers(t, 3, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 2, 2)
 			}
 			// Worker 2 stalls long enough for the kill to land mid-call.
 			workers[2].Behavior = stall{Delay: 2 * time.Second}
 		})
-		exec, err := tr.dial(addrs, nil)
+		exec, err := DialFrames(addrs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(exec.Close)
-		exec.setTimeout(5 * time.Second)
+		exec.Timeout = 5 * time.Second
 
 		go func() {
 			time.Sleep(100 * time.Millisecond)
@@ -343,7 +293,7 @@ func TestRPCServerKilledMidRoundBecomesErasure(t *testing.T) {
 func TestAVCCDecodesAroundAWorkerDiesIn(t *testing.T) {
 	// End to end: a worker process dies mid-training; the AVCC master sees
 	// an erasure, decodes from the survivors, and the output stays exact.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(206))
 		x := fieldmat.Rand(f, rng, 36, 10)
 		master, err := scheme.New("avcc", f, scheme.NewConfig(
@@ -354,17 +304,17 @@ func TestAVCCDecodesAroundAWorkerDiesIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, addrs, closers := startServers(t, tr, 12, func(workers []*cluster.Worker) {
+		_, addrs, closers := startServers(t, 12, func(workers []*cluster.Worker) {
 			for i, w := range master.Workers() {
 				workers[i].Shards["fwd"] = w.Shards["fwd"]
 			}
 		})
-		exec, err := tr.dial(addrs, nil)
+		exec, err := DialFrames(addrs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(exec.Close)
-		exec.setTimeout(5 * time.Second)
+		exec.Timeout = 5 * time.Second
 		master.SetExecutor(exec)
 
 		w := f.RandVec(rng, 10)
@@ -399,9 +349,9 @@ func TestRPCCancelMidRoundReleasesTheRound(t *testing.T) {
 	// still waited out the full deadline. The per-call deadline must derive
 	// from the caller's context: cancellation releases the round
 	// immediately and the master reports the cancellation.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(207))
-		_, exec := startCluster(t, tr, 3, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 3, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 2, 2)
 				// All three workers wedge; only the context can end this
@@ -410,7 +360,7 @@ func TestRPCCancelMidRoundReleasesTheRound(t *testing.T) {
 			}
 		})
 		// Deliberately long private timeout: proof the context governs.
-		exec.setTimeout(30 * time.Second)
+		exec.Timeout = 30 * time.Second
 
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
@@ -430,15 +380,15 @@ func TestRPCCancelMidRoundReleasesTheRound(t *testing.T) {
 
 func TestRPCContextDeadlineTightensPrivateTimeout(t *testing.T) {
 	// A caller deadline tighter than the configured Timeout must win.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(208))
-		_, exec := startCluster(t, tr, 2, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 2, func(workers []*cluster.Worker) {
 			for _, w := range workers {
 				w.Shards["fwd"] = fieldmat.Rand(f, rng, 2, 2)
 			}
 			workers[1].Behavior = stall{Delay: 20 * time.Second}
 		})
-		exec.setTimeout(30 * time.Second)
+		exec.Timeout = 30 * time.Second
 
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
@@ -458,22 +408,10 @@ func TestRPCContextDeadlineTightensPrivateTimeout(t *testing.T) {
 func TestExpiredContextAttributedToCaller(t *testing.T) {
 	// Regression: a context whose deadline had ALREADY passed used to
 	// return errCallTimeout, so callers could not distinguish their own
-	// expiry from a slow worker. Both transports must attribute it to the
-	// context — and must not put a doomed call on the wire at all (the
-	// legacy path used to send it and pin the pending entry forever).
-	t.Run("netrpc", func(t *testing.T) {
-		_, exec := startCluster(t, transports[0], 1, nil)
-		e := exec.(*RPCExecutor)
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		defer cancel()
-		err := e.call(ctx, 0, &ComputeArgs{Key: "fwd", Input: []field.Elem{1}}, &ComputeReply{})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("call error = %v, want the context's deadline error", err)
-		}
-	})
-	t.Run("frames", func(t *testing.T) {
-		_, exec := startCluster(t, transports[1], 1, nil)
-		e := exec.(*FrameExecutor)
+	// expiry from a slow worker. It must be attributed to the context — and
+	// the doomed call must not go on the wire at all.
+	overFrames(t, func(t *testing.T) {
+		_, e := startCluster(t, 1, nil)
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
 		_, err := e.conns[0].call(ctx, 0, 1, 0, encodeRequestTail("fwd", 1, 0, false, []field.Elem{1}))
@@ -489,7 +427,7 @@ func TestExpiredContextAttributedToCaller(t *testing.T) {
 func TestAVCCCancelMidRoundSurfacesContextError(t *testing.T) {
 	// End to end through the master: cancelling the caller's context while
 	// every worker is wedged must surface ctx's error from RunRound, fast.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(209))
 		x := fieldmat.Rand(f, rng, 36, 10)
 		master, err := scheme.New("avcc", f, scheme.NewConfig(
@@ -500,14 +438,14 @@ func TestAVCCCancelMidRoundSurfacesContextError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, exec := startCluster(t, tr, 12, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 12, func(workers []*cluster.Worker) {
 			for i, w := range master.Workers() {
 				workers[i].Shards["fwd"] = w.Shards["fwd"]
 				workers[i].Behavior = stall{Delay: 20 * time.Second}
 			}
 		})
 		master.SetExecutor(exec)
-		exec.setTimeout(30 * time.Second)
+		exec.Timeout = 30 * time.Second
 
 		// Explicit cancellation (not a deadline): once cancel() ran,
 		// ctx.Err() is set before any call can unblock on ctx.Done, so the
@@ -531,10 +469,10 @@ func TestAVCCCancelMidRoundSurfacesContextError(t *testing.T) {
 func TestRPCBatchedRoundMatchesSequential(t *testing.T) {
 	// The batch field must round-trip: a batched call returns the packed
 	// per-vector products, byte-identical to per-vector calls.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(210))
 		shards := make([]*fieldmat.Matrix, 2)
-		_, exec := startCluster(t, tr, 2, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 2, func(workers []*cluster.Worker) {
 			for i, w := range workers {
 				shards[i] = fieldmat.Rand(f, rng, 4, 6)
 				w.Shards["fwd"] = shards[i]
@@ -569,7 +507,7 @@ func TestRPCBatchedRoundMatchesSequential(t *testing.T) {
 func TestAVCCMasterOverRealTCP(t *testing.T) {
 	// Full integration: AVCC master encodes, remote workers compute over
 	// TCP (one of them Byzantine), master verifies and decodes correctly.
-	forEachTransport(t, func(t *testing.T, tr transport) {
+	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(203))
 		x := fieldmat.Rand(f, rng, 36, 10)
 		data := map[string]*fieldmat.Matrix{"fwd": x}
@@ -583,7 +521,7 @@ func TestAVCCMasterOverRealTCP(t *testing.T) {
 		}
 		// Mirror the master's shard assignment onto the remote workers: the
 		// master encoded into its own in-process worker objects; copy shards.
-		_, exec := startCluster(t, tr, 12, func(workers []*cluster.Worker) {
+		_, exec := startCluster(t, 12, func(workers []*cluster.Worker) {
 			for i, w := range master.Workers() {
 				workers[i].Shards["fwd"] = w.Shards["fwd"]
 			}

@@ -12,9 +12,17 @@ package scheme
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/gavcc"
@@ -88,9 +96,26 @@ func conformanceCases() []conformanceCase {
 	}
 }
 
-// runConformance drives one (scheme, profile) cell for rounds iterations,
-// asserting bit-exact decodes, and returns whether any re-code happened.
-func runConformance(t *testing.T, tc conformanceCase, profile string, rounds int) (recoded bool, m Master) {
+// fold feeds the round trace: a length prefix, then each value as 8
+// little-endian bytes (floats go in by their exact bit pattern).
+func fold[T int | uint64](h hash.Hash, vs ...T) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(vs)))
+	h.Write(b[:])
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+}
+
+// runConformance drives one (scheme, profile) cell for rounds iterations of
+// batch-sized rounds, asserting bit-exact decodes, and returns whether any
+// re-code happened. Everything a round reports besides the decode — who was
+// used, who was caught, the straggler count, the virtual-time breakdown, the
+// receipt, the adaptation decision — is folded into trace, so a seeded draw
+// taken in a different order or a float summed in a different order changes
+// the hash even though the decode stays exact.
+func runConformance(t *testing.T, tc conformanceCase, profile string, rounds, batch int, receipts bool, trace hash.Hash) (recoded bool, m Master) {
 	t.Helper()
 	f := field.Default()
 	rng := rand.New(rand.NewSource(conformanceSeed))
@@ -111,22 +136,58 @@ func runConformance(t *testing.T, tc conformanceCase, profile string, rounds int
 		WithSim(conformanceSim()),
 		WithSeed(conformanceSeed),
 		WithScenario(scn),
+		WithReceipts(receipts),
+		WithDeterministicKeys(receipts),
 	), tc.data(x), nil, nil)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", tc.scheme, profile, err)
 	}
 	for iter := 0; iter < rounds; iter++ {
-		in := tc.input(f, rng, x)
-		out, err := m.RunRound(context.Background(), tc.key, in, iter)
+		inputs := make([][]field.Elem, batch)
+		for c := range inputs {
+			inputs[c] = tc.input(f, rng, x)
+		}
+		var out *cluster.BatchOutput
+		if batch == 1 {
+			var r *cluster.RoundOutput
+			if r, err = m.RunRound(context.Background(), tc.key, inputs[0], iter); err == nil {
+				out = &cluster.BatchOutput{
+					Outputs: [][]field.Elem{r.Decoded}, Breakdown: r.Breakdown, Used: r.Used,
+					Byzantine: r.Byzantine, StragglersObserved: r.StragglersObserved, Receipt: r.Receipt,
+				}
+			}
+		} else {
+			out, err = m.RunRoundBatch(context.Background(), tc.key, inputs, iter)
+		}
 		if err != nil {
 			t.Fatalf("%s under %s, iter %d: %v", tc.scheme, profile, iter, err)
 		}
-		if want := tc.want(f, x, in, tc.k); !field.EqualVec(out.Decoded, want) {
-			t.Fatalf("%s under %s, iter %d: decode not bit-exact against the uncoded reference",
-				tc.scheme, profile, iter)
+		for c, in := range inputs {
+			if want := tc.want(f, x, in, tc.k); !field.EqualVec(out.Outputs[c], want) {
+				t.Fatalf("%s under %s, iter %d, column %d: decode not bit-exact against the uncoded reference",
+					tc.scheme, profile, iter, c)
+			}
+			fold(trace, out.Outputs[c]...)
 		}
-		if _, r := m.FinishIteration(iter); r {
-			recoded = true
+		fold(trace, out.Used...)
+		fold(trace, out.Byzantine...)
+		fold(trace, out.StragglersObserved)
+		b := out.Breakdown
+		fold(trace, math.Float64bits(b.Compute), math.Float64bits(b.Comm),
+			math.Float64bits(b.Verify), math.Float64bits(b.Decode), math.Float64bits(b.Wall))
+		if (out.Receipt != nil) != receipts {
+			t.Fatalf("%s under %s, iter %d: receipt present = %v, want %v",
+				tc.scheme, profile, iter, out.Receipt != nil, receipts)
+		}
+		if receipts {
+			trace.Write(commit.EncodeReceipt(out.Receipt))
+		}
+		cost, r := m.FinishIteration(iter)
+		recoded = recoded || r
+		fold(trace, math.Float64bits(cost))
+		if ad, ok := m.(Adaptive); ok {
+			n, k := ad.Coding()
+			fold(trace, n, k)
 		}
 	}
 	return recoded, m
@@ -138,33 +199,41 @@ func TestScenarioConformanceAllSchemesAllProfiles(t *testing.T) {
 		for _, profile := range scenario.Profiles() {
 			tc, profile := tc, profile
 			t.Run(tc.scheme+"/"+profile, func(t *testing.T) {
-				recoded, m := runConformance(t, tc, profile, rounds)
+				for _, batch := range []int{1, 4} {
+					trace := sha256.New()
+					recoded, m := runConformance(t, tc, profile, rounds, batch, false, trace)
+					runConformance(t, tc, profile, rounds, batch, true, trace)
+					cell := fmt.Sprintf("%s/%s/batch=%d", tc.scheme, profile, batch)
+					if got := hex.EncodeToString(trace.Sum(nil)); got != roundTraceHashes[cell] {
+						t.Errorf("%s: round trace %s, recorded %q", cell, got, roundTraceHashes[cell])
+					}
 
-				switch profile {
-				case scenario.Steady:
-					if recoded {
-						t.Errorf("%s re-coded in the steady world", tc.scheme)
-					}
-				case scenario.Churn:
-					if tc.scheme == "avcc" {
-						if !recoded {
-							t.Error("avcc must re-code when churn crosses the adaptation budget")
+					switch profile {
+					case scenario.Steady:
+						if recoded {
+							t.Errorf("%s re-coded in the steady world", tc.scheme)
 						}
-						ad, ok := m.(Adaptive)
-						if !ok {
-							t.Fatal("avcc master does not expose the Adaptive interface")
+					case scenario.Churn:
+						if tc.scheme == "avcc" {
+							if !recoded {
+								t.Error("avcc must re-code when churn crosses the adaptation budget")
+							}
+							ad, ok := m.(Adaptive)
+							if !ok {
+								t.Fatal("avcc master does not expose the Adaptive interface")
+							}
+							if n, k := ad.Coding(); k >= 9 || n != 12 {
+								t.Errorf("avcc after churn: coding (%d, %d), want K < 9 with all 12 workers active", n, k)
+							}
+						} else if recoded {
+							t.Errorf("%s is static but reported a re-code", tc.scheme)
 						}
-						if n, k := ad.Coding(); k >= 9 || n != 12 {
-							t.Errorf("avcc after churn: coding (%d, %d), want K < 9 with all 12 workers active", n, k)
-						}
-					} else if recoded {
-						t.Errorf("%s is static but reported a re-code", tc.scheme)
-					}
-				case scenario.AdversarialWave:
-					if tc.scheme == "avcc" {
-						ad := m.(Adaptive)
-						if active := ad.ActiveWorkers(); len(active) >= 12 {
-							t.Errorf("avcc after the Byzantine wave: %d active workers, want quarantines", len(active))
+					case scenario.AdversarialWave:
+						if tc.scheme == "avcc" {
+							ad := m.(Adaptive)
+							if active := ad.ActiveWorkers(); len(active) >= 12 {
+								t.Errorf("avcc after the Byzantine wave: %d active workers, want quarantines", len(active))
+							}
 						}
 					}
 				}
@@ -178,8 +247,8 @@ func TestScenarioConformanceAllSchemesAllProfiles(t *testing.T) {
 // adaptation decisions.
 func TestScenarioConformanceIsDeterministic(t *testing.T) {
 	tc := matvecCase("avcc")
-	r1, m1 := runConformance(t, tc, scenario.Churn, 8)
-	r2, m2 := runConformance(t, tc, scenario.Churn, 8)
+	r1, m1 := runConformance(t, tc, scenario.Churn, 8, 1, false, sha256.New())
+	r2, m2 := runConformance(t, tc, scenario.Churn, 8, 1, false, sha256.New())
 	if r1 != r2 {
 		t.Fatal("re-running the churn cell changed the re-code decision")
 	}

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -112,41 +114,74 @@ func TestReceiptConformanceAllSchemes(t *testing.T) {
 	}
 }
 
-// TestReceiptVerifiesWithCaughtByzantine: when a scheme's own verification
-// catches and excludes a Byzantine worker, the decode stays bit-exact and the
-// receipt — which attests only the consumed contributions — must verify, with
-// the caught worker absent from it.
+// truncate is a worker that returns one element too few — a result that can
+// be neither verified nor decoded.
+type truncate struct{}
+
+func (truncate) Apply(_ *field.Field, _ int, honest []field.Elem) []field.Elem {
+	return honest[:len(honest)-1]
+}
+
+func (truncate) Name() string { return "truncate" }
+
+// TestReceiptVerifiesWithCaughtByzantine: when a scheme catches and excludes
+// a Byzantine worker — a lying one through its own verification, a mis-sizing
+// one through the round driver's size check — the decode stays bit-exact, the
+// worker is reported, and the receipt — which attests only the consumed
+// contributions — must verify, with the caught worker absent from it. The
+// uncoded baseline has no redundancy to absorb even a mis-sized block: its
+// round must fail naming the worker.
 func TestReceiptVerifiesWithCaughtByzantine(t *testing.T) {
-	for _, name := range []string{"avcc", "static-vcc", "lcc"} {
+	for _, tc := range conformanceCases() {
+		name := tc.scheme
 		t.Run(name, func(t *testing.T) {
-			tc := matvecCase(name)
-			f := field.Default()
-			rng := rand.New(rand.NewSource(conformanceSeed))
-			x := receiptMatrix(t, f, rng, tc)
-			behaviors := make([]attack.Behavior, tc.n)
-			for i := range behaviors {
-				behaviors[i] = attack.Honest{}
-			}
-			behaviors[3] = attack.ReverseValue{}
-			m, err := New(name, f, receiptConfig(tc), tc.data(x), behaviors, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := tc.input(f, rng, x)
-			out, err := m.RunRound(context.Background(), tc.key, in, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !field.EqualVec(out.Decoded, tc.want(f, x, in, tc.k)) {
-				t.Fatalf("%s: one in-budget Byzantine worker corrupted the decode", name)
-			}
-			if err := out.Receipt.Verify(); err != nil {
-				t.Fatalf("%s: receipt for a corrected round rejected: %v", name, err)
-			}
-			for _, w := range out.Receipt.Groups[0].Workers {
-				if w.ID == 3 {
-					t.Fatalf("%s: the caught Byzantine worker appears in the receipt", name)
+			for _, bad := range []attack.Behavior{attack.ReverseValue{}, truncate{}} {
+				if name == "uncoded" && bad.Name() != "truncate" {
+					continue // a lie flows straight through: see the tamper suite
 				}
+				t.Run(bad.Name(), func(t *testing.T) {
+					f := field.Default()
+					rng := rand.New(rand.NewSource(conformanceSeed))
+					x := receiptMatrix(t, f, rng, tc)
+					n, err := WorkerCount(name, receiptConfig(tc))
+					if err != nil {
+						t.Fatal(err)
+					}
+					behaviors := make([]attack.Behavior, n)
+					for i := range behaviors {
+						behaviors[i] = attack.Honest{}
+					}
+					behaviors[3] = bad
+					m, err := New(name, f, receiptConfig(tc), tc.data(x), behaviors, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					in := tc.input(f, rng, x)
+					out, err := m.RunRound(context.Background(), tc.key, in, 0)
+					if name == "uncoded" {
+						if err == nil || !strings.Contains(err.Error(), "[3]") {
+							t.Fatalf("uncoded round with a mis-sized block: err = %v, want a failure naming worker 3", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !field.EqualVec(out.Decoded, tc.want(f, x, in, tc.k)) {
+						t.Fatalf("%s: one in-budget Byzantine worker corrupted the decode", name)
+					}
+					if !slices.Contains(out.Byzantine, 3) {
+						t.Fatalf("%s: Byzantine = %v, want worker 3 reported", name, out.Byzantine)
+					}
+					if err := out.Receipt.Verify(); err != nil {
+						t.Fatalf("%s: receipt for a corrected round rejected: %v", name, err)
+					}
+					for _, w := range out.Receipt.Groups[0].Workers {
+						if w.ID == 3 {
+							t.Fatalf("%s: the caught Byzantine worker appears in the receipt", name)
+						}
+					}
+				})
 			}
 		})
 	}
