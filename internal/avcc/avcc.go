@@ -290,11 +290,17 @@ func (m *Master) Observe(r *cluster.Round) int {
 			stragglers++
 		}
 	}
-	// Active workers with no result at all — crashed nodes, dropped
-	// messages — are stragglers with infinite arrival time: erasures the
-	// adaptation rule must see, or churn would never trigger a re-code.
 	for _, id := range m.active {
-		if !slices.ContainsFunc(r.Results, func(res cluster.Result) bool { return res.Worker == id }) {
+		if r.Answered(id) {
+			continue
+		}
+		// A worker missing for good — crashed node, dropped message, timed-out
+		// call — is a straggler with infinite arrival time: an erasure the
+		// adaptation rule must see, or churn would never trigger a re-code.
+		// One the round merely did not wait for is known late only when the
+		// round itself ran past the cut-off, by a margin no scheduler makes,
+		// with that worker still out.
+		if !slices.Contains(r.Pending, id) || (r.StoppedAt > late && r.StoppedAt > pendingLateAfter) {
 			stragglers++
 		}
 	}
@@ -372,6 +378,13 @@ func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
 // The paper's stragglers are up to ~10× slow on compute; 2× separates them
 // from jitter even when link time dilutes the compute gap.
 const stragglerDetectFactor = 2.0
+
+// pendingLateAfter is how long (seconds on the wall clock — nobody is ever
+// pending in virtual time) a round must have run before the workers still out
+// when it completed are called late. A sub-millisecond round's "twice the
+// median" is scheduling noise: one delayed wake-up on the deciding arrival
+// would otherwise turn every spare fast worker into a straggler and re-code.
+const pendingLateAfter = 2e-3
 
 // median returns the median of xs (0 for empty input), sorting xs in place.
 func median(xs []float64) float64 {

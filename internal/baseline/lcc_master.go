@@ -142,5 +142,8 @@ func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 	return blocks, ops, nil
 }
 
-// Observe implements cluster.Policy: the arrivals LCC did not wait for.
-func (m *LCCMaster) Observe(r *cluster.Round) int { return len(r.Results) - r.Consumed }
+// Observe implements cluster.Policy: the workers LCC did not wait for —
+// landed past the ones it consumed, or still out when the round was stopped.
+func (m *LCCMaster) Observe(r *cluster.Round) int {
+	return len(r.Results) - r.Consumed + len(r.Pending)
+}

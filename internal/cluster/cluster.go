@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -184,16 +183,35 @@ type Result struct {
 	Err error
 }
 
-// Executor runs one round across the given active workers and returns
-// results ordered by arrival. Workers that are crashed or whose messages
-// are lost (time-varying scenario state) simply have no result: erasures,
-// exactly what the codes are there to absorb.
+// Executor runs one round across the given active workers. batch is the
+// number of equal-length vectors packed into input (1 for a plain round);
+// every worker computes the whole batch in one pass and returns one packed
+// result. The contract, which the Driver relies on to finish a round at its
+// threshold-th good arrival instead of its slowest worker:
 //
-// batch is the number of equal-length vectors packed into input (1 for a
-// plain round); every worker computes the whole batch in one pass and
-// returns one packed result. ctx bounds the round: once it is cancelled the
-// executor stops scheduling further work and returns whatever results have
-// already landed — the master turns the cancellation into its round error.
+//   - Hand each result over as it lands. An executor whose results land over
+//     time reports them through an Arrivals opened on ctx, which passes each
+//     one to the driver the moment it is recorded; the driver cancels ctx as
+//     soon as the round is decided.
+//   - Return once ctx is done — or every worker has answered or failed —
+//     with everything that has landed, in arrival order. Do not wait for
+//     calls still out.
+//   - Nothing is handed over after RunRound has returned; a late result is
+//     discarded.
+//   - A worker with no result is an omission, exactly the erasure the codes
+//     absorb: crashed, dropped, timed out, unreachable — which the executor
+//     reports as the worker's own failure (Arrivals.Miss while ctx is live) —
+//     or merely cancelled with the round, which says nothing about the worker.
+//     A cancelled call is never a Result.Err; Err is for a worker that
+//     answered with a failure.
+//
+// ctx also carries the caller's cancellation; the master turns that into its
+// round error. Every executor in the tree hands over — the virtual one too, in
+// one go once everything has landed in virtual time. The driver still accepts,
+// once each and in slice order, results it first sees in the returned slice,
+// but only so that an executor written without the hand-over (a test fake)
+// cannot have a result skipped or taken twice; such a round is never stopped
+// early.
 type Executor interface {
 	RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []Result
 }
@@ -230,9 +248,13 @@ func NewVirtualExecutor(f *field.Field, cfg simnet.Config, workers []*Worker, st
 // RunRound implements Executor in virtual time. Crashed workers are skipped
 // outright; dropped results enter the event queue (the loss happens at what
 // would have been the arrival instant) but are filtered out of the returned
-// results, so both read as erasures to the master. Cancelling ctx stops the
-// eager per-worker computation early; already-computed results still drain
-// in arrival order (the master surfaces the cancellation itself).
+// results, so both read as erasures to the master. The hand-over is the same
+// one Arrivals makes, minus the lock and the clock: each result goes to the
+// driver in virtual arrival order, and because everything has landed before
+// the first one is handed over, nobody is merely un-awaited — a crashed or
+// dropped worker is reported lost. Cancelling ctx stops the eager per-worker
+// computation early; already-computed results still drain in arrival order
+// (the master surfaces the cancellation itself).
 func (e *VirtualExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []Result {
 	dyn := e.Dynamics
 	q := simnet.NewQueue()
@@ -242,6 +264,7 @@ func (e *VirtualExecutor) RunRound(ctx context.Context, key string, input []fiel
 			break
 		}
 		if dyn != nil && dyn.Crashed(id, iter) {
+			lose(ctx, id)
 			continue
 		}
 		w := e.Workers[id]
@@ -285,9 +308,11 @@ func (e *VirtualExecutor) RunRound(ctx context.Context, key string, input []fiel
 			break
 		}
 		if dropped[a.Worker] {
-			continue // the loss event: the message vanishes at arrival time
+			lose(ctx, a.Worker) // the loss event: the message vanishes at arrival time
+			continue
 		}
 		results = append(results, a.Payload.(Result))
+		deliver(ctx, &results[len(results)-1])
 	}
 	return results
 }
@@ -310,76 +335,76 @@ type GoExecutor struct {
 	CommitOutputs bool
 }
 
-// RunRound implements Executor with real concurrency; results are ordered
-// by actual completion time. Cancelling ctx returns immediately with the
-// results that have already landed; late workers finish in the background
-// and their results are discarded.
+// RunRound implements Executor with real concurrency: results are handed over
+// and ordered by actual completion time, and the round returns as soon as ctx
+// is done and no worker is still computing — the workers are the master's own
+// objects, which it may re-shard before the next round, so a computation is
+// never left running behind the round. What is abandoned is the injected
+// slowness: a straggler still sleeping leaves without answering.
 func (e *GoExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []Result {
-	stragglers := e.Stragglers
-	if stragglers == nil {
-		stragglers = attack.NoStragglers{}
+	// The round works on a copy of the configuration: a sleeping straggler's
+	// goroutine may outlive it.
+	run := *e
+	if run.Stragglers == nil {
+		run.Stragglers = attack.NoStragglers{}
 	}
-	dyn := e.Dynamics
-	start := time.Now()
-	var mu sync.Mutex
-	results := make([]Result, 0, len(active))
-	var wg sync.WaitGroup
+	arr := NewArrivals(ctx, len(active))
+	var computing sync.WaitGroup
 	for _, id := range active {
-		if dyn != nil && dyn.Crashed(id, iter) {
+		if run.Dynamics != nil && run.Dynamics.Crashed(id, iter) {
+			arr.Miss(id)
 			continue
 		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := e.Workers[id]
-			t0 := time.Now()
-			out, _, err := w.Compute(e.F, key, input, batch, iter)
-			if stragglers.IsStraggler(id, iter) {
-				if !sleepCtx(ctx, e.StragglerDelay) {
-					return
-				}
-			}
-			if dyn != nil {
-				// Compute slowdown and link degradation both stretch this
-				// worker's wall time; StragglerDelay is the unit for each.
-				slow := (dyn.ComputeFactor(id, iter) - 1) + (dyn.LinkFactor(id, iter) - 1)
-				if slow > 0 {
-					if !sleepCtx(ctx, time.Duration(float64(e.StragglerDelay)*slow)) {
-						return
-					}
-				}
-				if dyn.Dropped(id, iter) {
-					return // computed, but the message never arrives
-				}
-			}
-			var root []byte
-			if e.CommitOutputs && err == nil {
-				root = commit.OutputRoot(out)
-			}
-			elapsed := time.Since(t0).Seconds()
-			mu.Lock()
-			results = append(results, Result{
-				Worker:     id,
-				Output:     out,
-				Commit:     root,
-				ComputeSec: elapsed,
-				ArriveAt:   time.Since(start).Seconds(),
-				Err:        err,
-			})
-			mu.Unlock()
-		}(id)
+		computing.Add(1)
+		arr.Go(id, func() (Result, bool) {
+			return run.work(ctx, &computing, key, input, batch, iter, id)
+		})
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
+	results := arr.Wait()
+	computing.Wait()
+	return results
+}
+
+// work is one worker's part of a round: its computation, which the round
+// joins through computing, then its injected slowness, which ctx cuts short.
+// ok is false when the worker has nothing to deliver.
+func (e *GoExecutor) work(ctx context.Context, computing *sync.WaitGroup, key string, input []field.Elem, batch, iter, id int) (res Result, ok bool) {
+	t0 := time.Now()
+	var out []field.Elem
+	var err error
+	stopped := ctx.Err() != nil // before this worker got to run
+	if !stopped {
+		out, _, err = e.Workers[id].Compute(e.F, key, input, batch, iter)
 	}
-	mu.Lock()
-	snapshot := append([]Result(nil), results...)
-	mu.Unlock()
-	sort.Slice(snapshot, func(i, j int) bool { return snapshot[i].ArriveAt < snapshot[j].ArriveAt })
-	return snapshot
+	computing.Done()
+	if stopped {
+		return Result{}, false
+	}
+	if e.Stragglers.IsStraggler(id, iter) && !sleepCtx(ctx, e.StragglerDelay) {
+		return Result{}, false
+	}
+	if dyn := e.Dynamics; dyn != nil {
+		// Compute slowdown and link degradation both stretch this worker's
+		// wall time; StragglerDelay is the unit for each.
+		slow := (dyn.ComputeFactor(id, iter) - 1) + (dyn.LinkFactor(id, iter) - 1)
+		if slow > 0 && !sleepCtx(ctx, time.Duration(float64(e.StragglerDelay)*slow)) {
+			return Result{}, false
+		}
+		if dyn.Dropped(id, iter) {
+			return Result{}, false // computed, but the message never arrives
+		}
+	}
+	var root []byte
+	if e.CommitOutputs && err == nil {
+		root = commit.OutputRoot(out)
+	}
+	return Result{
+		Worker:     id,
+		Output:     out,
+		Commit:     root,
+		ComputeSec: time.Since(t0).Seconds(),
+		Err:        err,
+	}, true
 }
 
 // sleepCtx sleeps for d, returning false early if ctx is cancelled first.

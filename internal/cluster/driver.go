@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/commit"
@@ -41,10 +42,18 @@ type Round struct {
 	Batch int // vectors packed into Input (1 for a Gram round)
 	Rows  int // true (un-padded) row count of the key's matrix
 	Input []field.Elem
-	// Results is everything the executor delivered, in arrival order; the
-	// acceptance loop looked at the first Consumed of them.
+	// Results is everything that landed before the executor returned, in
+	// arrival order; the acceptance step looked at the first Consumed of them.
 	Results  []Result
 	Consumed int
+	// Pending lists the asked workers that had neither answered nor failed on
+	// their own when the driver stopped the executor — workers the round did
+	// not wait for, about which it knows only that they were still out at
+	// StoppedAt (seconds from round start, the deciding result's ArriveAt).
+	// An asked worker with no Result that is NOT pending is missing for good:
+	// crashed, dropped, timed out or unreachable.
+	Pending   []int
+	StoppedAt float64
 	// Workers, Positions, Outputs and Commits describe the accepted results,
 	// in arrival order (Positions are code positions: Plan.Pos applied).
 	Workers   []int
@@ -83,8 +92,10 @@ type Policy interface {
 // scheme shares — workers, executor, receipt issuer, per-key row counts — and
 // the one round sequence:
 //
-//	key check → pack → Plan → execute → ctx check → accept (size check, Check)
-//	→ Decode → unpack → receipt → Observe → Breakdown
+//	key check → pack → Plan → execute, accepting each result as it lands
+//	(worker error, size check, Check) and stopping the executor at the
+//	Need-th acceptance → ctx check → Decode → unpack → receipt → Observe →
+//	Breakdown
 //
 // and implements cluster.Master over it, so a scheme master is a Policy plus
 // a constructor embedding *Driver.
@@ -197,49 +208,44 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		resultLen, decodedLen = blockRows*blockRows, plan.K*blockRows*blockRows
 	}
 
-	r := &Round{
-		Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
-		Workers: make([]int, 0, plan.Need),
-		Outputs: make([][]field.Elem, 0, plan.Need),
-		Commits: make([][]byte, 0, plan.Need),
+	out := &BatchOutput{}
+	a := &acceptance{
+		Round: Round{
+			Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
+			Workers: make([]int, 0, plan.Need),
+			Outputs: make([][]field.Elem, 0, plan.Need),
+			Commits: make([][]byte, 0, plan.Need),
+		},
+		d: d, need: plan.Need, resultLen: resultLen, out: out,
 	}
-	r.Results = d.exec.RunRound(ctx, key, packed, batch, iter, plan.Active)
+	r := &a.Round
+	// The executor runs under a round context that carries the acceptance
+	// state (outermost, so the hand-over finds it in one step) and that the
+	// Need-th acceptance — or a worker error — cancels.
+	rctx, stop := context.WithCancel(ctx)
+	a.stop = stop
+	r.Results = d.exec.RunRound(context.WithValue(rctx, sinkKey{}, a), key, packed, batch, iter, plan.Active)
+	stop()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: round cancelled: %w", d.name, err)
 	}
-
-	// Accept in arrival order until Need results are in. masterFree is when
-	// the master finishes its current check: arrivals queue behind it.
-	out := &BatchOutput{}
-	var masterFree float64
-	for i := range r.Results {
-		if len(r.Workers) == plan.Need {
-			break
+	// Decided while the executor ran: it was stopped, and whoever it had
+	// neither heard from nor given up on is merely un-awaited.
+	if a.decided && len(r.Results)+len(a.lost) < len(plan.Active) {
+		for _, id := range plan.Active {
+			if !r.Answered(id) && !slices.Contains(a.lost, id) {
+				r.Pending = append(r.Pending, id)
+			}
 		}
-		res := &r.Results[i]
-		r.Consumed++
-		if res.Err != nil {
-			return nil, fmt.Errorf("%s: worker %d failed: %w", d.name, res.Worker, res.Err)
-		}
-		// A result of the wrong size can be neither verified nor decoded;
-		// it costs one worker of redundancy, never the round.
-		if len(res.Output) != resultLen {
-			r.Byzantine = append(r.Byzantine, res.Worker)
-			continue
-		}
-		good, ops := d.policy.Check(r, res)
-		checkTime := d.sim.MasterTime(ops)
-		masterFree = max(masterFree, res.ArriveAt) + checkTime
-		out.Breakdown.Verify += checkTime
-		if !good {
-			r.Byzantine = append(r.Byzantine, res.Worker)
-			continue
-		}
-		r.Workers = append(r.Workers, res.Worker)
-		r.Outputs = append(r.Outputs, res.Output)
-		r.Commits = append(r.Commits, res.Commit)
-		out.Breakdown.Compute = max(out.Breakdown.Compute, res.ComputeSec)
-		out.Breakdown.Comm = max(out.Breakdown.Comm, res.CommSec)
+	}
+	// Every executor in the tree hands over, so this finds nothing to do; it
+	// keeps an executor written without the hand-over (a test fake) from
+	// having a returned result skipped or accepted twice.
+	for i := a.handed; i < len(r.Results); i++ {
+		a.accept(&r.Results[i])
+	}
+	if a.err != nil {
+		return nil, a.err
 	}
 	r.Positions = r.Workers
 	if plan.Pos != nil {
@@ -293,8 +299,88 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 	out.StragglersObserved = d.policy.Observe(r)
 	decodeTime := d.sim.MasterTime(decodeOps)
 	out.Breakdown.Decode = decodeTime
-	out.Breakdown.Wall = masterFree + decodeTime
+	out.Breakdown.Wall = a.masterFree + decodeTime
 	return out, nil
+}
+
+// acceptance is one round's state on the driver's side of the hand-over: the
+// Round the policy sees plus what the acceptance step needs to decide it.
+// Executors hand results over one at a time (Arrivals serialises them), so it
+// carries no lock of its own.
+type acceptance struct {
+	Round
+	d         *Driver
+	need      int
+	resultLen int
+	out       *BatchOutput
+	// masterFree is when the master finishes its current check: arrivals
+	// queue behind it.
+	masterFree float64
+	stop       context.CancelFunc
+	// handed counts the results handed over while the executor ran; they are
+	// the first handed entries of the slice it returns.
+	handed int
+	// decided is set once Need results are accepted or a worker has errored;
+	// everything arriving later is ignored.
+	decided bool
+	err     error
+	// lost lists the workers the executor reported missing for good.
+	lost []int
+}
+
+// accept is the one acceptance step, run once on every result in arrival
+// order until the round is decided: a worker error fails the round, a result
+// of the wrong size or one that fails Policy.Check costs its worker, anything
+// else joins the decode set; the Need-th acceptance stops the executor.
+func (a *acceptance) accept(res *Result) {
+	if a.decided {
+		return
+	}
+	a.Consumed++
+	if res.Err != nil {
+		a.err = fmt.Errorf("%s: worker %d failed: %w", a.d.name, res.Worker, res.Err)
+		a.halt(res)
+		return
+	}
+	// A result of the wrong size can be neither verified nor decoded; it
+	// costs one worker of redundancy, never the round.
+	if len(res.Output) != a.resultLen {
+		a.Byzantine = append(a.Byzantine, res.Worker)
+		return
+	}
+	good, ops := a.d.policy.Check(&a.Round, res)
+	checkTime := a.d.sim.MasterTime(ops)
+	a.masterFree = max(a.masterFree, res.ArriveAt) + checkTime
+	a.out.Breakdown.Verify += checkTime
+	if !good {
+		a.Byzantine = append(a.Byzantine, res.Worker)
+		return
+	}
+	a.Workers = append(a.Workers, res.Worker)
+	a.Outputs = append(a.Outputs, res.Output)
+	a.Commits = append(a.Commits, res.Commit)
+	a.out.Breakdown.Compute = max(a.out.Breakdown.Compute, res.ComputeSec)
+	a.out.Breakdown.Comm = max(a.out.Breakdown.Comm, res.CommSec)
+	if len(a.Workers) == a.need {
+		a.halt(res)
+	}
+}
+
+// halt decides the round at res and stops the executor.
+func (a *acceptance) halt(res *Result) {
+	a.decided = true
+	a.StoppedAt = res.ArriveAt
+	a.stop()
+}
+
+// Answered reports whether worker has a result among r.Results.
+func (r *Round) Answered(worker int) bool {
+	for i := range r.Results {
+		if r.Results[i].Worker == worker {
+			return true
+		}
+	}
+	return false
 }
 
 // DecodeVerified is the decoder of the schemes that verify before they decode

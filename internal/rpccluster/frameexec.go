@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +14,9 @@ import (
 	"repro/internal/field"
 )
 
-// frameDialTimeout bounds (re)connection attempts: a dead endpoint costs
-// one refused/timed-out dial, an erasure, not a wedged round.
+// frameDialTimeout bounds (re)connection attempts. A redial runs behind the
+// rounds, so a dead endpoint costs each of them an erasure and none of them a
+// wait.
 const frameDialTimeout = 5 * time.Second
 
 // errConnClosed rejects calls after Close.
@@ -40,56 +40,93 @@ func (e WorkerError) Error() string { return string(e) }
 // that gives up (timeout, cancellation) reaps its entry immediately, so the
 // late response frame matches nothing on arrival and is discarded — nothing
 // a slow server does can pin client memory. A severed connection fails all
-// its pending calls at once and is redialled lazily by the next call.
+// its pending calls at once and stays down until the next round that asks its
+// worker starts a redial — behind the round, which goes on without the worker.
 type frameConn struct {
 	addr string
 
 	mu      sync.Mutex
-	conn    net.Conn
+	conn    net.Conn // nil while the connection is down
+	dialing bool     // a dial is under way, off the lock
 	pending map[uint64]chan *responseFrame
 	closed  bool
 
-	// wmu serialises frame writes; writes happen outside mu so a reap never
-	// waits behind a large payload hitting the socket.
-	wmu sync.Mutex
+	// wsem (capacity 1) serialises frame writes; writes happen outside mu so a
+	// reap never waits behind a large payload hitting the socket. It is a
+	// channel rather than a mutex so a call queued behind a write that a
+	// non-reading peer has blocked can still leave when its round is stopped.
+	wsem chan struct{}
 }
 
 func newFrameConn(addr string) *frameConn {
-	return &frameConn{addr: addr, pending: make(map[uint64]chan *responseFrame)}
+	return &frameConn{addr: addr, pending: make(map[uint64]chan *responseFrame), wsem: make(chan struct{}, 1)}
 }
 
-// connect eagerly establishes the connection (DialFrames' fail-fast path).
-func (c *frameConn) connect() error {
+// dial (re)establishes the connection if it is down. One attempt runs at a
+// time, off the lock, so nothing — a reap, the next round's fan-out — ever
+// waits behind a dial to a dead address.
+func (c *frameConn) dial() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ensureLocked()
-}
-
-// ensureLocked dials and starts the read loop if no connection is live.
-// Callers hold c.mu.
-func (c *frameConn) ensureLocked() error {
 	if c.closed {
+		c.mu.Unlock()
 		return errConnClosed
 	}
-	if c.conn != nil {
+	if c.conn != nil || c.dialing {
+		c.mu.Unlock()
 		return nil
 	}
+	c.dialing = true
+	c.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", c.addr, frameDialTimeout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dialing = false
 	if err != nil {
 		return err
+	}
+	if c.closed {
+		conn.Close()
+		return errConnClosed
 	}
 	c.conn = conn
 	go c.readLoop(conn)
 	return nil
 }
 
-// attach registers a pending call and returns the connection to write it
-// to, redialling first if the previous connection died.
-func (c *frameConn) attach(id uint64, ch chan *responseFrame) (net.Conn, error) {
+// up reports whether the connection is usable right now. It asks the kernel
+// whether the peer has gone rather than waiting for the read loop to be
+// scheduled and find out: a round is decided within a few arrivals, and a
+// machine that died before it began must be known lost to it, not merely
+// slower than the rest.
+func (c *frameConn) up() bool {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if conn == nil {
+		return false
+	}
+	if peerClosed(conn) {
+		c.fail(conn)
+		return false
+	}
+	return true
+}
+
+// attach registers a pending call and returns the connection to write it to.
+// A call whose round is already stopped is refused under the same lock reap
+// takes, so once RunRound has reaped a stopped round's calls none of them can
+// register afterwards.
+func (c *frameConn) attach(ctx context.Context, id uint64, ch chan *responseFrame) (net.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.ensureLocked(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if c.closed {
+		return nil, errConnClosed
+	}
+	if c.conn == nil {
+		return nil, errConnFailed // died since the fan-out found it up
 	}
 	c.pending[id] = ch
 	return c.conn, nil
@@ -171,8 +208,10 @@ func (c *frameConn) close() {
 }
 
 // call issues one framed request under the effective deadline (configured
-// cap ∧ context deadline) and aborts on context cancellation. Give-ups reap
-// the pending entry immediately.
+// cap ∧ context deadline) — which bounds the write as well as the wait for
+// the response, so a peer that stops reading costs one deadline, not a
+// goroutine — and aborts on context cancellation. Give-ups reap the pending
+// entry immediately.
 func (c *frameConn) call(ctx context.Context, cap time.Duration, id uint64, worker int, tail []byte) (*responseFrame, error) {
 	timeout, has := effectiveTimeout(cap, ctx)
 	if has && timeout <= 0 {
@@ -183,42 +222,47 @@ func (c *frameConn) call(ctx context.Context, cap time.Duration, id uint64, work
 		}
 		return nil, context.DeadlineExceeded
 	}
+	var deadline time.Time // zero: only the context governs
+	if has {
+		deadline = time.Now().Add(timeout)
+	}
 	ch := make(chan *responseFrame, 1)
-	conn, err := c.attach(id, ch)
+	conn, err := c.attach(ctx, id, ch)
 	if err != nil {
 		return nil, err
+	}
+	select {
+	case c.wsem <- struct{}{}:
+	case <-ctx.Done():
+		c.reap(id)
+		return nil, ctx.Err()
 	}
 	var head [requestHeadLen]byte
 	requestHead(&head, id, worker, len(tail))
 	bufs := net.Buffers{head[:], tail}
-	c.wmu.Lock()
+	// Each write sets the connection's deadline afresh (zero clears the
+	// previous call's); an error here means conn is closed and the write
+	// below reports it.
+	_ = conn.SetWriteDeadline(deadline)
 	_, werr := bufs.WriteTo(conn)
-	c.wmu.Unlock()
+	<-c.wsem
 	if werr != nil {
 		c.fail(conn) // clears our pending entry with everyone else's
 		return nil, werr
 	}
-	if !has {
-		select {
-		case resp, ok := <-ch:
-			if !ok {
-				return nil, errConnFailed
-			}
-			return resp, nil
-		case <-ctx.Done():
-			c.reap(id)
-			return nil, ctx.Err()
-		}
+	var expired <-chan time.Time
+	if has {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
 	case resp, ok := <-ch:
 		if !ok {
 			return nil, errConnFailed
 		}
 		return resp, nil
-	case <-timer.C:
+	case <-expired:
 		c.reap(id)
 		return nil, errCallTimeout
 	case <-ctx.Done():
@@ -251,8 +295,9 @@ type FrameExecutor struct {
 // DialFrames connects to framed worker endpoints. addrs[i] must host the
 // worker whose ID is ids[i] (or 0..len-1 when ids is nil). All endpoints
 // are dialled eagerly so a bad address fails deployment, not a round; a
-// connection that later dies is redialled lazily, costing the round it
-// failed in one erasure.
+// connection that later dies costs every round that asks its worker one
+// erasure until a redial — started by those rounds, run behind them — brings
+// it back.
 func DialFrames(addrs []string, ids []int) (*FrameExecutor, error) {
 	if ids == nil {
 		ids = make([]int, len(addrs))
@@ -269,7 +314,7 @@ func DialFrames(addrs []string, ids []int) (*FrameExecutor, error) {
 	}
 	for _, a := range addrs {
 		c := newFrameConn(a)
-		if err := c.connect(); err != nil {
+		if err := c.dial(); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("rpccluster: dial %s: %w", a, err)
 		}
@@ -296,48 +341,62 @@ func (e *FrameExecutor) pendingCalls() int {
 	return n
 }
 
-// RunRound implements cluster.Executor: workers whose calls time out or fail
-// at the transport layer are omitted (erasures), server-side errors surface
-// as Result.Err, and results are ordered by real completion time. The
-// round's broadcast input is encoded ONCE and written to every worker.
+// RunRound implements cluster.Executor: each result is handed over as its
+// frame arrives, workers whose calls time out or fail at the transport layer
+// are omitted (erasures), server-side errors surface as Result.Err, and the
+// round returns the moment ctx is done. The round's broadcast input is encoded
+// ONCE and written to every worker.
 func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
 	tail := encodeRequestTail(key, batch, iter, e.CommitOutputs, input)
-	start := time.Now()
-	var mu sync.Mutex
-	results := make([]cluster.Result, 0, len(active))
-	var wg sync.WaitGroup
-	for _, id := range active {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
+	// The round's request IDs are firstID, firstID+1, … in active's order.
+	firstID := e.nextID.Add(uint64(len(active))) - uint64(len(active)) + 1
+	timeout := e.Timeout // read here: a call's goroutine may outlive the round
+	arr := cluster.NewArrivals(ctx, len(active))
+	for i, id := range active {
+		reqID := firstID + uint64(i)
+		ci, ok := e.idx[id]
+		if ok && !e.conns[ci].up() {
+			// Known down as the round asks: the worker is lost to this round
+			// and the round is told before anyone can answer, so it knows
+			// however soon it is decided. The redial runs behind it.
+			arr.Miss(id)
+			go e.conns[ci].dial()
+			continue
+		}
+		arr.Go(id, func() (cluster.Result, bool) {
 			res := cluster.Result{Worker: id}
-			ci, ok := e.idx[id]
 			if !ok {
 				res.Err = fmt.Errorf("rpccluster: no connection for worker %d", id)
-			} else {
-				t0 := time.Now()
-				resp, err := e.conns[ci].call(ctx, e.Timeout, e.nextID.Add(1), id, tail)
-				if err != nil {
-					// Timeout, cancellation or transport failure: the
-					// endpoint is gone as far as this round is concerned.
-					// Report the worker missing rather than poisoning the
-					// round with an error the master cannot act on.
-					return
-				}
-				res.ComputeSec = time.Since(t0).Seconds()
-				res.Output = resp.Output
-				res.Commit = resp.Commit
-				if resp.Err != "" {
-					res.Err = WorkerError(resp.Err)
-				}
+				return res, true
 			}
-			res.ArriveAt = time.Since(start).Seconds()
-			mu.Lock()
-			results = append(results, res)
-			mu.Unlock()
-		}(id)
+			t0 := time.Now()
+			resp, err := e.conns[ci].call(ctx, timeout, reqID, id, tail)
+			if err != nil {
+				// Timeout, cancellation or transport failure: the endpoint is
+				// gone as far as this round is concerned. Report the worker
+				// missing rather than poisoning the round with an error the
+				// master cannot act on.
+				return res, false
+			}
+			res.ComputeSec = time.Since(t0).Seconds()
+			res.Output = resp.Output
+			res.Commit = resp.Commit
+			if resp.Err != "" {
+				res.Err = WorkerError(resp.Err)
+			}
+			return res, true
+		})
 	}
-	wg.Wait()
-	sort.Slice(results, func(i, j int) bool { return results[i].ArriveAt < results[j].ArriveAt })
+	results := arr.Wait()
+	if ctx.Err() != nil && len(results) < len(active) {
+		// Stopped with calls still out: reap them here rather than when each
+		// call's goroutine next runs, so a stopped round leaves nothing
+		// pending — not even behind a write the peer is not reading.
+		for i, id := range active {
+			if ci, ok := e.idx[id]; ok {
+				e.conns[ci].reap(firstID + uint64(i))
+			}
+		}
+	}
 	return results
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -343,6 +345,79 @@ func TestAVCCDecodesAroundAWorkerDiesIn(t *testing.T) {
 	})
 }
 
+func TestDeadWorkerIsLostToEveryFastRoundUntilItReturns(t *testing.T) {
+	// Rounds over loopback are decided within a few hundred microseconds —
+	// sooner than a refused redial comes back — so a dead machine must be
+	// known lost as each round asks it, or adaptation would never see it. The
+	// redial runs behind the rounds, and a machine that returns is asked again.
+	overFrames(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(215))
+		x := fieldmat.Rand(f, rng, 36, 10)
+		master, err := scheme.New("avcc", f, scheme.NewConfig(
+			scheme.WithCoding(12, 9),
+			scheme.WithBudgets(1, 2, 0),
+			scheme.WithDynamic(false),
+			scheme.WithSeed(47),
+		), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers, addrs, closers := startServers(t, 12, func(workers []*cluster.Worker) {
+			for i, w := range master.Workers() {
+				workers[i].Shards["fwd"] = w.Shards["fwd"]
+			}
+		})
+		exec, err := DialFrames(addrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(exec.Close)
+		master.SetExecutor(exec)
+
+		w := f.RandVec(rng, 10)
+		want := fieldmat.MatVec(f, x, w)
+		round := func(iter int) *cluster.RoundOutput {
+			t.Helper()
+			out, err := master.RunRound(context.Background(), "fwd", w, iter)
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			if !field.EqualVec(out.Decoded, want) {
+				t.Fatalf("iter %d: decode wrong", iter)
+			}
+			return out
+		}
+		round(0)
+		closers[7]()
+		for iter := 1; iter <= 10; iter++ {
+			out := round(iter)
+			if out.StragglersObserved < 1 {
+				t.Fatalf("iter %d: the dead worker was not observed", iter)
+			}
+			if slices.Contains(out.Used, 7) {
+				t.Fatalf("iter %d: the dead worker contributed (Used %v)", iter, out.Used)
+			}
+		}
+		// The machine comes back on its old address: the next round that asks
+		// for it starts the redial, and a later one finds it up.
+		srv, err := ServeFrames(addrs[7], f, workers[7])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		deadline := time.Now().Add(2 * time.Second)
+		for iter := 11; !exec.conns[7].up(); iter++ {
+			if time.Now().After(deadline) {
+				t.Fatal("the returned worker was never redialled")
+			}
+			round(iter)
+		}
+		if n := exec.pendingCalls(); n != 0 {
+			t.Fatalf("%d calls pending after the rounds", n)
+		}
+	})
+}
+
 func TestRPCCancelMidRoundReleasesTheRound(t *testing.T) {
 	// Regression: the executor used to bound calls only by its private
 	// Timeout (default 30s) — a caller cancelling its context mid-round
@@ -549,6 +624,71 @@ func TestAVCCMasterOverRealTCP(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+func TestRoundEndsAtThresholdNotAtSlowestWorker(t *testing.T) {
+	// The paper's premise on the real path: a verified round finishes at its
+	// threshold-th good arrival. Worker 3 answers after 300 ms, worker 10
+	// lies; static-vcc (12, 9) must decode from the others without waiting
+	// for 3 or ever using 10, and a stopped round must leave nothing behind.
+	overFrames(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(213))
+		x := fieldmat.Rand(f, rng, 36, 10)
+		master, err := scheme.New("static-vcc", f, scheme.NewConfig(
+			scheme.WithCoding(12, 9),
+			scheme.WithBudgets(1, 1, 0),
+			scheme.WithSeed(45),
+		), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseGo := runtime.NumGoroutine()
+		_, addrs, closers := startServers(t, 12, func(workers []*cluster.Worker) {
+			for i, w := range master.Workers() {
+				workers[i].Shards["fwd"] = w.Shards["fwd"]
+			}
+			workers[3].Behavior = &adjustableStall{delay: 300 * time.Millisecond}
+			workers[10].Behavior = attack.ReverseValue{C: 1}
+		})
+		exec, err := DialFrames(addrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(exec.Close)
+		master.SetExecutor(exec)
+
+		w := f.RandVec(rng, 10)
+		want := fieldmat.MatVec(f, x, w)
+		for iter := 0; iter < 5; iter++ {
+			start := time.Now()
+			out, err := master.RunRound(context.Background(), "fwd", w, iter)
+			if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+				t.Fatalf("iter %d took %v: the round waited for the 300 ms straggler", iter, elapsed)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := exec.pendingCalls(); n != 0 {
+				t.Fatalf("iter %d: %d calls still pending after the round was stopped", iter, n)
+			}
+			if !field.EqualVec(out.Decoded, want) {
+				t.Fatalf("iter %d: decode wrong", iter)
+			}
+			if slices.Contains(out.Used, 10) {
+				t.Fatalf("iter %d: the liar contributed to the decode (Used %v)", iter, out.Used)
+			}
+			for _, id := range out.Byzantine {
+				if id != 10 {
+					t.Fatalf("iter %d: honest worker %d named Byzantine", iter, id)
+				}
+			}
+		}
+		exec.Close()
+		for _, closeServer := range closers {
+			closeServer()
+		}
+		waitGoroutines(t, baseGo)
 	})
 }
 
