@@ -111,6 +111,9 @@ func gateKernels(t *testing.T) map[string]func() {
 }
 
 func TestAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
 	data, err := os.ReadFile("BENCH_kernels.json")
 	if err != nil {
 		t.Fatalf("reading committed artifact: %v", err)

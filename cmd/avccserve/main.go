@@ -15,6 +15,8 @@
 //	                  "receipt" (base64 of the round's committed-verification
 //	                  receipt) and "receipt_column" (which batch column of it
 //	                  this answer is) — verify offline with cmd/avccverify.
+//	                  A body longer than the widest well-formed input
+//	                  (12 bytes per column plus 1 KiB) gets 413.
 //	GET  /healthz     liveness probe
 //	GET  /statz       service + per-tenant metrics (incl. receipt counters),
 //	                  the public matrix digests receipts are bound to, plus a
@@ -106,6 +108,32 @@ func newServer(svc *scheme.Service, master scheme.Master, f *field.Field, cols i
 	return &server{svc: svc, master: master, f: f, cols: cols}
 }
 
+const (
+	// maxElemBytes is the widest JSON form of one input element: ten
+	// decimal digits (every field element is below 2³²) and a ", "
+	// separator.
+	maxElemBytes = 12
+	// bodySlack covers the object around the input array and incidental
+	// whitespace.
+	bodySlack = 1 << 10
+)
+
+// maxBodyBytes bounds a /v1/matvec request body for cols-wide inputs: any
+// well-formed request fits, and anything larger is refused with 413 before
+// it is decoded.
+func maxBodyBytes(cols int) int64 {
+	return int64(cols)*maxElemBytes + bodySlack
+}
+
+// Server timeouts: a client gets this long to send its headers, and an idle
+// keep-alive connection is closed after idleTimeout. There is deliberately
+// no write timeout — a response waits on its coded round, and a slow round
+// must not cut it off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // handler builds the endpoint mux.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -121,7 +149,13 @@ func (s *server) matvec(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Input []field.Elem `json:"input"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes(s.cols))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -217,7 +251,12 @@ func run(addr, schemeName string, rows, cols, n, k, sBudget, mBudget, shards, ba
 	svc := scheme.NewService(master, scheme.ServiceConfig{MaxBatch: batch, MaxLinger: linger, AuditReceipts: receipts})
 
 	srv := newServer(svc, master, f, cols)
-	server := &http.Server{Addr: addr, Handler: srv.handler()}
+	server := &http.Server{
+		Addr:              addr,
+		Handler:           srv.handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	fmt.Printf("avccserve: %s over %q (%d,%d) x %d shard group(s) serving %dx%d matvec on %s (batch <= %d, linger %v)\n",

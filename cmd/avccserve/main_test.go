@@ -64,6 +64,12 @@ func postMatvec(t *testing.T, url, tenant string, input []field.Elem, headers ..
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, tenant, body, headers...)
+}
+
+// postBody sends body verbatim to /v1/matvec.
+func postBody(t *testing.T, url, tenant string, body []byte, headers ...string) *http.Response {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/matvec", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +131,60 @@ func TestMatvecRejectsBadInputs(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// paddedBody is a well-formed /v1/matvec body for input, padded with
+// whitespace before its closing brace to exactly size bytes.
+func paddedBody(t *testing.T, input []field.Elem, size int64) []byte {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"input": input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(body)) > size {
+		t.Fatalf("unpadded body is %d bytes, above %d", len(body), size)
+	}
+	pad := bytes.Repeat([]byte(" "), int(size)-len(body))
+	return append(append(body[:len(body)-1], pad...), '}')
+}
+
+func TestMatvecBoundsRequestBody(t *testing.T) {
+	ts, x, f := newTestServer(t, 1)
+	in := f.RandVec(rand.New(rand.NewSource(12)), x.Cols)
+	limit := maxBodyBytes(x.Cols)
+	submitted := func() uint64 {
+		for _, tn := range getStatz(t, ts.URL).Service.Tenants {
+			if tn.Tenant == "edge" {
+				return tn.Submitted
+			}
+		}
+		return 0
+	}
+
+	if resp := postBody(t, ts.URL, "edge", paddedBody(t, in, limit+1)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of limit+1 bytes: status %d, want 413", resp.StatusCode)
+	}
+	if n := submitted(); n != 0 {
+		t.Fatalf("oversized body reached the service: %d submitted", n)
+	}
+
+	resp := postBody(t, ts.URL, "edge", paddedBody(t, in, limit-1))
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("body of limit-1 bytes: status %d: %s", resp.StatusCode, body)
+	}
+	var out struct {
+		Output []field.Elem `json:"output"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !field.EqualVec(out.Output, fieldmat.MatVec(f, x, in)) {
+		t.Fatal("served output is not the exact matvec")
+	}
+	if n := submitted(); n != 1 {
+		t.Fatalf("%d submitted after one accepted request, want 1", n)
 	}
 }
 

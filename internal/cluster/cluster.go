@@ -212,6 +212,15 @@ type Result struct {
 // but only so that an executor written without the hand-over (a test fake)
 // cannot have a result skipped or taken twice; such a round is never stopped
 // early.
+//
+// How early a dead worker is known lost depends on the platform. On Linux,
+// rpccluster.FrameExecutor asks the kernel for each connection's TCP state as
+// it fans out, so a worker whose peer closed or reset before the round began
+// is Missed before anyone answers. Elsewhere that check always passes and a
+// dead peer is found out only by its connection's read loop: a round that
+// fans out before the read loop notices sends the call anyway, and the
+// worker is Missed when the read loop fails it — or, if the round is decided
+// first, is merely left pending, which says nothing about the worker.
 type Executor interface {
 	RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []Result
 }

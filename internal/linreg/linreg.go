@@ -101,6 +101,7 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 	series := &metrics.Series{Name: master.Name()}
 	var clock float64
 	cap := cfg.residualCap()
+	e := make([]float64, ds.Rows)
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		for i, w := range model.W {
@@ -118,9 +119,12 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 		if len(zOut.Decoded) != ds.Rows {
 			return nil, nil, fmt.Errorf("linreg: round 1 returned %d values, want %d", len(zOut.Decoded), ds.Rows)
 		}
-		e := make([]float64, ds.Rows)
+		// The uncapped residual also gives the MSE of the weights round 1
+		// evaluated, so the host never recomputes X·w itself.
+		var sq float64
 		for i, zq := range zOut.Decoded {
 			r := qw.Dequantize(zq) - ds.TrainY[i]
+			sq += r * r
 			if r > cap {
 				r = cap
 			} else if r < -cap {
@@ -151,7 +155,7 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 		series.Records = append(series.Records, metrics.IterationRecord{
 			Iter:       iter,
 			Time:       clock,
-			TrainLoss:  model.MSE(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols),
+			TrainLoss:  sq / float64(ds.Rows),
 			Breakdown:  b,
 			Recode:     recoded,
 			RecodeCost: recodeCost,

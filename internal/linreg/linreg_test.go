@@ -2,6 +2,9 @@ package linreg
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -109,6 +112,51 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	// Loss must be monotone-ish: final below initial.
 	if series.Records[7].TrainLoss >= series.Records[0].TrainLoss {
 		t.Fatal("distributed training loss did not decrease")
+	}
+}
+
+// weightPin is the SHA-256 of TrainDistributed's final weights and every
+// record's Time for the run in TestTrainDistributedWeightsPinned. TrainLoss
+// is left out on purpose. Recorded at commit 035b61e, while the loss was
+// still a full MSE pass over TrainX after the update, and never
+// re-recorded: a mismatch means training changed behaviour.
+const weightPin = "65d59b8f4dceadb9d7c7ea7162977422c6c52b98255eaa6afc5e4d6294b315b5"
+
+func TestTrainDistributedWeightsPinned(t *testing.T) {
+	ds := smallData(t)
+	cfg := DefaultTrainConfig()
+	cfg.Iterations = 12
+	behaviors := make([]attack.Behavior, 12)
+	for i := range behaviors {
+		behaviors[i] = attack.Honest{}
+	}
+	behaviors[5] = attack.Constant{V: 9999999}
+	x := ds.FieldMatrix(f)
+	master, err := scheme.New("static-vcc", f, scheme.NewConfig(
+		scheme.WithCoding(12, 9),
+		scheme.WithSim(quietSim()),
+		scheme.WithSeed(13),
+		scheme.WithDeterministicKeys(true),
+	), map[string]*fieldmat.Matrix{"fwd": x, "bwd": x.Transpose()}, behaviors, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, model, err := TrainDistributed(context.Background(), f, master, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range model.W {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, r := range series.Records {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.Time))
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != weightPin {
+		t.Errorf("trajectory hash %s, recorded %s", got, weightPin)
 	}
 }
 

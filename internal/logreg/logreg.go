@@ -6,7 +6,7 @@
 // protocol:
 //
 //	round 1 ("fwd"):  z = X·w      computed distributed over coded shards,
-//	master locally:   e = h(z) − y with h the sigmoid,
+//	master locally:   e = h(z) − y with h the sigmoid, and the loss from h(z),
 //	round 2 ("bwd"):  g = Xᵀ·e     computed distributed over coded shards,
 //	master locally:   w ← w − (η/m)·g.
 //
@@ -77,19 +77,24 @@ func (m *Model) CrossEntropy(x []float64, y []float64, rows, cols int) float64 {
 	if rows == 0 {
 		return 0
 	}
-	const eps = 1e-12
 	var sum float64
 	for i := 0; i < rows; i++ {
-		p := m.PredictProb(x[i*cols : (i+1)*cols])
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		sum += -y[i]*math.Log(p) - (1-y[i])*math.Log(1-p)
+		sum += crossEntropyTerm(m.PredictProb(x[i*cols:(i+1)*cols]), y[i])
 	}
 	return sum / float64(rows)
+}
+
+// crossEntropyTerm is one sample's term of eq. 4, −y·ln p − (1−y)·ln(1−p),
+// with p clamped away from {0,1}.
+func crossEntropyTerm(p, y float64) float64 {
+	const eps = 1e-12
+	if p < eps {
+		p = eps
+	}
+	if p > 1-eps {
+		p = 1 - eps
+	}
+	return -y*math.Log(p) - (1-y)*math.Log(1-p)
 }
 
 // TrainConfig controls a training run.
@@ -157,6 +162,7 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 	}
 	series := &metrics.Series{Name: master.Name()}
 	var clock float64
+	e := make([]float64, ds.Rows)
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		// Round 1: z = X·w over the coded cluster. Weights are projected
@@ -177,11 +183,14 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 		if len(zOut.Decoded) != ds.Rows {
 			return nil, nil, fmt.Errorf("logreg: round 1 returned %d values, want %d", len(zOut.Decoded), ds.Rows)
 		}
-		// e = h(z) − y in the real domain, then re-quantize.
-		e := make([]float64, ds.Rows)
+		// e = h(z) − y in the real domain, then re-quantize. The same h(z)
+		// gives the training loss of the weights round 1 evaluated, so the
+		// host never recomputes X·w itself.
+		var loss float64
 		for i, zq := range zOut.Decoded {
-			z := qw.Dequantize(zq) // scale 2^WeightBits from the quantized weights
-			e[i] = Sigmoid(z) - ds.TrainY[i]
+			p := Sigmoid(qw.Dequantize(zq)) // scale 2^WeightBits from the quantized weights
+			e[i] = p - ds.TrainY[i]
+			loss += crossEntropyTerm(p, ds.TrainY[i])
 		}
 		eq := qe.QuantizeVec(e)
 
@@ -211,7 +220,7 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 			Iter:            iter,
 			Time:            clock,
 			TestAccuracy:    model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols),
-			TrainLoss:       model.CrossEntropy(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols),
+			TrainLoss:       loss / float64(ds.Rows),
 			Breakdown:       b,
 			ByzantineCaught: dedupInts(byz),
 			Recode:          recoded,

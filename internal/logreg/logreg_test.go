@@ -2,6 +2,10 @@ package logreg
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/quant"
 	"repro/internal/scheme"
 	"repro/internal/simnet"
 )
@@ -239,6 +244,125 @@ func TestSeriesTimingMonotone(t *testing.T) {
 		if r.Breakdown.Wall <= 0 {
 			t.Fatal("missing wall time")
 		}
+	}
+}
+
+// weightPins pins TrainDistributed's trajectory per scheme: the SHA-256 of
+// the final weights and every record's TestAccuracy, Time and
+// ByzantineCaught. TrainLoss is left out on purpose. The constants were
+// recorded at commit 035b61e, while the loss was still a full pass over
+// TrainX after the update, and are never re-recorded: a mismatch means
+// training changed behaviour.
+var weightPins = map[string]string{
+	"static-vcc": "2adfc1cb725c00155fdfa4123c19d408114c3ce3b05af88a24f80b3dc8fa18ed",
+	"uncoded":    "098a864259020b2f0b0e3ee70b53e8b6681eaf762c9bec3bcf589041f1f2f8fa",
+}
+
+// fold feeds h a length prefix, then each value as 8 little-endian bytes.
+func fold(h hash.Hash, vs ...uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(vs)))
+	h.Write(b[:])
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+}
+
+// pinnedMaster is the virtual-executor deployment the weight pins were
+// recorded on: (12, 9), quiet latency model, seeded Freivalds keys, and for
+// static-vcc one constant-attack Byzantine so ByzantineCaught is non-empty.
+func pinnedMaster(t *testing.T, name string, ds *dataset.Data) cluster.Master {
+	t.Helper()
+	var behaviors []attack.Behavior
+	if name == "static-vcc" {
+		behaviors = make([]attack.Behavior, 12)
+		for i := range behaviors {
+			behaviors[i] = attack.Honest{}
+		}
+		behaviors[4] = attack.Constant{V: 123}
+	}
+	m, err := scheme.New(name, f, scheme.NewConfig(
+		scheme.WithCoding(12, 9),
+		scheme.WithSim(quietSim()),
+		scheme.WithSeed(11),
+		scheme.WithDeterministicKeys(true),
+	), roundData(ds), behaviors, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestTrainDistributedWeightsPinned(t *testing.T) {
+	ds := smallData(t)
+	cfg := DefaultTrainConfig()
+	cfg.Iterations = 12
+	for name, want := range weightPins {
+		t.Run(name, func(t *testing.T) {
+			series, model, err := TrainDistributed(context.Background(), f, pinnedMaster(t, name, ds), ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "static-vcc" && len(series.Records[0].ByzantineCaught) != 1 {
+				t.Fatalf("iteration 0 caught %v, want the one Byzantine", series.Records[0].ByzantineCaught)
+			}
+			h := sha256.New()
+			w := make([]uint64, len(model.W))
+			for i, v := range model.W {
+				w[i] = math.Float64bits(v)
+			}
+			fold(h, w...)
+			for _, r := range series.Records {
+				fold(h, math.Float64bits(r.TestAccuracy), math.Float64bits(r.Time))
+				caught := make([]uint64, len(r.ByzantineCaught))
+				for i, c := range r.ByzantineCaught {
+					caught[i] = uint64(c)
+				}
+				fold(h, caught...)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("%s: trajectory hash %s, recorded %q", name, got, want)
+			}
+		})
+	}
+}
+
+// fwdRecorder passes every round through to the wrapped master and keeps a
+// copy of each forward-round input: the quantized weights w_q.
+type fwdRecorder struct {
+	cluster.Master
+	wq [][]field.Elem
+}
+
+func (r *fwdRecorder) RunRound(ctx context.Context, key string, in []field.Elem, iter int) (*cluster.RoundOutput, error) {
+	if key == "fwd" {
+		r.wq = append(r.wq, append([]field.Elem(nil), in...))
+	}
+	return r.Master.RunRound(ctx, key, in, iter)
+}
+
+func TestTrainLossIsCrossEntropyOfForwardWeights(t *testing.T) {
+	ds := smallData(t)
+	cfg := DefaultTrainConfig()
+	cfg.Iterations = 10
+	rec := &fwdRecorder{Master: pinnedMaster(t, "static-vcc", ds)}
+	series, _, err := TrainDistributed(context.Background(), f, rec, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.wq) != len(series.Records) {
+		t.Fatalf("%d forward rounds for %d records", len(rec.wq), len(series.Records))
+	}
+	qw := quant.New(f, cfg.WeightBits)
+	for i, r := range series.Records {
+		ref := (&Model{W: qw.DequantizeVec(rec.wq[i])}).CrossEntropy(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols)
+		if math.Abs(r.TrainLoss-ref) > 1e-9*math.Abs(ref) {
+			t.Errorf("iteration %d: TrainLoss %.17g, reference cross-entropy of w_q %.17g", i, r.TrainLoss, ref)
+		}
+	}
+	if first, last := series.Records[0].TrainLoss, series.Records[len(series.Records)-1].TrainLoss; last >= first {
+		t.Errorf("training loss did not decrease: %.6f -> %.6f", first, last)
 	}
 }
 

@@ -84,7 +84,10 @@ type IterationRecord struct {
 	// TestAccuracy is the model's test accuracy after this iteration
 	// (NaN-free; 0 when not evaluated).
 	TestAccuracy float64
-	// TrainLoss is the training cross-entropy after this iteration.
+	// TrainLoss is the training loss (cross-entropy for logreg, MSE for
+	// linreg) of the weights this iteration's forward round evaluated — the
+	// quantized weights before this iteration's update — taken from the
+	// decoded X·w rather than a separate pass over the training set.
 	TrainLoss float64
 	// Breakdown is this iteration's cost split.
 	Breakdown Breakdown
