@@ -1,7 +1,7 @@
 package repro_test
 
 // TestAllocGate pins the committed zero-allocation contract: every "lazy"
-// row in BENCH_kernels.json recorded with allocs_per_op = 0 is re-measured
+// and "packed" row in BENCH_kernels.json recorded with allocs_per_op = 0 is re-measured
 // here with testing.AllocsPerRun and must still be zero. The noalloc static
 // analyzer (internal/lint, DESIGN.md §13) enforces the same contract at
 // review time from the //avcc:noalloc annotations; this gate enforces it
@@ -41,7 +41,8 @@ const (
 )
 
 // gateKernels returns the measurable steady-state kernels keyed by
-// "Kernel/Modulus", matching the artifact rows. Every returned closure is
+// "Kernel/Modulus" for "lazy" rows and "Kernel/Variant/Modulus" for the
+// others, matching the artifact rows. Every returned closure is
 // safe to call repeatedly; pools and plan caches warm on the first call.
 func gateKernels(t *testing.T) map[string]func() {
 	t.Helper()
@@ -55,6 +56,7 @@ func gateKernels(t *testing.T) map[string]func() {
 	var dotSink field.Elem
 
 	shard := fieldmat.Rand(f, rng, gateRows, gateDim)
+	packed := fieldmat.Pack(f, shard)
 	y := make([]field.Elem, gateRows)
 	bm := fieldmat.Rand(f, rng, gateDim, gateCols)
 	cm := fieldmat.NewMatrix(gateRows, gateCols)
@@ -66,7 +68,9 @@ func gateKernels(t *testing.T) map[string]func() {
 		"Dot/paper":    func() { dotSink = f.Dot(a, x) },
 		"AXPY/paper":   func() { f.AXPY(dst, cf, a) },
 		"MatVec/paper": func() { fieldmat.MatVecInto(f, y, shard, x) },
-		"MatMul/paper": func() { fieldmat.MatMulInto(f, cm, shard, bm) },
+		// The worker-side form: a shard packed into 32-bit rows.
+		"MatVec/packed/paper": func() { fieldmat.MatVecInto(f, y, packed, x) },
+		"MatMul/paper":        func() { fieldmat.MatMulInto(f, cm, shard, bm) },
 		"Freivalds/paper": func() {
 			if !key.Check(x, claim) {
 				t.Fatal("honest claim rejected")
@@ -125,10 +129,13 @@ func TestAllocGate(t *testing.T) {
 	kernels := gateKernels(t)
 	gated := 0
 	for _, rec := range records {
-		if rec.Variant != "lazy" || rec.AllocsPerOp != 0 {
+		if rec.Variant != "lazy" && rec.Variant != "packed" || rec.AllocsPerOp != 0 {
 			continue
 		}
 		id := rec.Kernel + "/" + rec.Modulus
+		if rec.Variant != "lazy" {
+			id = rec.Kernel + "/" + rec.Variant + "/" + rec.Modulus
+		}
 		fn, ok := kernels[id]
 		if !ok {
 			t.Errorf("%s: committed as 0 allocs/op but the gate has no measurement for it — extend gateKernels", id)
@@ -149,9 +156,9 @@ func TestAllocGate(t *testing.T) {
 			}
 		})
 	}
-	// The artifact currently commits nine zero-alloc lazy rows; losing rows
-	// silently would hollow out the gate.
-	if gated < 9 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 9", gated)
+	// The artifact currently commits nine zero-alloc lazy rows and one packed
+	// row; losing rows silently would hollow out the gate.
+	if gated < 10 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 10", gated)
 	}
 }

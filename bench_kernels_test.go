@@ -131,8 +131,11 @@ func mdsDecodeSeedRef(q uint64, gen *fieldmat.Matrix, workers []int, results [][
 // --- harness ---
 
 type kernelBenchRecord struct {
-	Kernel  string `json:"kernel"`
-	Variant string `json:"variant"` // "lazy" (production) or "ref" (seed)
+	Kernel string `json:"kernel"`
+	// Variant is "lazy" (production, uint64 rows), "ref" (seed) or, on the
+	// MatVec cell, "packed" (the worker-side kernel over fieldmat.Pack's
+	// 32-bit rows).
+	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
 	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
 	// internal/mds). Every cell exists for "paper"; the MDS codec cells run
@@ -147,8 +150,8 @@ type kernelBenchRecord struct {
 	// EncodeMatrix allocated 44 times per op in SplitRows copies and
 	// per-shard matrices).
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// SpeedupVsRef = ref ns/op ÷ lazy ns/op, set on "lazy" rows when both
-	// variants ran.
+	// SpeedupVsRef = ref ns/op ÷ this row's ns/op, set on "lazy" and
+	// "packed" rows when the ref variant ran.
 	SpeedupVsRef float64 `json:"speedup_vs_ref,omitempty"`
 }
 
@@ -267,6 +270,10 @@ func BenchmarkKernels(b *testing.B) {
 	y := make([]field.Elem, shardRows)
 	kernelCell(b, records, iters, "MatVec", "lazy", "paper", "shard 667x5000", func() { fieldmat.MatVecInto(f, y, shard, x) })
 	kernelCell(b, records, iters, "MatVec", "ref", "paper", "shard 667x5000", func() { matVecSeedRef(q, shard, x, y) })
+	// The same product as a worker runs it: cluster.Worker.Compute hands its
+	// op the shard packed into 32-bit rows.
+	packed := fieldmat.Pack(f, shard)
+	kernelCell(b, records, iters, "MatVec", "packed", "paper", "shard 667x5000", func() { fieldmat.MatVecInto(f, y, packed, x) })
 
 	// MatMul: a shard times a 64-wide weight batch.
 	bm := fieldmat.Rand(f, rng, d, mulCols)
@@ -327,6 +334,12 @@ func BenchmarkKernels(b *testing.B) {
 			lazy.SpeedupVsRef = float64(ref.NsPerOp) / float64(lazy.NsPerOp)
 		}
 		out = append(out, *lazy, *ref)
+		if p := records[c.kernel+"/packed/"+c.modulus]; p != nil {
+			if p.NsPerOp > 0 {
+				p.SpeedupVsRef = float64(ref.NsPerOp) / float64(p.NsPerOp)
+			}
+			out = append(out, *p)
+		}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -101,10 +101,25 @@ func (GramOp) Degree() int { return 2 }
 // X̃'), plus the behaviour that decides what it actually sends. Ops maps a
 // round key to a non-default operation; absent keys use MatVecOp.
 type Worker struct {
-	ID       int
+	ID int
+	// Shards are replaced, never mutated in place after first use: Compute
+	// packs each shard into 32-bit rows on its first use (fieldmat.Pack) and
+	// reuses that copy for as long as the key holds the same *Matrix, so a
+	// write into a shard's Data would not reach the packed rows. Installing a
+	// new matrix under the key (a re-code) repacks.
 	Shards   map[string]*fieldmat.Matrix
 	Ops      map[string]Op
 	Behavior attack.Behavior
+
+	// packMu guards packed, the packed view of each key's current shard;
+	// Compute runs concurrently under the framed and goroutine executors.
+	packMu sync.Mutex
+	packed map[string]packedShard
+}
+
+// packedShard is one cached packed view and the shard it was packed from.
+type packedShard struct {
+	src, view *fieldmat.Matrix
 }
 
 // NewWorker returns an honest worker with no shards.
@@ -115,6 +130,25 @@ func NewWorker(id int) *Worker {
 		Ops:      make(map[string]Op),
 		Behavior: attack.Honest{},
 	}
+}
+
+// packedView returns the packed view of shard, the matrix Shards[key] holds,
+// packing it on its first use. The cache entry is tied to the shard pointer:
+// a different matrix under the same key is packed afresh.
+//
+//avcc:noalloc
+func (w *Worker) packedView(f *field.Field, key string, shard *fieldmat.Matrix) *fieldmat.Matrix {
+	w.packMu.Lock()
+	defer w.packMu.Unlock()
+	if p, ok := w.packed[key]; ok && p.src == shard {
+		return p.view
+	}
+	if w.packed == nil {
+		w.packed = make(map[string]packedShard) //avcc:alloc-ok first use of a worker only
+	}
+	view := fieldmat.Pack(f, shard) //avcc:alloc-ok first use of a shard only; every later round hits the cache
+	w.packed[key] = packedShard{src: shard, view: view}
+	return view
 }
 
 // op resolves the operation for a round key.
@@ -134,11 +168,16 @@ func (w *Worker) op(key string) Op {
 // round); the op computes all of them in one pass — natively when it
 // implements BatchOp, otherwise entry by entry — and the packed result goes
 // through the behaviour once, as one message. batch <= 0 is treated as 1.
+//
+// The op receives the shard's packed view (see Shards), so every worker
+// matvec, on every executor, streams 32-bit rows; the view keeps Data, so
+// ops that read it directly (GramOp, custom ops) see the same matrix.
 func (w *Worker) Compute(f *field.Field, key string, input []field.Elem, batch, iter int) (out []field.Elem, ops float64, err error) {
 	shard, ok := w.Shards[key]
 	if !ok {
 		return nil, 0, fmt.Errorf("cluster: worker %d has no shard %q", w.ID, key)
 	}
+	shard = w.packedView(f, key, shard)
 	op := w.op(key)
 	var honest []field.Elem
 	if batch <= 1 {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
@@ -67,7 +68,9 @@ func DefaultConfig() Config {
 
 // Data is a generated dataset. Features are stored in float64 row-major
 // form (they hold exact small integers); FieldMatrix embeds them into F_q
-// on demand.
+// on demand. TrainX is not mutated after construction: MaxRowL1 and
+// MaxColL1 compute the training geometry once per Data and cache it.
+// Share a Data by pointer; copying one copies its cache guard.
 type Data struct {
 	// TrainX is TrainN×(Features+1) row-major, the last column the bias 1.
 	TrainX []float64
@@ -83,6 +86,9 @@ type Data struct {
 	TestRows int
 	// MaxValue echoes the generating config for overflow checks.
 	MaxValue int
+
+	geomOnce           sync.Once
+	maxRowL1, maxColL1 float64
 }
 
 // Generate draws a dataset.
@@ -181,36 +187,38 @@ func (d *Data) FieldMatrix(f *field.Field) *fieldmat.Matrix {
 // worst-case magnitude multiplier of round-1 inner products x·w, which the
 // training loop checks against the field's no-wrap-around window.
 func (d *Data) MaxRowL1() float64 {
-	var best float64
-	for i := 0; i < d.Rows; i++ {
-		var s float64
-		for _, v := range d.TrainRow(i) {
-			s += math.Abs(v)
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
+	d.geomOnce.Do(d.computeGeometry)
+	return d.maxRowL1
 }
 
 // MaxColL1 returns the largest column L1 norm — the round-2 analogue for
 // gradient entries g_j = Σ_i x_ij·e_i.
 func (d *Data) MaxColL1() float64 {
+	d.geomOnce.Do(d.computeGeometry)
+	return d.maxColL1
+}
+
+// computeGeometry finds both L1 norms in one pass over TrainX. Each row sum
+// runs left to right and each column sum top to bottom, the order a separate
+// pass per norm would take, so the values are the same to the bit.
+func (d *Data) computeGeometry() {
 	sums := make([]float64, d.Cols)
 	for i := 0; i < d.Rows; i++ {
-		row := d.TrainRow(i)
-		for j, v := range row {
-			sums[j] += math.Abs(v)
+		var s float64
+		for j, v := range d.TrainRow(i) {
+			a := math.Abs(v)
+			s += a
+			sums[j] += a
+		}
+		if s > d.maxRowL1 {
+			d.maxRowL1 = s
 		}
 	}
-	var best float64
 	for _, s := range sums {
-		if s > best {
-			best = s
+		if s > d.maxColL1 {
+			d.maxColL1 = s
 		}
 	}
-	return best
 }
 
 // TrainRow returns row i of the training features.

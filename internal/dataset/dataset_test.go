@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/field"
@@ -170,6 +171,59 @@ func TestL1NormHelpers(t *testing.T) {
 	}
 	if got := d.MaxColL1(); got != 4 {
 		t.Fatalf("MaxColL1 = %v, want 4 (col 0: 1+3)", got)
+	}
+}
+
+// maxRowL1Ref and maxColL1Ref are the separate per-norm passes the cached,
+// fused geometry replaced; the cache must reproduce them to the bit.
+func maxRowL1Ref(d *Data) float64 {
+	var best float64
+	for i := 0; i < d.Rows; i++ {
+		var s float64
+		for _, v := range d.TrainRow(i) {
+			s += math.Abs(v)
+		}
+		if s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+func maxColL1Ref(d *Data) float64 {
+	sums := make([]float64, d.Cols)
+	for i := 0; i < d.Rows; i++ {
+		for j, v := range d.TrainRow(i) {
+			sums[j] += math.Abs(v)
+		}
+	}
+	var best float64
+	for _, s := range sums {
+		if s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+func TestCachedGeometryMatchesTwoPassReference(t *testing.T) {
+	gen, err := Generate(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Non-integer entries make the summation order observable in the bits.
+	frac := &Data{TrainX: []float64{0.1, -0.2, 0.3, 1e-17, 0.7, -1, 1e16, 1, 0.3}, Rows: 3, Cols: 3}
+	literal := &Data{TrainX: []float64{1, 2, 1, 3, 0, 1}, Rows: 2, Cols: 3}
+	for name, d := range map[string]*Data{"generated": gen, "fractional": frac, "literal": literal} {
+		wantRow, wantCol := maxRowL1Ref(d), maxColL1Ref(d)
+		for call := 0; call < 2; call++ { // computing, then cached
+			if got := d.MaxRowL1(); math.Float64bits(got) != math.Float64bits(wantRow) {
+				t.Fatalf("%s call %d: MaxRowL1 = %v, want %v", name, call, got, wantRow)
+			}
+			if got := d.MaxColL1(); math.Float64bits(got) != math.Float64bits(wantCol) {
+				t.Fatalf("%s call %d: MaxColL1 = %v, want %v", name, call, got, wantCol)
+			}
+		}
 	}
 }
 

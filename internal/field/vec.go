@@ -101,6 +101,34 @@ func (f *Field) DotAcc(acc Elem, a, b []Elem) Elem {
 	return s // canonical: acc was canonical and every chunk ends reduced
 }
 
+// DotPacked is Dot with a 32-bit left operand: the row kernel for shards
+// stored packed (fieldmat.Pack). Every q that New accepts is below 2^32, so a
+// canonical element fits a uint32 exactly, and the widened product
+// uint64(a[i])·b[i] ≤ (q−1)² is the same raw product Dot accumulates. The
+// LazyBatch tiling is therefore unchanged, and so is the result, bit for bit;
+// only the bytes streamed per row halve.
+//
+//avcc:noalloc
+func (f *Field) DotPacked(a []uint32, b []Elem) Elem {
+	if len(a) != len(b) {
+		panic("field: Dot length mismatch")
+	}
+	var s uint64
+	for len(a) > 0 {
+		n := len(a)
+		if n > f.lazyBatch {
+			n = f.lazyBatch
+		}
+		ah, bh := a[:n], b[:n:n]
+		for i, ai := range ah {
+			s += uint64(ai) * bh[i]
+		}
+		s = f.barrett(s)
+		a, b = a[n:], b[n:]
+	}
+	return s
+}
+
 // EqualVec reports whether two vectors are element-wise identical (both are
 // assumed canonical).
 func EqualVec(a, b []Elem) bool {

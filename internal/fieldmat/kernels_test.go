@@ -224,8 +224,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	cBig := NewMatrix(256, 256)
 	cSmall := NewMatrix(24, 24)
 
+	packed := Pack(f, big)
 	cases := map[string]func(){
 		"MatVecInto/parallel": func() { MatVecInto(f, y, big, x) },
+		"MatVecInto/packed":   func() { MatVecInto(f, y, packed, x) },
 		"MatVecInto/serial":   func() { MatVecInto(f, ys, small, xs) },
 		"MatMulInto/parallel": func() { MatMulInto(f, cBig, big, big) },
 		"MatMulInto/serial":   func() { MatMulInto(f, cSmall, small, small) },

@@ -20,7 +20,35 @@ import (
 type Matrix struct {
 	Rows, Cols int
 	Data       []field.Elem
+	// packed mirrors Data in 32-bit words on a read-only view built by Pack;
+	// nil on every ordinary matrix. MatVecInto reads it whenever it is set.
+	packed []uint32
 }
+
+// Pack returns a read-only packed view of m: the same Rows, Cols and Data,
+// plus a copy of the entries in 32-bit words that MatVecInto streams instead
+// of Data, halving the bytes a matrix-vector product reads. Packing is
+// lossless because every modulus field.New accepts is below 2^32; Pack
+// panics on any entry ≥ q. The view shares Data with m, so neither may be
+// written afterwards: a changed matrix is a new matrix, packed anew. A
+// matrix that is already a packed view is returned as is.
+func Pack(f *field.Field, m *Matrix) *Matrix {
+	if m.packed != nil {
+		return m
+	}
+	q := f.Q()
+	p := make([]uint32, len(m.Data))
+	for i, v := range m.Data {
+		if v >= q {
+			panic(fmt.Sprintf("fieldmat: cannot pack entry %d = %d, not below q = %d", i, v, q))
+		}
+		p[i] = uint32(v)
+	}
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, packed: p}
+}
+
+// Packed reports whether m is a packed view built by Pack.
+func (m *Matrix) Packed() bool { return m.packed != nil }
 
 // NewMatrix allocates a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -171,6 +199,7 @@ func MatVec(f *field.Field, m *Matrix, x []field.Elem) []field.Elem {
 
 // MatVecInto computes y = m·x into a caller-owned slice: the steady-state
 // form (zero heap allocations) for round loops that reuse their output rows.
+// A packed view (Pack) is read through its 32-bit rows, with the same result.
 //
 //avcc:noalloc
 func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
@@ -195,6 +224,12 @@ func runMatVec(t *task) { matVecRows(t.f, t.y, t.a, t.x, t.lo, t.hi) }
 //avcc:noalloc
 
 func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, hi int) {
+	if p := m.packed; p != nil {
+		for i := lo; i < hi; i++ {
+			y[i] = f.DotPacked(p[i*m.Cols:(i+1)*m.Cols], x)
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		y[i] = f.Dot(m.Row(i), x)
 	}

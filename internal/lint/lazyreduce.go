@@ -18,6 +18,13 @@ package lint
 //	accumulators may only cross exported boundaries as explicit parameters,
 //	where the caller owns the budget (AXPYLazy's contract).
 //
+//	rule 3 (width): a raw product must be formed in 64 bits. Packed 32-bit
+//	operands widen before the multiply, `s += uint64(a32) * b`, whose raw
+//	product is the same ≤ (q−1)² the uint64 kernels add, so rules 1 and 2
+//	apply to it unchanged. A product of narrower operands widened afterwards,
+//	`s += uint64(a32 * b32)`, wraps modulo 2³² before it reaches the
+//	accumulator and is flagged wherever it appears.
+//
 // Hand-verified kernels whose bound lives at the call site (the fused
 // three-destination combine, whose caller enforces len(srcs) ≤ LazyBatch)
 // opt out with //avcc:lazy-ok and a stated reason.
@@ -77,6 +84,7 @@ func runLazyReduce(pass *Pass) error {
 			}
 			tainted := batchTainted(pass, fn.Body)
 			sites := rawSites(pass, fn.Body)
+			checkNarrowProducts(pass, fn, sites)
 			checkLoopBounds(pass, file, fn, sites, tainted)
 			if fn.Name.IsExported() {
 				checkRawEscape(pass, fn, sites)
@@ -226,6 +234,42 @@ func containsMul(e ast.Expr) bool {
 		return !found
 	})
 	return found
+}
+
+// checkNarrowProducts enforces rule 3: no product inside a raw `+=` site may
+// be computed in an integer type narrower than 64 bits.
+func checkNarrowProducts(pass *Pass, fn *ast.FuncDecl, sites []rawSite) {
+	for _, site := range sites {
+		assign, ok := site.node.(*ast.AssignStmt)
+		if !ok {
+			continue
+		}
+		ast.Inspect(assign.Rhs[0], func(n ast.Node) bool {
+			b, ok := n.(*ast.BinaryExpr)
+			if !ok || b.Op != token.MUL {
+				return true
+			}
+			t := pass.Info.Types[b].Type
+			if t == nil {
+				return true
+			}
+			if basic, ok := t.Underlying().(*types.Basic); ok && isNarrowInt(basic) {
+				pass.Reportf(b.Pos(),
+					"raw product in %s is computed in %s and wraps before it widens to uint64: widen an operand first (uint64(a) * b)",
+					fn.Name.Name, t)
+			}
+			return true
+		})
+	}
+}
+
+// isNarrowInt reports whether t is a sized integer type below 64 bits.
+func isNarrowInt(t *types.Basic) bool {
+	switch t.Kind() {
+	case types.Int8, types.Int16, types.Int32, types.Uint8, types.Uint16, types.Uint32:
+		return true
+	}
+	return false
 }
 
 // baseObject resolves the root identifier of an lvalue chain

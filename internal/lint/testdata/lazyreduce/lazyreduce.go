@@ -63,6 +63,68 @@ func BatchedDot(f *Field, a, b []uint64) uint64 {
 	return s
 }
 
+// PackedDot is BatchedDot over a 32-bit packed row: each operand widens
+// before the multiply, so every raw product is a full uint64 product and the
+// batch tiling bounds it exactly as in BatchedDot. Clean.
+func PackedDot(f *Field, a []uint32, b []uint64) uint64 {
+	var s uint64
+	for len(a) > 0 {
+		n := len(a)
+		if n > f.lazyBatch {
+			n = f.lazyBatch
+		}
+		ah, bh := a[:n], b[:n]
+		for i, ai := range ah {
+			s += uint64(ai) * bh[i]
+		}
+		s = f.barrett(s)
+		a, b = a[n:], b[n:]
+	}
+	return s
+}
+
+// UntiledPackedDot widens correctly but drops the tiling: the packed shape
+// is a raw accumulation like any other.
+func UntiledPackedDot(f *Field, a []uint32, b []uint64) uint64 {
+	var s uint64
+	for i, ai := range a {
+		s += uint64(ai) * b[i] // want "raw uint64 accumulation in UntiledPackedDot"
+	}
+	return f.barrett(s)
+}
+
+// NarrowPackedDot is tiled but multiplies in 32 bits and widens the wrapped
+// product afterwards.
+func NarrowPackedDot(f *Field, a, b []uint32) uint64 {
+	var s uint64
+	for len(a) > 0 {
+		n := len(a)
+		if n > f.lazyBatch {
+			n = f.lazyBatch
+		}
+		ah, bh := a[:n], b[:n]
+		for i, ai := range ah {
+			s += uint64(ai * bh[i]) // want "raw product in NarrowPackedDot is computed in uint32 and wraps"
+		}
+		s = f.barrett(s)
+		a, b = a[n:], b[n:]
+	}
+	return s
+}
+
+// Word is a named 32-bit row word; the width rule looks through the name.
+type Word uint32
+
+// NarrowWordDot multiplies two named 32-bit words before widening.
+func NarrowWordDot(f *Field, a, b []Word) uint64 {
+	var s uint64
+	n := min(len(a), f.LazyBatch())
+	for j := 0; j < n; j++ {
+		s += uint64(a[j] * b[j]) // want "raw product in NarrowWordDot is computed in .*Word and wraps"
+	}
+	return f.barrett(s)
+}
+
 // StraddleDot runs exactly one product past the batch budget: the overflow
 // proof is void on the final iteration, so the bound does not count.
 func StraddleDot(f *Field, a, b []uint64) uint64 {
