@@ -54,7 +54,7 @@ func main() {
 	k := flag.Int("k", 9, "in-process: code dimension K")
 	shards := flag.Int("shards", 1, "in-process: independent coded shard groups")
 	batch := flag.Int("batch", scheme.DefaultMaxBatch, "in-process: max requests per coded round")
-	linger := flag.Duration("linger", scheme.DefaultMaxLinger, "in-process: max wait to fill a round")
+	linger := flag.Duration("linger", scheme.DefaultMaxLinger, "in-process: max wait to fill a round once a second request is queued (a lone request dispatches at once)")
 	flag.Parse()
 
 	if err := run(*url, *tenant, *rate, *duration, *profile, *timeout, *seed, *asJSON,

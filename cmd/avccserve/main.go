@@ -68,7 +68,7 @@ func main() {
 	mBudget := flag.Int("m", 1, "Byzantine budget M")
 	shards := flag.Int("shards", 1, "independent coded shard groups the rows are split across")
 	batch := flag.Int("batch", scheme.DefaultMaxBatch, "max requests coalesced per coded round")
-	linger := flag.Duration("linger", scheme.DefaultMaxLinger, "max wait to fill a round")
+	linger := flag.Duration("linger", scheme.DefaultMaxLinger, "max wait to fill a round once a second request is queued (a lone request dispatches at once)")
 	seed := flag.Int64("seed", 1, "seed for the synthetic model matrix and coding")
 	receipts := flag.Bool("receipts", true, "issue and audit committed-verification receipts")
 	rebalance := flag.Bool("rebalance", false, "enable runtime row rebalancing across shard groups")

@@ -65,10 +65,12 @@ type ServiceConfig struct {
 	// MaxBatch caps how many requests one coded round carries. <= 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// MaxLinger is how long a round is held open waiting to fill up once
-	// its first request arrives. A full batch dispatches immediately;
-	// 0 means DefaultMaxLinger; negative disables lingering (every
-	// dispatch takes whatever is queued right now).
+	// MaxLinger is how long a partly filled round is held open, counted
+	// from its first request's arrival, once another request is already
+	// queued. A full batch dispatches immediately, and so does a request
+	// that is alone in the queue; 0 means DefaultMaxLinger; negative
+	// disables lingering (every dispatch takes whatever is queued right
+	// now).
 	MaxLinger time.Duration
 	// MaxPending bounds the admission queue; Submit fails fast with
 	// ErrQueueFull beyond it. <= 0 means DefaultMaxPending.
@@ -378,16 +380,21 @@ func (s *Service) dispatch() {
 }
 
 // linger waits until head's round is full, the linger deadline passed, or
-// the service is draining.
+// the service is draining. A head that is the only queued request
+// dispatches at once: the dispatcher is serial, so no other round is in
+// flight while it waits, and holding a lone request open only adds its
+// linger to that request's latency. Once a second request is queued, the
+// round waits for MaxBatch or the deadline.
 func (s *Service) linger(head *request) {
 	maxLinger := s.cfg.maxLinger()
 	deadline := head.enqueued.Add(maxLinger)
 	for {
 		s.mu.Lock()
 		n := s.pending[head.key]
+		alone := len(s.queue) == 1
 		closed := s.closed
 		s.mu.Unlock()
-		if n >= s.cfg.maxBatch() || closed || maxLinger <= 0 {
+		if n >= s.cfg.maxBatch() || alone || closed || maxLinger <= 0 {
 			return
 		}
 		remain := time.Until(deadline)

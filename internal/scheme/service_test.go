@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,9 +76,29 @@ func (m *echoMaster) finishCount() int {
 	return m.finishes
 }
 
+// heldMaster wraps a real master so that its first round waits until
+// release is closed: requests submitted meanwhile queue up behind it, which
+// is how the test below builds a backlog deterministically (a lone request
+// dispatches at once, so near-simultaneous submits need not coalesce).
+type heldMaster struct {
+	Master
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func (m *heldMaster) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*cluster.BatchOutput, error) {
+	m.once.Do(func() {
+		close(m.started)
+		<-m.release
+	})
+	return m.Master.RunRoundBatch(ctx, key, inputs, iter)
+}
+
 // TestServiceServesCorrectDecodes drives a real AVCC master through the
 // service from many goroutines and checks every future decodes the exact
-// product — the serving layer must be invisible to correctness.
+// product — the serving layer must be invisible to correctness — and that
+// the backlog queued behind a held round coalesces into full batches.
 func TestServiceServesCorrectDecodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := fieldmat.Rand(f, rng, 36, 10)
@@ -85,7 +106,9 @@ func TestServiceServesCorrectDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(m, ServiceConfig{MaxBatch: 8, MaxLinger: 20 * time.Millisecond})
+	held := &heldMaster{Master: m, started: make(chan struct{}), release: make(chan struct{})}
+	const maxBatch = 8
+	svc := NewService(held, ServiceConfig{MaxBatch: maxBatch, MaxLinger: 20 * time.Millisecond})
 	defer svc.Close(context.Background())
 
 	const requests = 24
@@ -97,8 +120,11 @@ func TestServiceServesCorrectDecodes(t *testing.T) {
 	for i := range jobs {
 		jobs[i].in = f.RandVec(rng, 10)
 	}
+	// The first request runs alone and is held; the rest queue behind it.
+	jobs[0].fu = svc.Submit(context.Background(), "fwd", jobs[0].in)
+	<-held.started
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for i := 1; i < requests; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -106,6 +132,7 @@ func TestServiceServesCorrectDecodes(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(held.release)
 	for i, j := range jobs {
 		out, err := j.fu.Wait(context.Background())
 		if err != nil {
@@ -119,8 +146,8 @@ func TestServiceServesCorrectDecodes(t *testing.T) {
 	if stats.Requests != requests {
 		t.Fatalf("stats counted %d requests, want %d", stats.Requests, requests)
 	}
-	if stats.Rounds >= requests {
-		t.Fatalf("no coalescing: %d rounds for %d requests", stats.Rounds, requests)
+	if want := 1 + (requests-1+maxBatch-1)/maxBatch; stats.Rounds > uint64(want) {
+		t.Fatalf("no coalescing: %d rounds for %d requests, want at most %d", stats.Rounds, requests, want)
 	}
 }
 
@@ -206,12 +233,17 @@ func TestServiceGracefulDrain(t *testing.T) {
 	em := &echoMaster{gate: make(chan struct{}, 64), started: make(chan struct{}, 64)}
 	svc := NewService(em, ServiceConfig{MaxBatch: 2, MaxLinger: time.Hour})
 
-	// Queue three requests; the first round blocks on the gate.
+	// A priming round runs alone and blocks on the gate; four requests queue
+	// behind it — three for "k", then one for another key.
+	primed := svc.Submit(context.Background(), "k", []field.Elem{0})
+	<-em.started
 	fus := []*Future{
 		svc.Submit(context.Background(), "k", []field.Elem{1}),
 		svc.Submit(context.Background(), "k", []field.Elem{2}),
 		svc.Submit(context.Background(), "k", []field.Elem{3}),
+		svc.Submit(context.Background(), "j", []field.Elem{4}),
 	}
+	em.gate <- struct{}{}
 	<-em.started // round 1 dispatched (full batch of 2 beat the linger)
 
 	// Close begins the drain: admission stops immediately...
@@ -226,22 +258,26 @@ func TestServiceGracefulDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rejected := svc.Submit(context.Background(), "k", []field.Elem{4})
+	rejected := svc.Submit(context.Background(), "k", []field.Elem{5})
 	if _, err := rejected.Wait(context.Background()); !errors.Is(err, ErrServiceClosed) {
 		t.Fatalf("post-Close submit got %v, want ErrServiceClosed", err)
 	}
-	// ... but queued work still completes (round 1, then the drained round
-	// for request 3 — which must NOT wait out the 1h linger).
-	em.gate <- struct{}{}
-	<-em.started
-	em.gate <- struct{}{}
-	for i, fu := range fus {
+	// ... but queued work still completes: round 1, then the drained round
+	// for request 3 — which must NOT wait out the 1h linger, although request
+	// 4 queued behind it means it is not alone — then request 4's round.
+	for range 3 {
+		em.gate <- struct{}{}
+	}
+	for i, fu := range append([]*Future{primed}, fus...) {
 		if _, err := fu.Wait(context.Background()); err != nil {
 			t.Fatalf("queued request %d failed during drain: %v", i, err)
 		}
 	}
 	if err := <-closeDone; err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if got, want := em.batchSizes(), []int{1, 2, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("rounds carried %v requests, want %v", got, want)
 	}
 }
 
@@ -416,20 +452,110 @@ func TestServiceFailedRoundDoesNotShrinkCoding(t *testing.T) {
 
 func TestServiceEvictsWrongLengthRequestAlone(t *testing.T) {
 	// One client's wrong-sized input must fail alone: the neighbours riding
-	// the same coalesced round still decode.
-	em := &echoMaster{}
+	// the same coalesced round still decode. A held priming round makes all
+	// three queue together, so good1 heads their batch.
+	em := &echoMaster{gate: make(chan struct{}, 2), started: make(chan struct{}, 2)}
 	svc := NewService(em, ServiceConfig{MaxBatch: 4, MaxLinger: 5 * time.Millisecond})
 	defer svc.Close(context.Background())
 
+	primed := svc.Submit(context.Background(), "k", []field.Elem{0, 0})
+	<-em.started
 	good1 := svc.Submit(context.Background(), "k", []field.Elem{1, 2})
 	bad := svc.Submit(context.Background(), "k", []field.Elem{7})
 	good2 := svc.Submit(context.Background(), "k", []field.Elem{3, 4})
+	em.gate <- struct{}{}
+	em.gate <- struct{}{}
 	if _, err := bad.Wait(context.Background()); !errors.Is(err, ErrInputLength) {
 		t.Fatalf("wrong-length request got %v, want ErrInputLength", err)
 	}
-	for i, fu := range []*Future{good1, good2} {
+	for i, fu := range []*Future{primed, good1, good2} {
 		if _, err := fu.Wait(context.Background()); err != nil {
 			t.Fatalf("well-formed request %d failed alongside the bad one: %v", i, err)
 		}
+	}
+	if got, want := em.batchSizes(), []int{1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("rounds carried %v requests, want %v", got, want)
+	}
+}
+
+// TestServiceLoneRequestDispatchesAtOnce: with nothing else queued, no
+// second request can fill the round, so the head dispatches without
+// waiting out MaxLinger.
+func TestServiceLoneRequestDispatchesAtOnce(t *testing.T) {
+	em := &echoMaster{}
+	svc := NewService(em, ServiceConfig{MaxBatch: 4, MaxLinger: time.Hour})
+	defer svc.Close(context.Background())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := svc.Submit(context.Background(), "k", []field.Elem{1}).Wait(ctx); err != nil {
+		t.Fatalf("a lone request under a 1h linger did not resolve: %v", err)
+	}
+}
+
+// TestServiceBacklogRunsInFullBatches: a backlog queued behind a held
+// round drains in MaxBatch-sized rounds; the held round itself ran alone.
+func TestServiceBacklogRunsInFullBatches(t *testing.T) {
+	em := &echoMaster{gate: make(chan struct{}, 3), started: make(chan struct{}, 3)}
+	svc := NewService(em, ServiceConfig{MaxBatch: 4, MaxLinger: time.Hour})
+	defer svc.Close(context.Background())
+
+	fus := []*Future{svc.Submit(context.Background(), "k", []field.Elem{0})}
+	<-em.started
+	for i := 1; i <= 8; i++ {
+		fus = append(fus, svc.Submit(context.Background(), "k", []field.Elem{field.Elem(i)}))
+	}
+	for range 3 {
+		em.gate <- struct{}{}
+	}
+	for i, fu := range fus {
+		out, err := fu.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if out.Decoded[0] != field.Elem(i) {
+			t.Fatalf("request %d got %v", i, out.Decoded)
+		}
+	}
+	if got, want := em.batchSizes(), []int{1, 4, 4}; !slices.Equal(got, want) {
+		t.Fatalf("rounds carried %v requests, want %v", got, want)
+	}
+}
+
+// TestServiceLingersOnceAnotherRequestIsQueued: the lone-request exit must
+// not turn off batching. Two requests queued behind a held round are not
+// alone, so their round waits for MaxBatch (or the 1h linger); two more
+// submits fill it, and all four ride one round.
+func TestServiceLingersOnceAnotherRequestIsQueued(t *testing.T) {
+	em := &echoMaster{gate: make(chan struct{}, 2), started: make(chan struct{}, 2)}
+	svc := NewService(em, ServiceConfig{MaxBatch: 4, MaxLinger: time.Hour})
+	defer svc.Close(context.Background())
+
+	fus := []*Future{svc.Submit(context.Background(), "k", []field.Elem{0})}
+	<-em.started
+	fus = append(fus,
+		svc.Submit(context.Background(), "k", []field.Elem{1}),
+		svc.Submit(context.Background(), "k", []field.Elem{2}))
+	em.gate <- struct{}{}
+	if _, err := fus[0].Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-em.started:
+		t.Fatalf("a round of 2 started under a 1h linger with MaxBatch 4 (batches %v)", em.batchSizes())
+	case <-time.After(50 * time.Millisecond):
+	}
+	fus = append(fus,
+		svc.Submit(context.Background(), "k", []field.Elem{3}),
+		svc.Submit(context.Background(), "k", []field.Elem{4}))
+	<-em.started
+	em.gate <- struct{}{}
+	for i, fu := range fus {
+		if _, err := fu.Wait(context.Background()); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if got, want := em.batchSizes(), []int{1, 4}; !slices.Equal(got, want) {
+		t.Fatalf("rounds carried %v requests, want %v", got, want)
 	}
 }
