@@ -25,7 +25,7 @@ import (
 	"repro/internal/verify"
 )
 
-// gateRecord is the slice of the BENCH_kernels.json schema the gate reads.
+// gateRecord is the slice of a BENCH_kernels.json row the gate reads.
 type gateRecord struct {
 	Kernel      string  `json:"kernel"`
 	Variant     string  `json:"variant"`
@@ -122,13 +122,15 @@ func TestAllocGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading committed artifact: %v", err)
 	}
-	var records []gateRecord
-	if err := json.Unmarshal(data, &records); err != nil {
+	var artifact struct {
+		Rows []gateRecord `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &artifact); err != nil {
 		t.Fatalf("parsing BENCH_kernels.json: %v", err)
 	}
 	kernels := gateKernels(t)
 	gated := 0
-	for _, rec := range records {
+	for _, rec := range artifact.Rows {
 		if rec.Variant != "lazy" && rec.Variant != "packed" || rec.AllocsPerOp != 0 {
 			continue
 		}

@@ -14,11 +14,16 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/lcc"
 	"repro/internal/mds"
+	"repro/internal/poly"
 	"repro/internal/verify"
 )
 
@@ -132,9 +137,10 @@ func mdsDecodeSeedRef(q uint64, gen *fieldmat.Matrix, workers []int, results [][
 
 type kernelBenchRecord struct {
 	Kernel string `json:"kernel"`
-	// Variant is "lazy" (production, uint64 rows), "ref" (seed) or, on the
-	// MatVec cell, "packed" (the worker-side kernel over fieldmat.Pack's
-	// 32-bit rows).
+	// Variant is "lazy" (production, uint64 rows), "ref" (seed arithmetic;
+	// on LCCEncode, the clear + AXPY encoder the fused one replaced), on the
+	// MatVec cell "packed" (the worker-side kernel over fieldmat.Pack's
+	// 32-bit rows), or on LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
 	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
@@ -237,6 +243,74 @@ func mdsCells(b *testing.B, records map[string]*kernelBenchRecord, iters map[str
 	})
 }
 
+// lccCells runs the deployment encoder at the paper modulus and the
+// MDSEncode shape, (12,9) 6003×1000: "fused" is lcc.EncodeMatrix (the nine
+// systematic shards are views of x, the three parity shards one
+// fieldmat.CombineInto pass on the pool); "ref" is the encoder it replaced,
+// the test oracle: all twelve shards allocated, cleared and accumulated one
+// Barrett-reduced AXPY pass per block.
+func lccCells(b *testing.B, records map[string]*kernelBenchRecord, iters map[string]int, rng *rand.Rand) {
+	b.Helper()
+	f := field.Default()
+	code, err := lcc.New(f, 12, 9, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := fieldmat.Rand(f, rng, 6003, 1000)
+	kernelCell(b, records, iters, "LCCEncode", "fused", "paper", "(12,9) 6003x1000", func() {
+		if _, err := code.EncodeMatrix(x, nil); err != nil {
+			b.Fatal(err)
+		}
+	})
+	alphas := code.Alphas()
+	weights := poly.InterpWeightsBatch(f, alphas[:9], alphas) // T = 0: β_j = α_j
+	blocks := fieldmat.SplitRows(x, 9)
+	kernelCell(b, records, iters, "LCCEncode", "ref", "paper", "(12,9) 6003x1000", func() {
+		for _, w := range weights {
+			sh := fieldmat.NewMatrix(667, 1000)
+			for j, blk := range blocks {
+				if w[j] != 0 {
+					sh.AXPY(f, w[j], blk)
+				}
+			}
+		}
+	})
+}
+
+// kernelEnv describes the machine and tree a BENCH_kernels.json refresh ran
+// on: ns/op figures are comparable only within one env block.
+func kernelEnv() map[string]any {
+	cpu := "unknown"
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if name, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	commit := "unknown" // not a git checkout
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return map[string]any{
+		"cpu":        cpu,
+		"nproc":      runtime.NumCPU(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"go":         runtime.Version(),
+		"goos":       runtime.GOOS,
+		"goarch":     runtime.GOARCH,
+		"commit":     commit,
+	}
+}
+
+// kernelArtifact is the BENCH_kernels.json layout: the env block, then one
+// row per kernel × variant × modulus.
+type kernelArtifact struct {
+	Env  map[string]any      `json:"env"`
+	Rows []kernelBenchRecord `json:"rows"`
+}
+
 // BenchmarkKernels is the arithmetic-core suite. Run the whole matrix
 // (no sub-bench filter) to refresh BENCH_kernels.json.
 func BenchmarkKernels(b *testing.B) {
@@ -288,6 +362,7 @@ func BenchmarkKernels(b *testing.B) {
 	// arithmetic on the same generator.
 	mdsCells(b, records, iters, field.Default(), "paper", rng)
 	mdsCells(b, records, iters, field.NTTFriendly(), "ntt", rng)
+	lccCells(b, records, iters, rng)
 
 	// Freivalds: one verification of a 667×5000 shard claim (a length-5000
 	// and a length-667 inner product).
@@ -312,28 +387,31 @@ func BenchmarkKernels(b *testing.B) {
 	// meaningful when both variants ran in this process, and single-iteration
 	// cells (the CI `-benchtime 1x` smoke) are too noisy to record — refresh
 	// with `-benchtime 2s` as documented in DESIGN.md §7.
-	cells := []struct{ kernel, modulus string }{
-		{"Dot", "paper"}, {"AXPY", "paper"}, {"MatVec", "paper"}, {"MatMul", "paper"},
-		{"MDSEncode", "paper"}, {"MDSDecode", "paper"},
-		{"MDSEncode", "ntt"}, {"MDSDecode", "ntt"},
-		{"Freivalds", "paper"},
+	// Each cell pairs its production variant ("lazy", or "fused" for the
+	// LCC encoder) with its "ref".
+	cells := []struct{ kernel, variant, modulus string }{
+		{"Dot", "lazy", "paper"}, {"AXPY", "lazy", "paper"}, {"MatVec", "lazy", "paper"}, {"MatMul", "lazy", "paper"},
+		{"MDSEncode", "lazy", "paper"}, {"MDSDecode", "lazy", "paper"},
+		{"MDSEncode", "lazy", "ntt"}, {"MDSDecode", "lazy", "ntt"},
+		{"Freivalds", "lazy", "paper"}, {"LCCEncode", "fused", "paper"},
 	}
 	out := make([]kernelBenchRecord, 0, 2*len(cells))
 	for _, c := range cells {
 		id := c.kernel + "/" + c.modulus
-		lazy, ref := records[c.kernel+"/lazy/"+c.modulus], records[c.kernel+"/ref/"+c.modulus]
-		if lazy == nil || ref == nil {
+		mainKey, refKey := c.kernel+"/"+c.variant+"/"+c.modulus, c.kernel+"/ref/"+c.modulus
+		prod, ref := records[mainKey], records[refKey]
+		if prod == nil || ref == nil {
 			b.Logf("skipping BENCH_kernels.json: %s incomplete", id)
 			return
 		}
-		if iters[c.kernel+"/lazy/"+c.modulus] < 2 || iters[c.kernel+"/ref/"+c.modulus] < 2 {
+		if iters[mainKey] < 2 || iters[refKey] < 2 {
 			b.Logf("skipping BENCH_kernels.json: %s ran a single iteration (smoke run)", id)
 			return
 		}
-		if lazy.NsPerOp > 0 {
-			lazy.SpeedupVsRef = float64(ref.NsPerOp) / float64(lazy.NsPerOp)
+		if prod.NsPerOp > 0 {
+			prod.SpeedupVsRef = float64(ref.NsPerOp) / float64(prod.NsPerOp)
 		}
-		out = append(out, *lazy, *ref)
+		out = append(out, *prod, *ref)
 		if p := records[c.kernel+"/packed/"+c.modulus]; p != nil {
 			if p.NsPerOp > 0 {
 				p.SpeedupVsRef = float64(ref.NsPerOp) / float64(p.NsPerOp)
@@ -341,7 +419,7 @@ func BenchmarkKernels(b *testing.B) {
 			out = append(out, *p)
 		}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(kernelArtifact{Env: kernelEnv(), Rows: out}, "", "  ")
 	if err != nil {
 		b.Fatal(err)
 	}

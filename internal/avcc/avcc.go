@@ -208,8 +208,7 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 	}
 	trials := m.opt.trials()
 	for key, x := range m.data {
-		padded := fieldmat.PadRows(x, k)
-		shards, err := code.EncodeMatrix(padded, m.rng)
+		shards, err := code.EncodeMatrix(x, m.rng)
 		if err != nil {
 			return 0, 0, fmt.Errorf("avcc: encode %q: %w", key, err)
 		}

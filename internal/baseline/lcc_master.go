@@ -79,7 +79,7 @@ func NewLCCMaster(f *field.Field, opt LCCOptions, data map[string]*fieldmat.Matr
 		m.plan.Active[i] = i
 	}
 	for key, x := range data {
-		shards, err := code.EncodeMatrix(fieldmat.PadRows(x, opt.K), m.rng)
+		shards, err := code.EncodeMatrix(x, m.rng)
 		if err != nil {
 			return nil, fmt.Errorf("lcc: encode %q: %w", key, err)
 		}

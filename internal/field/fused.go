@@ -1,7 +1,8 @@
 package field
 
-// The fused weighted-combination kernel behind the NTT fast-path encoder
-// (internal/mds): dsts[p] = Σ_j w[p][j]·srcs[j] over long rows.
+// The fused weighted-combination kernel behind the coded encoders (the NTT
+// fast path of internal/mds, and internal/lcc through the fieldmat pool):
+// dsts[p] = Σ_j w[p][j]·srcs[j] over long rows.
 //
 // The naive shape — one AXPY pass per (destination, source) pair — streams
 // every destination row through memory once per source, and at parity
@@ -11,7 +12,7 @@ package field
 //
 //   - destinations are processed three at a time, so every source element
 //     loaded from memory feeds three multiply-adds (registers, not memory);
-//   - rows are tiled (fusedTile) so the three uint64 accumulator strips
+//   - rows are tiled (FusedTile) so the three uint64 accumulator strips
 //     stay in cache across all source groups;
 //   - sources are consumed in groups of three with the loads shared across
 //     the three accumulators, the FIRST group writing the accumulators
@@ -32,13 +33,15 @@ import (
 	"sync"
 )
 
-// fusedTile is the accumulator strip length: 3 strips × 2048 × 8 bytes =
+// FusedTile is the accumulator strip length: 3 strips × 2048 × 8 bytes =
 // 48 KiB, small enough to stay cache-hot across all source groups while the
 // source tiles stream past. Measured fastest among {512, 1024, 2048, 4096,
-// 16384} at the paper's (12,9) GISETTE shape.
-const fusedTile = 2048
+// 16384} at the paper's (12,9) GISETTE shape. Parallel callers split a
+// combine at multiples of it (FusedCombineRange), so every range but the
+// last fills whole strips.
+const FusedTile = 2048
 
-type fusedAcc struct{ a0, a1, a2 [fusedTile]uint64 }
+type fusedAcc struct{ a0, a1, a2 [FusedTile]uint64 }
 
 var fusedAccPool = sync.Pool{New: func() any { return new(fusedAcc) }}
 
@@ -50,11 +53,21 @@ var fusedAccPool = sync.Pool{New: func() any { return new(fusedAcc) }}
 //
 //avcc:noalloc
 func (f *Field) FusedCombineInto(dsts [][]Elem, w [][]Elem, srcs [][]Elem) {
+	f.FusedCombineRange(dsts, w, srcs, 0, CombineWidth(dsts, w, srcs))
+}
+
+// CombineWidth checks the operand shapes of FusedCombineInto — one weight
+// row per destination, len(srcs) weights per row, every row one length —
+// and returns that row length (0 without destinations). It panics on a
+// mismatch, so parallel callers can reject misuse before they fan out.
+//
+//avcc:noalloc
+func CombineWidth(dsts [][]Elem, w [][]Elem, srcs [][]Elem) int {
 	if len(w) != len(dsts) {
 		panic("field: FusedCombineInto needs one weight row per destination")
 	}
 	if len(dsts) == 0 {
-		return
+		return 0
 	}
 	width := len(dsts[0])
 	for _, d := range dsts {
@@ -72,9 +85,22 @@ func (f *Field) FusedCombineInto(dsts [][]Elem, w [][]Elem, srcs [][]Elem) {
 			panic("field: FusedCombineInto weight row length mismatch")
 		}
 	}
+	return width
+}
+
+// FusedCombineRange is FusedCombineInto restricted to the elements [lo, hi)
+// of every row; the rest of each destination is left untouched. Disjoint
+// ranges may run concurrently on the same operands — the parallel encoder
+// splits one combine this way.
+//
+//avcc:noalloc
+func (f *Field) FusedCombineRange(dsts [][]Elem, w [][]Elem, srcs [][]Elem, lo, hi int) {
+	if width := CombineWidth(dsts, w, srcs); lo < 0 || lo > hi || hi > width {
+		panic("field: FusedCombineRange range out of bounds")
+	}
 	if len(srcs) == 0 {
 		for _, d := range dsts {
-			clear(d)
+			clear(d[lo:hi])
 		}
 		return
 	}
@@ -85,36 +111,38 @@ func (f *Field) FusedCombineInto(dsts [][]Elem, w [][]Elem, srcs [][]Elem) {
 	p := 0
 	if len(srcs) >= 4 && len(srcs) <= f.lazyBatch {
 		for ; p+3 <= len(dsts); p += 3 {
-			f.fused3Into(dsts[p], dsts[p+1], dsts[p+2], w[p], w[p+1], w[p+2], srcs)
+			f.fused3Into(dsts[p], dsts[p+1], dsts[p+2], w[p], w[p+1], w[p+2], srcs, lo, hi)
 		}
 	}
 	for ; p < len(dsts); p++ {
-		clear(dsts[p])
-		la := f.NewLazyAcc(dsts[p])
+		d := dsts[p][lo:hi]
+		clear(d)
+		la := f.NewLazyAcc(d)
 		for j, s := range srcs {
 			if c := w[p][j]; c != 0 {
-				la.AXPY(c, s)
+				la.AXPY(c, s[lo:hi])
 			}
 		}
 		la.Reduce()
 	}
 }
 
-// fused3Into is the hand-unrolled three-destination kernel. len(srcs) must
-// be in [4, f.lazyBatch]. Sources split into a head group of 1–3
-// (accumulator stores, no read-back), middle groups of 3, and a final
-// group of 3 that fuses the Barrett reduction with the destination store.
+// fused3Into is the hand-unrolled three-destination kernel over the
+// elements [start, end). len(srcs) must be in [4, f.lazyBatch]. Sources
+// split into a head group of 1–3 (accumulator stores, no read-back), middle
+// groups of 3, and a final group of 3 that fuses the Barrett reduction with
+// the destination store.
 //
 //avcc:lazy-ok caller enforces 4 <= len(srcs) <= f.lazyBatch, so the strips absorb at most LazyBatch raw products
 //avcc:noalloc
-func (f *Field) fused3Into(d0, d1, d2 []Elem, w0, w1, w2 []Elem, srcs [][]Elem) {
+func (f *Field) fused3Into(d0, d1, d2 []Elem, w0, w1, w2 []Elem, srcs [][]Elem, start, end int) {
 	k := len(srcs)
 	head := (k-4)%3 + 1 // leaves k − head ≥ 3 and divisible by 3
 	mu, q := f.mu, f.q  // hoisted Barrett constants
 	acc := fusedAccPool.Get().(*fusedAcc)
 	defer fusedAccPool.Put(acc)
-	for lo := 0; lo < len(d0); lo += fusedTile {
-		hi := min(lo+fusedTile, len(d0))
+	for lo := start; lo < end; lo += FusedTile {
+		hi := min(lo+FusedTile, end)
 		a0, a1, a2 := acc.a0[:hi-lo], acc.a1[:hi-lo], acc.a2[:hi-lo]
 		switch head { // init: store pure products, no zeroing pass
 		case 1:

@@ -31,12 +31,12 @@ func TestFusedCombineMatchesNaive(t *testing.T) {
 		{3, 9}, {3, 4}, {3, 5}, {3, 6}, {3, 7}, {3, 12},
 		{1, 2}, {2, 3}, {4, 9}, {5, 9}, {6, 4}, {2, 9}, {3, 1}, {3, 3}, {1, 1},
 	}
-	widths := []int{1, 7, fusedTile - 1, fusedTile, fusedTile + 5, 3*fusedTile + 11}
+	widths := []int{1, 7, FusedTile - 1, FusedTile, FusedTile + 5, 3*FusedTile + 11}
 	for _, f := range []*Field{Default(), NTTFriendly()} {
 		rng := rand.New(rand.NewSource(31))
 		for _, sh := range shapes {
 			for _, width := range widths {
-				if width > fusedTile && sh != (struct{ p, k int }{3, 9}) {
+				if width > FusedTile && sh != (struct{ p, k int }{3, 9}) {
 					continue // multi-tile sweep only at the hot shape
 				}
 				srcs := make([][]Elem, sh.k)
@@ -61,7 +61,7 @@ func TestFusedCombineMatchesNaive(t *testing.T) {
 		}
 		// Worst case: every source element and weight at q−1 must not
 		// overflow the structural lazy bound.
-		const width = fusedTile + 3
+		const width = FusedTile + 3
 		srcs := make([][]Elem, 9)
 		w := make([][]Elem, 3)
 		dsts := make([][]Elem, 3)
@@ -130,6 +130,67 @@ func TestFusedCombineBeyondLazyBatch(t *testing.T) {
 	}
 }
 
+// TestFusedCombineRangeStitches splits one combine into disjoint ranges —
+// tile-aligned and not, on the unrolled and the LazyAcc paths — and checks
+// the pieces stitch to the naive result while every range leaves the
+// elements outside it untouched.
+func TestFusedCombineRangeStitches(t *testing.T) {
+	const width = 3*FusedTile + 11
+	cuts := [][]int{
+		{0, width},
+		{0, FusedTile, 2 * FusedTile, width},
+		{0, 5, FusedTile + 1, width - 1, width},
+	}
+	for _, f := range []*Field{Default(), MustNew(4294967291)} {
+		rng := rand.New(rand.NewSource(34))
+		for _, k := range []int{2, 9} {
+			srcs := make([][]Elem, k)
+			for j := range srcs {
+				srcs[j] = f.RandVec(rng, width)
+			}
+			w := make([][]Elem, 4)
+			for p := range w {
+				w[p] = f.RandVec(rng, k)
+			}
+			want := naiveCombine(f, w, srcs, width)
+			for _, cut := range cuts {
+				dsts := make([][]Elem, len(w))
+				for p := range dsts {
+					dsts[p] = make([]Elem, width)
+					for i := range dsts[p] {
+						dsts[p][i] = 7 // sentinel: only the range may change
+					}
+				}
+				for c := 0; c+1 < len(cut); c++ {
+					lo, hi := cut[c], cut[c+1]
+					f.FusedCombineRange(dsts, w, srcs, lo, hi)
+					for p := range dsts {
+						if !EqualVec(dsts[p][:hi], want[p][:hi]) {
+							t.Fatalf("q=%d k=%d cuts %v: row %d wrong after range [%d,%d)", f.Q(), k, cut, p, lo, hi)
+						}
+						for _, v := range dsts[p][hi:] {
+							if v != 7 {
+								t.Fatalf("q=%d k=%d: range [%d,%d) wrote past its end", f.Q(), k, lo, hi)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	f := Default()
+	for _, r := range [][2]int{{-1, 2}, {3, 2}, {0, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("range %v on width 4 did not panic", r)
+				}
+			}()
+			f.FusedCombineRange([][]Elem{make([]Elem, 4)}, [][]Elem{{1}}, [][]Elem{make([]Elem, 4)}, r[0], r[1])
+		}()
+	}
+}
+
 // BenchmarkFusedCombineParity is the paper-shape parity computation: 3
 // parity rows from 9 source blocks of 667×1000 elements (the (12,9) code at
 // GISETTE scale). The artifact row lives in BENCH_kernels.json (MDSEncode).
@@ -159,13 +220,13 @@ func TestFusedCombineZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	srcs := make([][]Elem, 9)
 	for j := range srcs {
-		srcs[j] = f.RandVec(rng, 2*fusedTile+9)
+		srcs[j] = f.RandVec(rng, 2*FusedTile+9)
 	}
 	w := make([][]Elem, 3)
 	dsts := make([][]Elem, 3)
 	for p := range w {
 		w[p] = f.RandVec(rng, 9)
-		dsts[p] = make([]Elem, 2*fusedTile+9)
+		dsts[p] = make([]Elem, 2*FusedTile+9)
 	}
 	run := func() { f.FusedCombineInto(dsts, w, srcs) }
 	run() // warm the accumulator pool

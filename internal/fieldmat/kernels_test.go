@@ -225,13 +225,26 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	cSmall := NewMatrix(24, 24)
 
 	packed := Pack(f, big)
+	// The encoder's combination at the (12,9) parity shape, 9 sources into 3
+	// destinations: several FusedTile tiles past ParallelThreshold, and a
+	// narrow one below it.
+	const wide, narrow = 5*field.FusedTile + 3, 100
+	w, srcs := combineOperands(f, rng, 3, 9, wide, false)
+	wS, srcsS := combineOperands(f, rng, 3, 9, narrow, false)
+	dsts, dstsS := make([][]field.Elem, 3), make([][]field.Elem, 3)
+	for p := range dsts {
+		dsts[p], dstsS[p] = make([]field.Elem, wide), make([]field.Elem, narrow)
+	}
 	cases := map[string]func(){
-		"MatVecInto/parallel": func() { MatVecInto(f, y, big, x) },
-		"MatVecInto/packed":   func() { MatVecInto(f, y, packed, x) },
-		"MatVecInto/serial":   func() { MatVecInto(f, ys, small, xs) },
-		"MatMulInto/parallel": func() { MatMulInto(f, cBig, big, big) },
-		"MatMulInto/serial":   func() { MatMulInto(f, cSmall, small, small) },
-		"VecMatInto":          func() { VecMatInto(f, y, x, big) },
+		"MatVecInto/parallel":  func() { MatVecInto(f, y, big, x) },
+		"MatVecInto/packed":    func() { MatVecInto(f, y, packed, x) },
+		"MatVecInto/serial":    func() { MatVecInto(f, ys, small, xs) },
+		"MatMulInto/parallel":  func() { MatMulInto(f, cBig, big, big) },
+		"MatMulInto/serial":    func() { MatMulInto(f, cSmall, small, small) },
+		"VecMatInto/parallel":  func() { VecMatInto(f, y, x, big) },
+		"VecMatInto/serial":    func() { VecMatInto(f, ys, xs, small) },
+		"CombineInto/parallel": func() { CombineInto(f, dsts, w, srcs) },
+		"CombineInto/serial":   func() { CombineInto(f, dstsS, wS, srcsS) },
 	}
 	for name, fn := range cases {
 		fn() // warm the task/acc pools and start the workers

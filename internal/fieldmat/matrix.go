@@ -303,8 +303,10 @@ func VecMat(f *field.Field, x []field.Elem, m *Matrix) []field.Elem {
 	return y
 }
 
-// VecMatInto computes y = xᵀ·m into a caller-owned slice through a pooled
-// lazy accumulator row: one reduction pass per LazyBatch matrix rows.
+// VecMatInto computes y = xᵀ·m into a caller-owned slice through pooled
+// lazy accumulator rows: one reduction pass per LazyBatch matrix rows. From
+// ParallelThreshold elements on, the columns are split into one strip per
+// pool worker; every column is an independent sum, so the split is exact.
 //
 //avcc:noalloc
 func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
@@ -314,15 +316,59 @@ func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
 	if len(y) != m.Cols {
 		panic("fieldmat: VecMat output length mismatch")
 	}
-	buf := getAcc(m.Cols)
+	if m.Rows*m.Cols < ParallelThreshold || m.Cols < 2 {
+		vecMatCols(f, y, x, m, 0, m.Cols)
+		return
+	}
+	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
+	dispatch(m.Cols, &task{run: runVecMat, f: f, a: m, x: x, y: y})
+}
+
+//avcc:noalloc
+
+func runVecMat(t *task) { vecMatCols(t.f, t.y, t.x, t.a, t.lo, t.hi) }
+
+// vecMatCols computes the columns [lo, hi) of y = xᵀ·m.
+//
+//avcc:noalloc
+func vecMatCols(f *field.Field, y, x []field.Elem, m *Matrix, lo, hi int) {
+	buf := getAcc(hi - lo)
 	la := f.NewLazyAcc(buf.s)
 	for i, xi := range x {
 		if xi != 0 {
-			la.AXPY(xi, m.Row(i))
+			la.AXPY(xi, m.Data[i*m.Cols+lo:i*m.Cols+hi])
 		}
 	}
-	la.Flush(y)
+	la.Flush(y[lo:hi])
 	putAcc(buf)
+}
+
+// CombineInto computes dsts[p] = Σ_j w[p][j]·srcs[j] over long rows — the
+// coded encoders' shard combination — with field.FusedCombineInto's exact
+// result. From ParallelThreshold elements on (sources plus destinations) the
+// rows are split into FusedTile-aligned element ranges, one per pool worker,
+// so every range but the last fills whole accumulator strips. Shapes are
+// checked before any work is split (field.CombineWidth). No destination may
+// alias a source.
+//
+//avcc:noalloc
+func CombineInto(f *field.Field, dsts, w, srcs [][]field.Elem) {
+	width := field.CombineWidth(dsts, w, srcs)
+	tiles := (width + field.FusedTile - 1) / field.FusedTile
+	if width*(len(srcs)+len(dsts)) < ParallelThreshold || tiles < 2 {
+		f.FusedCombineRange(dsts, w, srcs, 0, width)
+		return
+	}
+	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
+	dispatch(tiles, &task{run: runCombine, f: f, dsts: dsts, w: w, srcs: srcs})
+}
+
+// runCombine turns its tile range into the element range it covers.
+//
+//avcc:noalloc
+func runCombine(t *task) {
+	width := len(t.dsts[0])
+	t.f.FusedCombineRange(t.dsts, t.w, t.srcs, t.lo*field.FusedTile, min(t.hi*field.FusedTile, width))
 }
 
 // Scale multiplies every element in place by c.

@@ -31,16 +31,18 @@ import (
 // both operands.
 const ParallelThreshold = 1 << 14
 
-// task is one row-range of a kernel call. run is always a static function
-// (no captured state) so tasks are reusable and allocation-free; the slots
-// cover the union of what the kernels need.
+// task is one index range of a kernel call — rows, columns or FusedTile
+// tiles, as the kernel defines it. run is always a static function (no
+// captured state) so tasks are reusable and allocation-free; the slots cover
+// the union of what the kernels need.
 type task struct {
-	run     func(*task)
-	f       *field.Field
-	a, b, c *Matrix
-	x, y    []field.Elem
-	lo, hi  int
-	wg      *sync.WaitGroup
+	run           func(*task)
+	f             *field.Field
+	a, b, c       *Matrix
+	x, y          []field.Elem
+	dsts, w, srcs [][]field.Elem
+	lo, hi        int
+	wg            *sync.WaitGroup
 }
 
 var (

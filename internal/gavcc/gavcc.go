@@ -90,12 +90,11 @@ func NewMaster(f *field.Field, opt Options, x *fieldmat.Matrix,
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	blocks := fieldmat.SplitRows(fieldmat.PadRows(x, opt.K), opt.K)
-	shards, err := code.EncodeBlocks(blocks, rng)
+	shards, err := code.EncodeMatrix(x, rng)
 	if err != nil {
 		return nil, err
 	}
-	m := &Master{code: code, keys: make([]*verify.GramKey, opt.N), blockRows: blocks[0].Rows}
+	m := &Master{code: code, keys: make([]*verify.GramKey, opt.N), blockRows: shards[0].Rows}
 	m.Driver, err = cluster.NewDriver(f, "gavcc", m, opt.N, map[string]*fieldmat.Matrix{GramKey: x},
 		opt.Sim, opt.Seed, opt.Receipts, behaviors, stragglers)
 	if err != nil {

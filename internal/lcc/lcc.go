@@ -40,8 +40,9 @@ type Code struct {
 	betas []field.Elem
 	// alphas has N entries: worker evaluation points.
 	alphas []field.Elem
-	// gen is the (K+T)×N matrix gen[j][i] = ℓ_j(α_i).
-	gen *fieldmat.Matrix
+	// enc has N rows of K+T encoding weights, enc[i][j] = ℓ_j(α_i): shard i
+	// is Σ_j enc[i][j]·(block or mask j).
+	enc [][]field.Elem
 	// plans memoizes decode weights per surviving-worker point set (targets
 	// are the K data points); scenario churn re-decodes the same survivor
 	// set every round, so the interpolation weights amortise to a lookup.
@@ -73,14 +74,8 @@ func New(f *field.Field, n, k, t, degF int) (*Code, error) {
 		betas = f.DistinctPoints(k+t, 1)
 		alphas = f.DistinctPoints(n, uint64(k+t)+1)
 	}
-	gen := fieldmat.NewMatrix(k+t, n)
-	for i, w := range poly.InterpWeightsBatch(f, betas, alphas) {
-		for j := 0; j < k+t; j++ {
-			gen.Set(j, i, w[j])
-		}
-	}
-	return &Code{f: f, n: n, k: k, t: t, degF: degF, betas: betas, alphas: alphas, gen: gen,
-		plans: poly.NewDecodePlans(f, betas[:k])}, nil
+	return &Code{f: f, n: n, k: k, t: t, degF: degF, betas: betas, alphas: alphas,
+		enc: poly.InterpWeightsBatch(f, betas, alphas), plans: poly.NewDecodePlans(f, betas[:k])}, nil
 }
 
 // RecoveryThreshold returns the number of correct evaluations needed to
@@ -123,7 +118,15 @@ func (c *Code) Threshold() int { return RecoveryThreshold(c.k, c.t, c.degF) }
 func (c *Code) Alphas() []field.Elem { return field.CopyVec(c.alphas) }
 
 // EncodeBlocks encodes K equal-shape data blocks into N coded shards,
-// drawing the T privacy masks from rng. rng may be nil when T = 0.
+// drawing the T privacy masks from rng (mask by mask, row-major). rng may be
+// nil when T = 0.
+//
+// With T = 0 the code is systematic — α_j = β_j for j < K, so ℓ_j(α_i) = δ_ij
+// exactly — and shards 0…K−1 ARE blocks 0…K−1: the same matrices, not
+// copies. Only the N−K parity shards are computed, in one fused pass over
+// the blocks (fieldmat.CombineInto). With T > 0 every shard is computed, the
+// masks joining the blocks as sources. Blocks must not be written while the
+// shards are in use.
 func (c *Code) EncodeBlocks(blocks []*fieldmat.Matrix, rng *rand.Rand) ([]*fieldmat.Matrix, error) {
 	if len(blocks) != c.k {
 		return nil, fmt.Errorf("lcc: got %d blocks, K = %d", len(blocks), c.k)
@@ -137,32 +140,50 @@ func (c *Code) EncodeBlocks(blocks []*fieldmat.Matrix, rng *rand.Rand) ([]*field
 	if c.t > 0 && rng == nil {
 		return nil, fmt.Errorf("lcc: T = %d requires a random source for the privacy masks", c.t)
 	}
-	all := make([]*fieldmat.Matrix, c.k+c.t)
-	copy(all, blocks)
+	srcs := make([][]field.Elem, c.k+c.t)
+	for j, b := range blocks {
+		srcs[j] = b.Data
+	}
 	for j := c.k; j < c.k+c.t; j++ {
-		all[j] = fieldmat.Rand(c.f, rng, rows, cols)
+		srcs[j] = fieldmat.Rand(c.f, rng, rows, cols).Data
 	}
 	shards := make([]*fieldmat.Matrix, c.n)
-	for i := 0; i < c.n; i++ {
-		sh := fieldmat.NewMatrix(rows, cols)
-		for j := 0; j < c.k+c.t; j++ {
-			coef := c.gen.At(j, i)
-			if coef == 0 {
-				continue
-			}
-			sh.AXPY(c.f, coef, all[j])
-		}
-		shards[i] = sh
+	first := 0
+	if c.t == 0 {
+		copy(shards, blocks)
+		first = c.k
 	}
+	dsts := make([][]field.Elem, c.n-first)
+	for i := first; i < c.n; i++ {
+		shards[i] = fieldmat.NewMatrix(rows, cols)
+		dsts[i-first] = shards[i].Data
+	}
+	fieldmat.CombineInto(c.f, dsts, c.enc[first:], srcs)
 	return shards, nil
 }
 
-// EncodeMatrix splits x into K row blocks and encodes them.
+// EncodeMatrix splits x into K row blocks of ⌈rows/K⌉ rows and encodes them
+// (EncodeBlocks). It pads as fieldmat.PadRows would, without copying x: a
+// block that x fills is a view of x's rows, and only a block that runs past
+// x's last row is copied and zero-padded. With T = 0 the systematic shards
+// are those blocks, so they alias x.Data wherever x fills them: x must not
+// be written while the shards are in use.
 func (c *Code) EncodeMatrix(x *fieldmat.Matrix, rng *rand.Rand) ([]*fieldmat.Matrix, error) {
-	if x.Rows%c.k != 0 {
-		return nil, fmt.Errorf("lcc: %d rows not divisible by K = %d", x.Rows, c.k)
+	per := (x.Rows + c.k - 1) / c.k
+	width := per * x.Cols
+	blocks := make([]*fieldmat.Matrix, c.k)
+	for j := range blocks {
+		lo, hi := j*width, (j+1)*width
+		if hi <= len(x.Data) {
+			blocks[j] = &fieldmat.Matrix{Rows: per, Cols: x.Cols, Data: x.Data[lo:hi:hi]}
+			continue
+		}
+		blocks[j] = fieldmat.NewMatrix(per, x.Cols)
+		if lo < len(x.Data) {
+			copy(blocks[j].Data, x.Data[lo:])
+		}
 	}
-	return c.EncodeBlocks(fieldmat.SplitRows(x, c.k), rng)
+	return c.EncodeBlocks(blocks, rng)
 }
 
 // DecodeVectors recovers f(X_1)..f(X_K) (flattened as vectors) from at least

@@ -94,6 +94,11 @@ func WorkerCount(name string, cfg Config) (int, error) {
 // same applies per shard group: New splits the data row-wise, builds one
 // registry-backed master per group (each with its own seed stream and
 // scenario engine), and returns the fan-out master from internal/shard.
+//
+// The data matrices are retained, read-only, for the master's lifetime: the
+// master keeps them to re-encode, and the systematic coded shards of a
+// T = 0 code are views of their rows (lcc.Code.EncodeMatrix). Never write
+// into data after New; a changed matrix is a new deployment.
 func New(name string, f *field.Field, cfg Config, data map[string]*fieldmat.Matrix,
 	behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (Master, error) {
 	e, err := lookup(name)
