@@ -93,7 +93,7 @@ type Policy interface {
 // the one round sequence:
 //
 //	key check → pack → Plan → execute, accepting each result as it lands
-//	(worker error, size check, Check) and stopping the executor at the
+//	(worker error, size and range check, Check) and stopping the executor at the
 //	Need-th acceptance → ctx check → Decode → unpack → receipt → Observe →
 //	Breakdown
 //
@@ -101,6 +101,7 @@ type Policy interface {
 // a constructor embedding *Driver.
 type Driver struct {
 	name    string
+	f       *field.Field
 	policy  Policy
 	sim     simnet.Config
 	workers []*Worker
@@ -127,6 +128,7 @@ func NewDriver(f *field.Field, name string, p Policy, n int, data map[string]*fi
 	}
 	d := &Driver{
 		name:    name,
+		f:       f,
 		policy:  p,
 		sim:     sim,
 		workers: make([]*Worker, n),
@@ -330,8 +332,9 @@ type acceptance struct {
 
 // accept is the one acceptance step, run once on every result in arrival
 // order until the round is decided: a worker error fails the round, a result
-// of the wrong size or one that fails Policy.Check costs its worker, anything
-// else joins the decode set; the Need-th acceptance stops the executor.
+// of the wrong size, one with an element ≥ q, or one that fails Policy.Check
+// costs its worker, anything else joins the decode set; the Need-th acceptance
+// stops the executor.
 func (a *acceptance) accept(res *Result) {
 	if a.decided {
 		return
@@ -342,9 +345,10 @@ func (a *acceptance) accept(res *Result) {
 		a.halt(res)
 		return
 	}
-	// A result of the wrong size can be neither verified nor decoded; it
-	// costs one worker of redundancy, never the round.
-	if len(res.Output) != a.resultLen {
+	// A result of the wrong size can be neither verified nor decoded, and one
+	// with an element ≥ q is no field vector (Freivalds computes modulo q, so
+	// y + q passes it); either costs one worker of redundancy, never the round.
+	if len(res.Output) != a.resultLen || !field.Canonical(a.d.f.Q(), res.Output) {
 		a.Byzantine = append(a.Byzantine, res.Worker)
 		return
 	}

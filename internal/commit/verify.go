@@ -77,16 +77,6 @@ func (r *Receipt) Verify() error {
 	return nil
 }
 
-// canonical reports whether every element is a reduced residue mod q.
-func canonical(q uint64, vs []field.Elem) bool {
-	for _, v := range vs {
-		if uint64(v) >= q {
-			return false
-		}
-	}
-	return true
-}
-
 // verify checks one group. Structural or cryptographic failures (bad
 // shapes, broken Merkle paths, openings that do not match the transcript's
 // derived indices) are returned as err. The two semantic outcomes are
@@ -128,14 +118,14 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	if !r.Gram && len(r.Inputs) != r.Batch*d.Cols {
 		return nil, false, fmt.Errorf("inputs have %d elems, want %d", len(r.Inputs), r.Batch*d.Cols)
 	}
-	if !canonical(d.Q, r.Inputs) {
+	if !field.Canonical(d.Q, r.Inputs) {
 		return nil, false, fmt.Errorf("inputs contain non-canonical elements")
 	}
 	if len(g.Outputs) != wantOutputs {
 		return nil, false, fmt.Errorf("%d outputs, want %d", len(g.Outputs), wantOutputs)
 	}
 	for c, out := range g.Outputs {
-		if len(out) != wantLen || !canonical(d.Q, out) {
+		if len(out) != wantLen || !field.Canonical(d.Q, out) {
 			return nil, false, fmt.Errorf("output %d malformed", c)
 		}
 	}
@@ -151,7 +141,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		if w.OutLen != wantOut {
 			return nil, false, fmt.Errorf("worker %d commits %d outputs, want %d", w.ID, w.OutLen, wantOut)
 		}
-		if len(w.Aggregates) != wantAggs || !canonical(d.Q, w.Aggregates) {
+		if len(w.Aggregates) != wantAggs || !field.Canonical(d.Q, w.Aggregates) {
 			return nil, false, fmt.Errorf("worker %d aggregates malformed", w.ID)
 		}
 	}
@@ -160,7 +150,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			return fmt.Errorf("%d %s combinations, want %d", len(vs), name, want)
 		}
 		for _, v := range vs {
-			if len(v) != d.Cols || !canonical(d.Q, v) {
+			if len(v) != d.Cols || !field.Canonical(d.Q, v) {
 				return fmt.Errorf("%s combination malformed", name)
 			}
 		}
@@ -202,7 +192,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		if co.Index != e {
 			return nil, false, fmt.Errorf("column opening %d is for index %d, transcript demands %d", i, co.Index, e)
 		}
-		if len(co.Values) != d.Rows || !canonical(d.Q, co.Values) {
+		if len(co.Values) != d.Rows || !field.Canonical(d.Q, co.Values) {
 			return nil, false, fmt.Errorf("column %d opening malformed", e)
 		}
 		if !VerifyPath(d.Root, d.Ext, e, ColumnLeaf(e, co.Values), co.Path) {

@@ -268,8 +268,9 @@ func TestInvManyZeroPanics(t *testing.T) {
 	Default().InvMany([]Elem{3, 0, 5})
 }
 
-// FuzzDotLazyVsRef cross-checks the lazy dot, and its packed-operand form,
-// against the per-element reference on fuzzer-chosen lengths and seeds across the boundary moduli.
+// FuzzDotLazyVsRef cross-checks the lazy dot, and its packed-operand form on
+// both kernels, against the per-element reference on fuzzer-chosen lengths and
+// seeds across the boundary moduli.
 func FuzzDotLazyVsRef(fz *testing.F) {
 	fz.Add(uint16(0), int64(1))
 	fz.Add(uint16(1), int64(2))
@@ -286,12 +287,12 @@ func FuzzDotLazyVsRef(fz *testing.F) {
 			if f.Dot(a, b) != want {
 				t.Fatalf("q=%d n=%d: Dot diverges from reference", f.q, n)
 			}
-			a32 := make([]uint32, n)
-			for i, v := range a {
-				a32[i] = uint32(v)
-			}
+			a32 := packRow(a)
 			if f.DotPacked(a32, b) != want {
 				t.Fatalf("q=%d n=%d: DotPacked diverges from reference", f.q, n)
+			}
+			if got, ok := vectorDotPacked(f, a32, b); ok && got != want {
+				t.Fatalf("q=%d n=%d: the vector DotPacked diverges from reference", f.q, n)
 			}
 		}
 	})

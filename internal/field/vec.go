@@ -108,11 +108,25 @@ func (f *Field) DotAcc(acc Elem, a, b []Elem) Elem {
 // LazyBatch tiling is therefore unchanged, and so is the result, bit for bit;
 // only the bytes streamed per row halve.
 //
+// b must be canonical, as everywhere in this package: on amd64 with AVX2 the
+// tiles run four lanes wide (dot_amd64.s), and that kernel multiplies only
+// the low 32 bits of each b[i]. Callers that take b from outside the process
+// check it first (rpccluster's worker server does).
+//
 //avcc:noalloc
 func (f *Field) DotPacked(a []uint32, b []Elem) Elem {
 	if len(a) != len(b) {
 		panic("field: Dot length mismatch")
 	}
+	return f.dotPacked(a, b)
+}
+
+// dotPackedGeneric is the portable DotPacked: the fallback on CPUs without
+// AVX2 and off amd64, rows shorter than one vector step, and the tests'
+// oracle for the vector kernel. len(a) == len(b).
+//
+//avcc:noalloc
+func (f *Field) dotPackedGeneric(a []uint32, b []Elem) Elem {
 	var s uint64
 	for len(a) > 0 {
 		n := len(a)
@@ -127,6 +141,17 @@ func (f *Field) DotPacked(a []uint32, b []Elem) Elem {
 		a, b = a[n:], b[n:]
 	}
 	return s
+}
+
+// Canonical reports whether every element of v is a reduced residue mod q:
+// the check for vectors that arrive from outside the process.
+func Canonical(q uint64, v []Elem) bool {
+	for _, x := range v {
+		if x >= q {
+			return false
+		}
+	}
+	return true
 }
 
 // EqualVec reports whether two vectors are element-wise identical (both are

@@ -105,12 +105,18 @@ func TestPackRejectsNonCanonicalEntries(t *testing.T) {
 
 // FuzzPackedMatVec cross-checks the packed kernel against the uint64 kernel
 // on fuzzer-chosen shapes, seeds and moduli, including shapes that cross
-// ParallelThreshold.
+// ParallelThreshold. Rows of 16 columns or more run the vector DotPacked on
+// an AVX2 CPU (except at 4294967291, whose one-element tiles stay scalar); the
+// seeds cover a row that is one vector step, one with a 15-element tail, and
+// serve_sat's 120 columns.
 func FuzzPackedMatVec(fz *testing.F) {
 	fz.Add(uint8(0), uint16(1), uint16(1), int64(1))
 	fz.Add(uint8(1), uint16(1), uint16(300), int64(2))
 	fz.Add(uint8(2), uint16(128), uint16(129), int64(3))
 	fz.Add(uint8(3), uint16(33), uint16(17), int64(4))
+	fz.Add(uint8(0), uint16(5), uint16(16), int64(5))
+	fz.Add(uint8(1), uint16(7), uint16(47), int64(6))
+	fz.Add(uint8(0), uint16(40), uint16(120), int64(7))
 	fields := packedFields()
 	fz.Fuzz(func(t *testing.T, mod uint8, rowsRaw, colsRaw uint16, seed int64) {
 		fld := fields[int(mod)%len(fields)]

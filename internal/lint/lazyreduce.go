@@ -25,6 +25,13 @@ package lint
 //	`s += uint64(a32 * b32)`, wraps modulo 2³² before it reaches the
 //	accumulator and is flagged wherever it appears.
 //
+//	rule 4 (assembly tiles): a call to an assembly kernel (a function the
+//	package declares without a body) added into a uint64, `s += kernel(a[:n],
+//	b[:n])`, is a raw site like a product — one call adds up to len(a) raw
+//	products, so rules 1 and 2 apply to the loop around it — and every slice
+//	it is handed must be cut at the call to a LazyBatch-derived length, the
+//	tile bound the analyzer cannot see inside the assembly.
+//
 // Hand-verified kernels whose bound lives at the call site (the fused
 // three-destination combine, whose caller enforces len(srcs) ≤ LazyBatch)
 // opt out with //avcc:lazy-ok and a stated reason.
@@ -70,9 +77,12 @@ type rawSite struct {
 	// index is the index expression of an indexed target, nil for scalars
 	// and AXPYLazy rows.
 	index ast.Expr
+	// kernel is the assembly-kernel call a `+=` site adds, nil for products.
+	kernel *ast.CallExpr
 }
 
 func runLazyReduce(pass *Pass) error {
+	kernels := asmKernels(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -83,8 +93,9 @@ func runLazyReduce(pass *Pass) error {
 				continue
 			}
 			tainted := batchTainted(pass, fn.Body)
-			sites := rawSites(pass, fn.Body)
+			sites := rawSites(pass, fn.Body, kernels)
 			checkNarrowProducts(pass, fn, sites)
+			checkAsmTiles(pass, fn, sites, tainted)
 			checkLoopBounds(pass, file, fn, sites, tainted)
 			if fn.Name.IsExported() {
 				checkRawEscape(pass, fn, sites)
@@ -109,6 +120,20 @@ func isBatchSelector(e ast.Expr) bool {
 	return false
 }
 
+// boundedBy reports whether e is exactly the batch bound or exactly an
+// identifier already known to be at most the bound.
+func boundedBy(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+	if e == nil {
+		return false
+	}
+	e = ast.Unparen(e)
+	if isBatchSelector(e) {
+		return true
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && tainted[pass.Info.Uses[id]]
+}
+
 // batchTainted computes the set of objects whose value is AT MOST the
 // field's lazy batch bound, by fixpoint over the function's assignments.
 // Taint flows only through clamping shapes — exact copies, slices whose
@@ -116,22 +141,7 @@ func isBatchSelector(e ast.Expr) bool {
 // enlarging arithmetic, so a tainted loop bound really is ≤ LazyBatch.
 func batchTainted(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	tainted := make(map[types.Object]bool)
-	// taintedExpr: exactly the bound, or exactly a tainted identifier.
-	taintedExpr := func(e ast.Expr) bool {
-		if e == nil {
-			return false
-		}
-		e = ast.Unparen(e)
-		if isBatchSelector(e) {
-			return true
-		}
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := pass.Info.Uses[id]
-		return obj != nil && tainted[obj]
-	}
+	taintedExpr := func(e ast.Expr) bool { return boundedBy(pass, e, tainted) }
 	// seedIn: shapes whose value cannot exceed a tainted input.
 	seedIn := func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
@@ -195,7 +205,7 @@ func batchTainted(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 }
 
 // rawSites collects the raw-accumulation statements in a function body.
-func rawSites(pass *Pass, body *ast.BlockStmt) []rawSite {
+func rawSites(pass *Pass, body *ast.BlockStmt, kernels map[types.Object]bool) []rawSite {
 	var sites []rawSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -205,10 +215,14 @@ func rawSites(pass *Pass, body *ast.BlockStmt) []rawSite {
 			}
 			lhs := n.Lhs[0]
 			t := pass.Info.Types[lhs].Type
-			if t == nil || !isUint64(t) || !containsMul(n.Rhs[0]) {
+			if t == nil || !isUint64(t) {
 				return true
 			}
-			site := rawSite{node: n, base: baseObject(pass, lhs)}
+			kernel := kernelCall(pass, n.Rhs[0], kernels)
+			if kernel == nil && !containsMul(n.Rhs[0]) {
+				return true
+			}
+			site := rawSite{node: n, base: baseObject(pass, lhs), kernel: kernel}
 			if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 				site.index = idx.Index
 			}
@@ -221,6 +235,57 @@ func rawSites(pass *Pass, body *ast.BlockStmt) []rawSite {
 		return true
 	})
 	return sites
+}
+
+// asmKernels returns the functions the package declares without a body: its
+// assembly kernels.
+func asmKernels(pass *Pass) map[types.Object]bool {
+	kernels := make(map[types.Object]bool)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body == nil && pass.Info.Defs[fn.Name] != nil {
+				kernels[pass.Info.Defs[fn.Name]] = true
+			}
+		}
+	}
+	return kernels
+}
+
+// kernelCall returns the first call to an assembly kernel inside e, or nil.
+func kernelCall(pass *Pass, e ast.Expr, kernels map[types.Object]bool) *ast.CallExpr {
+	var found *ast.CallExpr
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && kernels[pass.Info.Uses[id]] {
+				found = call
+			}
+		}
+		return found == nil
+	})
+	return found
+}
+
+// checkAsmTiles enforces rule 4: every slice an assembly kernel is handed at a
+// raw site is cut to a LazyBatch-derived length — x[:n] with n bounded, or a
+// variable holding such a cut.
+func checkAsmTiles(pass *Pass, fn *ast.FuncDecl, sites []rawSite, tainted map[types.Object]bool) {
+	for _, site := range sites {
+		if site.kernel == nil {
+			continue
+		}
+		for _, arg := range site.kernel.Args {
+			if _, ok := pass.Info.TypeOf(arg).Underlying().(*types.Slice); !ok {
+				continue
+			}
+			if cut, ok := ast.Unparen(arg).(*ast.SliceExpr); ok && boundedBy(pass, cut.High, tainted) ||
+				boundedBy(pass, arg, tainted) {
+				continue
+			}
+			pass.Reportf(arg.Pos(),
+				"assembly kernel %s in %s sums a slice not cut to LazyBatch at the call: pass x[:n] with n derived from LazyBatch",
+				calleeName(site.kernel), fn.Name.Name)
+		}
+	}
 }
 
 // containsMul reports whether e contains an integer multiplication — the
@@ -405,21 +470,7 @@ func containsReducer(body *ast.BlockStmt) bool {
 // slice. Strict-less-than and exact expressions only — `i < lazyBatch+1`
 // or `i <= lazyBatch` straddle the budget and stay flagged.
 func loopBatchBounded(pass *Pass, loop ast.Node, tainted map[types.Object]bool) bool {
-	exact := func(e ast.Expr) bool {
-		if e == nil {
-			return false
-		}
-		e = ast.Unparen(e)
-		if isBatchSelector(e) {
-			return true
-		}
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := pass.Info.Uses[id]; obj != nil && tainted[obj] {
-				return true
-			}
-		}
-		return false
-	}
+	exact := func(e ast.Expr) bool { return boundedBy(pass, e, tainted) }
 	switch l := loop.(type) {
 	case *ast.ForStmt:
 		cond, ok := l.Cond.(*ast.BinaryExpr)

@@ -202,3 +202,38 @@ func CallerBounded(f *Field, acc []uint64, coeffs []uint64, srcs [][]uint64) {
 		}
 	}
 }
+
+// tileSum is an assembly kernel: the raw sum of len(a) widened products.
+func tileSum(a []uint32, b []uint64) uint64
+
+// AsmTiledDot mirrors the vector DotPacked: each tile handed to the assembly
+// is cut to the batch budget at the call, and reduced after it. Clean.
+func AsmTiledDot(f *Field, a []uint32, b []uint64) uint64 {
+	var s uint64
+	for len(a) > 0 {
+		n := min(len(a), f.lazyBatch)
+		s += tileSum(a[:n], b[:n])
+		s = f.barrett(s)
+		a, b = a[n:], b[n:]
+	}
+	return s
+}
+
+// AsmUntiledDot hands the whole row to the assembly: one call can add more
+// raw products than the budget allows.
+func AsmUntiledDot(f *Field, a []uint32, b []uint64) uint64 {
+	var s uint64
+	s += tileSum(a, b[:len(a)]) // want "assembly kernel tileSum in AsmUntiledDot sums a slice not cut" "assembly kernel tileSum in AsmUntiledDot sums a slice not cut"
+	return f.barrett(s)
+}
+
+// AsmUnreducedDot cuts its tiles but never reduces between them.
+func AsmUnreducedDot(f *Field, a []uint32, b []uint64) uint64 {
+	var s uint64
+	for len(a) > 0 {
+		n := min(len(a), f.lazyBatch)
+		s += tileSum(a[:n], b[:n]) // want "raw uint64 accumulation in AsmUnreducedDot"
+		a, b = a[n:], b[n:]
+	}
+	return f.barrett(s)
+}

@@ -146,11 +146,19 @@ func (s *FrameServer) serveConn(conn net.Conn) {
 // machine would; the output commitment covers what the worker actually
 // sends, behaviour included — a Byzantine worker commits to its lie, it
 // does not get to lie about its commitment.
+//
+// An input element ≥ q is refused before Compute runs: the field kernels
+// take canonical operands (the vector DotPacked reads only the low 32 bits
+// of each input word), and the frame decoder does not reduce what it reads.
 func (s *FrameServer) handle(req *requestFrame) *responseFrame {
 	resp := &responseFrame{ID: req.ID}
 	w, ok := s.workers[req.Worker]
 	if !ok {
 		resp.Err = fmt.Sprintf("rpccluster: server does not host worker %d", req.Worker)
+		return resp
+	}
+	if !field.Canonical(s.f.Q(), req.Input) {
+		resp.Err = fmt.Sprintf("rpccluster: worker %d: input has an element not below q = %d", req.Worker, s.f.Q())
 		return resp
 	}
 	batch := req.Batch

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -731,5 +732,57 @@ func TestFrameServerHostsManyWorkers(t *testing.T) {
 				t.Fatalf("worker %d computed the wrong product", r.Worker)
 			}
 		}
+	}
+}
+
+// countingOp is MatVecOp that counts its applications (atomically: the server
+// computes each request on its own goroutine).
+type countingOp struct {
+	cluster.MatVecOp
+	calls *atomic.Int64
+}
+
+func (o countingOp) Apply(f *field.Field, shard *fieldmat.Matrix, input []field.Elem) ([]field.Elem, float64, error) {
+	o.calls.Add(1)
+	return o.MatVecOp.Apply(f, shard, input)
+}
+
+// TestFrameServerRefusesNonCanonicalInput: a request whose input holds a
+// word ≥ q is answered with a WorkerError before the worker computes
+// anything. 2³² + v is the word the vector DotPacked would read as v; q and
+// 2⁶⁴ − 1 bound the range from both ends. A canonical request on the same
+// connection is then served as usual.
+func TestFrameServerRefusesNonCanonicalInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(213))
+	shard := fieldmat.Rand(f, rng, 3, 20)
+	var calls atomic.Int64
+	w := cluster.NewWorker(0)
+	w.Shards["fwd"], w.Ops["fwd"] = shard, countingOp{calls: &calls}
+	srv, err := ServeFrames("127.0.0.1:0", f, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	exec, err := DialFrames([]string{srv.Addr}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(exec.Close)
+	for _, bad := range []field.Elem{1<<32 + 5, f.Q(), ^field.Elem(0)} {
+		in := f.RandVec(rng, shard.Cols)
+		in[7] = bad
+		results := exec.RunRound(context.Background(), "fwd", in, 1, 0, []int{0})
+		var we WorkerError
+		if len(results) != 1 || !errors.As(results[0].Err, &we) {
+			t.Fatalf("input word %d: results %+v, want one WorkerError", bad, results)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("input word %d: the worker computed %d times on a refused input", bad, n)
+		}
+	}
+	in := f.RandVec(rng, shard.Cols)
+	results := exec.RunRound(context.Background(), "fwd", in, 1, 0, []int{0})
+	if len(results) != 1 || results[0].Err != nil || !field.EqualVec(results[0].Output, fieldmat.MatVec(f, shard, in)) {
+		t.Fatalf("canonical input after the refusals: %+v", results)
 	}
 }

@@ -19,8 +19,10 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/commit"
 	"repro/internal/field"
@@ -256,5 +258,74 @@ func TestScenarioConformanceIsDeterministic(t *testing.T) {
 	n2, k2 := m2.(Adaptive).Coding()
 	if n1 != n2 || k1 != k2 {
 		t.Fatalf("re-running the churn cell changed the final coding: (%d,%d) vs (%d,%d)", n1, k1, n2, k2)
+	}
+}
+
+// offByQ adds q to every element of its honest result: the same residues,
+// but not a field vector.
+type offByQ struct{}
+
+func (offByQ) Apply(f *field.Field, _ int, honest []field.Elem) []field.Elem {
+	out := make([]field.Elem, len(honest))
+	for i, v := range honest {
+		out[i] = v + f.Q()
+	}
+	return out
+}
+
+func (offByQ) Name() string { return "off-by-q" }
+
+// TestNonCanonicalResultIsByzantine: a worker that answers y + q is dropped
+// and named Byzantine by the driver's acceptance step, before any scheme's
+// check can take its residues for the right answer. Every coded scheme
+// decodes around it; the uncoded baseline, with no redundancy, fails the
+// round rather than return it.
+func TestNonCanonicalResultIsByzantine(t *testing.T) {
+	f := field.Default()
+	for _, tc := range conformanceCases() {
+		t.Run(tc.scheme, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(conformanceSeed))
+			x := fieldmat.Rand(f, rng, 72, 120)
+			if tc.key == gavcc.GramKey {
+				x = fieldmat.Rand(f, rng, 64, 48)
+			}
+			cfg := NewConfig(WithCoding(tc.n, tc.k), WithBudgets(1, 1, 0),
+				WithSim(conformanceSim()), WithSeed(conformanceSeed))
+			n, err := WorkerCount(tc.scheme, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			behaviors := make([]attack.Behavior, n)
+			for i := range behaviors {
+				behaviors[i] = attack.Honest{}
+			}
+			behaviors[0] = offByQ{}
+			m, err := New(tc.scheme, f, cfg, tc.data(x), behaviors, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for iter := 0; iter < 3; iter++ {
+				in := tc.input(f, rng, x)
+				out, err := m.RunRound(context.Background(), tc.key, in, iter)
+				if tc.scheme == "uncoded" {
+					if err == nil {
+						t.Fatalf("iter %d: uncoded decoded without worker 0's block", iter)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
+				}
+				if !field.EqualVec(out.Decoded, tc.want(f, x, in, tc.k)) {
+					t.Fatalf("iter %d: decode not bit-exact", iter)
+				}
+				if slices.Contains(out.Used, 0) {
+					t.Fatalf("iter %d: the non-canonical result was used (Used %v)", iter, out.Used)
+				}
+				if iter == 0 && !slices.Contains(out.Byzantine, 0) {
+					t.Fatalf("iter %d: worker 0 not named Byzantine (Byzantine %v)", iter, out.Byzantine)
+				}
+			}
+		})
 	}
 }
