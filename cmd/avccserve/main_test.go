@@ -513,6 +513,7 @@ func (m *gatedMaster) open() { m.release.Do(func() { close(m.gate) }) }
 func (m *gatedMaster) Name() string                        { return "gated" }
 func (m *gatedMaster) SetExecutor(cluster.Executor)        {}
 func (m *gatedMaster) Workers() []*cluster.Worker          { return nil }
+func (m *gatedMaster) IndependentRounds() bool             { return false }
 func (m *gatedMaster) FinishIteration(int) (float64, bool) { return 0, false }
 
 func (m *gatedMaster) RunRound(ctx context.Context, key string, input []field.Elem, iter int) (*cluster.RoundOutput, error) {

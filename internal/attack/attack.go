@@ -22,7 +22,9 @@ import (
 
 // Behavior transforms a worker's honest output into what it actually sends.
 // Implementations must not mutate honest; they return a fresh slice when
-// they corrupt and may return honest itself when they do not.
+// they corrupt and may return honest itself when they do not. The returned
+// vector belongs to the caller, and the behaviour must not retain it or
+// honest: a framed worker recycles both once the response is written.
 type Behavior interface {
 	// Apply returns the (possibly corrupted) vector the worker transmits at
 	// the given training iteration.

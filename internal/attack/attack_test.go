@@ -183,3 +183,37 @@ func TestActiveFrom(t *testing.T) {
 		t.Fatalf("Name = %q", b.Name())
 	}
 }
+
+// TestBehaviorsNeitherMutateNorRetain pins the ownership contract a framed
+// worker relies on when it recycles what it sent: every behaviour leaves
+// honest as it was, and what it returns is either honest itself or a vector
+// no other call returns — so recycling one call's output cannot change
+// another's.
+func TestBehaviorsNeitherMutateNorRetain(t *testing.T) {
+	behaviors := []Behavior{
+		Honest{},
+		ReverseValue{C: 2},
+		Constant{V: 7},
+		RandomGarbage{Rng: rand.New(rand.NewSource(1))},
+		ActiveFrom{Inner: Constant{V: 5}, Start: 1},
+		Intermittent{Inner: ReverseValue{C: 1}, Period: 2},
+	}
+	for _, b := range behaviors {
+		var outs [][]field.Elem
+		for iter := range 4 {
+			honest := []field.Elem{1, 2, 3, 4}
+			out := b.Apply(f, iter, honest)
+			if !field.EqualVec(honest, []field.Elem{1, 2, 3, 4}) {
+				t.Fatalf("%s mutated honest at iteration %d", b.Name(), iter)
+			}
+			if &out[0] != &honest[0] {
+				for _, prev := range outs {
+					if &out[0] == &prev[0] {
+						t.Fatalf("%s returned a vector it had returned before (iteration %d)", b.Name(), iter)
+					}
+				}
+			}
+			outs = append(outs, out)
+		}
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
@@ -132,11 +133,13 @@ type Master struct {
 	// clears them first, so observations stranded by a failed iteration (one
 	// whose FinishIteration the caller rightly skipped) cannot bleed into the
 	// next iteration's adaptation decision. Only successful rounds record.
+	// Only a dynamic FinishIteration reads them, but every round writes them,
+	// and a static master's rounds may overlap (IndependentRounds): obsMu
+	// guards them.
+	obsMu          sync.Mutex
 	obsIter        int
 	iterByzantine  map[int]bool
 	iterStragglers int
-	// arrivals is Observe's scratch for the round's consumed arrival times.
-	arrivals []float64
 }
 
 // NewMaster builds an AVCC deployment: N workers with the given behaviours,
@@ -189,6 +192,12 @@ func (m *Master) Coding() (n, k int) { return m.nCur, m.kCur }
 // ActiveWorkers returns a copy of the current non-quarantined worker IDs.
 func (m *Master) ActiveWorkers() []int { return append([]int(nil), m.active...) }
 
+// IndependentRounds implements scheme.Master: a static master's rounds carry
+// nothing into the next one, so it answers as its driver does; a dynamic
+// one re-codes between rounds on what they observed, so its rounds are
+// serial.
+func (m *Master) IndependentRounds() bool { return !m.opt.Dynamic && m.Driver.IndependentRounds() }
+
 // installCoding (re)encodes every data key at (n, k), assigns shards to the
 // currently active workers, regenerates verification keys, and returns the
 // total encode op count and total distributed elements for cost accounting.
@@ -233,6 +242,7 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 	return encodeOps, distElems, nil
 }
 
+// resetIterObservations clears the observations; callers hold obsMu.
 func (m *Master) resetIterObservations() {
 	m.iterByzantine = make(map[int]bool)
 	m.iterStragglers = 0
@@ -241,6 +251,7 @@ func (m *Master) resetIterObservations() {
 // Plan implements cluster.Policy: the non-quarantined workers at their
 // current code positions, complete at the recovery threshold.
 func (m *Master) Plan(_ string, iter int) cluster.Plan {
+	m.obsMu.Lock()
 	if iter != m.obsIter {
 		// First round of a new iteration: discard observations stranded by a
 		// previous iteration whose FinishIteration never ran (failed rounds
@@ -248,6 +259,7 @@ func (m *Master) Plan(_ string, iter int) cluster.Plan {
 		m.resetIterObservations()
 		m.obsIter = iter
 	}
+	m.obsMu.Unlock()
 	return cluster.Plan{
 		Active: m.active, Pos: m.codePos, Alphas: m.alphas,
 		K: m.kCur, Need: m.code.Threshold(),
@@ -275,14 +287,11 @@ func (m *Master) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 // scenario) — while NOT counting spare fast workers it simply did not need,
 // nor a fast worker that happened to rank just past the threshold.
 func (m *Master) Observe(r *cluster.Round) int {
-	for _, id := range r.Byzantine {
-		m.iterByzantine[id] = true
+	arrivals := make([]float64, r.Consumed)
+	for i, res := range r.Results[:r.Consumed] {
+		arrivals[i] = res.ArriveAt
 	}
-	m.arrivals = m.arrivals[:0]
-	for _, res := range r.Results[:r.Consumed] {
-		m.arrivals = append(m.arrivals, res.ArriveAt)
-	}
-	late := stragglerDetectFactor * median(m.arrivals)
+	late := stragglerDetectFactor * median(arrivals)
 	stragglers := 0
 	for _, res := range r.Results {
 		if res.ArriveAt > late && !slices.Contains(r.Byzantine, res.Worker) {
@@ -303,7 +312,12 @@ func (m *Master) Observe(r *cluster.Round) int {
 			stragglers++
 		}
 	}
+	m.obsMu.Lock()
+	for _, id := range r.Byzantine {
+		m.iterByzantine[id] = true
+	}
 	m.iterStragglers = max(m.iterStragglers, stragglers)
+	m.obsMu.Unlock()
 	return stragglers
 }
 
@@ -316,6 +330,8 @@ func (m *Master) Observe(r *cluster.Round) int {
 // and, when A_t < 0, shrink K by ⌊A_t/deg f⌋ so the remaining honest
 // non-stragglers suffice to decode without tail latency.
 func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
+	m.obsMu.Lock()
+	defer m.obsMu.Unlock()
 	defer m.resetIterObservations()
 	if !m.opt.Dynamic {
 		return 0, false

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
@@ -46,10 +47,14 @@ type LCCOptions struct {
 // accuracy degradation the paper reports for overloaded LCC.
 type LCCMaster struct {
 	*cluster.Driver
-	opt  LCCOptions
-	rng  *rand.Rand
-	code *lcc.Code
-	plan cluster.Plan
+	opt LCCOptions
+	// rng draws the error-locating projection of every decode; rngMu
+	// serialises the decodes that draw from it when rounds overlap
+	// (IndependentRounds).
+	rngMu sync.Mutex
+	rng   *rand.Rand
+	code  *lcc.Code
+	plan  cluster.Plan
 }
 
 // NewLCCMaster encodes data at (N, K, T) and wires up the virtual cluster.
@@ -113,7 +118,9 @@ func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 	ops := float64(wait)*float64(len(r.Outputs[0])) + // projection
 		float64(wait*wait*wait) + // BW linear system
 		float64(threshold)*float64(r.Batch*r.Rows+threshold) // interpolation
+	m.rngMu.Lock()
 	blocks, bad, err := m.code.DecodeWithErrors(r.Workers, r.Outputs, m.opt.M, m.rng)
+	m.rngMu.Unlock()
 	if err != nil {
 		// Over-budget corruption: fall back to erasure-only decoding on the
 		// fastest threshold results. Byzantine contributions pass through —

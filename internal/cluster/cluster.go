@@ -40,12 +40,19 @@ type Op interface {
 	// Apply computes f on the shard (input is the broadcast operand;
 	// degree-only-in-X computations may ignore it). It returns the
 	// flattened result and the honest multiply-accumulate count.
+	//
+	// The returned vector belongs to the caller, and the op must not retain
+	// it: it is neither the input nor shard data, and the op keeps no
+	// reference to it. A framed worker recycles it (field.PutVec) once the
+	// response carrying it is written.
 	Apply(f *field.Field, shard *fieldmat.Matrix, input []field.Elem) (out []field.Elem, ops float64, err error)
 	// Degree returns deg f for recovery-threshold accounting.
 	Degree() int
 }
 
-// MatVecOp is the default degree-1 operation y = X̃·input.
+// MatVecOp is the default degree-1 operation y = X̃·input. Its output comes
+// from field.GetVec, so a framed worker that recycles its responses computes
+// into the same vectors round after round.
 type MatVecOp struct{}
 
 // Apply implements Op.
@@ -53,7 +60,9 @@ func (MatVecOp) Apply(f *field.Field, shard *fieldmat.Matrix, input []field.Elem
 	if len(input) != shard.Cols {
 		return nil, 0, fmt.Errorf("cluster: matvec expects input length %d, got %d", shard.Cols, len(input))
 	}
-	return fieldmat.MatVec(f, shard, input), float64(shard.Rows) * float64(shard.Cols), nil
+	out := field.GetVec(shard.Rows)
+	fieldmat.MatVecInto(f, out, shard, input)
+	return out, float64(shard.Rows) * float64(shard.Cols), nil
 }
 
 // Degree implements Op.
@@ -62,7 +71,8 @@ func (MatVecOp) Degree() int { return 1 }
 // BatchOp is the optional interface of operations that can compute a whole
 // batch of packed inputs in one pass (input i at input[i*per : (i+1)*per],
 // output i at out[i*rows : (i+1)*rows]). Ops without it are applied once per
-// batch entry by Worker.Compute.
+// batch entry by Worker.Compute. The returned vector is owned as Op.Apply's
+// is: the caller's, never retained by the op.
 type BatchOp interface {
 	ApplyBatch(f *field.Field, shard *fieldmat.Matrix, input []field.Elem, batch int) (out []field.Elem, ops float64, err error)
 }
@@ -75,7 +85,7 @@ func (MatVecOp) ApplyBatch(f *field.Field, shard *fieldmat.Matrix, input []field
 		return nil, 0, fmt.Errorf("cluster: batched matvec expects %d x %d inputs, got length %d",
 			batch, shard.Cols, len(input))
 	}
-	out := make([]field.Elem, batch*shard.Rows)
+	out := field.GetVec(batch * shard.Rows)
 	for i := 0; i < batch; i++ {
 		fieldmat.MatVecInto(f, out[i*shard.Rows:(i+1)*shard.Rows], shard, input[i*shard.Cols:(i+1)*shard.Cols])
 	}

@@ -174,6 +174,24 @@ func (d *Driver) ReceiptDigests() map[string][]commit.Digest {
 	return d.issuer.Digests()
 }
 
+// IndependentRounds reports whether two rounds may be in flight at once.
+// The driver itself carries nothing from one round to the next, so the
+// answer is the executor's. The virtual executor draws every round from one
+// seeded jitter stream (the virtual path's round trace is pinned), and the
+// goroutine executor models the same one-round-at-a-time world in wall
+// time. The check is on the executor's concrete type, so it answers false
+// only for an unwrapped *VirtualExecutor or *GoExecutor: a decorator around
+// either reads as independent, and must not be put behind a Service. Every
+// other executor — the framed transport — takes concurrent rounds. A policy
+// that adapts between rounds shadows this.
+func (d *Driver) IndependentRounds() bool {
+	switch d.exec.(type) {
+	case *VirtualExecutor, *GoExecutor:
+		return false
+	}
+	return true
+}
+
 // FinishIteration implements Master for schemes that never adapt; AVCC
 // shadows it with the dynamic coding rule.
 func (d *Driver) FinishIteration(int) (float64, bool) { return 0, false }

@@ -272,6 +272,7 @@ func (m *stuckMaster) RunRoundBatch(_ context.Context, _ string, inputs [][]fiel
 func (m *stuckMaster) FinishIteration(int) (float64, bool) { return 0, false }
 func (m *stuckMaster) SetExecutor(cluster.Executor)        {}
 func (m *stuckMaster) Workers() []*cluster.Worker          { return nil }
+func (m *stuckMaster) IndependentRounds() bool             { return false }
 
 func TestRunObservesShedLoadUnderOverload(t *testing.T) {
 	sm := &stuckMaster{release: make(chan struct{})}

@@ -87,6 +87,10 @@ func elemsWire(v []field.Elem) []byte {
 	return out
 }
 
+// elemChunk is readElems's growth step in elements (512 KiB), and the
+// largest vector readRecycledElems takes from the pool.
+const elemChunk = field.MaxPooledVec
+
 // readElems reads count elements from r directly into a fresh vector: on
 // little-endian hosts the socket bytes land in the []field.Elem backing
 // array with no intermediate buffer. The vector grows chunk by chunk as
@@ -96,23 +100,45 @@ func readElems(r io.Reader, count int) ([]field.Elem, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	const chunk = 1 << 16 // elements per growth step (512 KiB)
-	v := make([]field.Elem, 0, min(count, chunk))
+	v := make([]field.Elem, 0, min(count, elemChunk))
 	for len(v) < count {
-		n := min(count-len(v), chunk)
+		n := min(count-len(v), elemChunk)
 		start := len(v)
 		v = append(v, make([]field.Elem, n)...)
-		buf := unsafe.Slice((*byte)(unsafe.Pointer(&v[start])), n*8)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if err := readElemsInto(r, v[start:]); err != nil {
 			return nil, err
-		}
-		if !hostLittleEndian {
-			for i := start; i < len(v); i++ {
-				v[i] = binary.LittleEndian.Uint64(buf[(i-start)*8:])
-			}
 		}
 	}
 	return v, nil
+}
+
+// readRecycledElems is readElems into a recycled vector (field.GetVec),
+// which the caller gives back with field.PutVec once nothing reads it. Only
+// a count up to one chunk is recycled; a larger one — the most a lying
+// header can claim — grows chunk by chunk through readElems.
+func readRecycledElems(r io.Reader, count int) ([]field.Elem, error) {
+	if count == 0 || count > elemChunk {
+		return readElems(r, count)
+	}
+	v := field.GetVec(count)
+	if err := readElemsInto(r, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// readElemsInto fills v from exactly len(v) elements of wire bytes.
+func readElemsInto(r io.Reader, v []field.Elem) error {
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	if !hostLittleEndian {
+		for i := range v {
+			v[i] = binary.LittleEndian.Uint64(buf[i*8:])
+		}
+	}
+	return nil
 }
 
 // readBytes is readElems's plain-bytes sibling for the variable-length
@@ -304,7 +330,7 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 	if elems > math.MaxInt/8 || int(elems)*8 != left {
 		return nil, badFrame("input count %d does not match remaining body %d", elems, left)
 	}
-	if rf.Input, err = readElems(br, int(elems)); err != nil {
+	if rf.Input, err = readRecycledElems(br, int(elems)); err != nil {
 		return nil, err
 	}
 	return rf, nil

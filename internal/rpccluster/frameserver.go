@@ -112,6 +112,10 @@ func (s *FrameServer) Close() error {
 // connection is closed). Each request computes in its own goroutine so a
 // slow round does not head-of-line-block later requests multiplexed on the
 // same connection; responses are serialised by a write lock.
+//
+// A request's input vector and its response's output vector are recycled
+// here and nowhere else: once the writev has put the response on the wire,
+// nothing reads either of them (see cluster.Op on who owns a result).
 func (s *FrameServer) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var wmu sync.Mutex
@@ -137,6 +141,7 @@ func (s *FrameServer) serveConn(conn net.Conn) {
 			wmu.Lock()
 			_, _ = bufs.WriteTo(conn) // a write error kills the conn; the reader sees it
 			wmu.Unlock()
+			release(req, resp)
 		}()
 	}
 }
@@ -175,4 +180,11 @@ func (s *FrameServer) handle(req *requestFrame) *responseFrame {
 		resp.Commit = commit.OutputRoot(out)
 	}
 	return resp
+}
+
+// release recycles the vectors of one served request once its response has
+// been written.
+func release(req *requestFrame, resp *responseFrame) {
+	field.PutVec(req.Input)
+	field.PutVec(resp.Output)
 }

@@ -44,6 +44,16 @@ type Master interface {
 	// Workers exposes the master's worker objects so deployments can ship
 	// each worker's encoded shards to the matching remote endpoint.
 	Workers() []*cluster.Worker
+	// IndependentRounds reports whether rounds carry no state from one to
+	// the next, so that a Service may keep two in flight at once. It is a
+	// property of the deployment, not a setting: true for a static scheme
+	// over the framed transport; false for an adaptive master (eq. 16–19
+	// reads between rounds), an elastic fleet, and any master whose executor
+	// is an unwrapped cluster.VirtualExecutor or cluster.GoExecutor, whose
+	// rounds stay strictly serial. An executor decorator wrapping one of
+	// those reads as independent (cluster.Driver.IndependentRounds), so it
+	// must not serve behind a Service.
+	IndependentRounds() bool
 }
 
 // Adaptive is the optional interface of masters that re-code at runtime

@@ -194,11 +194,21 @@ type ServiceStats struct {
 	Tenants []TenantStats
 }
 
+// roundsInFlight is how many rounds a Service keeps in flight when its
+// master declares its rounds independent: one on the wire while the next
+// fills. Two is measured against one only; a third slot measured no
+// different on the saturated benchmark, whose backlog fills two rounds
+// (DESIGN.md §8).
+const roundsInFlight = 2
+
 // Service coalesces concurrent Submits into batched rounds on one master.
 // Create with NewService, submit with Submit, retire with Close.
 type Service struct {
 	master Master
 	cfg    ServiceConfig
+	// slots is how many rounds may be in flight at once: roundsInFlight when
+	// the master's rounds are independent, else 1 (the serial dispatcher).
+	slots int
 	// elastic is non-nil when master is a shard-plane fleet: after every
 	// successful round the dispatcher feeds it the live load signal (queue
 	// depth, service-wide p99) so the fleet can rebalance or autoscale.
@@ -215,22 +225,33 @@ type Service struct {
 	pending map[string]int
 	closed  bool
 	iter    int
-	rounds  uint64
-	served  uint64
-	recodes uint64
-	tenants map[string]*tenantCounters
+	// inFlight counts the rounds started and not yet resolved.
+	inFlight int
+	rounds   uint64
+	served   uint64
+	recodes  uint64
+	tenants  map[string]*tenantCounters
 
 	wake chan struct{}
 	done chan struct{}
+	// running tracks the round goroutines, so that Close drains them.
+	running sync.WaitGroup
 }
 
 // NewService starts the dispatcher over master. The master must not be
-// driven concurrently by anyone else while the service owns it (rounds and
-// FinishIteration are serialised by the dispatcher).
+// driven concurrently by anyone else while the service owns it. Its rounds
+// and FinishIteration calls run one at a time, unless the master declares
+// its rounds independent (IndependentRounds, read here once), in which case
+// up to roundsInFlight rounds overlap, each finishing its own iteration.
 func NewService(master Master, cfg ServiceConfig) *Service {
+	slots := 1
+	if master.IndependentRounds() {
+		slots = roundsInFlight
+	}
 	s := &Service{
 		master:  master,
 		cfg:     cfg,
+		slots:   slots,
 		latency: metrics.NewHistogram(),
 		pending: make(map[string]int),
 		tenants: make(map[string]*tenantCounters),
@@ -293,7 +314,8 @@ func (s *Service) signal() {
 }
 
 // Close stops admission and drains: queued requests still run (in batched
-// rounds, without lingering), then the dispatcher exits. ctx bounds the
+// rounds, without lingering), then the dispatcher exits once every round in
+// flight has resolved its futures. ctx bounds the
 // wait; on expiry the dispatcher keeps draining in the background and
 // ctx's error is returned.
 func (s *Service) Close(ctx context.Context) error {
@@ -353,17 +375,20 @@ func (s *Service) Stats() ServiceStats {
 
 // dispatch is the single dispatcher goroutine: it lingers until the oldest
 // request's round fills (or times out), packs the longest same-key run of
-// the queue into one batched round, and resolves the futures.
+// the queue into one batched round, and hands it to a goroutine that
+// resolves the futures. It starts filling the next round only while a slot
+// is free, so with one slot the rounds run strictly one after another.
 func (s *Service) dispatch() {
 	defer close(s.done)
+	defer s.running.Wait()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 {
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+		for len(s.queue) == 0 || s.inFlight >= s.slots {
+			if len(s.queue) == 0 && s.closed {
+				s.mu.Unlock()
 				return
 			}
+			s.mu.Unlock()
 			<-s.wake
 			s.mu.Lock()
 		}
@@ -375,23 +400,36 @@ func (s *Service) dispatch() {
 		if len(batch) == 0 {
 			continue
 		}
-		s.runBatch(batch)
+		s.mu.Lock()
+		iter := s.iter
+		s.iter++
+		s.inFlight++
+		s.mu.Unlock()
+		s.running.Add(1)
+		go func() {
+			defer s.running.Done()
+			s.runBatch(batch, iter)
+			s.mu.Lock()
+			s.inFlight--
+			s.mu.Unlock()
+			s.signal()
+		}()
 	}
 }
 
 // linger waits until head's round is full, the linger deadline passed, or
-// the service is draining. A head that is the only queued request
-// dispatches at once: the dispatcher is serial, so no other round is in
-// flight while it waits, and holding a lone request open only adds its
-// linger to that request's latency. Once a second request is queued, the
-// round waits for MaxBatch or the deadline.
+// the service is draining. A head that is the only queued request, with no
+// round in flight, dispatches at once: nothing else can fill its round, and
+// holding it open only adds its linger to that request's latency. Once a
+// second request is queued — or a round is in flight, whose requests will
+// queue again as it resolves — the round waits for MaxBatch or the deadline.
 func (s *Service) linger(head *request) {
 	maxLinger := s.cfg.maxLinger()
 	deadline := head.enqueued.Add(maxLinger)
 	for {
 		s.mu.Lock()
 		n := s.pending[head.key]
-		alone := len(s.queue) == 1
+		alone := len(s.queue) == 1 && s.inFlight == 0
 		closed := s.closed
 		s.mu.Unlock()
 		if n >= s.cfg.maxBatch() || alone || closed || maxLinger <= 0 {
@@ -454,18 +492,15 @@ func (s *Service) take(key string) []*request {
 	return live
 }
 
-// runBatch executes one coded round over the batch and resolves every
-// future. The round runs under the service's own (background) context:
-// a single caller abandoning its request must not cancel the shared round.
-func (s *Service) runBatch(batch []*request) {
+// runBatch executes one coded round over the batch as iteration iter,
+// finishes that iteration, and resolves every future. The round runs under
+// the service's own (background) context: a single caller abandoning its
+// request must not cancel the shared round.
+func (s *Service) runBatch(batch []*request, iter int) {
 	inputs := make([][]field.Elem, len(batch))
 	for i, r := range batch {
 		inputs[i] = r.input
 	}
-	s.mu.Lock()
-	iter := s.iter
-	s.iter++
-	s.mu.Unlock()
 
 	out, err := s.master.RunRoundBatch(context.Background(), batch[0].key, inputs, iter)
 	var recoded bool

@@ -11,20 +11,24 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/avcc"
 	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/scenario"
 )
 
 // echoMaster is a scriptable Master for queue-behaviour tests: every batch
 // entry resolves to its own input, rounds can be made to block, and batch
-// sizes are recorded.
+// sizes are recorded. Its rounds are serial unless independent is set, so
+// the batch-sequence assertions below test the serial dispatch rule.
 type echoMaster struct {
-	mu       sync.Mutex
-	batches  []int
-	finishes int           // FinishIteration calls observed
-	gate     chan struct{} // non-nil: every round waits for one receive
-	started  chan struct{} // non-nil: signalled when a round begins
+	mu          sync.Mutex
+	batches     []int
+	finishes    int           // FinishIteration calls observed
+	gate        chan struct{} // non-nil: every round waits for one receive
+	started     chan struct{} // non-nil: signalled when a round begins
+	independent bool          // IndependentRounds' answer
 }
 
 func (m *echoMaster) Name() string { return "echo" }
@@ -63,6 +67,7 @@ func (m *echoMaster) FinishIteration(int) (float64, bool) {
 }
 func (m *echoMaster) SetExecutor(cluster.Executor) {}
 func (m *echoMaster) Workers() []*cluster.Worker   { return nil }
+func (m *echoMaster) IndependentRounds() bool      { return m.independent }
 
 func (m *echoMaster) batchSizes() []int {
 	m.mu.Lock()
@@ -557,5 +562,219 @@ func TestServiceLingersOnceAnotherRequestIsQueued(t *testing.T) {
 	}
 	if got, want := em.batchSizes(), []int{1, 4}; !slices.Equal(got, want) {
 		t.Fatalf("rounds carried %v requests, want %v", got, want)
+	}
+}
+
+// TestServiceKeepsTwoIndependentRoundsInFlight: a master whose rounds are
+// independent gets a second round while the first is still out, and never
+// a third.
+func TestServiceKeepsTwoIndependentRoundsInFlight(t *testing.T) {
+	em := &echoMaster{gate: make(chan struct{}), started: make(chan struct{}, 3), independent: true}
+	svc := NewService(em, ServiceConfig{MaxBatch: 1, MaxLinger: time.Hour})
+	defer svc.Close(context.Background())
+
+	var fus []*Future
+	for i := range 3 {
+		fus = append(fus, svc.Submit(context.Background(), "k", []field.Elem{field.Elem(i)}))
+	}
+	for round := 1; round <= 2; round++ {
+		select {
+		case <-em.started:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d did not start while round 1 was held", round)
+		}
+	}
+	select {
+	case <-em.started:
+		t.Fatal("a third round started while two were in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := svc.Pending(); n != 1 {
+		t.Fatalf("%d requests queued behind the two rounds, want 1", n)
+	}
+	close(em.gate)
+	for i, fu := range fus {
+		out, err := fu.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if out.Decoded[0] != field.Elem(i) {
+			t.Fatalf("request %d resolved to %v", i, out.Decoded)
+		}
+	}
+	if n := em.finishCount(); n != 3 {
+		t.Fatalf("FinishIteration ran %d times for 3 rounds", n)
+	}
+}
+
+// overlapExecutor hides the virtual executor's type from the driver, which
+// would then declare its rounds independent: only the master's own answer
+// keeps them serial.
+type overlapExecutor struct{ cluster.Executor }
+
+// concurrencyMaster records the most RunRoundBatch calls ever in flight at
+// once.
+type concurrencyMaster struct {
+	Master
+	mu       sync.Mutex
+	cur, max int
+}
+
+func (m *concurrencyMaster) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*cluster.BatchOutput, error) {
+	m.mu.Lock()
+	m.cur++
+	m.max = max(m.max, m.cur)
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		m.cur--
+		m.mu.Unlock()
+	}()
+	return m.Master.RunRoundBatch(ctx, key, inputs, iter)
+}
+
+// TestServiceNeverOverlapsAdaptiveRounds: dynamic AVCC reads every round's
+// observations before the next, so the service keeps its rounds serial even
+// on an executor the driver alone would overlap — and it still re-codes
+// under churn, with every decode exact.
+func TestServiceNeverOverlapsAdaptiveRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(conformanceSeed))
+	x := fieldmat.Rand(f, rng, 720, 120)
+	scn, err := scenario.Profile(scenario.Churn, 12, 9, conformanceSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := NewConfig(WithCoding(12, 9), WithBudgets(1, 1, 0), WithSim(conformanceSim()),
+		WithSeed(conformanceSeed), WithScenario(scn))
+	m, err := New("avcc", f, cfg, map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := scenario.NewEngine(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ve := cluster.NewVirtualExecutor(f, cfg.Sim, m.Workers(), nil, cfg.Seed+1)
+	ve.Dynamics = eng
+	m.SetExecutor(overlapExecutor{ve})
+	if !m.(*avcc.Master).Driver.IndependentRounds() {
+		t.Fatal("the driver should call rounds on this executor independent")
+	}
+	if m.IndependentRounds() {
+		t.Fatal("dynamic avcc declared its rounds independent")
+	}
+
+	cm := &concurrencyMaster{Master: m}
+	svc := NewService(cm, ServiceConfig{MaxBatch: 2, MaxLinger: time.Millisecond})
+	defer svc.Close(context.Background())
+	const clients, each = 4, 10
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*each)
+	for c := range clients {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for range each {
+				in := f.RandVec(rng, x.Cols)
+				out, err := svc.Submit(context.Background(), "fwd", in).Wait(context.Background())
+				if err == nil && !field.EqualVec(out.Decoded, fieldmat.MatVec(f, x, in)) {
+					err = errors.New("decode not bit-exact")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(int64(c))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if cm.max != 1 {
+		t.Fatalf("%d adaptive rounds were in flight at once, want 1", cm.max)
+	}
+	if svc.Stats().Recodes == 0 {
+		t.Fatal("no re-code under churn: the adaptive rule stopped running")
+	}
+}
+
+// TestServiceCloseDrainsBothRounds: Close waits for both rounds in flight and
+// the queue behind them, every future resolves exactly once, and every
+// tenant's submissions are accounted as completed, failed or rejected.
+func TestServiceCloseDrainsBothRounds(t *testing.T) {
+	em := &echoMaster{gate: make(chan struct{}), started: make(chan struct{}, 64), independent: true}
+	svc := NewService(em, ServiceConfig{MaxBatch: 2, MaxLinger: time.Hour})
+
+	tenants := []string{"alice", "bob", "carol"}
+	var fus []*Future
+	submit := func(i int) {
+		ctx := WithTenant(context.Background(), tenants[i%len(tenants)])
+		key := "k"
+		if i%4 == 3 {
+			key = "fail"
+		}
+		fus = append(fus, svc.Submit(ctx, key, []field.Elem{field.Elem(i)}))
+	}
+	submit(0)
+	<-em.started // round 1: alone, with no round in flight
+	for i := 1; i < 12; i++ {
+		submit(i)
+	}
+	<-em.started // round 2: the next full batch, beside round 1
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close(context.Background()) }()
+	for {
+		svc.mu.Lock()
+		c := svc.closed
+		svc.mu.Unlock()
+		if c {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	submit(12) // rejected
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with two rounds held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(em.gate)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	resolved := make(map[string]*TenantStats)
+	for _, name := range tenants {
+		resolved[name] = &TenantStats{}
+	}
+	for i, fu := range fus {
+		select {
+		case <-fu.Done():
+		default:
+			t.Fatalf("request %d unresolved after Close", i)
+		}
+		_, err := fu.Wait(context.Background())
+		ts := resolved[tenants[i%len(tenants)]]
+		switch {
+		case err == nil:
+			ts.Completed++
+		case errors.Is(err, ErrServiceClosed):
+			ts.Rejected++
+		default:
+			ts.Failed++
+		}
+	}
+	for _, ts := range svc.Stats().Tenants {
+		want := resolved[ts.Tenant]
+		if ts.Submitted != ts.Completed+ts.Failed+ts.Rejected {
+			t.Errorf("%s: submitted %d != completed %d + failed %d + rejected %d",
+				ts.Tenant, ts.Submitted, ts.Completed, ts.Failed, ts.Rejected)
+		}
+		if ts.Completed != want.Completed || ts.Failed != want.Failed || ts.Rejected != want.Rejected {
+			t.Errorf("%s: counters %d/%d/%d, futures resolved %d/%d/%d (completed/failed/rejected)",
+				ts.Tenant, ts.Completed, ts.Failed, ts.Rejected, want.Completed, want.Failed, want.Rejected)
+		}
 	}
 }

@@ -207,6 +207,10 @@ func (m *Master) SetExecutor(e cluster.Executor) {
 	}
 }
 
+// IndependentRounds implements the deployment hook: never. Tick re-plans the
+// fleet between rounds, so a fleet's rounds stay serial.
+func (m *Master) IndependentRounds() bool { return false }
+
 // Workers implements the deployment hook: the concatenation of every
 // group's workers, in group order (matching the global ID offsets used in
 // Used/Byzantine).
