@@ -9,12 +9,14 @@
 // Endpoints:
 //
 //	POST /v1/matvec   {"input": [w_0, ..., w_{cols-1}]}  (field elements)
-//	                  → {"output": [...], "used": [...], "byzantine": [...]}
+//	                  → {"byzantine": [...], "output": [...], "used": [...],
+//	                     "wall_sec": t}
 //	                  The tenant is taken from the X-Tenant header. With
 //	                  receipts on (default), sending "X-Receipt: 1" adds
 //	                  "receipt" (base64 of the round's committed-verification
-//	                  receipt) and "receipt_column" (which batch column of it
-//	                  this answer is) — verify offline with cmd/avccverify.
+//	                  receipt, ≈ 50 KB at the default shape) and
+//	                  "receipt_column" (which batch column of it this answer
+//	                  is) — verify offline with cmd/avccverify.
 //	                  A body longer than the widest well-formed input
 //	                  (12 bytes per column plus 1 KiB) gets 413.
 //	GET  /healthz     liveness probe
@@ -43,13 +45,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
@@ -184,20 +190,80 @@ func (s *server) matvec(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp := map[string]any{
-		"output":    out.Decoded,
-		"used":      out.Used,
-		"byzantine": out.Byzantine,
-		"wall_sec":  out.Breakdown.Wall,
-	}
+	var receipt []byte
 	if r.Header.Get("X-Receipt") == "1" && out.Receipt != nil {
 		// The receipt is opt-in per request: it covers the whole coded round
-		// and is a few KB, so only tenants that verify should pay the bytes.
-		resp["receipt"] = base64.StdEncoding.EncodeToString(commit.EncodeReceipt(out.Receipt))
-		resp["receipt_column"] = out.ReceiptColumn
+		// and is ≈ 50 KB at the defaults, so only tenants that verify should
+		// pay the bytes.
+		receipt = commit.EncodeReceipt(out.Receipt)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Write(appendMatvecResponse(nil, out, receipt))
+}
+
+// appendMatvecResponse appends the /v1/matvec body to dst: a JSON object
+// with the keys in sorted order, nil slices as null, wall_sec in
+// encoding/json's float format and a trailing newline — the bytes
+// json.NewEncoder writes for the same map — with the receipt, when not nil,
+// base64-encoded straight into the body.
+func appendMatvecResponse(dst []byte, out *cluster.RoundOutput, receipt []byte) []byte {
+	size := 128 + 11*len(out.Decoded) + 21*(len(out.Used)+len(out.Byzantine)) +
+		base64.StdEncoding.EncodedLen(len(receipt))
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"byzantine":`...)
+	dst = appendJSONInts(dst, out.Byzantine)
+	dst = append(dst, `,"output":`...)
+	dst = appendJSONInts(dst, out.Decoded)
+	if receipt != nil {
+		dst = append(dst, `,"receipt":"`...)
+		dst = base64.StdEncoding.AppendEncode(dst, receipt)
+		dst = append(dst, `","receipt_column":`...)
+		dst = strconv.AppendInt(dst, int64(out.ReceiptColumn), 10)
+	}
+	dst = append(dst, `,"used":`...)
+	dst = appendJSONInts(dst, out.Used)
+	dst = append(dst, `,"wall_sec":`...)
+	dst = appendJSONFloat(dst, out.Breakdown.Wall)
+	return append(dst, "}\n"...)
+}
+
+// appendJSONInts appends vs as a JSON array, or null for a nil slice.
+func appendJSONInts[T int | field.Elem](dst []byte, vs []T) []byte {
+	if vs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if v < 0 {
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		} else {
+			dst = strconv.AppendUint(dst, uint64(v), 10)
+		}
+	}
+	return append(dst, ']')
+}
+
+// appendJSONFloat appends v the way encoding/json encodes a float64: the
+// shortest form, in exponent notation outside [1e-6, 1e21) with a
+// two-digit negative exponent trimmed to one. encoding/json refuses NaN and
+// ±Inf; a round's wall time is never either, and null stands in for it.
+func appendJSONFloat(dst []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(dst, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 func (s *server) statz(w http.ResponseWriter, _ *http.Request) {

@@ -58,9 +58,50 @@ func (e *encoder) elemMat(vs [][]field.Elem) {
 	}
 }
 
+// Upper bounds on an encoded item, used to size EncodeReceipt's buffer once:
+// any uvarint takes at most MaxVarintLen64 bytes, and an element of a field
+// with q < 2³² (every field.New field) at most 5.
+const (
+	maxUvarint = binary.MaxVarintLen64
+	maxElem    = 5
+)
+
+func elemsBound(vs []field.Elem) int { return maxUvarint + maxElem*len(vs) }
+
+func hashesBound(hs []Hash) int { return maxUvarint + HashSize*len(hs) }
+
+func elemMatBound(vs [][]field.Elem) int {
+	n := maxUvarint
+	for _, v := range vs {
+		n += elemsBound(v)
+	}
+	return n
+}
+
+// encodedBound returns an upper bound on len(EncodeReceipt(r)) for a receipt
+// whose elements are all below 2³². An element above that only costs the
+// encoder a regrow, never a wrong byte.
+func encodedBound(r *Receipt) int {
+	n := len(codecMagic) + 2*maxUvarint + len(r.Scheme) + len(r.RoundKey) + 4*maxUvarint + elemsBound(r.Inputs)
+	for _, g := range r.Groups {
+		n += HashSize + 6*maxUvarint + elemMatBound(g.Outputs) + maxUvarint
+		for _, w := range g.Workers {
+			n += 3*maxUvarint + HashSize + elemsBound(w.Aggregates) + maxUvarint
+			for _, l := range w.Leaves {
+				n += maxUvarint + maxElem + hashesBound(l.Path)
+			}
+		}
+		n += elemMatBound(g.U) + elemMatBound(g.V) + elemMatBound(g.U2) + elemMatBound(g.V2) + maxUvarint
+		for _, c := range g.Columns {
+			n += maxUvarint + elemsBound(c.Values) + hashesBound(c.Path)
+		}
+	}
+	return n
+}
+
 // EncodeReceipt serialises r into the canonical byte form.
 func EncodeReceipt(r *Receipt) []byte {
-	e := &encoder{buf: make([]byte, 0, 4096)}
+	e := &encoder{buf: make([]byte, 0, encodedBound(r))}
 	e.raw(codecMagic[:])
 	e.str(r.Scheme)
 	e.str(r.RoundKey)

@@ -183,6 +183,16 @@ func TestUnevenSplitAndBatchOne(t *testing.T) {
 	if err := rec.Verify(); err != nil {
 		t.Fatalf("uneven-split receipt rejected: %v", err)
 	}
+	// 5 rows over 4 blocks of 2: the last block lies wholly in the padding.
+	is, rd = honestMatVec(3, 5, 5, 4, 6, 2)
+	rec = mustIssue(t, is, rd)
+	if err := rec.Verify(); err != nil {
+		t.Fatalf("receipt with an all-padding block rejected: %v", err)
+	}
+	rec.Groups[0].Outputs[1][4] = (rec.Groups[0].Outputs[1][4] + 1) % field.Elem(field.QDefault)
+	if rec.Verify() == nil {
+		t.Fatal("a corrupted output row in the last data block was accepted")
+	}
 }
 
 func TestGramReceiptVerifies(t *testing.T) {

@@ -36,52 +36,81 @@ const (
 	nodeTag = 0x01
 )
 
-func putUvarint(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	h.Write(buf[:n])
+// hashChunk is the stack buffer a long hash input (a committed column, a
+// transcript absorb) streams through: prefixes and 8-byte element words are
+// staged in it and written to the digest chunk by chunk, so no hash in this
+// package materialises its message as one heap slice.
+const hashChunk = 512
+
+// leafPrefixMax bounds a leaf prefix: the tag, a one-byte domain length, a
+// domain of at most three bytes and the index's uvarint.
+const leafPrefixMax = 1 + 1 + 3 + binary.MaxVarintLen64
+
+// leafPrefix writes a leaf's prefix — tag, length-prefixed domain, index —
+// into buf and returns its length. domain is one of this package's short
+// leaf domains.
+//
+//avcc:noalloc
+func leafPrefix(buf []byte, domain string, index int) int {
+	buf[0] = leafTag
+	n := 1 + binary.PutUvarint(buf[1:], uint64(len(domain)))
+	n += copy(buf[n:], domain)
+	return n + binary.PutUvarint(buf[n:], uint64(index))
 }
 
-func hashLeaf(domain string, index int, payload []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{leafTag})
-	putUvarint(h, uint64(len(domain)))
-	h.Write([]byte(domain))
-	putUvarint(h, uint64(index))
-	h.Write(payload)
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-func hashNode(l, r Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{nodeTag})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// elemBytes serialises field elements as fixed 8-byte little-endian words —
-// the canonical byte form used by every leaf and every transcript absorb.
-func elemBytes(vs []field.Elem) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+// putElems writes as many leading elements of vs as fit into buf, each as
+// the canonical 8-byte little-endian word every leaf and every transcript
+// absorb hashes, and returns the bytes written and the elements left over.
+//
+//avcc:noalloc
+func putElems(buf []byte, vs []field.Elem) (int, []field.Elem) {
+	n := 0
+	for len(vs) > 0 && n+8 <= len(buf) {
+		binary.LittleEndian.PutUint64(buf[n:], uint64(vs[0]))
+		n += 8
+		vs = vs[1:]
 	}
-	return out
+	return n, vs
+}
+
+//avcc:noalloc
+func hashNode(l, r Hash) Hash {
+	var buf [1 + 2*HashSize]byte
+	buf[0] = nodeTag
+	copy(buf[1:], l[:])
+	copy(buf[1+HashSize:], r[:])
+	return sha256.Sum256(buf[:])
 }
 
 // ColumnLeaf hashes one committed matrix column (domain "col").
+//
+//avcc:noalloc
 func ColumnLeaf(index int, values []field.Elem) Hash {
-	return hashLeaf("col", index, elemBytes(values))
+	var buf [hashChunk]byte
+	h := sha256.New()
+	n := leafPrefix(buf[:], "col", index)
+	for {
+		var c int
+		c, values = putElems(buf[n:], values)
+		h.Write(buf[:n+c])
+		if len(values) == 0 {
+			break
+		}
+		n = 0
+	}
+	var out Hash
+	h.Sum(out[:0])
+	return out
 }
 
 // OutputLeaf hashes one entry of a worker's coded output (domain "out").
+//
+//avcc:noalloc
 func OutputLeaf(index int, value field.Elem) Hash {
-	return hashLeaf("out", index, elemBytes([]field.Elem{value}))
+	var buf [leafPrefixMax + 8]byte
+	n := leafPrefix(buf[:], "out", index)
+	binary.LittleEndian.PutUint64(buf[n:], uint64(value))
+	return sha256.Sum256(buf[:n+8])
 }
 
 // Tree is a Merkle tree over a fixed leaf sequence. An odd node at any
@@ -124,7 +153,7 @@ func (t *Tree) Leaves() int { return len(t.levels[0]) }
 // level, bottom up, with levels where the node is an unpaired promotion
 // simply skipped.
 func (t *Tree) Path(i int) []Hash {
-	var path []Hash
+	path := make([]Hash, 0, len(t.levels)-1)
 	for _, lvl := range t.levels[:len(t.levels)-1] {
 		if sib := i ^ 1; sib < len(lvl) {
 			path = append(path, lvl[sib])

@@ -258,10 +258,7 @@ func (is *Issuer) Digests() map[string][]Digest {
 // rows are zero and contribute nothing, so the issuer never materialises
 // them).
 func blockCombo(f *field.Field, x *fieldmat.Matrix, k, b int, coeff func(p int) field.Elem) []field.Elem {
-	lo, hi := k*b, (k+1)*b
-	if hi > x.Rows {
-		hi = x.Rows
-	}
+	lo, hi := blockSpan(k, b, x.Rows)
 	acc := f.NewLazyAcc(make([]uint64, x.Cols))
 	for p := lo; p < hi; p++ {
 		acc.AXPY(coeff(p), x.Row(p))

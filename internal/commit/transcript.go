@@ -29,50 +29,67 @@ func NewTranscript(domain string) *Transcript {
 	return t
 }
 
-func (t *Transcript) absorb(label string, data []byte) {
+// absorb sets state ← H(state ‖ uvarint(|label|) ‖ label ‖ uvarint(|data|) ‖
+// data), where data is raw followed by the elements of vs as 8-byte
+// little-endian words (callers pass one or the other). The prefix and the
+// words stream through one stack chunk, so an absorb allocates nothing.
+//
+//avcc:noalloc
+func (t *Transcript) absorb(label string, raw []byte, vs []field.Elem) {
+	var buf [hashChunk]byte
 	h := sha256.New()
-	h.Write(t.state[:])
-	putUvarint(h, uint64(len(label)))
-	h.Write([]byte(label))
-	putUvarint(h, uint64(len(data)))
-	h.Write(data)
+	n := copy(buf[:], t.state[:])
+	n += binary.PutUvarint(buf[n:], uint64(len(label)))
+	for { // a label longer than the chunk (none in this package) goes in pieces
+		c := copy(buf[n:], label)
+		n, label = n+c, label[c:]
+		if len(label) == 0 && n+binary.MaxVarintLen64 <= len(buf) {
+			break
+		}
+		h.Write(buf[:n])
+		n = 0
+	}
+	n += binary.PutUvarint(buf[n:], uint64(len(raw)+8*len(vs)))
+	c := copy(buf[n:], raw)
+	h.Write(buf[:n+c])
+	h.Write(raw[c:]) // what did not fit the chunk, if anything
+	for len(vs) > 0 {
+		n, vs = putElems(buf[:], vs)
+		h.Write(buf[:n])
+	}
 	h.Sum(t.state[:0])
 }
 
 // AbsorbBytes mixes raw bytes into the state under a label.
-func (t *Transcript) AbsorbBytes(label string, data []byte) { t.absorb(label, data) }
+func (t *Transcript) AbsorbBytes(label string, data []byte) { t.absorb(label, data, nil) }
 
 // AbsorbString mixes a string into the state under a label.
-func (t *Transcript) AbsorbString(label, s string) { t.absorb(label, []byte(s)) }
+func (t *Transcript) AbsorbString(label, s string) { t.absorb(label, []byte(s), nil) }
 
 // AbsorbInt mixes one unsigned integer into the state under a label.
 func (t *Transcript) AbsorbInt(label string, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
-	t.absorb(label, buf[:n])
+	t.absorb(label, buf[:n], nil)
 }
 
 // AbsorbElems mixes a field-element vector into the state under a label
 // (canonical 8-byte little-endian words).
-func (t *Transcript) AbsorbElems(label string, vs []field.Elem) {
-	t.absorb(label, elemBytes(vs))
-}
+func (t *Transcript) AbsorbElems(label string, vs []field.Elem) { t.absorb(label, nil, vs) }
 
 // AbsorbHash mixes one digest into the state under a label.
-func (t *Transcript) AbsorbHash(label string, h Hash) { t.absorb(label, h[:]) }
+func (t *Transcript) AbsorbHash(label string, h Hash) { t.absorb(label, h[:], nil) }
 
 // block is the counter-mode squeeze: 32 pseudo-random bytes per counter
 // value, all derived from the current state without advancing it.
+//
+//avcc:noalloc
 func (t *Transcript) block(ctr uint64) [HashSize]byte {
-	h := sha256.New()
-	h.Write(t.state[:])
-	h.Write([]byte("squeeze"))
-	var cb [8]byte
-	binary.LittleEndian.PutUint64(cb[:], ctr)
-	h.Write(cb[:])
-	var out [HashSize]byte
-	h.Sum(out[:0])
-	return out
+	var buf [HashSize + len("squeeze") + 8]byte
+	n := copy(buf[:], t.state[:])
+	n += copy(buf[n:], "squeeze")
+	binary.LittleEndian.PutUint64(buf[n:], ctr)
+	return sha256.Sum256(buf[:])
 }
 
 // ChallengeElems derives n uniform field elements by rejection-sampling

@@ -186,7 +186,18 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	if len(g.Columns) != len(colIdx) {
 		return nil, false, fmt.Errorf("%d column openings, want %d", len(g.Columns), len(colIdx))
 	}
+	// The weights of every sampled extension column come from one
+	// interpolation over the systematic points: the Lagrange denominators
+	// depend only on those points, so they are computed once per group,
+	// not once per opened column.
 	points := d.Points(f)
+	var extPoints []field.Elem
+	for _, e := range colIdx {
+		if e >= d.Cols {
+			extPoints = append(extPoints, points[e])
+		}
+	}
+	extWeights := poly.InterpWeightsBatch(f, points[:d.Cols], extPoints)
 	for i, co := range g.Columns {
 		e := colIdx[i]
 		if co.Index != e {
@@ -202,7 +213,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		// equal the same challenge combination of the column itself.
 		var weights []field.Elem
 		if e >= d.Cols {
-			weights = poly.InterpWeights(f, points[:d.Cols], points[e])
+			weights, extWeights = extWeights[0], extWeights[1:]
 		}
 		at := func(vec []field.Elem) field.Elem {
 			if e < d.Cols {
@@ -211,19 +222,11 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			return f.Dot(weights, vec)
 		}
 		colAt := func(coeff []field.Elem, perBlock bool, kk int) field.Elem {
-			lo, hi := kk*b, (kk+1)*b
-			if hi > d.Rows {
-				hi = d.Rows
+			lo, hi := blockSpan(kk, b, d.Rows)
+			if perBlock {
+				return f.Dot(coeff[:hi-lo], co.Values[lo:hi])
 			}
-			var acc field.Elem
-			for p := lo; p < hi; p++ {
-				c := coeff[p-lo]
-				if !perBlock {
-					c = coeff[p]
-				}
-				acc = f.MulAdd(acc, c, co.Values[p])
-			}
-			return acc
+			return f.Dot(coeff[lo:hi], co.Values[lo:hi])
 		}
 		for kk := 0; kk < k; kk++ {
 			if at(g.U[kk]) != colAt(rT, false, kk) {
@@ -284,15 +287,8 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			y := g.Outputs[c]
 			w := r.Inputs[c*d.Cols : (c+1)*d.Cols]
 			for kk := 0; kk < k; kk++ {
-				lo, hi := kk*b, (kk+1)*b
-				if hi > d.Rows {
-					hi = d.Rows
-				}
-				var lhs field.Elem
-				for p := lo; p < hi; p++ {
-					lhs = f.MulAdd(lhs, rT[p], y[p])
-				}
-				if lhs != f.Dot(g.U[kk], w) {
+				lo, hi := blockSpan(kk, b, d.Rows)
+				if f.Dot(rT[lo:hi], y[lo:hi]) != f.Dot(g.U[kk], w) {
 					outputMismatch = true
 				}
 			}
@@ -303,10 +299,14 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	// digest-bound expectation Σ_k ℓ_k(α_i)·(φᵀX_k)·w — the coded shard's
 	// φ-mask, predictable from the commitment alone because Lagrange
 	// encoding is linear over the data blocks.
-	betas := f.DistinctPoints(k, 1)
+	alphas := make([]field.Elem, len(g.Workers))
+	for i, w := range g.Workers {
+		alphas[i] = w.Alpha
+	}
+	workerWeights := poly.InterpWeightsBatch(f, f.DistinctPoints(k, 1), alphas)
 	if r.Gram {
 		for i, w := range g.Workers {
-			wt := poly.InterpWeights(f, betas, w.Alpha)
+			wt := workerWeights[i]
 			sumV := make([]field.Elem, d.Cols)
 			sumV2 := make([]field.Elem, d.Cols)
 			for kk := 0; kk < k; kk++ {
@@ -327,7 +327,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			}
 		}
 		for i, w := range g.Workers {
-			wt := poly.InterpWeights(f, betas, w.Alpha)
+			wt := workerWeights[i]
 			ok := true
 			for c := 0; c < r.Batch && ok; c++ {
 				var want field.Elem
@@ -344,4 +344,11 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		}
 	}
 	return badWorkers, outputMismatch, nil
+}
+
+// blockSpan returns the data rows [lo, hi) of block kk of a split into
+// b-row blocks over rows rows: trailing blocks that lie wholly in the
+// padding are empty.
+func blockSpan(kk, b, rows int) (lo, hi int) {
+	return min(kk*b, rows), min((kk+1)*b, rows)
 }

@@ -3,8 +3,9 @@ package lint
 // noalloc enforces the zero-allocation contract of the hot kernels: a
 // function whose doc comment carries //avcc:noalloc (MatMulInto, MatVecInto,
 // EncodeMatrixInto, DecodeVectorsInto, FusedCombineInto, the NTT transforms,
-// and the leaf vector kernels they compose) must contain no heap-allocating
-// construct:
+// the leaf vector kernels they compose, and the receipt plane's hashes:
+// commit.ColumnLeaf, OutputLeaf, hashNode, Transcript.absorb and
+// Transcript.block) must contain no heap-allocating construct:
 //
 //   - make / new / append (growth can reallocate)
 //   - func literals (captured variables force a heap closure when it escapes)

@@ -374,3 +374,62 @@ func BenchmarkInterpolate12(b *testing.B) {
 		_ = Interpolate(f, xs, ys)
 	}
 }
+
+// TestConsecutiveDenominatorsMatchProduct pins the closed form of the
+// Lagrange denominators of consecutive points against the O(n²) product,
+// including runs that wrap from q−1 to 0, and checks that the weights built
+// on it still match the seed's per-weight reference.
+func TestConsecutiveDenominatorsMatchProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, fld := range []*field.Field{field.MustNew(field.QDefault), field.MustNew(field.QNTT), field.MustNew(97)} {
+		q := fld.Q()
+		for _, n := range []int{1, 2, 3, 9, 120, 240} {
+			if uint64(n) >= q {
+				continue
+			}
+			starts := []uint64{0, 1, q - 1, q - uint64(n/2) - 1, rng.Uint64() % q}
+			for _, start := range starts {
+				xs := fld.DistinctPoints(n, start)
+				if !consecutive(fld, xs) {
+					t.Fatalf("q=%d n=%d start=%d: consecutive points not detected", q, n, start)
+				}
+				if got, want := lagrangeDenominators(fld, xs), productDenominators(fld, xs); !field.EqualVec(got, want) {
+					t.Fatalf("q=%d n=%d start=%d: closed-form denominators diverge from the product", q, n, start)
+				}
+				targets := []field.Elem{0, xs[0], xs[n-1], fld.Rand(rng), field.Elem(q - 1)}
+				batch := InterpWeightsBatch(fld, xs, targets)
+				for i, z := range targets {
+					want := interpWeightsRef(fld, xs, z)
+					if !field.EqualVec(InterpWeights(fld, xs, z), want) || !field.EqualVec(batch[i], want) {
+						t.Fatalf("q=%d n=%d start=%d target=%d: weights diverge from reference", q, n, start, z)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNonConsecutivePointsKeepTheProduct checks that point sets that are not
+// a consecutive run are not mistaken for one.
+func TestNonConsecutivePointsKeepTheProduct(t *testing.T) {
+	q := f.Q()
+	for _, xs := range [][]field.Elem{
+		{1, 2, 4},
+		{3, 2, 1},
+		{0, 1, 2, 3, 5},
+		{field.Elem(q - 2), field.Elem(q - 1), 1},
+		{},
+	} {
+		if consecutive(f, xs) {
+			t.Fatalf("%v read as consecutive", xs)
+		}
+		if !field.EqualVec(lagrangeDenominators(f, xs), productDenominators(f, xs)) {
+			t.Fatalf("%v: denominators diverge from the product", xs)
+		}
+	}
+	// q points starting anywhere wrap onto themselves: never consecutive.
+	small := field.MustNew(7)
+	if !consecutive(small, small.DistinctPoints(6, 0)) || consecutive(small, []field.Elem{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatal("the point-count bound is not enforced")
+	}
+}

@@ -131,7 +131,54 @@ func (p *DecodePlans) Weights(xs []field.Elem) [][]field.Elem {
 
 // lagrangeDenominators returns d_j = Π_{k≠j}(x_j−x_k) for all j. The points
 // must be distinct, so every d_j is nonzero.
+//
+// Consecutive points x_j = x_0 + j (mod q) — every Digest.Points set and
+// LCC's β are built that way by field.DistinctPoints — take the closed form
+// d_j = (−1)^{n−1−j}·j!·(n−1−j)!, since x_j − x_k ≡ j − k: O(n) instead of
+// the O(n²) product, which every other point set keeps and which is the
+// closed form's test oracle.
 func lagrangeDenominators(f *field.Field, xs []field.Elem) []field.Elem {
+	if consecutive(f, xs) {
+		return consecutiveDenominators(f, len(xs))
+	}
+	return productDenominators(f, xs)
+}
+
+// consecutive reports whether xs is a non-empty run xs[j] = xs[0] + j
+// (mod q) of fewer than q points (so they are distinct).
+func consecutive(f *field.Field, xs []field.Elem) bool {
+	if len(xs) == 0 || uint64(len(xs)) >= f.Q() {
+		return false
+	}
+	for j := 1; j < len(xs); j++ {
+		if xs[j] != f.Add(xs[j-1], 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// consecutiveDenominators is the closed form of the Lagrange denominators
+// of n consecutive points: d_j = (−1)^{n−1−j}·j!·(n−1−j)!.
+func consecutiveDenominators(f *field.Field, n int) []field.Elem {
+	fact := make([]field.Elem, n)
+	fact[0] = 1
+	for i := 1; i < n; i++ {
+		fact[i] = f.Mul(fact[i-1], field.Elem(i))
+	}
+	den := make([]field.Elem, n)
+	for j := range den {
+		d := f.Mul(fact[j], fact[n-1-j])
+		if (n-1-j)%2 == 1 {
+			d = f.Neg(d)
+		}
+		den[j] = d
+	}
+	return den
+}
+
+// productDenominators computes every d_j as the O(n²) product.
+func productDenominators(f *field.Field, xs []field.Elem) []field.Elem {
 	den := make([]field.Elem, len(xs))
 	for j, xj := range xs {
 		d := field.Elem(1)
