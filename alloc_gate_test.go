@@ -1,7 +1,8 @@
 package repro_test
 
-// TestAllocGate pins the committed zero-allocation contract: every "lazy"
-// and "packed" row in BENCH_kernels.json recorded with allocs_per_op = 0 is re-measured
+// TestAllocGate pins the committed zero-allocation contract: every "lazy",
+// "packed" and "packed-batch" row in BENCH_kernels.json recorded with
+// allocs_per_op = 0 is re-measured
 // here with testing.AllocsPerRun and must still be zero. The noalloc static
 // analyzer (internal/lint, DESIGN.md §13) enforces the same contract at
 // review time from the //avcc:noalloc annotations; this gate enforces it
@@ -61,6 +62,10 @@ func gateKernels(t *testing.T) map[string]func() {
 	bm := fieldmat.Rand(f, rng, gateDim, gateCols)
 	cm := fieldmat.NewMatrix(gateRows, gateCols)
 
+	batchShard := fieldmat.Pack(f, fieldmat.Rand(f, rng, 40, 120))
+	batchIn := f.RandVec(rng, 32*120)
+	batchOut := make([]field.Elem, 32*40)
+
 	key := verify.NewKey(f, verify.Seeded(rng), shard)
 	claim := fieldmat.MatVec(f, shard, x)
 
@@ -70,7 +75,9 @@ func gateKernels(t *testing.T) map[string]func() {
 		"MatVec/paper": func() { fieldmat.MatVecInto(f, y, shard, x) },
 		// The worker-side form: a shard packed into 32-bit rows.
 		"MatVec/packed/paper": func() { fieldmat.MatVecInto(f, y, packed, x) },
-		"MatMul/paper":        func() { fieldmat.MatMulInto(f, cm, shard, bm) },
+		// A batched worker round at serve_sat's shape (40×120, batch 32).
+		"MatVec/packed-batch/paper": func() { fieldmat.MatVecBatchInto(f, batchOut, batchShard, batchIn, 32) },
+		"MatMul/paper":              func() { fieldmat.MatMulInto(f, cm, shard, bm) },
 		"Freivalds/paper": func() {
 			if !key.Check(x, claim) {
 				t.Fatal("honest claim rejected")
@@ -131,7 +138,7 @@ func TestAllocGate(t *testing.T) {
 	kernels := gateKernels(t)
 	gated := 0
 	for _, rec := range artifact.Rows {
-		if rec.Variant != "lazy" && rec.Variant != "packed" || rec.AllocsPerOp != 0 {
+		if rec.Variant != "lazy" && rec.Variant != "packed" && rec.Variant != "packed-batch" || rec.AllocsPerOp != 0 {
 			continue
 		}
 		id := rec.Kernel + "/" + rec.Modulus
@@ -158,9 +165,9 @@ func TestAllocGate(t *testing.T) {
 			}
 		})
 	}
-	// The artifact currently commits nine zero-alloc lazy rows and one packed
-	// row; losing rows silently would hollow out the gate.
-	if gated < 10 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 10", gated)
+	// The artifact currently commits nine zero-alloc lazy rows, one packed
+	// and one packed-batch row; losing rows silently would hollow out the gate.
+	if gated < 11 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 11", gated)
 	}
 }

@@ -140,7 +140,9 @@ type kernelBenchRecord struct {
 	// Variant is "lazy" (production, uint64 rows), "ref" (seed arithmetic;
 	// on LCCEncode, the clear + AXPY encoder the fused one replaced), on the
 	// MatVec cell "packed" (the worker-side kernel over fieldmat.Pack's
-	// 32-bit rows), or on LCCEncode "fused" (the production encoder).
+	// 32-bit rows) and "packed-batch" (a batched worker round through
+	// fieldmat.MatVecBatchInto, at its own shape, so it carries no speedup),
+	// or on LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
 	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
@@ -348,6 +350,14 @@ func BenchmarkKernels(b *testing.B) {
 	// op the shard packed into 32-bit rows.
 	packed := fieldmat.Pack(f, shard)
 	kernelCell(b, records, iters, "MatVec", "packed", "paper", "shard 667x5000", func() { fieldmat.MatVecInto(f, y, packed, x) })
+	// A worker's batched round as serve_sat runs it: a 40×120 packed shard
+	// times 32 inputs, each row multiplied into four inputs at a time.
+	batchShard := fieldmat.Pack(f, fieldmat.Rand(f, rng, 40, 120))
+	batchIn := f.RandVec(rng, 32*120)
+	batchOut := make([]field.Elem, 32*40)
+	kernelCell(b, records, iters, "MatVec", "packed-batch", "paper", "shard 40x120 batch 32", func() {
+		fieldmat.MatVecBatchInto(f, batchOut, batchShard, batchIn, 32)
+	})
 
 	// MatMul: a shard times a 64-wide weight batch.
 	bm := fieldmat.Rand(f, rng, d, mulCols)
@@ -416,6 +426,9 @@ func BenchmarkKernels(b *testing.B) {
 			if p.NsPerOp > 0 {
 				p.SpeedupVsRef = float64(ref.NsPerOp) / float64(p.NsPerOp)
 			}
+			out = append(out, *p)
+		}
+		if p := records[c.kernel+"/packed-batch/"+c.modulus]; p != nil {
 			out = append(out, *p)
 		}
 	}

@@ -78,17 +78,16 @@ type BatchOp interface {
 }
 
 // ApplyBatch implements BatchOp: batch stacked matrix-vector products
-// Y = X̃·[w_1 … w_B] in one pass over the packed inputs, each through the
-// blocked zero-alloc kernel.
+// Y = X̃·[w_1 … w_B] as one panel product (fieldmat.MatVecBatchInto), which
+// multiplies each packed shard row into four inputs at a time; batch 1 is
+// Apply's MatVecInto. Output i is at out[i*Rows : (i+1)*Rows].
 func (MatVecOp) ApplyBatch(f *field.Field, shard *fieldmat.Matrix, input []field.Elem, batch int) ([]field.Elem, float64, error) {
 	if batch < 1 || len(input) != batch*shard.Cols {
 		return nil, 0, fmt.Errorf("cluster: batched matvec expects %d x %d inputs, got length %d",
 			batch, shard.Cols, len(input))
 	}
 	out := field.GetVec(batch * shard.Rows)
-	for i := 0; i < batch; i++ {
-		fieldmat.MatVecInto(f, out[i*shard.Rows:(i+1)*shard.Rows], shard, input[i*shard.Cols:(i+1)*shard.Cols])
-	}
+	fieldmat.MatVecBatchInto(f, out, shard, input, batch)
 	return out, float64(batch) * float64(shard.Rows) * float64(shard.Cols), nil
 }
 

@@ -10,7 +10,8 @@ package field
 // the Go loop.
 const avx2Step = 16
 
-// useAVX2 reports whether DotPacked runs the vector kernel on this CPU.
+// useAVX2 reports whether DotPacked and DotPackedRows run the vector kernels
+// on this CPU.
 var useAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU implements AVX2 (CPUID.(EAX=7,ECX=0):EBX

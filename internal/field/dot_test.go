@@ -84,6 +84,140 @@ func TestDotPackedVectorMatchesGeneric(t *testing.T) {
 	}
 }
 
+// panelCase is one DotPackedRows shape: rows × n packed words at the given
+// stride, with lanes input vectors.
+type panelCase struct {
+	rows, n, stride, lanes int
+}
+
+// newPanel builds a panelCase's operands: the panel a (fill(i) for word i,
+// read from offset off of a larger buffer), lanes vectors (fill again, each
+// read from its own offset), and outputs whose capacity runs past their
+// length into sentinels, so a write past an output's end is caught.
+func newPanel(c panelCase, off int, fill func() Elem) (a []uint32, xs, ys [][]Elem) {
+	words := 0
+	if c.rows > 0 {
+		words = (c.rows-1)*c.stride + c.n
+	}
+	buf := make([]uint32, off+words)
+	for i := range buf {
+		buf[i] = uint32(fill())
+	}
+	a = buf[off:]
+	for k := 0; k < c.lanes; k++ {
+		xk := make([]Elem, k+off+c.n)
+		for j := range xk {
+			xk[j] = fill()
+		}
+		xs = append(xs, xk[k+off:])
+		y := make([]Elem, c.rows+1)
+		y[c.rows] = panelSentinel
+		ys = append(ys, y[:c.rows])
+	}
+	return a, xs, ys
+}
+
+// panelSentinel marks the word past each output; no residue equals it.
+const panelSentinel = ^Elem(0)
+
+// checkPanel runs run on a fresh copy of the outputs and requires every
+// result to equal dotPackedGeneric on its (row, vector), with the sentinel
+// past each output intact.
+func checkPanel(t *testing.T, f *Field, c panelCase, a []uint32, xs, ys [][]Elem, what string, run func(ys, xs [][]Elem, a []uint32, stride int) bool) {
+	t.Helper()
+	for _, y := range ys {
+		for r := range y {
+			y[r] = panelSentinel
+		}
+	}
+	if !run(ys, xs, a, c.stride) {
+		return
+	}
+	for k, y := range ys {
+		for r, got := range y {
+			row := a[r*c.stride : r*c.stride+c.n]
+			if want := f.dotPackedGeneric(row, xs[k]); got != want {
+				t.Fatalf("q=%d %s %+v: row %d vector %d = %d, generic %d", f.q, what, c, r, k, got, want)
+			}
+		}
+		if y[:len(y)+1][len(y)] != panelSentinel {
+			t.Fatalf("q=%d %s %+v: vector %d's output was written past its end", f.q, what, c, k)
+		}
+	}
+}
+
+// TestDotPackedRowsMatchesGeneric is the differential test of the panel
+// kernel against dotPackedGeneric per (row, vector), through DotPackedRows
+// and through the vector loop with its cut-offs bypassed: every width 0–80
+// (every tail mod 4, rows narrower and wider than their stride's padding),
+// 0, 1 and a panel height ±1 rows, one to four vectors (every lane count the
+// repeated last vector pads), panels and vectors cut from unaligned offsets,
+// and all-(q−1) operands at the LazyBatch straddle widths.
+func TestDotPackedRowsMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	runs := map[string]func(ys, xs [][]Elem, a []uint32, stride int) bool{}
+	for _, f := range packedKernelFields() {
+		runs["DotPackedRows"] = func(ys, xs [][]Elem, a []uint32, stride int) bool {
+			f.DotPackedRows(ys, xs, a, stride)
+			return true
+		}
+		runs["vector"] = func(ys, xs [][]Elem, a []uint32, stride int) bool {
+			return vectorDotPackedRows(f, ys, xs, a, stride)
+		}
+		random := func() Elem { return f.Rand(rng) }
+		for _, rows := range []int{0, 1, panelRows - 1, panelRows, panelRows + 1, 2*panelRows + 3} {
+			for n := 0; n <= 80; n++ {
+				for lanes := 1; lanes <= 4; lanes++ {
+					c := panelCase{rows: rows, n: n, stride: n + n%3, lanes: lanes}
+					off := (n + lanes) % 4
+					a, xs, ys := newPanel(c, off, random)
+					for what, run := range runs {
+						checkPanel(t, f, c, a, xs, ys, fmt.Sprintf("%s offset %d", what, off), run)
+					}
+				}
+			}
+		}
+		worst := func() Elem { return f.q - 1 }
+		for _, n := range straddleLens(f) {
+			for _, lanes := range []int{1, 3, 4} {
+				c := panelCase{rows: panelRows + 1, n: n, stride: n + 1, lanes: lanes}
+				a, xs, ys := newPanel(c, 1, worst)
+				for what, run := range runs {
+					checkPanel(t, f, c, a, xs, ys, what+" worst case", run)
+				}
+			}
+		}
+	}
+}
+
+// TestDotPackedRowsRejectsBadShapes pins the checks that keep the assembly
+// inside its operands: it reads the panel and the vectors by pointer, so a
+// short panel, ragged vectors or outputs, or a lane count outside 1–4 must
+// panic before it runs.
+func TestDotPackedRowsRejectsBadShapes(t *testing.T) {
+	f := Default()
+	vec := func(n int) []Elem { return make([]Elem, n) }
+	cases := map[string]func(){
+		"no vectors":        func() { f.DotPackedRows(nil, nil, nil, 0) },
+		"five vectors":      func() { f.DotPackedRows(make([][]Elem, 5), make([][]Elem, 5), nil, 0) },
+		"outputs != inputs": func() { f.DotPackedRows([][]Elem{vec(1)}, [][]Elem{vec(4), vec(4)}, make([]uint32, 4), 4) },
+		"ragged vectors":    func() { f.DotPackedRows([][]Elem{vec(1), vec(1)}, [][]Elem{vec(4), vec(5)}, make([]uint32, 5), 5) },
+		"ragged outputs":    func() { f.DotPackedRows([][]Elem{vec(1), vec(2)}, [][]Elem{vec(4), vec(4)}, make([]uint32, 8), 4) },
+		"short panel":       func() { f.DotPackedRows([][]Elem{vec(2)}, [][]Elem{vec(16)}, make([]uint32, 31), 16) },
+		"row past stride":   func() { f.DotPackedRows([][]Elem{vec(2)}, [][]Elem{vec(16)}, make([]uint32, 64), 8) },
+	}
+	for name, run := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DotPackedRows did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
 var dotPackedSink Elem
 
 // BenchmarkDotPacked times one packed row on each kernel at the two row

@@ -143,6 +143,61 @@ func (f *Field) dotPackedGeneric(a []uint32, b []Elem) Elem {
 	return s
 }
 
+// DotPackedRows multiplies the packed rows of a into up to four vectors at
+// once: ys[k][r] = DotPacked(a[r*stride : r*stride+n], xs[k]) for every
+// k < len(xs) and r < len(ys[k]), where n = len(xs[k]). It is the batched
+// worker's kernel (fieldmat.MatVecBatchInto): each result is DotPacked's,
+// bit for bit, but on amd64 with AVX2 a panel of rows is widened once and
+// multiplied into all four vectors in one pass (dot_amd64.s), so the call,
+// horizontal-sum and tail costs of a row are paid once per four products.
+// A group of fewer than four vectors runs the same kernel with its last
+// vector repeated in the empty lanes, whose sums are discarded.
+//
+// 1 ≤ len(xs) = len(ys) ≤ 4; every xs[k] has the same length n and every
+// ys[k] the same length rows; n ≤ stride unless rows ≤ 1, and a holds at
+// least (rows−1)·stride + n words. As for DotPacked, xs must be canonical.
+//
+//avcc:noalloc
+func (f *Field) DotPackedRows(ys, xs [][]Elem, a []uint32, stride int) {
+	if len(xs) < 1 || len(xs) > 4 || len(ys) != len(xs) {
+		panic("field: DotPackedRows takes one to four vectors and as many outputs")
+	}
+	n, rows := len(xs[0]), len(ys[0])
+	for k := range xs {
+		if len(xs[k]) != n || len(ys[k]) != rows {
+			panic("field: DotPackedRows length mismatch")
+		}
+	}
+	if rows > 1 && n > stride || rows > 0 && len(a) < (rows-1)*stride+n {
+		panic("field: DotPackedRows panel too short")
+	}
+	var x4 [4][]Elem
+	for k := range x4 {
+		x4[k] = xs[min(k, len(xs)-1)]
+	}
+	f.dotPackedRows(ys, &x4, a, stride)
+}
+
+// panelRows is the height of the panel DotPackedRows hands the amd64 vector
+// kernel per call: 8 rows × 4 vectors of raw sums, a 256-byte scratch that
+// stays on the stack. A framed worker computes each request on a fresh
+// goroutine, so a larger scratch would cost stack growth, and a heap one GC.
+const panelRows = 8
+
+// dotPackedRowsGeneric is the portable DotPackedRows, one dotPackedGeneric
+// per (row, vector): the fallback off AVX2 and the tests' oracle for the
+// panel kernel. Only the first len(ys) vectors of x are read.
+//
+//avcc:noalloc
+func (f *Field) dotPackedRowsGeneric(ys [][]Elem, x *[4][]Elem, a []uint32, stride int) {
+	for k, y := range ys {
+		n := len(x[k])
+		for r := range y {
+			y[r] = f.dotPackedGeneric(a[r*stride:r*stride+n], x[k])
+		}
+	}
+}
+
 // Canonical reports whether every element of v is a reduced residue mod q:
 // the check for vectors that arrive from outside the process.
 func Canonical(q uint64, v []Elem) bool {

@@ -235,6 +235,63 @@ func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, h
 	}
 }
 
+// MatVecBatchInto computes batch products at once into a caller-owned slice:
+// out[i*m.Rows:(i+1)*m.Rows] = m·in[i*m.Cols:(i+1)*m.Cols] for i < batch,
+// each equal to MatVecInto's result bit for bit. On a packed view (Pack) the
+// rows are multiplied into four inputs at a time (field.DotPackedRows), so a
+// row is read once per four products; a last group of one to three inputs
+// runs the same kernel. An unpacked matrix runs matVecRows once per input.
+// Batch 1 is MatVecInto. The parallel cut is MatVecInto's, counted on the
+// matrix alone, and the row blocks of a large matrix go to the pool.
+//
+//avcc:noalloc
+func MatVecBatchInto(f *field.Field, out []field.Elem, m *Matrix, in []field.Elem, batch int) {
+	if batch < 1 || len(in) != batch*m.Cols {
+		panic("fieldmat: MatVecBatch dimension mismatch")
+	}
+	if len(out) != batch*m.Rows {
+		panic("fieldmat: MatVecBatch output length mismatch")
+	}
+	if batch == 1 {
+		MatVecInto(f, out, m, in)
+		return
+	}
+	if m.Rows*m.Cols < ParallelThreshold || m.Rows < 2 {
+		matVecBatchRows(f, out, m, in, batch, 0, m.Rows)
+		return
+	}
+	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
+	dispatch(m.Rows, &task{run: runMatVecBatch, f: f, a: m, x: in, y: out, batch: batch})
+}
+
+//avcc:noalloc
+
+func runMatVecBatch(t *task) { matVecBatchRows(t.f, t.y, t.a, t.x, t.batch, t.lo, t.hi) }
+
+// matVecBatchRows computes the rows [lo, hi) of every product in the batch.
+//
+//avcc:noalloc
+func matVecBatchRows(f *field.Field, out []field.Elem, m *Matrix, in []field.Elem, batch, lo, hi int) {
+	rows, cols := m.Rows, m.Cols
+	p := m.packed
+	if p == nil {
+		for i := 0; i < batch; i++ {
+			matVecRows(f, out[i*rows:(i+1)*rows], m, in[i*cols:(i+1)*cols], lo, hi)
+		}
+		return
+	}
+	var xs, ys [4][]field.Elem
+	for b0 := 0; b0 < batch; b0 += len(xs) {
+		g := min(len(xs), batch-b0)
+		for k := 0; k < g; k++ {
+			i := b0 + k
+			xs[k] = in[i*cols : (i+1)*cols]
+			ys[k] = out[i*rows+lo : i*rows+hi]
+		}
+		f.DotPackedRows(ys[:g], xs[:g], p[lo*cols:hi*cols], cols)
+	}
+}
+
 // MatMul computes c = a·b over F_q.
 func MatMul(f *field.Field, a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, b.Cols)

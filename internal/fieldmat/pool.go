@@ -42,6 +42,7 @@ type task struct {
 	x, y          []field.Elem
 	dsts, w, srcs [][]field.Elem
 	lo, hi        int
+	batch         int
 	wg            *sync.WaitGroup
 }
 

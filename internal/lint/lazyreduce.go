@@ -30,7 +30,13 @@ package lint
 //	b[:n])`, is a raw site like a product — one call adds up to len(a) raw
 //	products, so rules 1 and 2 apply to the loop around it — and every slice
 //	it is handed must be cut at the call to a LazyBatch-derived length, the
-//	tile bound the analyzer cannot see inside the assembly.
+//	tile bound the analyzer cannot see inside the assembly. A kernel that
+//	returns nothing and takes a []uint64 hands its raw sums back through
+//	that argument instead (the panel kernel behind DotPackedRows, whose
+//	panel spans many rows, so no slice it reads is one tile long): it must
+//	declare its column count as a parameter named n, and every call must
+//	hand it an n derived from LazyBatch. Its sums then reach the caller's
+//	accumulators as plain values, where rules 1 to 3 apply as usual.
 //
 // Hand-verified kernels whose bound lives at the call site (the fused
 // three-destination combine, whose caller enforces len(srcs) ≤ LazyBatch)
@@ -83,6 +89,7 @@ type rawSite struct {
 
 func runLazyReduce(pass *Pass) error {
 	kernels := asmKernels(pass)
+	rawOut := rawOutKernels(kernels)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -96,6 +103,7 @@ func runLazyReduce(pass *Pass) error {
 			sites := rawSites(pass, fn.Body, kernels)
 			checkNarrowProducts(pass, fn, sites)
 			checkAsmTiles(pass, fn, sites, tainted)
+			checkRawOutTiles(pass, fn, rawOut, tainted)
 			checkLoopBounds(pass, file, fn, sites, tainted)
 			if fn.Name.IsExported() {
 				checkRawEscape(pass, fn, sites)
@@ -286,6 +294,65 @@ func checkAsmTiles(pass *Pass, fn *ast.FuncDecl, sites []rawSite, tainted map[ty
 				calleeName(site.kernel), fn.Name.Name)
 		}
 	}
+}
+
+// rawOutKernels returns the assembly kernels that hand their raw sums back
+// through a []uint64 argument rather than a result, each with the index of
+// its column-count parameter n, or -1 where it declares none.
+func rawOutKernels(kernels map[types.Object]bool) map[types.Object]int {
+	out := make(map[types.Object]int)
+	for obj := range kernels {
+		sig, ok := obj.Type().(*types.Signature)
+		if !ok || sig.Results().Len() != 0 {
+			continue
+		}
+		col, rawOut := -1, false
+		for i := 0; i < sig.Params().Len(); i++ {
+			p := sig.Params().At(i)
+			if sl, ok := p.Type().Underlying().(*types.Slice); ok && isUint64(sl.Elem()) {
+				rawOut = true
+			}
+			if p.Name() == "n" {
+				col = i
+			}
+		}
+		if rawOut {
+			out[obj] = col
+		}
+	}
+	return out
+}
+
+// checkRawOutTiles enforces rule 4 for the kernels rawOutKernels finds: the
+// column count handed to one must be exactly a LazyBatch-derived value, and
+// a kernel that declares no column count cannot be bounded at all.
+func checkRawOutTiles(pass *Pass, fn *ast.FuncDecl, rawOut map[types.Object]int, tainted map[types.Object]bool) {
+	if len(rawOut) == 0 {
+		return
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		col, ok := rawOut[pass.Info.Uses[id]]
+		switch {
+		case !ok:
+		case col < 0:
+			pass.Reportf(call.Pos(),
+				"assembly kernel %s in %s returns raw sums through a []uint64 but declares no column count n: its tiles cannot be bounded",
+				id.Name, fn.Name.Name)
+		case col >= len(call.Args) || !boundedBy(pass, call.Args[col], tainted):
+			pass.Reportf(call.Pos(),
+				"assembly kernel %s in %s is handed a column count not cut to LazyBatch: pass n derived from LazyBatch",
+				id.Name, fn.Name.Name)
+		}
+		return true
+	})
 }
 
 // containsMul reports whether e contains an integer multiplication — the

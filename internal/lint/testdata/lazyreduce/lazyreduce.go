@@ -237,3 +237,48 @@ func AsmUnreducedDot(f *Field, a []uint32, b []uint64) uint64 {
 	}
 	return f.barrett(s)
 }
+
+// panelSums is an assembly kernel that returns its raw sums through sums:
+// sums[r] = Σ_{j<n} a[r*stride+j]·x[j] for r < len(sums).
+func panelSums(sums []uint64, a []uint32, stride, n int, x []uint64)
+
+// AsmPanelRows mirrors DotPackedRows: the column count handed to the kernel
+// is cut to the batch budget, and every raw sum is reduced per tile. Clean.
+func AsmPanelRows(f *Field, ys []uint64, a []uint32, stride int, x []uint64) {
+	var sums [4]uint64
+	for c0 := 0; c0 < len(x); c0 += f.lazyBatch {
+		n := min(len(x)-c0, f.lazyBatch)
+		panelSums(sums[:len(ys)], a[c0:], stride, n, x[c0:])
+		for r := range ys {
+			s := sums[r]
+			if c0 > 0 {
+				s += ys[r]
+			}
+			ys[r] = f.barrett(s)
+		}
+	}
+}
+
+// AsmPanelUntiled hands the kernel the whole row width: one call can sum
+// more raw products into a lane than the budget allows.
+func AsmPanelUntiled(f *Field, ys []uint64, a []uint32, stride int, x []uint64) {
+	var sums [4]uint64
+	panelSums(sums[:len(ys)], a, stride, len(x), x) // want "assembly kernel panelSums in AsmPanelUntiled is handed a column count not cut to LazyBatch"
+	for r := range ys {
+		ys[r] = f.barrett(sums[r])
+	}
+}
+
+// rowSums returns raw sums through sums but names its column count cols, so
+// no call to it can be checked.
+func rowSums(sums []uint64, a []uint32, cols int, x []uint64)
+
+// AsmRowsUncounted cuts its tiles, but to a kernel whose count is unnamed.
+func AsmRowsUncounted(f *Field, ys []uint64, a []uint32, x []uint64) {
+	var sums [4]uint64
+	n := min(len(x), f.lazyBatch)
+	rowSums(sums[:len(ys)], a, n, x) // want "assembly kernel rowSums in AsmRowsUncounted returns raw sums through a .]uint64 but declares no column count n"
+	for r := range ys {
+		ys[r] = f.barrett(sums[r])
+	}
+}
