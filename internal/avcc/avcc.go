@@ -87,9 +87,9 @@ type Options struct {
 	// set, a re-code charges only shard redistribution, not re-encoding.
 	PregeneratedCodings bool
 	// Receipts turns on the committed-verification plane: the master
-	// Merkle-commits every data matrix once, workers ship output
-	// commitments, and every round issues a tenant-verifiable
-	// commit.Receipt. Requires T == 0 (the receipt's attribution step
+	// Merkle-commits every data matrix once, and every round issues a
+	// tenant-verifiable commit.Receipt over the outputs its decode
+	// consumed. Requires T == 0 (the receipt's attribution step
 	// interpolates over the systematic points; privacy masks would make the
 	// committed data unpredictable from the digest).
 	Receipts bool

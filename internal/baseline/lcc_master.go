@@ -29,8 +29,8 @@ type LCCOptions struct {
 	Sim simnet.Config
 	// Seed drives privacy masks and the error-locating projection.
 	Seed int64
-	// Receipts turns on the committed-verification plane: workers commit to
-	// their outputs and every round carries a tenant-verifiable receipt.
+	// Receipts turns on the committed-verification plane: every round
+	// carries a tenant-verifiable receipt over the outputs it consumed.
 	// Requires T == 0 (masked shards are not openable against the public
 	// matrix digest) and DegF == 1.
 	Receipts bool

@@ -19,8 +19,8 @@ type UncodedOptions struct {
 	Sim simnet.Config
 	// Seed feeds the executor's jitter stream.
 	Seed int64
-	// Receipts turns on the committed-verification plane: workers commit to
-	// their outputs and every round carries a tenant-verifiable receipt. The
+	// Receipts turns on the committed-verification plane: every round
+	// carries a tenant-verifiable receipt over the outputs it consumed. The
 	// uncoded split is the systematic K-block code (worker i evaluates at
 	// point i+1), so the same receipt protocol covers it unchanged — and
 	// since the scheme itself never verifies anything, the receipt is the

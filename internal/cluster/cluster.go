@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/simnet"
@@ -217,9 +216,6 @@ func (w *Worker) Compute(f *field.Field, key string, input []field.Elem, batch, 
 type Result struct {
 	Worker int
 	Output []field.Elem
-	// Commit is the worker's Merkle commitment to Output (commit.OutputRoot),
-	// present only when the executor runs with output commitments enabled.
-	Commit []byte
 	// ComputeSec is the worker's compute time (virtual or measured).
 	ComputeSec float64
 	// CommSec is the total link time (input broadcast + result return).
@@ -285,9 +281,6 @@ type VirtualExecutor struct {
 	// curves, link degradation, crashes, drops); nil means the steady
 	// world.
 	Dynamics simnet.Dynamics
-	// CommitOutputs makes every worker ship a Merkle commitment to its
-	// output alongside the result (the committed-verification plane).
-	CommitOutputs bool
 }
 
 // NewVirtualExecutor wires up a virtual cluster. stragglers may be nil for
@@ -353,9 +346,6 @@ func (e *VirtualExecutor) RunRound(ctx context.Context, key string, input []fiel
 			ArriveAt:   sendIn + compute + sendOut,
 			Err:        err,
 		}
-		if e.CommitOutputs && err == nil {
-			res.Commit = commit.OutputRoot(out)
-		}
 		q.Push(res.ArriveAt, id, res)
 	}
 	results := make([]Result, 0, len(active))
@@ -387,9 +377,6 @@ type GoExecutor struct {
 	// steady world. Crashed workers spawn no goroutine; dropped results are
 	// computed but never delivered.
 	Dynamics simnet.Dynamics
-	// CommitOutputs makes every worker ship a Merkle commitment to its
-	// output alongside the result.
-	CommitOutputs bool
 }
 
 // RunRound implements Executor with real concurrency: results are handed over
@@ -451,14 +438,9 @@ func (e *GoExecutor) work(ctx context.Context, computing *sync.WaitGroup, key st
 			return Result{}, false // computed, but the message never arrives
 		}
 	}
-	var root []byte
-	if e.CommitOutputs && err == nil {
-		root = commit.OutputRoot(out)
-	}
 	return Result{
 		Worker:     id,
 		Output:     out,
-		Commit:     root,
 		ComputeSec: time.Since(t0).Seconds(),
 		Err:        err,
 	}, true

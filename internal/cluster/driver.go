@@ -54,12 +54,11 @@ type Round struct {
 	// crashed, dropped, timed out or unreachable.
 	Pending   []int
 	StoppedAt float64
-	// Workers, Positions, Outputs and Commits describe the accepted results,
-	// in arrival order (Positions are code positions: Plan.Pos applied).
+	// Workers, Positions and Outputs describe the accepted results, in
+	// arrival order (Positions are code positions: Plan.Pos applied).
 	Workers   []int
 	Positions []int
 	Outputs   [][]field.Elem
-	Commits   [][]byte
 	// Byzantine lists the workers whose results were rejected: mis-sized,
 	// failed Check, or located as corrupt by Decode.
 	Byzantine []int
@@ -149,9 +148,7 @@ func NewDriver(f *field.Field, name string, p Policy, n int, data map[string]*fi
 			d.workers[i].Behavior = behaviors[i]
 		}
 	}
-	ve := NewVirtualExecutor(f, sim, d.workers, stragglers, seed+1)
-	ve.CommitOutputs = receipts
-	d.exec = ve
+	d.exec = NewVirtualExecutor(f, sim, d.workers, stragglers, seed+1)
 	return d, nil
 }
 
@@ -234,7 +231,6 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 			Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
 			Workers: make([]int, 0, plan.Need),
 			Outputs: make([][]field.Elem, 0, plan.Need),
-			Commits: make([][]byte, 0, plan.Need),
 		},
 		d: d, need: plan.Need, resultLen: resultLen, out: out,
 	}
@@ -290,7 +286,7 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		attest := func(i int) {
 			rw = append(rw, commit.RoundWorker{
 				ID: r.Workers[i], Alpha: plan.Alphas[r.Positions[i]],
-				Output: r.Outputs[i], Commit: r.Commits[i],
+				Output: r.Outputs[i],
 			})
 		}
 		if r.Attest == nil {
@@ -380,7 +376,6 @@ func (a *acceptance) accept(res *Result) {
 	}
 	a.Workers = append(a.Workers, res.Worker)
 	a.Outputs = append(a.Outputs, res.Output)
-	a.Commits = append(a.Commits, res.Commit)
 	a.out.Breakdown.Compute = max(a.out.Breakdown.Compute, res.ComputeSec)
 	a.out.Breakdown.Comm = max(a.out.Breakdown.Comm, res.CommSec)
 	if len(a.Workers) == a.need {

@@ -188,8 +188,8 @@ func VerifyPath(root Hash, leaves, index int, leaf Hash, path []Hash) bool {
 	return pi == len(path) && cur == root
 }
 
-// outputTree builds the Merkle tree a worker commits its coded output under:
-// one "out"-domain leaf per output entry.
+// outputTree builds the Merkle tree a receipt commits a worker's coded
+// output under: one "out"-domain leaf per output entry.
 func outputTree(out []field.Elem) *Tree {
 	leaves := make([]Hash, len(out))
 	for i, v := range out {
@@ -198,9 +198,10 @@ func outputTree(out []field.Elem) *Tree {
 	return NewTree(leaves)
 }
 
-// OutputRoot is the worker-side commitment to a coded output: the root of
-// the output tree, as raw bytes ready for a wire message. Executors call
-// this before the result leaves the worker.
+// OutputRoot is the root of a coded output's tree, as raw bytes: the
+// WorkerOpening.Root that Issue builds for that output. No executor ships
+// one — Issue rebuilds every consumed worker's tree from the output itself —
+// so it serves callers that want the root of an output on its own.
 func OutputRoot(out []field.Elem) []byte {
 	if len(out) == 0 {
 		return nil

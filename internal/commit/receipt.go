@@ -50,7 +50,8 @@ type WorkerOpening struct {
 	// Alpha is the worker's Lagrange evaluation point in the round's code
 	// (for the uncoded baseline, the systematic point of its block).
 	Alpha field.Elem
-	// Root is the Merkle root the worker committed its coded output under.
+	// Root is the Merkle root of the worker's coded output, built by the
+	// issuer from the output the decode consumed.
 	Root Hash
 	// OutLen is the committed output length (leaf count of Root's tree).
 	OutLen int
@@ -198,8 +199,10 @@ type RoundWorker struct {
 	ID     int
 	Alpha  field.Elem
 	Output []field.Elem
-	// Commit is the root the worker shipped alongside its output (nil when
-	// the transport did not carry one).
+	// Commit is an optional root a caller holds for Output (nil for every
+	// master in this module: no executor ships one). Issue rejects one that
+	// is not HashSize bytes and otherwise ignores it: the receipt's root is
+	// rebuilt from Output.
 	Commit []byte
 }
 
@@ -331,15 +334,13 @@ func (is *Issuer) Issue(rd Round) (*Receipt, error) {
 		}
 		seenAlpha[rw.Alpha] = true
 		// The receipt binds the output the decode actually consumed: the
-		// tree is rebuilt from it, and a shipped commitment that disagrees
-		// (a worker lying about its own commitment) is superseded rather
-		// than letting it poison an otherwise-correct round — the worker's
-		// OUTPUT is what the orthogonal Freivalds layer polices. Matching
-		// shipments (the honest case) are identical to the rebuild.
+		// master builds the tree from it, and a caller-supplied Commit never
+		// replaces that rebuild — a worker does not vouch for its own output;
+		// the orthogonal Freivalds layer polices the output itself.
 		tree := outputTree(rw.Output)
 		root := tree.Root()
 		if rw.Commit != nil && len(rw.Commit) != HashSize {
-			return nil, fmt.Errorf("commit: worker %d shipped a %d-byte commitment, want %d", rw.ID, len(rw.Commit), HashSize)
+			return nil, fmt.Errorf("commit: worker %d carries a %d-byte commitment, want %d", rw.ID, len(rw.Commit), HashSize)
 		}
 		trees[i] = tree
 		g.Workers[i] = WorkerOpening{ID: rw.ID, Alpha: rw.Alpha, Root: root, OutLen: wantOut}

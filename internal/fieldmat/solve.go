@@ -63,9 +63,8 @@ func Solve(f *field.Field, a *Matrix, b []field.Elem) ([]field.Elem, error) {
 	return x, nil
 }
 
-// SolveMatrix returns the unique X with a·X = b for square a. The MDS
-// decoder uses this with b holding one verified worker result per row-group,
-// solving for all output columns at once.
+// SolveMatrix returns the unique X with a·X = b for square a, solving for
+// all of b's columns at once. The MDS decoder's tests use it as an oracle.
 func SolveMatrix(f *field.Field, a, b *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		panic("fieldmat: SolveMatrix with non-square matrix")

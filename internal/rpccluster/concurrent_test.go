@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
@@ -39,8 +40,9 @@ func overlapCases() []overlapCase {
 }
 
 // deployOverFrames builds tc's master and moves its workers behind loopback
-// frame servers: the remote workers get the master's shards and ops.
-func deployOverFrames(t *testing.T, tc overlapCase, x *fieldmat.Matrix, opts ...scheme.Option) scheme.Master {
+// frame servers: the remote workers get the master's shards and ops, and
+// remote worker i runs behavior(i) (nil behavior: every worker is honest).
+func deployOverFrames(t *testing.T, tc overlapCase, x *fieldmat.Matrix, behavior func(i int) attack.Behavior, opts ...scheme.Option) scheme.Master {
 	t.Helper()
 	cfg := scheme.NewConfig(append(append([]scheme.Option{scheme.WithSeed(404)}, tc.opts...), opts...)...)
 	m, err := scheme.New(tc.scheme, f, cfg, map[string]*fieldmat.Matrix{tc.key: x}, nil, nil)
@@ -55,6 +57,9 @@ func deployOverFrames(t *testing.T, tc overlapCase, x *fieldmat.Matrix, opts ...
 			}
 			for key, op := range w.Ops {
 				workers[i].Ops[key] = op
+			}
+			if behavior != nil {
+				workers[i].Behavior = behavior(i)
 			}
 		}
 	})
@@ -74,7 +79,7 @@ func TestConcurrentRoundsStayBitExact(t *testing.T) {
 				rows, cols, batch = 24, 16, 1
 			}
 			x := fieldmat.Rand(f, rng, rows, cols)
-			m := deployOverFrames(t, tc, x)
+			m := deployOverFrames(t, tc, x, nil)
 			if !m.IndependentRounds() {
 				t.Fatalf("%s over frames does not declare its rounds independent", tc.name)
 			}
@@ -167,11 +172,11 @@ func TestIndependentRoundsIsDerived(t *testing.T) {
 	}
 	dynamic := overlapCase{name: "avcc", scheme: "avcc", key: "fwd",
 		opts: []scheme.Option{scheme.WithCoding(12, 9), scheme.WithBudgets(1, 1, 0), scheme.WithDynamic(true)}}
-	if deployOverFrames(t, dynamic, x).IndependentRounds() {
+	if deployOverFrames(t, dynamic, x, nil).IndependentRounds() {
 		t.Error("dynamic avcc over frames declared independent rounds")
 	}
 	static := overlapCases()[0]
-	if deployOverFrames(t, static, x, scheme.WithShards(2)).IndependentRounds() {
+	if deployOverFrames(t, static, x, nil, scheme.WithShards(2)).IndependentRounds() {
 		t.Error("a sharded fleet over frames declared independent rounds")
 	}
 }

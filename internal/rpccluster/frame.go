@@ -14,9 +14,13 @@
 //     directly to the socket and read directly into the result slice —
 //     zero copies, zero transformations. Big-endian hosts byte-swap.
 //   - The request body is split into a 17-byte per-call header (length,
-//     type, request ID, worker ID) and a shared tail (key, batch, iter,
-//     commit flag, input vector). A round encodes the tail ONCE and writes
-//     header+tail to every worker with one writev each.
+//     type, request ID, worker ID) and a shared tail (batch, iter, key,
+//     input vector). A round encodes the tail ONCE and writes header+tail
+//     to every worker with one writev each.
+//   - A response is the output vector and nothing else: the worker vouches
+//     for nothing. The master checks what arrives (Freivalds), and a
+//     receipt's output trees are built by the master from the outputs its
+//     decode consumed.
 //   - Responses carry the request ID they answer. A caller that gives up
 //     removes its pending entry immediately (the reap); when the late
 //     frame finally arrives it matches nothing and is discarded. Nothing
@@ -26,10 +30,10 @@
 //
 //	frame    := u32 length | u8 type | u64 requestID | body
 //	             (length covers everything after the length field)
-//	request  := u32 worker | u32 batch | i32 iter | u8 commit
-//	          | u32 keyLen | key | u64 elems | input[elems]
-//	response := u64 elems | output[elems] | u32 commitLen | commit   (typeOK)
-//	response := u32 msgLen | msg                                     (typeErr)
+//	request  := u32 worker | u32 batch | i32 iter | u32 keyLen | key
+//	          | u64 elems | input[elems]
+//	response := u64 elems | output[elems]                 (typeOK)
+//	response := u32 msgLen | msg                          (typeErr)
 package rpccluster
 
 import (
@@ -142,7 +146,7 @@ func readElemsInto(r io.Reader, v []field.Elem) error {
 }
 
 // readBytes is readElems's plain-bytes sibling for the variable-length
-// string fields (key, commit, error message): chunked growth, never
+// string fields (key, error message): chunked growth, never
 // allocating far ahead of what the stream has delivered.
 func readBytes(r io.Reader, n int) ([]byte, error) {
 	if n == 0 {
@@ -168,7 +172,6 @@ type requestFrame struct {
 	Key    string
 	Batch  int
 	Iter   int
-	Commit bool
 	Input  []field.Elem
 }
 
@@ -179,21 +182,15 @@ type responseFrame struct {
 	ID     uint64
 	Err    string
 	Output []field.Elem
-	Commit []byte
 }
 
 // encodeRequestTail encodes the worker-independent part of a request frame
 // — everything after the worker ID. A broadcast encodes this once and
 // shares the buffer across every worker's writev.
-func encodeRequestTail(key string, batch, iter int, commit bool, input []field.Elem) []byte {
-	tail := make([]byte, 0, 4+4+1+4+len(key)+8+len(input)*8)
+func encodeRequestTail(key string, batch, iter int, input []field.Elem) []byte {
+	tail := make([]byte, 0, 4+4+4+len(key)+8+len(input)*8)
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(batch))
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(int32(iter)))
-	if commit {
-		tail = append(tail, 1)
-	} else {
-		tail = append(tail, 0)
-	}
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(key)))
 	tail = append(tail, key...)
 	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(input)))
@@ -214,17 +211,16 @@ func requestHead(head *[requestHeadLen]byte, id uint64, worker, tailLen int) {
 // executor's hot path uses requestHead + encodeRequestTail with writev
 // instead; this form serves the server loopback tests and the fuzz target.
 func encodeRequest(rf *requestFrame) []byte {
-	tail := encodeRequestTail(rf.Key, rf.Batch, rf.Iter, rf.Commit, rf.Input)
+	tail := encodeRequestTail(rf.Key, rf.Batch, rf.Iter, rf.Input)
 	var head [requestHeadLen]byte
 	requestHead(&head, rf.ID, rf.Worker, len(tail))
 	return append(head[:], tail...)
 }
 
-// encodeResponseParts returns the three writev segments of a response
-// frame: a fixed head, the output vector's wire bytes (zero-copy on
-// little-endian hosts), and the commit tail. Concatenated they form the
-// full frame.
-func encodeResponseParts(rf *responseFrame) (head, elems, tail []byte) {
+// encodeResponseParts returns the two writev segments of a response frame:
+// a fixed head and the output vector's wire bytes (zero-copy on
+// little-endian hosts). Concatenated they form the full frame.
+func encodeResponseParts(rf *responseFrame) (head, elems []byte) {
 	if rf.Err != "" {
 		head = make([]byte, 0, frameHeadLen+4+len(rf.Err))
 		head = binary.LittleEndian.AppendUint32(head, uint32(1+8+4+len(rf.Err)))
@@ -232,27 +228,21 @@ func encodeResponseParts(rf *responseFrame) (head, elems, tail []byte) {
 		head = binary.LittleEndian.AppendUint64(head, rf.ID)
 		head = binary.LittleEndian.AppendUint32(head, uint32(len(rf.Err)))
 		head = append(head, rf.Err...)
-		return head, nil, nil
+		return head, nil
 	}
 	elems = elemsWire(rf.Output)
 	head = make([]byte, 0, frameHeadLen+8)
-	head = binary.LittleEndian.AppendUint32(head, uint32(1+8+8+len(elems)+4+len(rf.Commit)))
+	head = binary.LittleEndian.AppendUint32(head, uint32(1+8+8+len(elems)))
 	head = append(head, typeOK)
 	head = binary.LittleEndian.AppendUint64(head, rf.ID)
 	head = binary.LittleEndian.AppendUint64(head, uint64(len(rf.Output)))
-	tail = make([]byte, 0, 4+len(rf.Commit))
-	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(rf.Commit)))
-	tail = append(tail, rf.Commit...)
-	return head, elems, tail
+	return head, elems
 }
 
 // encodeResponse returns the full wire bytes of one response frame.
 func encodeResponse(rf *responseFrame) []byte {
-	head, elems, tail := encodeResponseParts(rf)
-	out := make([]byte, 0, len(head)+len(elems)+len(tail))
-	out = append(out, head...)
-	out = append(out, elems...)
-	return append(out, tail...)
+	head, elems := encodeResponseParts(rf)
+	return append(head, elems...)
 }
 
 // frameError is a protocol violation: the connection that produced it is
@@ -290,7 +280,7 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 	if ftype != typeRequest {
 		return nil, badFrame("type %d where a request was expected", ftype)
 	}
-	const fixed = 4 + 4 + 4 + 1 + 4 // worker, batch, iter, commit, keyLen
+	const fixed = 4 + 4 + 4 + 4 // worker, batch, iter, keyLen
 	if left < fixed {
 		return nil, badFrame("request body %d bytes, need at least %d", left, fixed)
 	}
@@ -298,19 +288,13 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 	if _, err := io.ReadFull(br, buf[:]); err != nil {
 		return nil, err
 	}
-	if buf[12] > 1 {
-		// Canonical booleans only: anything else would re-encode
-		// differently than it arrived.
-		return nil, badFrame("commit flag %d is not 0 or 1", buf[12])
-	}
 	rf := &requestFrame{
 		ID:     id,
 		Worker: int(int32(binary.LittleEndian.Uint32(buf[0:]))),
 		Batch:  int(int32(binary.LittleEndian.Uint32(buf[4:]))),
 		Iter:   int(int32(binary.LittleEndian.Uint32(buf[8:]))),
-		Commit: buf[12] == 1,
 	}
-	keyLen := int(binary.LittleEndian.Uint32(buf[13:]))
+	keyLen := int(binary.LittleEndian.Uint32(buf[12:]))
 	left -= fixed
 	if keyLen > left-8 {
 		return nil, badFrame("key length %d exceeds remaining body %d", keyLen, left)
@@ -368,7 +352,7 @@ func readResponse(br *bufio.Reader) (*responseFrame, error) {
 		}
 		return rf, nil
 	case typeOK:
-		if left < 8+4 {
+		if left < 8 {
 			return nil, badFrame("response body %d bytes", left)
 		}
 		var cnt [8]byte
@@ -377,25 +361,11 @@ func readResponse(br *bufio.Reader) (*responseFrame, error) {
 		}
 		left -= 8
 		elems := binary.LittleEndian.Uint64(cnt[:])
-		if elems > math.MaxInt/8 || int(elems)*8 > left-4 {
-			return nil, badFrame("output count %d exceeds remaining body %d", elems, left)
+		if elems > math.MaxInt/8 || int(elems)*8 != left {
+			return nil, badFrame("output count %d does not match remaining body %d", elems, left)
 		}
 		if rf.Output, err = readElems(br, int(elems)); err != nil {
 			return nil, err
-		}
-		left -= int(elems) * 8
-		var n [4]byte
-		if _, err := io.ReadFull(br, n[:]); err != nil {
-			return nil, err
-		}
-		commitLen := int(binary.LittleEndian.Uint32(n[:]))
-		if commitLen != left-4 {
-			return nil, badFrame("commit length %d does not match remaining body %d", commitLen, left)
-		}
-		if commitLen > 0 {
-			if rf.Commit, err = readBytes(br, commitLen); err != nil {
-				return nil, err
-			}
 		}
 		return rf, nil
 	default:

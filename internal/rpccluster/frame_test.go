@@ -15,7 +15,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	cases := []*requestFrame{
 		{ID: 1, Worker: 0, Key: "fwd", Batch: 1, Iter: 0, Input: []field.Elem{1, 2, 3}},
 		{ID: 1<<64 - 1, Worker: 4095, Key: "", Batch: 0, Iter: -1, Input: nil},
-		{ID: 42, Worker: 7, Key: "bwd", Batch: 32, Iter: 999, Commit: true,
+		{ID: 42, Worker: 7, Key: "bwd", Batch: 32, Iter: 999,
 			Input: []field.Elem{0, 1<<64 - 1, 0x0123456789abcdef}},
 	}
 	for _, rf := range cases {
@@ -42,7 +42,7 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 	cases := []*responseFrame{
 		{ID: 9, Output: []field.Elem{5, 6, 7}},
 		{ID: 0, Output: nil},
-		{ID: 3, Output: []field.Elem{8}, Commit: []byte{0xde, 0xad, 0xbe, 0xef}},
+		{ID: 3, Output: []field.Elem{8}},
 		{ID: 77, Err: "rpccluster: no shard for key \"x\""},
 	}
 	for _, rf := range cases {
@@ -58,17 +58,17 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 }
 
 func TestFrameWritevPartsMatchWholeEncoding(t *testing.T) {
-	// The server's writev path (head, elems, tail) must concatenate to the
+	// The server's writev path (head, elems) must concatenate to the
 	// canonical encoding byte for byte.
-	rf := &responseFrame{ID: 11, Output: []field.Elem{1, 2, 3}, Commit: []byte{4, 5}}
-	head, elems, tail := encodeResponseParts(rf)
-	joined := append(append(append([]byte{}, head...), elems...), tail...)
+	rf := &responseFrame{ID: 11, Output: []field.Elem{1, 2, 3}}
+	head, elems := encodeResponseParts(rf)
+	joined := append(append([]byte{}, head...), elems...)
 	if !bytes.Equal(joined, encodeResponse(rf)) {
 		t.Fatal("writev parts do not concatenate to the canonical frame")
 	}
 	// Same for the client's request path.
 	req := &requestFrame{ID: 12, Worker: 3, Key: "fwd", Batch: 2, Iter: 5, Input: []field.Elem{9}}
-	reqTail := encodeRequestTail(req.Key, req.Batch, req.Iter, req.Commit, req.Input)
+	reqTail := encodeRequestTail(req.Key, req.Batch, req.Iter, req.Input)
 	var reqHead [requestHeadLen]byte
 	requestHead(&reqHead, req.ID, req.Worker, len(reqTail))
 	if !bytes.Equal(append(reqHead[:], reqTail...), encodeRequest(req)) {
@@ -92,19 +92,12 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 		}(),
 		"key length past body": func() []byte {
 			b := append([]byte{}, valid...)
-			binary.LittleEndian.PutUint32(b[frameHeadLen+13:], 1<<30)
+			binary.LittleEndian.PutUint32(b[frameHeadLen+12:], 1<<30)
 			return b
 		}(),
 		"element count mismatch": func() []byte {
 			b := append([]byte{}, valid...)
 			binary.LittleEndian.PutUint64(b[len(b)-16:], 7)
-			return b
-		}(),
-		"non-canonical commit flag": func() []byte {
-			// Any byte but 0/1 would re-encode differently than it arrived
-			// (fuzzer find).
-			b := append([]byte{}, valid...)
-			b[frameHeadLen+12] = 0x30
 			return b
 		}(),
 	}
@@ -114,7 +107,7 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 		}
 	}
 
-	validResp := encodeResponse(&responseFrame{ID: 1, Output: []field.Elem{1}, Commit: []byte{2}})
+	validResp := encodeResponse(&responseFrame{ID: 1, Output: []field.Elem{1}})
 	respCases := map[string][]byte{
 		"empty":              {},
 		"truncated":          validResp[:len(validResp)-2],
@@ -126,9 +119,11 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 			binary.LittleEndian.PutUint32(b, uint32(1+8+4))
 			return b
 		}(),
-		"commit length mismatch": func() []byte {
-			b := append([]byte{}, validResp...)
-			binary.LittleEndian.PutUint32(b[len(b)-5:], 99)
+		"trailing bytes after output": func() []byte {
+			// The frame length covers four bytes past the output vector: a
+			// typeOK body is exactly the count and the elements.
+			b := append(append([]byte{}, validResp...), 0, 0, 0, 0)
+			binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 			return b
 		}(),
 	}
@@ -144,8 +139,8 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 // (the codec has exactly one wire form per frame).
 func FuzzFrameRoundTrip(fz *testing.F) {
 	fz.Add(encodeRequest(&requestFrame{ID: 3, Worker: 1, Key: "fwd", Batch: 2, Iter: 1,
-		Commit: true, Input: []field.Elem{1, 2, 3}}))
-	fz.Add(encodeResponse(&responseFrame{ID: 4, Output: []field.Elem{7, 8}, Commit: []byte{9}}))
+		Input: []field.Elem{1, 2, 3}}))
+	fz.Add(encodeResponse(&responseFrame{ID: 4, Output: []field.Elem{7, 8}}))
 	fz.Add(encodeResponse(&responseFrame{ID: 5, Err: "boom"}))
 	fz.Add([]byte{0, 0, 0, 0})
 	fz.Fuzz(func(t *testing.T, wire []byte) {

@@ -287,9 +287,6 @@ type FrameExecutor struct {
 	// layer yields no Result (an erasure); a server-side application error
 	// surfaces as Result.Err.
 	Timeout time.Duration
-	// CommitOutputs makes every call request an output commitment from the
-	// worker (the committed-verification plane).
-	CommitOutputs bool
 }
 
 // DialFrames connects to framed worker endpoints. addrs[i] must host the
@@ -347,7 +344,7 @@ func (e *FrameExecutor) pendingCalls() int {
 // round returns the moment ctx is done. The round's broadcast input is encoded
 // ONCE and written to every worker.
 func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
-	tail := encodeRequestTail(key, batch, iter, e.CommitOutputs, input)
+	tail := encodeRequestTail(key, batch, iter, input)
 	// The round's request IDs are firstID, firstID+1, … in active's order.
 	firstID := e.nextID.Add(uint64(len(active))) - uint64(len(active)) + 1
 	timeout := e.Timeout // read here: a call's goroutine may outlive the round
@@ -380,7 +377,6 @@ func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.
 			}
 			res.ComputeSec = time.Since(t0).Seconds()
 			res.Output = resp.Output
-			res.Commit = resp.Commit
 			if resp.Err != "" {
 				res.Err = WorkerError(resp.Err)
 			}

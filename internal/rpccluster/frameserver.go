@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/commit"
 	"repro/internal/field"
 )
 
@@ -130,13 +129,10 @@ func (s *FrameServer) serveConn(conn net.Conn) {
 		go func() {
 			defer pending.Done()
 			resp := s.handle(req)
-			head, elems, tail := encodeResponseParts(resp)
+			head, elems := encodeResponseParts(resp)
 			bufs := net.Buffers{head}
 			if elems != nil {
 				bufs = append(bufs, elems)
-			}
-			if tail != nil {
-				bufs = append(bufs, tail)
 			}
 			wmu.Lock()
 			_, _ = bufs.WriteTo(conn) // a write error kills the conn; the reader sees it
@@ -148,9 +144,9 @@ func (s *FrameServer) serveConn(conn net.Conn) {
 
 // handle runs one worker computation. Byzantine behaviour (if the worker is
 // configured with one) is applied server-side, exactly as a compromised
-// machine would; the output commitment covers what the worker actually
-// sends, behaviour included — a Byzantine worker commits to its lie, it
-// does not get to lie about its commitment.
+// machine would. The worker vouches for nothing: the master checks what
+// arrives, and a receipt's output trees are built by the master from the
+// outputs it consumed.
 //
 // An input element ≥ q is refused before Compute runs: the field kernels
 // take canonical operands (the vector DotPacked reads only the low 32 bits
@@ -176,9 +172,6 @@ func (s *FrameServer) handle(req *requestFrame) *responseFrame {
 		return resp
 	}
 	resp.Output = out
-	if req.Commit {
-		resp.Commit = commit.OutputRoot(out)
-	}
 	return resp
 }
 

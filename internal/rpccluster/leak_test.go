@@ -157,7 +157,7 @@ func TestFrameWriteBoundedByCallDeadline(t *testing.T) {
 	if err := c.dial(); err != nil {
 		t.Fatal(err)
 	}
-	tail := encodeRequestTail("fwd", 1, 0, false, make([]field.Elem, soakElems))
+	tail := encodeRequestTail("fwd", 1, 0, make([]field.Elem, soakElems))
 	finished := make(chan error, 1)
 	go func() {
 		for id := uint64(1); id <= 256; id++ {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/gavcc"
 	"repro/internal/scheme"
 )
 
@@ -179,40 +180,73 @@ func TestRPCMissingWorkerConnection(t *testing.T) {
 	})
 }
 
-func TestRPCCommitShipping(t *testing.T) {
-	// The committed-verification plane rides the wire: with CommitOutputs
-	// set, every result carries the worker's Merkle commitment to exactly
-	// the output it sent.
-	overFrames(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(211))
-		_, exec := startCluster(t, 2, func(workers []*cluster.Worker) {
-			for _, w := range workers {
-				w.Shards["fwd"] = fieldmat.Rand(f, rng, 3, 4)
+func TestReceiptsOverFrames(t *testing.T) {
+	// The receipt plane over the real transport: a worker ships only its
+	// output, and every batched round still returns a receipt that verifies
+	// offline and survives its own codec. On the coded schemes one remote
+	// worker lies; the honest ones are paced so the liar always lands before
+	// the round is decided, is named Byzantine, and stays out of the receipt.
+	const liar, rounds = 2, 3
+	for _, tc := range overlapCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(211))
+			rows, cols, batch := 72, 40, 3
+			if tc.key == gavcc.GramKey {
+				rows, cols, batch = 24, 16, 1
 			}
-			workers[1].Behavior = attack.Constant{V: 9} // commits to its lie
+			x := fieldmat.Rand(f, rng, rows, cols)
+			coded := tc.scheme != "uncoded"
+			var behavior func(i int) attack.Behavior
+			if coded {
+				behavior = func(i int) attack.Behavior {
+					if i == liar {
+						return attack.Constant{V: 9}
+					}
+					return stall{Delay: 5 * time.Millisecond}
+				}
+			}
+			m := deployOverFrames(t, tc, x, behavior, scheme.WithReceipts(true))
+			for r := range rounds {
+				inputs := make([][]field.Elem, batch)
+				for i := range inputs {
+					if tc.key != gavcc.GramKey {
+						inputs[i] = f.RandVec(rng, cols)
+					}
+				}
+				out, err := m.RunRoundBatch(context.Background(), tc.key, inputs, r)
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				rec := out.Receipt
+				if rec == nil {
+					t.Fatalf("round %d returned no receipt", r)
+				}
+				if err := rec.Verify(); err != nil {
+					t.Fatalf("round %d: receipt does not verify: %v", r, err)
+				}
+				back, err := commit.DecodeReceipt(commit.EncodeReceipt(rec))
+				if err != nil {
+					t.Fatalf("round %d: receipt does not decode: %v", r, err)
+				}
+				if err := back.Verify(); err != nil {
+					t.Fatalf("round %d: decoded receipt does not verify: %v", r, err)
+				}
+				if !coded {
+					continue
+				}
+				if !slices.Contains(out.Byzantine, liar) {
+					t.Fatalf("round %d: liar not named Byzantine (Byzantine %v)", r, out.Byzantine)
+				}
+				for _, g := range rec.Groups {
+					for _, w := range g.Workers {
+						if w.ID == liar {
+							t.Fatalf("round %d: the receipt attests the liar's output", r)
+						}
+					}
+				}
+			}
 		})
-		exec.CommitOutputs = true
-		results := exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1})
-		if len(results) != 2 {
-			t.Fatalf("got %d results", len(results))
-		}
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			want := commit.OutputRoot(r.Output)
-			if string(r.Commit) != string(want) {
-				t.Fatalf("worker %d commitment does not cover its shipped output", r.Worker)
-			}
-		}
-		// And without the flag the wire stays commitment-free.
-		exec.CommitOutputs = false
-		for _, r := range exec.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1}) {
-			if r.Commit != nil {
-				t.Fatal("commitment shipped without being requested")
-			}
-		}
-	})
+	}
 }
 
 func TestRPCCallDeadlineReportsWorkerMissing(t *testing.T) {
@@ -490,7 +524,7 @@ func TestExpiredContextAttributedToCaller(t *testing.T) {
 		_, e := startCluster(t, 1, nil)
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		_, err := e.conns[0].call(ctx, 0, 1, 0, encodeRequestTail("fwd", 1, 0, false, []field.Elem{1}))
+		_, err := e.conns[0].call(ctx, 0, 1, 0, encodeRequestTail("fwd", 1, 0, []field.Elem{1}))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call error = %v, want the context's deadline error", err)
 		}

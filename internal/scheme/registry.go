@@ -145,7 +145,6 @@ func attachScenario(m Master, f *field.Field, cfg Config, stragglers attack.Stra
 	}
 	exec := cluster.NewVirtualExecutor(f, cfg.Sim, workers, stragglers, cfg.Seed+1)
 	exec.Dynamics = eng
-	exec.CommitOutputs = cfg.Receipts
 	m.SetExecutor(exec)
 	return nil
 }

@@ -140,10 +140,9 @@ type Config struct {
 	// plane — fall back to Scenario. Requires a sharded deployment.
 	GroupScenarios []*scenario.Scenario
 	// Receipts turns on the committed-verification plane (internal/commit):
-	// workers ship Merkle commitments to their outputs and every round's
-	// BatchOutput carries a tenant-verifiable receipt bound to the public
-	// matrix digest. Requires T == 0 — masked shards cannot be opened
-	// against the digest of the unmasked matrix.
+	// every round's BatchOutput carries a tenant-verifiable receipt bound to
+	// the public matrix digest. Requires T == 0 — masked shards cannot be
+	// opened against the digest of the unmasked matrix.
 	Receipts bool
 	// DeterministicKeys derives the secret Freivalds verification keys from
 	// Seed instead of crypto/rand. FOR TESTS ONLY: a predictable key lets an
