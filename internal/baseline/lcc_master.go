@@ -131,7 +131,7 @@ func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 			return nil, 0, fmt.Errorf("fallback decode: %w", err)
 		}
 		r.Attest = m.plan.Active[:threshold] // Active is 0..N−1: its prefix is the index list
-		return blocks, ops, nil
+		return r.Unpack(blocks), ops, nil
 	}
 	// The located-bad workers were excluded by the Reed–Solomon solve, so
 	// the receipt excludes them too.
@@ -146,7 +146,7 @@ func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 	for _, pos := range bad {
 		r.Byzantine = append(r.Byzantine, r.Workers[pos])
 	}
-	return blocks, ops, nil
+	return r.Unpack(blocks), ops, nil
 }
 
 // Observe implements cluster.Policy: the workers LCC did not wait for —

@@ -83,7 +83,7 @@ func (m *UncodedMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error
 	for i, id := range r.Workers {
 		blocks[id] = r.Outputs[i]
 	}
-	return blocks, 0, nil
+	return r.Unpack(blocks), 0, nil
 }
 
 // Observe implements cluster.Policy: every worker was waited for.

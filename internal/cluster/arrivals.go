@@ -29,12 +29,13 @@ func lose(ctx context.Context, worker int) {
 }
 
 // Arrivals is the executor's side of a round on the wall clock: the calls of
-// one RunRound report here from their own goroutines, each result is stamped,
+// one RunRound report here from whatever goroutine learns their outcome —
+// their own (Go), or a connection's read loop (Land) — each result is stamped,
 // recorded and handed to the driver under one lock (so hand-over order is
 // arrival order is slice order), and Wait returns as soon as the round is
-// stopped. Every asked worker must be reported exactly once: Go does it for a
-// call that is made, Miss for a worker the executor gives up on without
-// calling.
+// stopped. Every asked worker must be reported exactly once: by Go for a call
+// made on a goroutine of its own, by Land for a result the executor received
+// itself, and by Miss for a worker the executor gives up on.
 type Arrivals struct {
 	ctx   context.Context
 	start time.Time
@@ -66,23 +67,26 @@ func NewArrivals(ctx context.Context, asked int) *Arrivals {
 func (a *Arrivals) Go(worker int, call func() (Result, bool)) {
 	go func() {
 		if res, ok := call(); ok {
-			a.land(res)
+			a.Land(res)
 		} else {
 			a.miss(worker, a.ctx.Err() == nil)
 		}
 	}()
 }
 
-// land records res as arrived now and hands it to the driver. A result that
-// lands after Wait has returned is discarded.
-func (a *Arrivals) land(res Result) {
+// Land records res as arrived now, hands it to the driver and reports true. A
+// result landing after Wait has returned is discarded, and Land reports
+// false: its Output then still belongs to the caller, which must release it
+// if it is a recycled vector.
+func (a *Arrivals) Land(res Result) bool {
 	// Stamped before queueing for the lock, so time spent behind the driver's
 	// check of an earlier arrival is not charged to this one; never earlier
 	// than the arrival recorded before it.
 	res.ArriveAt = time.Since(a.start).Seconds()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.closed {
+	kept := !a.closed
+	if kept {
 		if n := len(a.results); n > 0 {
 			res.ArriveAt = max(res.ArriveAt, a.results[n-1].ArriveAt)
 		}
@@ -90,6 +94,7 @@ func (a *Arrivals) land(res Result) {
 		deliver(a.ctx, &a.results[len(a.results)-1])
 	}
 	a.reported()
+	return kept
 }
 
 // Miss reports a worker the executor gives up on without calling it, or whose

@@ -213,9 +213,18 @@ func (w *Worker) Compute(f *field.Field, key string, input []field.Elem, batch, 
 }
 
 // Result is one worker's response to a round, with its timing breakdown.
+//
+// Output belongs to whoever the executor returns the result to. Recycled says
+// that it is a field.GetVec vector the executor read the response into: the
+// driver puts it back (field.PutVec) once the round's decode, receipt and
+// Observe are done, so no policy, issuer or caller may keep it past the
+// round. The flag travels with the result, so it survives any decorator that
+// forwards RunRound's results.
 type Result struct {
 	Worker int
 	Output []field.Elem
+	// Recycled marks an Output the driver releases when the round is done.
+	Recycled bool
 	// ComputeSec is the worker's compute time (virtual or measured).
 	ComputeSec float64
 	// CommSec is the total link time (input broadcast + result return).
@@ -242,6 +251,8 @@ type Result struct {
 //     calls still out.
 //   - Nothing is handed over after RunRound has returned; a late result is
 //     discarded.
+//   - Nothing reads input after RunRound has returned: the driver recycles a
+//     batched round's packed input once the round is done.
 //   - A worker with no result is an omission, exactly the erasure the codes
 //     absorb: crashed, dropped, timed out, unreachable — which the executor
 //     reports as the worker's own failure (Arrivals.Miss while ctx is live) —

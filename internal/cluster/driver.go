@@ -65,6 +65,8 @@ type Round struct {
 	// Attest indexes the accepted results the decode actually consumed — what
 	// the receipt attests. nil means all of them.
 	Attest []int
+
+	gram bool // the round is Plan.Gram's: one shared K·b×b decode
 }
 
 // Policy is everything a scheme contributes to a round. The Driver owns the
@@ -79,10 +81,13 @@ type Policy interface {
 	// serially, arrival by arrival). Schemes that cannot verify per arrival
 	// accept everything at zero cost.
 	Check(r *Round, res *Result) (ok bool, ops float64)
-	// Decode turns the accepted results into the K data blocks (block j holds
-	// its rows for vector 0, then vector 1, …) and returns the decode's
-	// operation count. It errors when the accepted set cannot decode.
-	Decode(r *Round) (blocks [][]field.Elem, ops float64, err error)
+	// Decode turns the accepted results into the round's decoded outputs —
+	// entry c is vector c's result, trimmed to Rows; a Gram round has the
+	// one shared decode — and returns the decode's operation count. The
+	// outputs go to the caller and must share nothing with the results
+	// (Round.Unpack makes them from decoded blocks). It errors when the
+	// accepted set cannot decode.
+	Decode(r *Round) (outputs [][]field.Elem, ops float64, err error)
 	// Observe closes a successful round and returns the stragglers observed.
 	Observe(r *Round) int
 }
@@ -93,8 +98,8 @@ type Policy interface {
 //
 //	key check → pack → Plan → execute, accepting each result as it lands
 //	(worker error, size and range check, Check) and stopping the executor at the
-//	Need-th acceptance → ctx check → Decode → unpack → receipt → Observe →
-//	Breakdown
+//	Need-th acceptance → ctx check → Decode → receipt → Observe → Breakdown →
+//	release the round's recycled vectors
 //
 // and implements cluster.Master over it, so a scheme master is a Policy plus
 // a constructor embedding *Driver.
@@ -213,16 +218,20 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.name, err)
 	}
+	if len(inputs) > 1 {
+		// The packed batch is the driver's own; Check and Issue read it, and
+		// Issue keeps a copy.
+		defer field.PutVec(packed)
+	}
 	plan := d.policy.Plan(key, iter)
 	blockRows := (rows + plan.K - 1) / plan.K
-	batch, decodedLen := len(inputs), rows
+	batch := len(inputs)
 	resultLen := batch * blockRows
 	if plan.Gram {
 		if len(packed) != 0 {
 			return nil, fmt.Errorf("%s: the %q round takes no input", d.name, key)
 		}
-		packed, batch = nil, 1
-		resultLen, decodedLen = blockRows*blockRows, plan.K*blockRows*blockRows
+		packed, batch, resultLen = nil, 1, blockRows*blockRows
 	}
 
 	out := &BatchOutput{}
@@ -231,6 +240,7 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 			Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
 			Workers: make([]int, 0, plan.Need),
 			Outputs: make([][]field.Elem, 0, plan.Need),
+			gram:    plan.Gram,
 		},
 		d: d, need: plan.Need, resultLen: resultLen, out: out,
 	}
@@ -242,6 +252,7 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 	a.stop = stop
 	r.Results = d.exec.RunRound(context.WithValue(rctx, sinkKey{}, a), key, packed, batch, iter, plan.Active)
 	stop()
+	defer release(r.Results)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: round cancelled: %w", d.name, err)
 	}
@@ -271,11 +282,11 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		}
 	}
 
-	blocks, decodeOps, err := d.policy.Decode(r)
+	var decodeOps float64
+	out.Outputs, decodeOps, err = d.policy.Decode(r)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", d.name, err)
 	}
-	out.Outputs = UnpackBlocks(blocks, batch, decodedLen)
 	out.Used = r.Workers
 	out.Byzantine = r.Byzantine
 
@@ -317,6 +328,15 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 	out.Breakdown.Decode = decodeTime
 	out.Breakdown.Wall = a.masterFree + decodeTime
 	return out, nil
+}
+
+// release gives back the recycled outputs among a finished round's results.
+func release(results []Result) {
+	for i := range results {
+		if results[i].Recycled {
+			field.PutVec(results[i].Output)
+		}
+	}
 }
 
 // acceptance is one round's state on the driver's side of the hand-over: the
@@ -390,6 +410,17 @@ func (a *acceptance) halt(res *Result) {
 	a.stop()
 }
 
+// Unpack turns decoded blocks into the round's outputs (UnpackBlocks at the
+// round's batch, each output trimmed to Rows; a Gram round's one output is
+// every block).
+func (r *Round) Unpack(blocks [][]field.Elem) [][]field.Elem {
+	n := r.Rows
+	if r.gram {
+		n = len(blocks) * len(blocks[0])
+	}
+	return UnpackBlocks(blocks, r.Batch, n)
+}
+
 // Answered reports whether worker has a result among r.Results.
 func (r *Round) Answered(worker int) bool {
 	for i := range r.Results {
@@ -402,20 +433,32 @@ func (r *Round) Answered(worker int) bool {
 
 // DecodeVerified is the decoder of the schemes that verify before they decode
 // (AVCC, Generalized AVCC): every accepted result is known good, so the
-// first threshold of them interpolate directly.
+// first threshold of them interpolate directly. A matvec round decodes
+// straight into its outputs (lcc.Code.DecodeInto), copying the blocks of
+// accepted systematic workers; a Gram round decodes its blocks and unpacks
+// them.
 func DecodeVerified(code *lcc.Code, r *Round) ([][]field.Elem, float64, error) {
 	threshold := code.Threshold()
 	if len(r.Workers) < threshold {
 		return nil, 0, fmt.Errorf("only %d verified results, need %d (Byzantines exceed budget; rejected %v)",
 			len(r.Workers), threshold, r.Byzantine)
 	}
-	blocks, err := code.DecodeVectors(r.Positions, r.Outputs)
-	if err != nil {
+	// The cost of interpolating K blocks as long as a result from threshold
+	// results, however the decode lays them out.
+	ops := float64(threshold)*float64(code.K()*len(r.Outputs[0])) + float64(threshold*threshold)
+	if r.gram {
+		blocks, err := code.DecodeVectors(r.Positions, r.Outputs)
+		if err != nil {
+			return nil, 0, fmt.Errorf("decode: %w", err)
+		}
+		return r.Unpack(blocks), ops, nil
+	}
+	outputs := make([][]field.Elem, r.Batch)
+	for c := range outputs {
+		outputs[c] = make([]field.Elem, r.Rows)
+	}
+	if err := code.DecodeInto(outputs, r.Positions, r.Outputs); err != nil {
 		return nil, 0, fmt.Errorf("decode: %w", err)
 	}
-	var decodedLen int
-	for _, blk := range blocks {
-		decodedLen += len(blk)
-	}
-	return blocks, float64(threshold)*float64(decodedLen) + float64(threshold*threshold), nil
+	return outputs, ops, nil
 }

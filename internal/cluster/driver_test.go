@@ -47,7 +47,7 @@ func (p *scriptPolicy) Decode(r *Round) ([][]field.Elem, float64, error) {
 	if len(r.Outputs) < p.need {
 		return nil, 0, errors.New("too few results")
 	}
-	return r.Outputs[:1], 1, nil
+	return r.Unpack(r.Outputs[:1]), 1, nil
 }
 
 func (p *scriptPolicy) Observe(r *Round) int {
@@ -99,7 +99,7 @@ func (e *scriptedExecutor) RunRound(ctx context.Context, _ string, _ []field.Ele
 }
 
 func land(res Result) func(*Arrivals) {
-	return func(arr *Arrivals) { arr.land(res) }
+	return func(arr *Arrivals) { arr.Land(res) }
 }
 
 func miss(worker int) func(*Arrivals) {
@@ -137,7 +137,7 @@ func TestDriverStopsExecutorAtThreshold(t *testing.T) {
 		t.Fatalf("StoppedAt = %g, want the deciding arrival %g", p.last.StoppedAt, want)
 	}
 	// Nothing reaches the driver after RunRound has returned.
-	ex.arr.land(liar(3))
+	ex.arr.Land(liar(3))
 	if p.checked[3] != 0 || len(ex.arr.Wait()) != 3 {
 		t.Fatal("a result landing after the return was recorded or handed over")
 	}

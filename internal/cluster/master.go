@@ -120,7 +120,10 @@ type Master interface {
 // PackInputs concatenates a batch of equal-length vectors into the single
 // broadcast slice of a batched round (entry i occupies
 // packed[i*len : (i+1)*len]). It returns the packed slice and the common
-// vector length, erroring on an empty batch or ragged lengths.
+// vector length, erroring on an empty batch or ragged lengths. A batch of
+// more than one packs into a field.GetVec vector, which the caller may give
+// back with field.PutVec once nothing reads it; a batch of one is its own
+// input, aliased, and must never be put back.
 func PackInputs(inputs [][]field.Elem) (packed []field.Elem, per int, err error) {
 	if len(inputs) == 0 {
 		return nil, 0, errEmptyBatch
@@ -129,12 +132,14 @@ func PackInputs(inputs [][]field.Elem) (packed []field.Elem, per int, err error)
 	if len(inputs) == 1 {
 		return inputs[0], per, nil // a batch of one broadcasts as-is (aliased)
 	}
-	packed = make([]field.Elem, 0, per*len(inputs))
 	for i, in := range inputs {
 		if len(in) != per {
 			return nil, 0, raggedBatchError(i, len(in), per)
 		}
-		packed = append(packed, in...)
+	}
+	packed = field.GetVec(per * len(inputs))
+	for i, in := range inputs {
+		copy(packed[i*per:], in)
 	}
 	return packed, per, nil
 }

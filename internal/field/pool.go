@@ -40,15 +40,3 @@ func GetVec(n int) []Elem {
 	}
 	return make([]Elem, n, 1<<c)
 }
-
-// PutVec recycles v, which the caller must no longer hold nor have handed
-// to anyone who still does. Vectors of any origin may be put back; one with
-// capacity above MaxPooledVec, or none, is left to the collector.
-func PutVec(v []Elem) {
-	n := cap(v)
-	if n == 0 || n > MaxPooledVec {
-		return
-	}
-	c := bits.Len(uint(n)) - 1 // largest class with 1<<c <= cap
-	vecPools[c].Put(unsafe.Pointer(unsafe.SliceData(v[:n])))
-}

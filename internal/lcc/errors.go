@@ -60,10 +60,7 @@ func (c *Code) DecodeWithErrors(workers []int, results [][]field.Elem, maxErrors
 		}
 	}
 
-	xs := make([]field.Elem, len(workers))
-	for r, w := range workers {
-		xs[r] = c.alphas[w]
-	}
+	xs := c.points(workers)
 	rho := c.f.RandVec(rng, dim)
 	projected := make([]field.Elem, len(results))
 	for r, res := range results {

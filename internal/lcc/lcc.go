@@ -22,6 +22,7 @@ package lcc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
@@ -191,36 +192,127 @@ func (c *Code) EncodeMatrix(x *fieldmat.Matrix, rng *rand.Rand) ([]*fieldmat.Mat
 // All supplied results are trusted; AVCC guarantees this by Freivalds
 // verification before decode.
 func (c *Code) DecodeVectors(workers []int, results [][]field.Elem) ([][]field.Elem, error) {
-	th := c.Threshold()
-	if len(workers) < th {
-		return nil, fmt.Errorf("lcc: %d results below recovery threshold %d", len(workers), th)
-	}
-	if len(workers) != len(results) {
-		return nil, fmt.Errorf("lcc: workers/results length mismatch")
-	}
-	if err := c.checkWorkers(workers); err != nil {
+	if err := c.checkResults(workers, results); err != nil {
 		return nil, err
-	}
-	dim := len(results[0])
-	for _, r := range results {
-		if len(r) != dim {
-			return nil, fmt.Errorf("lcc: ragged result vectors")
-		}
 	}
 	// Interpolation uses exactly the threshold count (extra results are
 	// redundant once verified).
+	th := c.Threshold()
 	workers = workers[:th]
 	results = results[:th]
-	xs := make([]field.Elem, th)
-	for r, w := range workers {
-		xs[r] = c.alphas[w]
-	}
-	weights := c.plans.Weights(xs)
+	weights := c.plans.Weights(c.points(workers))
 	out := make([][]field.Elem, c.k)
 	for j := 0; j < c.k; j++ {
 		out[j] = poly.CombineVectors(c.f, weights[j], results)
 	}
 	return out, nil
+}
+
+// DecodeInto is DecodeVectors for a batched round, written straight into the
+// round's per-request outputs instead of K fresh blocks. Every result packs
+// len(dst) columns of b = len(result)/len(dst) rows, column col at
+// [col·b, (col+1)·b); dst[col] receives column col of block 0, then of block
+// 1, …, trimmed to len(dst[col]) ≤ K·b. The results must be canonical, as
+// verified results are.
+//
+// With T = 0 the code is systematic: block j is what worker j computed, so a
+// block whose worker is among the first Threshold() results is copied from
+// its result. Its interpolation weights are a unit vector, which makes the
+// copy the combination, bit for bit. Only the other blocks are combined, one
+// column at a time.
+func (c *Code) DecodeInto(dst [][]field.Elem, workers []int, results [][]field.Elem) error {
+	if err := c.checkResults(workers, results); err != nil {
+		return err
+	}
+	batch, dim := len(dst), len(results[0])
+	if batch == 0 || dim%batch != 0 {
+		return fmt.Errorf("lcc: %d-element results do not split into %d columns", dim, batch)
+	}
+	b := dim / batch
+	for _, out := range dst {
+		if len(out) > c.k*b {
+			return fmt.Errorf("lcc: output of %d elements exceeds K·b = %d", len(out), c.k*b)
+		}
+	}
+	th := c.Threshold()
+	workers = workers[:th]
+	results = results[:th]
+	var weights, cols [][]field.Elem // built on the first combined block
+	var order []int
+	for j := 0; j < c.k; j++ {
+		src := -1
+		if c.t == 0 {
+			src = slices.Index(workers, j)
+		}
+		lo := j * b
+		for col, out := range dst {
+			if lo >= len(out) {
+				continue
+			}
+			seg, from := out[lo:min(lo+b, len(out))], col*b
+			if src >= 0 {
+				copy(seg, results[src][from:])
+				continue
+			}
+			if weights == nil {
+				weights, order = c.sortedWeights(workers)
+				cols = make([][]field.Elem, th)
+			}
+			for i, r := range order {
+				cols[i] = results[r][from : from+len(seg)]
+			}
+			poly.CombineVectorsInto(c.f, seg, weights[j], cols)
+		}
+	}
+	return nil
+}
+
+// sortedWeights returns the decode weights of a worker set taken in worker
+// order, and that order as indices into workers. The combination is the same
+// sum in any order, and looking the weights up by the sorted set makes every
+// arrival order of one set share its cached plan.
+func (c *Code) sortedWeights(workers []int) (weights [][]field.Elem, order []int) {
+	order = make([]int, len(workers))
+	for r := range order {
+		order[r] = r
+	}
+	slices.SortFunc(order, func(a, b int) int { return workers[a] - workers[b] })
+	xs := make([]field.Elem, len(order))
+	for i, r := range order {
+		xs[i] = c.alphas[workers[r]]
+	}
+	return c.plans.Weights(xs), order
+}
+
+// checkResults validates a decode's inputs: at least Threshold() results,
+// one per distinct in-range worker, all of one length.
+func (c *Code) checkResults(workers []int, results [][]field.Elem) error {
+	th := c.Threshold()
+	if len(workers) < th {
+		return fmt.Errorf("lcc: %d results below recovery threshold %d", len(workers), th)
+	}
+	if len(workers) != len(results) {
+		return fmt.Errorf("lcc: workers/results length mismatch")
+	}
+	if err := c.checkWorkers(workers); err != nil {
+		return err
+	}
+	dim := len(results[0])
+	for _, r := range results {
+		if len(r) != dim {
+			return fmt.Errorf("lcc: ragged result vectors")
+		}
+	}
+	return nil
+}
+
+// points returns the evaluation points of the given workers.
+func (c *Code) points(workers []int) []field.Elem {
+	xs := make([]field.Elem, len(workers))
+	for r, w := range workers {
+		xs[r] = c.alphas[w]
+	}
+	return xs
 }
 
 // DecodeConcat decodes and concatenates block results into one vector.
@@ -236,16 +328,23 @@ func (c *Code) DecodeConcat(workers []int, results [][]field.Elem) ([]field.Elem
 	return out, nil
 }
 
+// checkWorkers rejects an out-of-range or repeated worker index. It marks
+// the workers seen in a bitset, on the stack for codes of up to 256 workers.
 func (c *Code) checkWorkers(workers []int) error {
-	seen := make(map[int]bool, len(workers))
+	var small [4]uint64
+	seen := small[:]
+	if words := (c.n + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
 	for _, w := range workers {
 		if w < 0 || w >= c.n {
 			return fmt.Errorf("lcc: worker index %d out of range [0,%d)", w, c.n)
 		}
-		if seen[w] {
+		bit := uint64(1) << (w % 64)
+		if seen[w/64]&bit != 0 {
 			return fmt.Errorf("lcc: duplicate worker index %d", w)
 		}
-		seen[w] = true
+		seen[w/64] |= bit
 	}
 	return nil
 }

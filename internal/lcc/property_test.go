@@ -166,3 +166,83 @@ func TestGeneratorColumnsSumToOneAtSystematicPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeIntoMatchesDecodeVectors: decoding a batched round straight into
+// its trimmed per-column outputs gives, element for element, what
+// DecodeVectors' blocks give once unpacked — and the product itself — for
+// systematic and private codes, in any arrival order, with or without
+// results beyond the threshold. With T = 0 this covers every mix of copied
+// and combined blocks.
+func TestDecodeIntoMatchesDecodeVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(502))
+	if err := quick.Check(func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		k := 1 + r.Intn(6)
+		tt := r.Intn(2)
+		threshold := RecoveryThreshold(k, tt, 1)
+		n := threshold + 1 + r.Intn(4)
+		code, err := New(f, n, k, tt, 1)
+		if err != nil {
+			return false
+		}
+		rows, cols, batch := 1+r.Intn(4*k), 1+r.Intn(5), 1+r.Intn(5)
+		x := fieldmat.Rand(f, r, rows, cols)
+		shards, err := code.EncodeMatrix(x, r)
+		if err != nil {
+			return false
+		}
+		b := shards[0].Rows
+		inputs := make([][]field.Elem, batch)
+		for c := range inputs {
+			inputs[c] = f.RandVec(r, cols)
+		}
+		workers := r.Perm(n)[:threshold+r.Intn(n-threshold+1)]
+		res := make([][]field.Elem, len(workers))
+		for i, w := range workers {
+			for _, in := range inputs {
+				res[i] = append(res[i], fieldmat.MatVec(f, shards[w], in)...)
+			}
+		}
+		blocks, err := code.DecodeVectors(workers, res)
+		if err != nil {
+			return false
+		}
+		dst := make([][]field.Elem, batch)
+		for c := range dst {
+			dst[c] = make([]field.Elem, rows)
+		}
+		if err := code.DecodeInto(dst, workers, res); err != nil {
+			return false
+		}
+		for c, out := range dst {
+			var unpacked []field.Elem
+			for _, blk := range blocks {
+				unpacked = append(unpacked, blk[c*b:(c+1)*b]...)
+			}
+			if !field.EqualVec(out, unpacked[:rows]) || !field.EqualVec(out, fieldmat.MatVec(f, x, inputs[c])) {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDecodeIntoRejectsBadShapes: outputs longer than K blocks, or results
+// that do not split into the outputs' columns, are refused.
+func TestDecodeIntoRejectsBadShapes(t *testing.T) {
+	code, err := New(f, 5, 3, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := [][]field.Elem{make([]field.Elem, 4), make([]field.Elem, 4), make([]field.Elem, 4)}
+	for _, dst := range [][][]field.Elem{
+		{make([]field.Elem, 13)}, // longer than K·b = 12
+		{make([]field.Elem, 1), make([]field.Elem, 1), make([]field.Elem, 1)}, // 4 rows do not split in 3
+	} {
+		if err := code.DecodeInto(dst, []int{0, 1, 2}, res); err == nil {
+			t.Errorf("DecodeInto accepted %d outputs of %d elements", len(dst), len(dst[0]))
+		}
+	}
+}

@@ -23,8 +23,8 @@
 //     decode consumed.
 //   - Responses carry the request ID they answer. A caller that gives up
 //     removes its pending entry immediately (the reap); when the late
-//     frame finally arrives it matches nothing and is discarded. Nothing
-//     is ever pinned by a slow server.
+//     frame finally arrives it matches nothing, and the vector it was read
+//     into goes back to the pool. Nothing is ever pinned by a slow server.
 //
 // Frame layout (all integers little-endian):
 //
@@ -188,7 +188,11 @@ type responseFrame struct {
 // — everything after the worker ID. A broadcast encodes this once and
 // shares the buffer across every worker's writev.
 func encodeRequestTail(key string, batch, iter int, input []field.Elem) []byte {
-	tail := make([]byte, 0, 4+4+4+len(key)+8+len(input)*8)
+	return appendRequestTail(make([]byte, 0, 4+4+4+len(key)+8+len(input)*8), key, batch, iter, input)
+}
+
+// appendRequestTail appends encodeRequestTail's bytes to tail.
+func appendRequestTail(tail []byte, key string, batch, iter int, input []field.Elem) []byte {
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(batch))
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(int32(iter)))
 	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(key)))
@@ -221,8 +225,14 @@ func encodeRequest(rf *requestFrame) []byte {
 // a fixed head and the output vector's wire bytes (zero-copy on
 // little-endian hosts). Concatenated they form the full frame.
 func encodeResponseParts(rf *responseFrame) (head, elems []byte) {
+	return appendResponseParts(nil, rf)
+}
+
+// appendResponseParts is encodeResponseParts appending the head to a
+// caller's buffer, so a worker's handler reuses one head buffer for every
+// response it writes.
+func appendResponseParts(head []byte, rf *responseFrame) ([]byte, []byte) {
 	if rf.Err != "" {
-		head = make([]byte, 0, frameHeadLen+4+len(rf.Err))
 		head = binary.LittleEndian.AppendUint32(head, uint32(1+8+4+len(rf.Err)))
 		head = append(head, typeErr)
 		head = binary.LittleEndian.AppendUint64(head, rf.ID)
@@ -230,8 +240,7 @@ func encodeResponseParts(rf *responseFrame) (head, elems []byte) {
 		head = append(head, rf.Err...)
 		return head, nil
 	}
-	elems = elemsWire(rf.Output)
-	head = make([]byte, 0, frameHeadLen+8)
+	elems := elemsWire(rf.Output)
 	head = binary.LittleEndian.AppendUint32(head, uint32(1+8+8+len(elems)))
 	head = append(head, typeOK)
 	head = binary.LittleEndian.AppendUint64(head, rf.ID)
@@ -255,11 +264,27 @@ func badFrame(format string, args ...any) error {
 	return &frameError{msg: fmt.Sprintf(format, args...)}
 }
 
+// readFixed consumes the next n bytes of br, n at most br.Size(), and returns
+// them in place: they are br's own and valid until its next read. The fixed
+// fields of a frame are read this way so that no header buffer escapes to
+// the heap.
+func readFixed(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = br.Discard(n) // cannot fail: Peek has buffered n bytes
+	return b, nil
+}
+
 // readFrameHead reads the length prefix, type and request ID, returning the
 // body length still on the wire (frame length minus type and ID).
 func readFrameHead(br *bufio.Reader) (ftype byte, id uint64, bodyLen int, err error) {
-	var head [frameHeadLen]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
+	head, err := readFixed(br, frameHeadLen)
+	if err != nil {
 		return 0, 0, 0, err
 	}
 	length := binary.LittleEndian.Uint32(head[0:])
@@ -284,8 +309,8 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 	if left < fixed {
 		return nil, badFrame("request body %d bytes, need at least %d", left, fixed)
 	}
-	var buf [fixed]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
+	buf, err := readFixed(br, fixed)
+	if err != nil {
 		return nil, err
 	}
 	rf := &requestFrame{
@@ -299,18 +324,23 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 	if keyLen > left-8 {
 		return nil, badFrame("key length %d exceeds remaining body %d", keyLen, left)
 	}
-	key, err := readBytes(br, keyLen)
+	var key []byte
+	if keyLen <= br.Size() {
+		key, err = readFixed(br, keyLen) // copied once, into the string
+	} else {
+		key, err = readBytes(br, keyLen)
+	}
 	if err != nil {
 		return nil, err
 	}
 	rf.Key = string(key)
 	left -= keyLen
-	var cnt [8]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
+	cnt, err := readFixed(br, 8)
+	if err != nil {
 		return nil, err
 	}
 	left -= 8
-	elems := binary.LittleEndian.Uint64(cnt[:])
+	elems := binary.LittleEndian.Uint64(cnt)
 	if elems > math.MaxInt/8 || int(elems)*8 != left {
 		return nil, badFrame("input count %d does not match remaining body %d", elems, left)
 	}
@@ -322,53 +352,65 @@ func readRequest(br *bufio.Reader) (*requestFrame, error) {
 
 // readResponse reads one response frame. Protocol violations return a
 // *frameError (close the connection); server-side application errors come
-// back as a frame with Err set, not as a read error.
+// back as a frame with Err set, not as a read error. The output is read into
+// a recycled vector (readRecycledElems): whoever ends up holding it last
+// gives it back.
 func readResponse(br *bufio.Reader) (*responseFrame, error) {
-	ftype, id, left, err := readFrameHead(br)
-	if err != nil {
+	rf := new(responseFrame)
+	if err := readResponseInto(br, rf); err != nil {
 		return nil, err
 	}
-	rf := &responseFrame{ID: id}
+	return rf, nil
+}
+
+// readResponseInto is readResponse into a caller's frame, which it
+// overwrites whole: a connection's read loop reads every response into one.
+func readResponseInto(br *bufio.Reader, rf *responseFrame) error {
+	ftype, id, left, err := readFrameHead(br)
+	if err != nil {
+		return err
+	}
+	*rf = responseFrame{ID: id}
 	switch ftype {
 	case typeErr:
 		if left < 4 {
-			return nil, badFrame("error body %d bytes", left)
+			return badFrame("error body %d bytes", left)
 		}
-		var n [4]byte
-		if _, err := io.ReadFull(br, n[:]); err != nil {
-			return nil, err
+		n, err := readFixed(br, 4)
+		if err != nil {
+			return err
 		}
-		msgLen := int(binary.LittleEndian.Uint32(n[:]))
+		msgLen := int(binary.LittleEndian.Uint32(n))
 		if msgLen != left-4 {
-			return nil, badFrame("error length %d does not match body %d", msgLen, left)
+			return badFrame("error length %d does not match body %d", msgLen, left)
 		}
 		msg, err := readBytes(br, msgLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rf.Err = string(msg)
 		if rf.Err == "" {
-			return nil, badFrame("error frame with empty message")
+			return badFrame("error frame with empty message")
 		}
-		return rf, nil
+		return nil
 	case typeOK:
 		if left < 8 {
-			return nil, badFrame("response body %d bytes", left)
+			return badFrame("response body %d bytes", left)
 		}
-		var cnt [8]byte
-		if _, err := io.ReadFull(br, cnt[:]); err != nil {
-			return nil, err
+		cnt, err := readFixed(br, 8)
+		if err != nil {
+			return err
 		}
 		left -= 8
-		elems := binary.LittleEndian.Uint64(cnt[:])
+		elems := binary.LittleEndian.Uint64(cnt)
 		if elems > math.MaxInt/8 || int(elems)*8 != left {
-			return nil, badFrame("output count %d does not match remaining body %d", elems, left)
+			return badFrame("output count %d does not match remaining body %d", elems, left)
 		}
-		if rf.Output, err = readElems(br, int(elems)); err != nil {
-			return nil, err
+		if rf.Output, err = readRecycledElems(br, int(elems)); err != nil {
+			return err
 		}
-		return rf, nil
+		return nil
 	default:
-		return nil, badFrame("type %d where a response was expected", ftype)
+		return badFrame("type %d where a response was expected", ftype)
 	}
 }

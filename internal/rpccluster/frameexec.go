@@ -22,8 +22,8 @@ const frameDialTimeout = 5 * time.Second
 // errConnClosed rejects calls after Close.
 var errConnClosed = errors.New("rpccluster: connection closed")
 
-// errConnFailed marks a call whose connection died before its response
-// arrived — a transport failure the caller reads as an erasure.
+// errConnFailed refuses a call on a connection that has gone down — a
+// transport failure the caller reads as an erasure.
 var errConnFailed = errors.New("rpccluster: connection failed")
 
 // WorkerError is a server-side application error relayed over the framed
@@ -35,36 +35,90 @@ type WorkerError string
 // Error implements error.
 func (e WorkerError) Error() string { return string(e) }
 
+// errQueueFull refuses a call whose connection's write queue is full: the
+// connection is not keeping up, and the worker sits this round out.
+var errQueueFull = errors.New("rpccluster: write queue full")
+
+// writeQueueLen bounds a connection's queued frame writes. Two rounds in
+// flight queue two; a queue this full means the peer is not reading.
+const writeQueueLen = 8
+
 // frameConn is one persistent framed connection to a worker endpoint. Every
-// in-flight call owns an entry in pending keyed by its request ID; a caller
-// that gives up (timeout, cancellation) reaps its entry immediately, so the
-// late response frame matches nothing on arrival and is discarded — nothing
-// a slow server does can pin client memory. A severed connection fails all
-// its pending calls at once and stays down until the next round that asks its
-// worker starts a redial — behind the round, which goes on without the worker.
+// call out on it owns an entry in pending, keyed by its request ID, that
+// names the round's Arrivals: the connection's read loop lands each response
+// there itself, so a call costs no goroutine, channel or timer of its own. A
+// round that ends — decided, cancelled or past its deadline — reaps its
+// entries at once, so a late response matches nothing on arrival and its
+// vector goes straight back to the pool: nothing a slow server does can pin
+// client memory. Frames
+// go out through one writer per connection, fed by a bounded queue that a
+// round fills without ever blocking. A severed connection misses all its
+// pending calls at once and stays down until the next round that asks its
+// worker starts a redial — behind the round, which goes on without the
+// worker.
 type frameConn struct {
 	addr string
 
 	mu      sync.Mutex
-	conn    net.Conn // nil while the connection is down
-	dialing bool     // a dial is under way, off the lock
-	pending map[uint64]chan *responseFrame
+	conn    net.Conn        // nil while the connection is down
+	probe   *peerProbe      // conn's TCP-state probe, made when it was dialled
+	wq      chan frameWrite // conn's write queue; closed when conn goes down
+	dialing bool            // a dial is under way, off the lock
+	pending map[uint64]pendingCall
 	closed  bool
+}
 
-	// wsem (capacity 1) serialises frame writes; writes happen outside mu so a
-	// reap never waits behind a large payload hitting the socket. It is a
-	// channel rather than a mutex so a call queued behind a write that a
-	// non-reading peer has blocked can still leave when its round is stopped.
-	wsem chan struct{}
+// pendingCall is one call out on a connection: where its response lands.
+type pendingCall struct {
+	arr    *cluster.Arrivals
+	worker int
+	sent   time.Time
+}
+
+// frameWrite is one queued request frame: its head is built by the writer,
+// the tail is the round's shared encoding.
+type frameWrite struct {
+	id       uint64
+	worker   int
+	tail     *requestTail
+	deadline time.Time // zero: none
+}
+
+// requestTail is a round's shared request tail (encodeRequestTail), recycled.
+// The round holds one reference while it fans out and every queued write
+// holds one until it has gone out or been dropped; the last release puts the
+// buffer back in the pool.
+type requestTail struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+var tailPool = sync.Pool{New: func() any { return new(requestTail) }}
+
+// newRequestTail encodes a round's tail into a recycled buffer, held once.
+func newRequestTail(key string, batch, iter int, input []field.Elem) *requestTail {
+	t := tailPool.Get().(*requestTail)
+	t.b = appendRequestTail(t.b[:0], key, batch, iter, input)
+	t.refs.Store(1)
+	return t
+}
+
+func (t *requestTail) hold() { t.refs.Add(1) }
+
+func (t *requestTail) release() {
+	if t.refs.Add(-1) == 0 {
+		tailPool.Put(t)
+	}
 }
 
 func newFrameConn(addr string) *frameConn {
-	return &frameConn{addr: addr, pending: make(map[uint64]chan *responseFrame), wsem: make(chan struct{}, 1)}
+	return &frameConn{addr: addr, pending: make(map[uint64]pendingCall)}
 }
 
-// dial (re)establishes the connection if it is down. One attempt runs at a
-// time, off the lock, so nothing — a reap, the next round's fan-out — ever
-// waits behind a dial to a dead address.
+// dial (re)establishes the connection if it is down, and starts its read
+// loop and its writer. One attempt runs at a time, off the lock, so nothing —
+// a reap, the next round's fan-out — ever waits behind a dial to a dead
+// address.
 func (c *frameConn) dial() error {
 	c.mu.Lock()
 	if c.closed {
@@ -88,8 +142,10 @@ func (c *frameConn) dial() error {
 		conn.Close()
 		return errConnClosed
 	}
-	c.conn = conn
+	c.conn, c.probe = conn, newPeerProbe(conn)
+	c.wq = make(chan frameWrite, writeQueueLen)
 	go c.readLoop(conn)
+	go c.writeLoop(conn, c.wq)
 	return nil
 }
 
@@ -100,49 +156,69 @@ func (c *frameConn) dial() error {
 // slower than the rest.
 func (c *frameConn) up() bool {
 	c.mu.Lock()
-	conn := c.conn
+	conn, probe := c.conn, c.probe
 	c.mu.Unlock()
 	if conn == nil {
 		return false
 	}
-	if peerClosed(conn) {
+	if probe.closed() {
 		c.fail(conn)
 		return false
 	}
 	return true
 }
 
-// attach registers a pending call and returns the connection to write it to.
-// A call whose round is already stopped is refused under the same lock reap
-// takes, so once RunRound has reaped a stopped round's calls none of them can
-// register afterwards.
-func (c *frameConn) attach(ctx context.Context, id uint64, ch chan *responseFrame) (net.Conn, error) {
+// send registers call id of worker, whose response lands in arr, and queues
+// its frame — head plus the round's shared tail, written under deadline. It
+// never blocks: a stopped round, a connection gone down or a full write
+// queue refuses the call with an error, and the caller reports the worker
+// missed. A call whose round is already stopped is refused under the same
+// lock reap takes, so once a stopped round has reaped its calls none of them
+// can register afterwards.
+func (c *frameConn) send(ctx context.Context, arr *cluster.Arrivals, id uint64, worker int, tail *requestTail, deadline time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if c.closed {
-		return nil, errConnClosed
+		return errConnClosed
 	}
 	if c.conn == nil {
-		return nil, errConnFailed // died since the fan-out found it up
+		return errConnFailed // died since the fan-out found it up
 	}
-	c.pending[id] = ch
-	return c.conn, nil
+	tail.hold()
+	select {
+	case c.wq <- frameWrite{id: id, worker: worker, tail: tail, deadline: deadline}:
+	default:
+		tail.release()
+		return errQueueFull
+	}
+	c.pending[id] = pendingCall{arr: arr, worker: worker, sent: time.Now()}
+	return nil
 }
 
-// reap abandons a pending call: the entry is removed NOW, so the response —
-// if it ever arrives — is discarded at the read loop instead of pinning the
-// entry until the executor closes.
-func (c *frameConn) reap(id uint64) {
+// reap abandons a pending call and reports whether it was still out: the
+// entry is removed NOW, so the response — if it ever arrives — is released
+// at the read loop, and a write still queued for it is dropped unwritten.
+func (c *frameConn) reap(id uint64) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.pending[id]
 	delete(c.pending, id)
-	c.mu.Unlock()
+	return ok
 }
 
-// fail severs conn (if it is still the live one) and fails every call
-// pending on it by closing their channels.
+// isPending reports whether call id is still out.
+func (c *frameConn) isPending(id uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.pending[id]
+	return ok
+}
+
+// fail severs conn (if it is still the live one) and misses every call
+// pending on it.
 func (c *frameConn) fail(conn net.Conn) {
 	conn.Close()
 	c.mu.Lock()
@@ -150,36 +226,108 @@ func (c *frameConn) fail(conn net.Conn) {
 		c.mu.Unlock()
 		return
 	}
-	c.conn = nil
-	failed := c.pending
-	c.pending = make(map[uint64]chan *responseFrame)
+	failed := c.down()
 	c.mu.Unlock()
-	for _, ch := range failed {
-		close(ch)
+	missAll(failed)
+}
+
+// close tears the connection down for good and misses anything in flight.
+func (c *frameConn) close() {
+	c.mu.Lock()
+	c.closed = true
+	conn := c.conn
+	var failed map[uint64]pendingCall
+	if conn != nil {
+		failed = c.down()
+	}
+	c.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+	missAll(failed)
+}
+
+// down marks the live connection down: it stops its writer (which drops what
+// is still queued) and hands back the calls that were pending on it. Callers
+// hold c.mu.
+func (c *frameConn) down() map[uint64]pendingCall {
+	close(c.wq)
+	c.conn, c.probe, c.wq = nil, nil, nil
+	failed := c.pending
+	c.pending = make(map[uint64]pendingCall)
+	return failed
+}
+
+// missAll reports every call of a failed connection missing to its round:
+// the worker's own loss while that round is live.
+func missAll(calls map[uint64]pendingCall) {
+	for _, p := range calls {
+		p.arr.Miss(p.worker)
 	}
 }
 
-// readLoop delivers response frames to their pending calls until the
-// connection dies or a frame is malformed.
+// writeLoop writes conn's queued frames, in order, until the queue is
+// closed. A write whose call was reaped while it waited is dropped unwritten.
+// Each write carries its call's deadline, so a peer that stops reading costs
+// one deadline; a write error severs conn, and what is still queued is
+// dropped.
+func (c *frameConn) writeLoop(conn net.Conn, wq <-chan frameWrite) {
+	var head [requestHeadLen]byte
+	var parts [2][]byte
+	var bufs net.Buffers
+	failed := false
+	for w := range wq {
+		if !failed && c.isPending(w.id) {
+			requestHead(&head, w.id, w.worker, len(w.tail.b))
+			parts = [2][]byte{head[:], w.tail.b}
+			bufs = parts[:]
+			// Zero clears the previous write's deadline; an error here means
+			// conn is closed and the write reports it.
+			_ = conn.SetWriteDeadline(w.deadline)
+			if _, err := bufs.WriteTo(conn); err != nil {
+				failed = true
+				c.fail(conn)
+			}
+		}
+		w.tail.release()
+	}
+}
+
+// readLoop lands response frames in their calls' rounds until the connection
+// dies or a frame is malformed. A response that answers a reaped call, or
+// lands after its round has ended, is released undelivered.
 func (c *frameConn) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
+	var resp responseFrame
 	for {
-		resp, err := readResponse(br)
-		if err != nil {
+		if err := readResponseInto(br, &resp); err != nil {
 			c.fail(conn)
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
+		call, ok := c.pending[resp.ID]
 		if ok {
 			delete(c.pending, resp.ID)
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- resp // buffered; never blocks the loop
+		if !ok || !call.arr.Land(call.result(&resp)) {
+			field.PutVec(resp.Output)
 		}
-		// A frame matching nothing answers a reaped call: discarded.
 	}
+}
+
+// result is the cluster.Result a response makes for its call. Its output is
+// the recycled vector the read loop read it into, which the round's driver
+// releases.
+func (p pendingCall) result(resp *responseFrame) cluster.Result {
+	res := cluster.Result{
+		Worker: p.worker, Output: resp.Output, Recycled: true,
+		ComputeSec: time.Since(p.sent).Seconds(),
+	}
+	if resp.Err != "" {
+		res.Err = WorkerError(resp.Err)
+	}
+	return res
 }
 
 // pendingCount reports the live pending-call entries (soak tests assert it
@@ -188,87 +336,6 @@ func (c *frameConn) pendingCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
-}
-
-// close tears the connection down and fails anything in flight.
-func (c *frameConn) close() {
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.conn = nil
-	failed := c.pending
-	c.pending = make(map[uint64]chan *responseFrame)
-	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	for _, ch := range failed {
-		close(ch)
-	}
-}
-
-// call issues one framed request under the effective deadline (configured
-// cap ∧ context deadline) — which bounds the write as well as the wait for
-// the response, so a peer that stops reading costs one deadline, not a
-// goroutine — and aborts on context cancellation. Give-ups reap the pending
-// entry immediately.
-func (c *frameConn) call(ctx context.Context, cap time.Duration, id uint64, worker int, tail []byte) (*responseFrame, error) {
-	timeout, has := effectiveTimeout(cap, ctx)
-	if has && timeout <= 0 {
-		// The caller's deadline had already passed before the call could go
-		// out: attribute it to the context, not to a slow worker.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.DeadlineExceeded
-	}
-	var deadline time.Time // zero: only the context governs
-	if has {
-		deadline = time.Now().Add(timeout)
-	}
-	ch := make(chan *responseFrame, 1)
-	conn, err := c.attach(ctx, id, ch)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case c.wsem <- struct{}{}:
-	case <-ctx.Done():
-		c.reap(id)
-		return nil, ctx.Err()
-	}
-	var head [requestHeadLen]byte
-	requestHead(&head, id, worker, len(tail))
-	bufs := net.Buffers{head[:], tail}
-	// Each write sets the connection's deadline afresh (zero clears the
-	// previous call's); an error here means conn is closed and the write
-	// below reports it.
-	_ = conn.SetWriteDeadline(deadline)
-	_, werr := bufs.WriteTo(conn)
-	<-c.wsem
-	if werr != nil {
-		c.fail(conn) // clears our pending entry with everyone else's
-		return nil, werr
-	}
-	var expired <-chan time.Time
-	if has {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		expired = timer.C
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, errConnFailed
-		}
-		return resp, nil
-	case <-expired:
-		c.reap(id)
-		return nil, errCallTimeout
-	case <-ctx.Done():
-		c.reap(id)
-		return nil, ctx.Err()
-	}
 }
 
 // FrameExecutor implements cluster.Executor over the framed transport:
@@ -280,12 +347,12 @@ type FrameExecutor struct {
 	ids    []int
 	idx    map[int]int
 	nextID atomic.Uint64
-	// Timeout is the per-call deadline cap: the effective deadline is
-	// Timeout ∧ the context's deadline,
-	// 0 means DefaultCallTimeout, negative leaves only the context
-	// governing. A call that exceeds its deadline or fails at the transport
-	// layer yields no Result (an erasure); a server-side application error
-	// surfaces as Result.Err.
+	// Timeout is the per-call deadline cap: the effective deadline, which
+	// every call of a round shares and which bounds its frame write too, is
+	// Timeout ∧ the context's deadline; 0 means DefaultCallTimeout, negative
+	// leaves only the context governing. A call that exceeds its deadline or
+	// fails at the transport layer yields no Result (an erasure); a
+	// server-side application error surfaces as Result.Err.
 	Timeout time.Duration
 }
 
@@ -342,57 +409,65 @@ func (e *FrameExecutor) pendingCalls() int {
 // frame arrives, workers whose calls time out or fail at the transport layer
 // are omitted (erasures), server-side errors surface as Result.Err, and the
 // round returns the moment ctx is done. The round's broadcast input is encoded
-// ONCE and written to every worker.
+// ONCE, into a recycled tail that every worker's frame shares, and queued to
+// each connection's writer without waiting on any of them: a connection whose
+// queue is full costs its worker this round, never the round. Responses land
+// from the connections' read loops; the round arms one deadline (Timeout ∧
+// ctx), and when it expires every call still out is reaped and missed.
 func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
-	tail := encodeRequestTail(key, batch, iter, input)
+	arr := cluster.NewArrivals(ctx, len(active))
+	timeout, has := effectiveTimeout(e.Timeout, ctx)
+	if has && timeout <= 0 {
+		// The caller's deadline passed before anything could go out: that is
+		// the caller's loss, not its workers'. Nothing is sent or reported,
+		// and Wait returns on the expired ctx.
+		return arr.Wait()
+	}
+	var deadline time.Time // zero: only the context governs
+	if has {
+		deadline = time.Now().Add(timeout)
+	}
+	tail := newRequestTail(key, batch, iter, input)
 	// The round's request IDs are firstID, firstID+1, … in active's order.
 	firstID := e.nextID.Add(uint64(len(active))) - uint64(len(active)) + 1
-	timeout := e.Timeout // read here: a call's goroutine may outlive the round
-	arr := cluster.NewArrivals(ctx, len(active))
 	for i, id := range active {
-		reqID := firstID + uint64(i)
 		ci, ok := e.idx[id]
-		if ok && !e.conns[ci].up() {
+		switch {
+		case !ok:
+			arr.Land(cluster.Result{Worker: id, Err: fmt.Errorf("rpccluster: no connection for worker %d", id)})
+		case !e.conns[ci].up():
 			// Known down as the round asks: the worker is lost to this round
 			// and the round is told before anyone can answer, so it knows
 			// however soon it is decided. The redial runs behind it.
 			arr.Miss(id)
 			go e.conns[ci].dial()
-			continue
+		case e.conns[ci].send(ctx, arr, firstID+uint64(i), id, tail, deadline) != nil:
+			// Stopped round, connection down since, or a full write queue:
+			// the worker sits the round out.
+			arr.Miss(id)
 		}
-		arr.Go(id, func() (cluster.Result, bool) {
-			res := cluster.Result{Worker: id}
-			if !ok {
-				res.Err = fmt.Errorf("rpccluster: no connection for worker %d", id)
-				return res, true
-			}
-			t0 := time.Now()
-			resp, err := e.conns[ci].call(ctx, timeout, reqID, id, tail)
-			if err != nil {
-				// Timeout, cancellation or transport failure: the endpoint is
-				// gone as far as this round is concerned. Report the worker
-				// missing rather than poisoning the round with an error the
-				// master cannot act on.
-				return res, false
-			}
-			res.ComputeSec = time.Since(t0).Seconds()
-			res.Output = resp.Output
-			if resp.Err != "" {
-				res.Err = WorkerError(resp.Err)
-			}
-			return res, true
-		})
+	}
+	tail.release()
+	var expiry *time.Timer
+	if has {
+		expiry = time.AfterFunc(time.Until(deadline), func() { e.reap(arr, firstID, active) })
 	}
 	results := arr.Wait()
-	if ctx.Err() != nil && len(results) < len(active) {
-		// Stopped with calls still out: reap them here rather than when each
-		// call's goroutine next runs, so a stopped round leaves nothing
-		// pending — not even behind a write the peer is not reading.
-		for i, id := range active {
-			if ci, ok := e.idx[id]; ok {
-				e.conns[ci].reap(firstID + uint64(i))
-			}
+	if expiry != nil {
+		expiry.Stop()
+	}
+	// Stopped with calls still out: reap them here, so a stopped round
+	// leaves nothing pending.
+	e.reap(nil, firstID, active)
+	return results
+}
+
+// reap removes the round's calls still out. With arr — the round's deadline
+// has expired while it is live — it reports each of them missed.
+func (e *FrameExecutor) reap(arr *cluster.Arrivals, firstID uint64, active []int) {
+	for i, id := range active {
+		if ci, ok := e.idx[id]; ok && e.conns[ci].reap(firstID+uint64(i)) && arr != nil {
+			arr.Miss(id)
 		}
 	}
-	return results
 }

@@ -108,37 +108,67 @@ func (s *FrameServer) Close() error {
 
 // serveConn reads request frames until the connection dies or a frame is
 // malformed (at which point the stream cannot be re-framed and the
-// connection is closed). Each request computes in its own goroutine so a
-// slow round does not head-of-line-block later requests multiplexed on the
-// same connection; responses are serialised by a write lock.
+// connection is closed). Each request is handed to an idle handler of this
+// connection, and a new handler starts only when none is idle: a slow
+// request never head-of-line-blocks later requests multiplexed on the same
+// connection, and a handler's stack, grown inside the kernel path by its
+// first request, serves every later one. Handlers live until the connection
+// closes, and serveConn returns only once they have all finished. Responses
+// are serialised by a write lock.
 //
 // A request's input vector and its response's output vector are recycled
-// here and nowhere else: once the writev has put the response on the wire,
-// nothing reads either of them (see cluster.Op on who owns a result).
+// by the handler and nowhere else: once the writev has put the response on
+// the wire, nothing reads either of them (see cluster.Op on who owns a
+// result).
 func (s *FrameServer) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var wmu sync.Mutex
-	var pending sync.WaitGroup
-	defer pending.Wait()
+	var handlers sync.WaitGroup
+	idle := make(chan *requestFrame) // unbuffered: a send reaches an idle handler or no one
+	defer func() {
+		close(idle)
+		handlers.Wait()
+	}()
 	for {
 		req, err := readRequest(br)
 		if err != nil {
 			return
 		}
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			resp := s.handle(req)
-			head, elems := encodeResponseParts(resp)
-			bufs := net.Buffers{head}
-			if elems != nil {
-				bufs = append(bufs, elems)
-			}
-			wmu.Lock()
-			_, _ = bufs.WriteTo(conn) // a write error kills the conn; the reader sees it
-			wmu.Unlock()
-			release(req, resp)
-		}()
+		select {
+		case idle <- req:
+		default:
+			handlers.Add(1)
+			go func() {
+				defer handlers.Done()
+				s.handler(conn, &wmu, req, idle)
+			}()
+		}
+	}
+}
+
+// handler serves req, then every request handed to it on idle, until idle is
+// closed. It writes each response with one writev, from a head buffer it
+// keeps, and then releases the request's vectors.
+func (s *FrameServer) handler(conn net.Conn, wmu *sync.Mutex, req *requestFrame, idle <-chan *requestFrame) {
+	var head, elems []byte
+	var parts [2][]byte
+	var bufs net.Buffers
+	for {
+		resp := s.handle(req)
+		head, elems = appendResponseParts(head[:0], resp)
+		parts = [2][]byte{head, elems}
+		bufs = parts[:]
+		if elems == nil {
+			bufs = bufs[:1]
+		}
+		wmu.Lock()
+		_, _ = bufs.WriteTo(conn) // a write error kills the conn; the reader sees it
+		wmu.Unlock()
+		release(req, resp)
+		var ok bool
+		if req, ok = <-idle; !ok {
+			return
+		}
 	}
 }
 

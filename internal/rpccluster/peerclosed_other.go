@@ -4,6 +4,10 @@ package rpccluster
 
 import "net"
 
-// peerClosed cannot ask the kernel here: a dead peer is found out by the
+// peerProbe cannot ask the kernel here: a dead peer is found out by the
 // connection's read loop alone.
-func peerClosed(net.Conn) bool { return false }
+type peerProbe struct{}
+
+func newPeerProbe(net.Conn) *peerProbe { return nil }
+
+func (*peerProbe) closed() bool { return false }

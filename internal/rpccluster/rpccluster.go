@@ -16,7 +16,6 @@ package rpccluster
 
 import (
 	"context"
-	"errors"
 	"time"
 )
 
@@ -25,9 +24,6 @@ import (
 // round: coded computing treats the worker as missing (an erasure) and
 // decodes from the survivors.
 const DefaultCallTimeout = 30 * time.Second
-
-// errCallTimeout marks a call that outlived the per-call deadline.
-var errCallTimeout = errors.New("rpccluster: call deadline exceeded")
 
 // effectiveTimeout resolves the per-call deadline of a worker call:
 // the configured cap (with 0 meaning DefaultCallTimeout and negative

@@ -51,7 +51,7 @@ func overFrames(t *testing.T, fn func(t *testing.T)) {
 // configure-then-serve — exactly the deployment-time contract. A test
 // that must flip behaviour mid-run needs a self-synchronising Behavior
 // (see adjustableStall in leak_test.go).
-func startServers(t *testing.T, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, []string, []func() error) {
+func startServers(t testing.TB, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, []string, []func() error) {
 	t.Helper()
 	workers := make([]*cluster.Worker, n)
 	for i := 0; i < n; i++ {
@@ -75,7 +75,7 @@ func startServers(t *testing.T, n int, prepare func(workers []*cluster.Worker)) 
 }
 
 // startCluster is startServers plus a connected executor.
-func startCluster(t *testing.T, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, *FrameExecutor) {
+func startCluster(t testing.TB, n int, prepare func(workers []*cluster.Worker)) ([]*cluster.Worker, *FrameExecutor) {
 	t.Helper()
 	workers, addrs, _ := startServers(t, n, prepare)
 	exec, err := DialFrames(addrs, nil)
@@ -521,15 +521,36 @@ func TestExpiredContextAttributedToCaller(t *testing.T) {
 	// expiry from a slow worker. It must be attributed to the context — and
 	// the doomed call must not go on the wire at all.
 	overFrames(t, func(t *testing.T) {
-		_, e := startCluster(t, 1, nil)
+		var calls atomic.Int64
+		_, e := startCluster(t, 1, func(workers []*cluster.Worker) {
+			workers[0].Shards["fwd"] = fieldmat.Rand(f, rand.New(rand.NewSource(214)), 2, 1)
+			workers[0].Ops["fwd"] = countingOp{calls: &calls}
+		})
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		_, err := e.conns[0].call(ctx, 0, 1, 0, encodeRequestTail("fwd", 1, 0, []field.Elem{1}))
+		tail := newRequestTail("fwd", 1, 0, []field.Elem{1})
+		defer tail.release()
+		err := e.conns[0].send(ctx, cluster.NewArrivals(ctx, 1), 1, 0, tail, time.Time{})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("call error = %v, want the context's deadline error", err)
 		}
 		if n := e.pendingCalls(); n != 0 {
 			t.Fatalf("%d pending entries after an expired-deadline call that never went out", n)
+		}
+		// The whole round: nothing goes out and nothing stays pending.
+		if res := e.RunRound(ctx, "fwd", []field.Elem{1}, 1, 0, []int{0}); len(res) != 0 {
+			t.Fatalf("an expired round returned %d results", len(res))
+		}
+		if n := e.pendingCalls(); n != 0 {
+			t.Fatalf("%d pending entries after an expired round", n)
+		}
+		// A live round on the same connection is answered; had the doomed
+		// calls gone out, the worker would have computed them first.
+		if res := e.RunRound(context.Background(), "fwd", []field.Elem{1}, 1, 0, []int{0}); len(res) != 1 || res[0].Err != nil {
+			t.Fatalf("live round after the expired ones: %+v", res)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("the worker computed %d times, want only the live round's call", n)
 		}
 	})
 }
