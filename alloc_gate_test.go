@@ -62,9 +62,12 @@ func gateKernels(t *testing.T) map[string]func() {
 	bm := fieldmat.Rand(f, rng, gateDim, gateCols)
 	cm := fieldmat.NewMatrix(gateRows, gateCols)
 
-	batchShard := fieldmat.Pack(f, fieldmat.Rand(f, rng, 40, 120))
+	batchMatrix := fieldmat.Rand(f, rng, 40, 120)
+	batchShard := fieldmat.Pack(f, batchMatrix)
 	batchIn := f.RandVec(rng, 32*120)
 	batchOut := make([]field.Elem, 32*40)
+	batchKey := verify.NewKey(f, verify.Seeded(rng), batchMatrix)
+	fieldmat.MatVecBatchInto(f, batchOut, batchShard, batchIn, 32)
 
 	key := verify.NewKey(f, verify.Seeded(rng), shard)
 	claim := fieldmat.MatVec(f, shard, x)
@@ -81,6 +84,12 @@ func gateKernels(t *testing.T) map[string]func() {
 		"Freivalds/paper": func() {
 			if !key.Check(x, claim) {
 				t.Fatal("honest claim rejected")
+			}
+		},
+		// The batched check of that round's 32 claims.
+		"Freivalds/packed-batch/paper": func() {
+			if !batchKey.CheckBatch(batchIn, batchOut, 32) {
+				t.Fatal("honest batched claim rejected")
 			}
 		},
 	}
@@ -166,8 +175,9 @@ func TestAllocGate(t *testing.T) {
 		})
 	}
 	// The artifact currently commits nine zero-alloc lazy rows, one packed
-	// and one packed-batch row; losing rows silently would hollow out the gate.
-	if gated < 11 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 11", gated)
+	// and two packed-batch rows; losing rows silently would hollow out the
+	// gate.
+	if gated < 12 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 12", gated)
 	}
 }

@@ -141,7 +141,8 @@ type kernelBenchRecord struct {
 	// on LCCEncode, the clear + AXPY encoder the fused one replaced), on the
 	// MatVec cell "packed" (the worker-side kernel over fieldmat.Pack's
 	// 32-bit rows) and "packed-batch" (a batched worker round through
-	// fieldmat.MatVecBatchInto, at its own shape, so it carries no speedup),
+	// fieldmat.MatVecBatchInto, at its own shape, so it carries no speedup;
+	// on the Freivalds cell, Key.CheckBatch over that round's 32 claims),
 	// or on LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
@@ -303,6 +304,10 @@ func kernelEnv() map[string]any {
 		"goos":       runtime.GOOS,
 		"goarch":     runtime.GOARCH,
 		"commit":     commit,
+		// The panel kernel DotPackedRows runs for the paper's modulus on
+		// this CPU ("avx512-ifma", "avx2" or "generic"): both packed-batch
+		// rows depend on it.
+		"kernel_tier": field.Default().KernelTier(),
 	}
 }
 
@@ -352,7 +357,8 @@ func BenchmarkKernels(b *testing.B) {
 	kernelCell(b, records, iters, "MatVec", "packed", "paper", "shard 667x5000", func() { fieldmat.MatVecInto(f, y, packed, x) })
 	// A worker's batched round as serve_sat runs it: a 40×120 packed shard
 	// times 32 inputs, each row multiplied into four inputs at a time.
-	batchShard := fieldmat.Pack(f, fieldmat.Rand(f, rng, 40, 120))
+	batchMatrix := fieldmat.Rand(f, rng, 40, 120)
+	batchShard := fieldmat.Pack(f, batchMatrix)
 	batchIn := f.RandVec(rng, 32*120)
 	batchOut := make([]field.Elem, 32*40)
 	kernelCell(b, records, iters, "MatVec", "packed-batch", "paper", "shard 40x120 batch 32", func() {
@@ -381,6 +387,15 @@ func BenchmarkKernels(b *testing.B) {
 	kernelCell(b, records, iters, "Freivalds", "lazy", "paper", "shard 667x5000", func() {
 		if !key.Check(x, claim) {
 			b.Fatal("honest claim rejected")
+		}
+	})
+	// The batched check as a serve_sat round runs it per worker: 32 stacked
+	// claims on a 40×120 shard, four columns per panel product.
+	batchKey := verify.NewKey(f, verify.Seeded(rng), batchMatrix)
+	fieldmat.MatVecBatchInto(f, batchOut, batchShard, batchIn, 32)
+	kernelCell(b, records, iters, "Freivalds", "packed-batch", "paper", "shard 40x120 batch 32", func() {
+		if !batchKey.CheckBatch(batchIn, batchOut, 32) {
+			b.Fatal("honest batched claim rejected")
 		}
 	})
 	r2 := f.RandVec(rng, shardRows)

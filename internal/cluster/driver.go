@@ -160,6 +160,10 @@ func NewDriver(f *field.Field, name string, p Policy, n int, data map[string]*fi
 // Name implements Master.
 func (d *Driver) Name() string { return d.name }
 
+// Field returns the field the deployment computes over; scheme.Service reads
+// it to refuse non-canonical inputs at Submit.
+func (d *Driver) Field() *field.Field { return d.f }
+
 // SetExecutor swaps the executor (tests and real-transport runs).
 func (d *Driver) SetExecutor(e Executor) { d.exec = e }
 
@@ -209,10 +213,17 @@ func (d *Driver) RunRound(ctx context.Context, key string, input []field.Elem, i
 }
 
 // RunRoundBatch implements Master: the whole batch runs as ONE coded round.
+// An input with an element ≥ q fails the call with ErrNonCanonicalInput
+// before any worker is asked.
 func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field.Elem, iter int) (*BatchOutput, error) {
 	rows, ok := d.rows[key]
 	if !ok {
 		return nil, fmt.Errorf("%s: unknown round key %q", d.name, key)
+	}
+	for i, in := range inputs {
+		if !field.Canonical(d.f.Q(), in) {
+			return nil, fmt.Errorf("%s: batch input %d: %w (q = %d)", d.name, i, ErrNonCanonicalInput, d.f.Q())
+		}
 	}
 	packed, _, err := PackInputs(inputs)
 	if err != nil {

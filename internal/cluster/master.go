@@ -13,6 +13,12 @@ import (
 // errEmptyBatch rejects batched rounds with nothing to compute.
 var errEmptyBatch = errors.New("cluster: empty batch")
 
+// ErrNonCanonicalInput refuses a round input with an element ≥ q. Every
+// field kernel takes canonical operands (the vector ones multiply only the
+// low 32 or 52 bits of each word), so an input is checked where it enters:
+// Driver.RunRoundBatch, scheme.Service.Submit and the framed worker server.
+var ErrNonCanonicalInput = errors.New("cluster: input element not below the field modulus")
+
 func raggedBatchError(i, got, want int) error {
 	return fmt.Errorf("cluster: batch input %d has length %d, want %d", i, got, want)
 }

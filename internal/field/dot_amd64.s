@@ -167,6 +167,217 @@ hsum:
 done:
 	RET
 
+// PANELSUM4 stores the four horizontal sums of the accumulators z0–z3 (the
+// same registers as y0–y3) to dst as one vector, lane k holding zk's sum:
+// each zmm is folded onto its low half (VEXTRACTI64X4), and the four halves
+// are summed as dotPanelAVX2's transpose. Clobbers Y8–Y11.
+#define PANELSUM4(z0, z1, z2, z3, y0, y1, y2, y3, dst) \
+	VEXTRACTI64X4 $1, z0, Y8; \
+	VPADDQ        Y8, y0, y0; \
+	VEXTRACTI64X4 $1, z1, Y9; \
+	VPADDQ        Y9, y1, y1; \
+	VEXTRACTI64X4 $1, z2, Y10; \
+	VPADDQ        Y10, y2, y2; \
+	VEXTRACTI64X4 $1, z3, Y11; \
+	VPADDQ        Y11, y3, y3; \
+	VPUNPCKLQDQ   y1, y0, Y8; \
+	VPUNPCKHQDQ   y1, y0, Y9; \
+	VPADDQ        Y9, Y8, Y8; \
+	VPUNPCKLQDQ   y3, y2, Y10; \
+	VPUNPCKHQDQ   y3, y2, Y11; \
+	VPADDQ        Y11, Y10, Y10; \
+	VPERM2I128    $0x20, Y10, Y8, Y9; \
+	VPERM2I128    $0x31, Y10, Y8, Y11; \
+	VPADDQ        Y11, Y9, Y9; \
+	VMOVDQU       Y9, dst
+
+// func dotPanel2IFMA(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Elem)
+//
+// dotPanelAVX2's contract on AVX-512 IFMA, for moduli below 2²⁶: for each row
+// r < len(sums)/4 of the panel a and each vector k < 4, stores the raw sum
+// Σ uint64(a[r*stride+j])·xk[j] over j < n &^ 3 into sums[4r+k]. VPMADD52LUQ
+// adds the low 52 bits of the product of the low 52 bits of its operands, so
+// the sum is exact only when every a entry and every xk word is below 2²⁶:
+// the caller checks q, and the words are canonical.
+//
+// Rows run in pairs. Each 8-column step widens eight packed entries of both
+// rows (VPMOVZXDQ → zmm), loads eight words of each of the four vectors once,
+// and issues eight multiply-adds, one per (row, vector) accumulator. A last
+// 4-column step widens into the low halves only (a VEX write zeroes the upper
+// lanes, whose products then add nothing). An odd last row runs the same
+// steps alone (1×4). Each row's four accumulators are summed horizontally
+// and stored as one vector (PANELSUM4).
+TEXT ·dotPanel2IFMA(SB), NOSPLIT, $0-160
+	MOVQ sums_base+0(FP), DI
+	MOVQ sums_len+8(FP), R8
+	SHRQ $2, R8            // rows
+	JZ   done
+	MOVQ a_base+24(FP), SI
+	MOVQ stride+48(FP), R9
+	SHLQ $2, R9            // row stride in bytes
+	MOVQ n+56(FP), CX
+	ANDQ $-4, CX           // columns covered by whole 4-column steps
+	MOVQ CX, DX
+	ANDQ $-8, DX           // columns covered by whole 8-column steps
+	MOVQ x0_base+64(FP), R10
+	MOVQ x1_base+88(FP), R11
+	MOVQ x2_base+112(FP), R12
+	MOVQ x3_base+136(FP), R13
+
+pair:
+	CMPQ R8, $2
+	JB   odd
+	LEAQ (SI)(R9*1), BX    // the pair's second row
+	VPXOR Y0, Y0, Y0       // VEX zeroing clears the whole zmm
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ  AX, AX           // column index
+	TESTQ DX, DX
+	JZ    pairhalf
+
+pairstep:
+	VPMOVZXDQ   (SI)(AX*4), Z8
+	VPMOVZXDQ   (BX)(AX*4), Z9
+	VMOVDQU64   (R10)(AX*8), Z10
+	VMOVDQU64   (R11)(AX*8), Z11
+	VMOVDQU64   (R12)(AX*8), Z12
+	VMOVDQU64   (R13)(AX*8), Z13
+	VPMADD52LUQ Z10, Z8, Z0
+	VPMADD52LUQ Z11, Z8, Z1
+	VPMADD52LUQ Z12, Z8, Z2
+	VPMADD52LUQ Z13, Z8, Z3
+	VPMADD52LUQ Z10, Z9, Z4
+	VPMADD52LUQ Z11, Z9, Z5
+	VPMADD52LUQ Z12, Z9, Z6
+	VPMADD52LUQ Z13, Z9, Z7
+	ADDQ        $8, AX
+	CMPQ        AX, DX
+	JB          pairstep
+
+pairhalf:
+	CMPQ        AX, CX
+	JAE         pairsum
+	VPMOVZXDQ   (SI)(AX*4), Y8
+	VPMOVZXDQ   (BX)(AX*4), Y9
+	VMOVDQU     (R10)(AX*8), Y10
+	VMOVDQU     (R11)(AX*8), Y11
+	VMOVDQU     (R12)(AX*8), Y12
+	VMOVDQU     (R13)(AX*8), Y13
+	VPMADD52LUQ Z10, Z8, Z0
+	VPMADD52LUQ Z11, Z8, Z1
+	VPMADD52LUQ Z12, Z8, Z2
+	VPMADD52LUQ Z13, Z8, Z3
+	VPMADD52LUQ Z10, Z9, Z4
+	VPMADD52LUQ Z11, Z9, Z5
+	VPMADD52LUQ Z12, Z9, Z6
+	VPMADD52LUQ Z13, Z9, Z7
+
+pairsum:
+	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI))
+	PANELSUM4(Z4, Z5, Z6, Z7, Y4, Y5, Y6, Y7, 32(DI))
+	ADDQ $64, DI
+	LEAQ (SI)(R9*2), SI
+	SUBQ $2, R8
+	JMP  pair
+
+odd:
+	TESTQ R8, R8
+	JZ    finish
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  AX, AX
+	TESTQ DX, DX
+	JZ    oddhalf
+
+oddstep:
+	VPMOVZXDQ   (SI)(AX*4), Z8
+	VPMADD52LUQ (R10)(AX*8), Z8, Z0
+	VPMADD52LUQ (R11)(AX*8), Z8, Z1
+	VPMADD52LUQ (R12)(AX*8), Z8, Z2
+	VPMADD52LUQ (R13)(AX*8), Z8, Z3
+	ADDQ        $8, AX
+	CMPQ        AX, DX
+	JB          oddstep
+
+oddhalf:
+	CMPQ        AX, CX
+	JAE         oddsum
+	VPMOVZXDQ   (SI)(AX*4), Y8
+	VMOVDQU     (R10)(AX*8), Y10
+	VMOVDQU     (R11)(AX*8), Y11
+	VMOVDQU     (R12)(AX*8), Y12
+	VMOVDQU     (R13)(AX*8), Y13
+	VPMADD52LUQ Z10, Z8, Z0
+	VPMADD52LUQ Z11, Z8, Z1
+	VPMADD52LUQ Z12, Z8, Z2
+	VPMADD52LUQ Z13, Z8, Z3
+
+oddsum:
+	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI))
+
+finish:
+	VZEROUPPER
+
+done:
+	RET
+
+// func maxWordAVX512(v []Elem) uint64
+//
+// Returns the largest of v[:len(v) &^ 7] (0 when v is shorter than 8); the
+// caller scans the last len(v) mod 8 words. Four accumulators take 32 words
+// per iteration (VPMAXUQ), then whole 8-word steps; the lanes of the one
+// remaining accumulator are folded by halves.
+TEXT ·maxWordAVX512(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	ANDQ $-8, CX           // words covered by whole 8-word steps
+	XORQ AX, AX            // word index
+	VPXOR Y0, Y0, Y0
+	MOVQ CX, DX
+	ANDQ $-32, DX          // words covered by whole 32-word steps
+	JZ   eight
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+
+four:
+	VPMAXUQ (SI)(AX*8), Z0, Z0
+	VPMAXUQ 64(SI)(AX*8), Z1, Z1
+	VPMAXUQ 128(SI)(AX*8), Z2, Z2
+	VPMAXUQ 192(SI)(AX*8), Z3, Z3
+	ADDQ    $32, AX
+	CMPQ    AX, DX
+	JB      four
+	VPMAXUQ Z1, Z0, Z0
+	VPMAXUQ Z3, Z2, Z2
+	VPMAXUQ Z2, Z0, Z0
+
+eight:
+	CMPQ    AX, CX
+	JAE     fold
+	VPMAXUQ (SI)(AX*8), Z0, Z0
+	ADDQ    $8, AX
+	JMP     eight
+
+fold:
+	VSHUFI64X2 $0x4e, Z0, Z0, Z1 // swap the 256-bit halves
+	VPMAXUQ    Z1, Z0, Z0
+	VSHUFI64X2 $0xb1, Z0, Z0, Z1 // swap the 128-bit quarters in each half
+	VPMAXUQ    Z1, Z0, Z0
+	VPSHUFD    $0x4e, Z0, Z1     // swap the two words in each quarter
+	VPMAXUQ    Z1, Z0, Z0
+	VMOVQ      X0, AX
+	VZEROUPPER
+	MOVQ       AX, ret+24(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

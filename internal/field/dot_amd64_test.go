@@ -1,6 +1,9 @@
 package field
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // vectorDotPacked runs the AVX2 tile loop on any row and modulus, bypassing
 // DotPacked's length and LazyBatch cut-offs; false where the CPU cannot run it.
@@ -11,20 +14,22 @@ func vectorDotPacked(f *Field, a []uint32, b []Elem) (Elem, bool) {
 	return f.dotPackedVector(a, b), true
 }
 
-// vectorDotPackedRows runs the panel loop on any shape and modulus, bypassing
-// DotPackedRows' column and LazyBatch cut-offs (so a one-element tile runs
-// the kernel with no whole step and its tail alone); false where the CPU
-// cannot run it, and on empty rows, which have no tile to run. xs is padded
+// vectorDotPackedRows runs the panel loop on one tier's kernel ("avx2" or
+// "avx512-ifma") on any shape and modulus, bypassing DotPackedRows' column and
+// LazyBatch cut-offs (so a one-element tile runs the kernel with no whole step
+// and its tail alone); false where the CPU, or for IFMA the modulus, cannot
+// run that kernel, and on empty rows, which have no tile to run. xs is padded
 // to four lanes as DotPackedRows pads it.
-func vectorDotPackedRows(f *Field, ys, xs [][]Elem, a []uint32, stride int) bool {
-	if !useAVX2 || len(xs[0]) == 0 {
+func vectorDotPackedRows(f *Field, tier string, ys, xs [][]Elem, a []uint32, stride int) bool {
+	ifma := tier == "avx512-ifma"
+	if !useAVX2 || len(xs[0]) == 0 || ifma && !f.panelIFMA() {
 		return false
 	}
 	var x4 [4][]Elem
 	for k := range x4 {
 		x4[k] = xs[min(k, len(xs)-1)]
 	}
-	f.dotPackedRowsVector(ys, &x4, a, stride)
+	f.dotPackedRowsVector(ys, &x4, a, stride, ifma)
 	return true
 }
 
@@ -60,36 +65,129 @@ func TestDotPackedTakesAVX2WhereTheCPUReportsIt(t *testing.T) {
 	}
 }
 
+// TestKernelTier is the AVX-512 dispatch guard, and the line CI logs: it
+// reads the feature bits itself, requires useAVX512 and useIFMA to match
+// them, and names the panel tier of each shipped modulus and of a modulus
+// above the IFMA bound.
+func TestKernelTier(t *testing.T) {
+	avx512, ifma := false, false
+	if useAVX2 { // OSXSAVE, so XGETBV may run
+		xcr0, _ := xgetbv()
+		_, ebx7, _, _ := cpuid(7, 0)
+		zmm := xcr0&0xe6 == 0xe6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM state
+		avx512 = zmm && ebx7>>16&1 == 1
+		ifma = avx512 && ebx7>>21&1 == 1 && ebx7>>31&1 == 1 // AVX512IFMA, AVX512VL
+	}
+	if useAVX512 != avx512 || useIFMA != ifma {
+		t.Fatalf("useAVX512, useIFMA = %v, %v, but the CPU and OS report %v, %v", useAVX512, useIFMA, avx512, ifma)
+	}
+	above := MustNew(aboveIFMABound)
+	t.Logf("kernel tier: paper q %s, ntt q %s, q=%d %s; Canonical AVX-512 %v",
+		Default().KernelTier(), NTTFriendly().KernelTier(), above.q, above.KernelTier(), useAVX512)
+	if tier := above.KernelTier(); useAVX2 && tier != "avx2" {
+		t.Fatalf("q=%d runs the %s panel, want avx2: IFMA products of its operands overflow 52 bits", above.q, tier)
+	}
+	want := "generic"
+	switch {
+	case ifma:
+		want = "avx512-ifma"
+	case useAVX2:
+		want = "avx2"
+	}
+	for _, f := range []*Field{Default(), NTTFriendly()} {
+		if tier := f.KernelTier(); tier != want {
+			t.Fatalf("q=%d runs the %s panel, want %s", f.q, tier, want)
+		}
+	}
+}
+
+// aboveIFMABound is the smallest prime above 2²⁶, whose LazyBatch (2047) still
+// admits the panel: the IFMA kernel must not take it.
+const aboveIFMABound = 67108879
+
+// plantedWord sets bits 32 and 52 over 1, so each tier multiplies a different
+// value: the AVX2 kernel reads the low 32 bits (1), the IFMA kernel the low
+// 52 (2³² + 1), and the generic loop all 64.
+const plantedWord = 1<<52 | 1<<32 | 1
+
 // TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt is the panel's dispatch
-// guard, the twin of the test above: on an AVX2 CPU DotPackedRows must reach
-// the panel kernel, which multiplies only the low 32 bits of the input words
-// 2³² + 1, for every lane count. Off AVX2 the shared check above has
-// already pinned useAVX2 to the CPU's report.
+// guard, the twin of the test above: DotPackedRows must reach the kernel of
+// the CPU's tier, told apart by the planted input word, for every lane count
+// — the IFMA kernel for the two 25-bit moduli where TestKernelTier found
+// IFMA, the AVX2 kernel for them elsewhere and for a modulus above 2²⁶ on any
+// AVX2 CPU. Off AVX2 the shared check above has already pinned useAVX2 to
+// the CPU's report.
 func TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 with OS YMM state: DotPackedRows runs the generic loop")
 	}
-	f := Default()
-	const rows, cols = panelRows + 1, 2 * panelStep // whole steps: no Go tail
-	a := make([]uint32, rows*cols)
-	for i := range a {
-		a[i] = 1
-	}
-	for lanes := 1; lanes <= 4; lanes++ {
-		xs, ys := make([][]Elem, lanes), make([][]Elem, lanes)
-		for k := range xs {
-			xs[k] = make([]Elem, cols)
-			for j := range xs[k] {
-				xs[k][j] = 1<<32 + 1
-			}
-			ys[k] = make([]Elem, rows)
+	for _, f := range []*Field{Default(), NTTFriendly(), MustNew(aboveIFMABound)} {
+		const rows, cols = panelRows + 1, 2 * panelStep // whole steps: no Go tail
+		read := Elem(1)                                 // the AVX2 kernel's view of plantedWord
+		if f.panelIFMA() {
+			read = plantedWord & (1<<52 - 1)
 		}
-		f.DotPackedRows(ys, xs, a, cols)
-		for k, y := range ys {
-			for r, got := range y {
-				if got != cols {
-					t.Fatalf("lanes=%d: DotPackedRows row %d vector %d = %d, want %d: it took the generic loop on an AVX2 CPU",
-						lanes, r, k, got, cols)
+		want := f.barrett(cols * read)
+		a := make([]uint32, rows*cols)
+		for i := range a {
+			a[i] = 1
+		}
+		for lanes := 1; lanes <= 4; lanes++ {
+			xs, ys := make([][]Elem, lanes), make([][]Elem, lanes)
+			for k := range xs {
+				xs[k] = make([]Elem, cols)
+				for j := range xs[k] {
+					xs[k][j] = plantedWord
+				}
+				ys[k] = make([]Elem, rows)
+			}
+			f.DotPackedRows(ys, xs, a, cols)
+			for k, y := range ys {
+				for r, got := range y {
+					if got != want {
+						t.Fatalf("q=%d lanes=%d: DotPackedRows row %d vector %d = %d, want %d: it did not take the %s kernel",
+							f.q, lanes, r, k, got, want, f.KernelTier())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPanel2IFMAMatchesGeneric is the property test of the IFMA kernel
+// against the portable oracle on both 25-bit moduli: even and odd panel
+// heights below and above panelRows, every width mod 8 (whole 8-column
+// steps, a 4-column half step, and the Go tail), widths past two LazyBatch
+// tiles, one to four vectors, and random and all-(q−1) operands.
+func TestPanel2IFMAMatchesGeneric(t *testing.T) {
+	if !useIFMA {
+		t.Skip("no AVX-512 IFMA with OS ZMM state: DotPackedRows runs the AVX2 panel")
+	}
+	rng := rand.New(rand.NewSource(37))
+	run := func(f *Field) func(ys, xs [][]Elem, a []uint32, stride int) bool {
+		return func(ys, xs [][]Elem, a []uint32, stride int) bool {
+			return vectorDotPackedRows(f, "avx512-ifma", ys, xs, a, stride)
+		}
+	}
+	for _, f := range []*Field{Default(), NTTFriendly()} {
+		random := func() Elem { return f.Rand(rng) }
+		worst := func() Elem { return f.q - 1 }
+		b := f.LazyBatch()
+		for _, rows := range []int{1, 2, 3, 4, panelRows - 1, panelRows, panelRows + 1, panelRows + 2, 2*panelRows + 3} {
+			for n := 1; n <= 48; n++ {
+				lanes := 1 + (rows+n)%4
+				c := panelCase{rows: rows, n: n, stride: n + n%5, lanes: lanes}
+				a, xs, ys := newPanel(c, n%3, random)
+				checkPanel(t, f, c, a, xs, ys, "ifma random", run(f))
+			}
+		}
+		for r := 0; r < 8; r++ {
+			for _, rows := range []int{2, 3} {
+				n := 2*b + r
+				c := panelCase{rows: rows, n: n, stride: n + 1, lanes: 1 + r%4}
+				for what, fill := range map[string]func() Elem{"ifma two tiles random": random, "ifma two tiles worst case": worst} {
+					a, xs, ys := newPanel(c, 1, fill)
+					checkPanel(t, f, c, a, xs, ys, what, run(f))
 				}
 			}
 		}

@@ -6,4 +6,4 @@ package field
 func vectorDotPacked(*Field, []uint32, []Elem) (Elem, bool) { return 0, false }
 
 // vectorDotPackedRows reports that no panel kernel exists off amd64.
-func vectorDotPackedRows(*Field, [][]Elem, [][]Elem, []uint32, int) bool { return false }
+func vectorDotPackedRows(*Field, string, [][]Elem, [][]Elem, []uint32, int) bool { return false }

@@ -147,8 +147,9 @@ func checkPanel(t *testing.T, f *Field, c panelCase, a []uint32, xs, ys [][]Elem
 }
 
 // TestDotPackedRowsMatchesGeneric is the differential test of the panel
-// kernel against dotPackedGeneric per (row, vector), through DotPackedRows
-// and through the vector loop with its cut-offs bypassed: every width 0–80
+// kernels against dotPackedGeneric per (row, vector), through DotPackedRows
+// and through each vector tier's loop (AVX2, and IFMA where the CPU and
+// modulus allow it) with its cut-offs bypassed: every width 0–80
 // (every tail mod 4, rows narrower and wider than their stride's padding),
 // 0, 1 and a panel height ±1 rows, one to four vectors (every lane count the
 // repeated last vector pads), panels and vectors cut from unaligned offsets,
@@ -161,8 +162,10 @@ func TestDotPackedRowsMatchesGeneric(t *testing.T) {
 			f.DotPackedRows(ys, xs, a, stride)
 			return true
 		}
-		runs["vector"] = func(ys, xs [][]Elem, a []uint32, stride int) bool {
-			return vectorDotPackedRows(f, ys, xs, a, stride)
+		for _, tier := range []string{"avx2", "avx512-ifma"} {
+			runs[tier] = func(ys, xs [][]Elem, a []uint32, stride int) bool {
+				return vectorDotPackedRows(f, tier, ys, xs, a, stride)
+			}
 		}
 		random := func() Elem { return f.Rand(rng) }
 		for _, rows := range []int{0, 1, panelRows - 1, panelRows, panelRows + 1, 2*panelRows + 3} {

@@ -199,8 +199,16 @@ func (f *Field) dotPackedRowsGeneric(ys [][]Elem, x *[4][]Elem, a []uint32, stri
 }
 
 // Canonical reports whether every element of v is a reduced residue mod q:
-// the check for vectors that arrive from outside the process.
+// the check for vectors that arrive from outside the process, and the
+// precondition of every kernel here. On amd64 with AVX-512 it runs a vector
+// max-reduction (dot_amd64.s); elsewhere, and on short vectors, a scalar loop.
 func Canonical(q uint64, v []Elem) bool {
+	return canonical(q, v)
+}
+
+// canonicalGeneric is the portable Canonical, and the tests' oracle for the
+// vector one.
+func canonicalGeneric(q uint64, v []Elem) bool {
 	for _, x := range v {
 		if x >= q {
 			return false

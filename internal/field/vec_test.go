@@ -198,3 +198,53 @@ func BenchmarkAXPY(b *testing.B) {
 		f.AXPY(y, 3, x)
 	}
 }
+
+// TestCanonicalBoundaries pins Canonical, whose amd64 form runs a vector
+// max-reduction over whole 8-word steps and a scalar tail, to the generic
+// loop: for every length 0–70 and every position, a q−1 keeps a canonical
+// vector canonical, and q, 2³², 2⁶³ or ^0 there makes it non-canonical,
+// under both 25-bit moduli.
+func TestCanonicalBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, f := range []*Field{Default(), NTTFriendly()} {
+		q := f.Q()
+		for n := 0; n <= 70; n++ {
+			v := f.RandVec(rng, n)
+			if !Canonical(q, v) {
+				t.Fatalf("q=%d n=%d: a random canonical vector reads non-canonical", q, n)
+			}
+			for p := range v {
+				keep := v[p]
+				for _, x := range []Elem{q - 1, q, 1 << 32, 1 << 63, ^Elem(0)} {
+					v[p] = x
+					want := x < q
+					if got := Canonical(q, v); got != want || canonicalGeneric(q, v) != want {
+						t.Fatalf("q=%d n=%d: %#x at %d: Canonical %v, generic %v, want %v",
+							q, n, x, p, got, canonicalGeneric(q, v), want)
+					}
+				}
+				v[p] = keep
+			}
+		}
+	}
+}
+
+var canonicalSink bool
+
+// BenchmarkCanonical times the boundary check on one serve_sat round's
+// packed input (32 requests of 120 columns), on Canonical and on the scalar
+// loop it dispatches from.
+func BenchmarkCanonical(b *testing.B) {
+	f := Default()
+	v := f.RandVec(rand.New(rand.NewSource(42)), 32*120)
+	b.Run("Canonical", func(b *testing.B) {
+		for b.Loop() {
+			canonicalSink = Canonical(f.Q(), v)
+		}
+	})
+	b.Run("generic", func(b *testing.B) {
+		for b.Loop() {
+			canonicalSink = canonicalGeneric(f.Q(), v)
+		}
+	})
+}

@@ -76,7 +76,8 @@ func New(f *field.Field, n, k, t, degF int) (*Code, error) {
 		alphas = f.DistinctPoints(n, uint64(k+t)+1)
 	}
 	return &Code{f: f, n: n, k: k, t: t, degF: degF, betas: betas, alphas: alphas,
-		enc: poly.InterpWeightsBatch(f, betas, alphas), plans: poly.NewDecodePlans(f, betas[:k])}, nil
+		enc:   poly.InterpWeightsBatch(f, betas, alphas),
+		plans: poly.NewDecodePlans(f, betas[:k], poly.WorkerSets(n, RecoveryThreshold(k, t, degF)))}, nil
 }
 
 // RecoveryThreshold returns the number of correct evaluations needed to

@@ -278,3 +278,44 @@ func TestExtraResultsIgnoredConsistently(t *testing.T) {
 		t.Fatal("extra results changed decode output")
 	}
 }
+
+// TestPlanCacheHoldsEveryWorkerSet: a (12, 9) code has C(12, 9) = 220 worker
+// sets, and a round sequence cycling through all of them must build each
+// decode plan once. The second pass must find every plan the first built.
+func TestPlanCacheHoldsEveryWorkerSet(t *testing.T) {
+	c, err := New(f, 12, 9, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets [][]int
+	for mask := 0; mask < 1<<12; mask++ {
+		var ws []int
+		for w := 0; w < 12; w++ {
+			if mask>>w&1 == 1 {
+				ws = append(ws, w)
+			}
+		}
+		if len(ws) == c.Threshold() {
+			sets = append(sets, ws)
+		}
+	}
+	if len(sets) != 220 {
+		t.Fatalf("%d worker sets of 9 among 12, want 220", len(sets))
+	}
+	first := make([]*field.Elem, len(sets))
+	for pass := 0; pass < 2; pass++ {
+		for i, ws := range sets {
+			// Reversed arrival order: the cache keys the sorted set.
+			rev := make([]int, len(ws))
+			for j, w := range ws {
+				rev[len(ws)-1-j] = w
+			}
+			w, _ := c.sortedWeights(rev)
+			if pass == 0 {
+				first[i] = &w[0][0]
+			} else if &w[0][0] != first[i] {
+				t.Fatalf("worker set %v: its plan was rebuilt on the second pass", ws)
+			}
+		}
+	}
+}

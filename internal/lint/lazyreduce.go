@@ -32,11 +32,14 @@ package lint
 //	it is handed must be cut at the call to a LazyBatch-derived length, the
 //	tile bound the analyzer cannot see inside the assembly. A kernel that
 //	returns nothing and takes a []uint64 hands its raw sums back through
-//	that argument instead (the panel kernel behind DotPackedRows, whose
-//	panel spans many rows, so no slice it reads is one tile long): it must
-//	declare its column count as a parameter named n, and every call must
+//	that argument instead (the panel kernels behind DotPackedRows, one row
+//	or two rows per pass, whose panel spans many rows, so no slice they read
+//	is one tile long): it must declare its column count as a parameter
+//	named n, and every call, on whichever branch of a tier dispatch, must
 //	hand it an n derived from LazyBatch. Its sums then reach the caller's
-//	accumulators as plain values, where rules 1 to 3 apply as usual.
+//	accumulators as plain values, where rules 1 to 3 apply as usual. A
+//	kernel whose result is compared rather than added (Canonical's max
+//	reduction) sums no products and is no raw site.
 //
 // Hand-verified kernels whose bound lives at the call site (the fused
 // three-destination combine, whose caller enforces len(srcs) ≤ LazyBatch)

@@ -282,3 +282,55 @@ func AsmRowsUncounted(f *Field, ys []uint64, a []uint32, x []uint64) {
 		ys[r] = f.barrett(sums[r])
 	}
 }
+
+// panel2Sums is the two-row panel kernel: the same raw-sum contract as
+// panelSums over four vectors, rows taken in pairs.
+func panel2Sums(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []uint64)
+
+// AsmPanelTiers mirrors the panel loop's tier dispatch: either kernel is
+// handed the same LazyBatch-derived column count. Clean.
+func AsmPanelTiers(f *Field, ys []uint64, a []uint32, stride int, x []uint64, pairs bool) {
+	var sums [4]uint64
+	for c0 := 0; c0 < len(x); c0 += f.lazyBatch {
+		n := min(len(x)-c0, f.lazyBatch)
+		if pairs {
+			panel2Sums(sums[:len(ys)], a[c0:], stride, n, x[c0:], x[c0:], x[c0:], x[c0:])
+		} else {
+			panelSums(sums[:len(ys)], a[c0:], stride, n, x[c0:])
+		}
+		for r := range ys {
+			s := sums[r]
+			if c0 > 0 {
+				s += ys[r]
+			}
+			ys[r] = f.barrett(s)
+		}
+	}
+}
+
+// AsmPanel2Untiled hands the two-row kernel the whole row width.
+func AsmPanel2Untiled(f *Field, ys []uint64, a []uint32, stride int, x []uint64) {
+	var sums [8]uint64
+	panel2Sums(sums[:len(ys)], a, stride, len(x), x, x, x, x) // want "assembly kernel panel2Sums in AsmPanel2Untiled is handed a column count not cut to LazyBatch"
+	for r := range ys {
+		ys[r] = f.barrett(sums[r])
+	}
+}
+
+// maxWord is an assembly max-reduction: the largest word of v, no product.
+func maxWord(v []uint64) uint64
+
+// CanonicalMax compares the max of a whole, untiled vector against q: a
+// maximum is no raw sum, so no tile bound applies. Clean.
+func CanonicalMax(q uint64, v []uint64) bool {
+	n := len(v) &^ 7
+	if maxWord(v[:n]) >= q {
+		return false
+	}
+	for _, x := range v[n:] {
+		if x >= q {
+			return false
+		}
+	}
+	return true
+}

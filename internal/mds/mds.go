@@ -106,7 +106,7 @@ func New(f *field.Field, n, k int) (*Code, error) {
 		}
 	}
 	return &Code{f: f, n: n, k: k, gen: gen, alphas: alphas,
-		plans: poly.NewDecodePlans(f, betas)}, nil
+		plans: poly.NewDecodePlans(f, betas, poly.WorkerSets(n, k))}, nil
 }
 
 // newSubgroupCode builds the NTT-fast-path code: the generator columns are
@@ -136,7 +136,7 @@ func newSubgroupCode(f *field.Field, n, k int, sg *poly.Subgroup) *Code {
 		parityW[p] = row
 	}
 	return &Code{f: f, n: n, k: k, gen: gen, alphas: alphas,
-		plans: poly.NewDecodePlans(f, alphas[:k]), domain: sg, parityW: parityW}
+		plans: poly.NewDecodePlans(f, alphas[:k], poly.WorkerSets(n, k)), domain: sg, parityW: parityW}
 }
 
 // N returns the code length (number of workers).

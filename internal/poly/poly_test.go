@@ -316,7 +316,7 @@ func TestCombineVectorsManyTerms(t *testing.T) {
 
 func TestDecodePlansMemoizes(t *testing.T) {
 	targets := f.DistinctPoints(4, 1)
-	plans := NewDecodePlans(f, targets)
+	plans := NewDecodePlans(f, targets, 8)
 	xs := f.DistinctPoints(6, 10)
 	w1 := plans.Weights(xs)
 	w2 := plans.Weights(xs)
@@ -345,7 +345,7 @@ func TestDecodePlansMemoizes(t *testing.T) {
 }
 
 func TestDecodePlansConcurrent(t *testing.T) {
-	plans := NewDecodePlans(f, f.DistinctPoints(3, 1))
+	plans := NewDecodePlans(f, f.DistinctPoints(3, 1), 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -431,5 +431,17 @@ func TestNonConsecutivePointsKeepTheProduct(t *testing.T) {
 	small := field.MustNew(7)
 	if !consecutive(small, small.DistinctPoints(6, 0)) || consecutive(small, []field.Elem{0, 1, 2, 3, 4, 5, 6}) {
 		t.Fatal("the point-count bound is not enforced")
+	}
+}
+
+// TestWorkerSets pins the plan-cache bound: C(n, k), capped at the ceiling.
+func TestWorkerSets(t *testing.T) {
+	for _, c := range []struct{ n, k, want int }{
+		{12, 9, 220}, {12, 3, 220}, {9, 9, 1}, {5, 0, 1}, {4, 5, 0}, {3, 1, 3},
+		{20, 10, planCacheCeiling}, {64, 32, planCacheCeiling}, {14, 4, 1001},
+	} {
+		if got := WorkerSets(c.n, c.k); got != c.want {
+			t.Errorf("WorkerSets(%d, %d) = %d, want %d", c.n, c.k, got, c.want)
+		}
 	}
 }

@@ -79,20 +79,42 @@ func invDenominators(f *field.Field, xs []field.Elem) []field.Elem {
 type DecodePlans struct {
 	f       *field.Field
 	targets []field.Elem
+	// sets bounds the memoization map; on overflow it is reset.
+	sets int
 
 	mu    sync.Mutex
 	plans map[string][][]field.Elem
 }
 
-// planCacheCap bounds the memoization map: 128 distinct source sets is far
-// beyond any scenario preset's churn, and on overflow the map is reset
-// (plans are cheap to rebuild relative to holding them unbounded).
-const planCacheCap = 128
+// planCacheCeiling caps a plan cache whatever its code: a (12, 9) code has
+// C(12, 9) = 220 worker sets and fits whole, while a long code, whose sets
+// outnumber any round sequence's churn, stays bounded in memory.
+const planCacheCeiling = 1024
 
-// NewDecodePlans builds a cache reading out at the given targets. The
-// targets slice is retained and must not be mutated.
-func NewDecodePlans(f *field.Field, targets []field.Elem) *DecodePlans {
-	return &DecodePlans{f: f, targets: targets, plans: make(map[string][][]field.Elem)}
+// WorkerSets returns the number of decode plans a code of n workers and
+// decoding threshold k can ask a DecodePlans for, C(n, k), capped at the
+// cache's ceiling: the sets bound to hand NewDecodePlans.
+func WorkerSets(n, k int) int {
+	if k < 0 || k > n {
+		return 0
+	}
+	k = min(k, n-k)
+	c := 1
+	for i := 1; i <= k; i++ {
+		c = c * (n - k + i) / i // exact: c is C(n−k+i−1, i−1) before, C(n−k+i, i) after
+		if c >= planCacheCeiling {
+			return planCacheCeiling
+		}
+	}
+	return c
+}
+
+// NewDecodePlans builds a cache reading out at the given targets that holds
+// up to sets plans (at least one): WorkerSets of the code, so that a round
+// sequence cycling through every worker set never rebuilds one. The targets
+// slice is retained and must not be mutated.
+func NewDecodePlans(f *field.Field, targets []field.Elem, sets int) *DecodePlans {
+	return &DecodePlans{f: f, targets: targets, sets: max(sets, 1), plans: make(map[string][][]field.Elem)}
 }
 
 // Weights returns w with w[t][r] = ℓ_r(targets[t]) over the source points
@@ -121,7 +143,7 @@ func (p *DecodePlans) Weights(xs []field.Elem) [][]field.Elem {
 	}
 	w = InterpWeightsBatch(p.f, xs, p.targets)
 	p.mu.Lock()
-	if len(p.plans) >= planCacheCap {
+	if len(p.plans) >= p.sets {
 		p.plans = make(map[string][][]field.Elem)
 	}
 	p.plans[string(buf)] = w

@@ -179,7 +179,7 @@ func (s *FrameServer) handler(conn net.Conn, wmu *sync.Mutex, req *requestFrame,
 // outputs it consumed.
 //
 // An input element ≥ q is refused before Compute runs: the field kernels
-// take canonical operands (the vector DotPacked reads only the low 32 bits
+// take canonical operands (the vector ones read only the low 32 or 52 bits
 // of each input word), and the frame decoder does not reduce what it reads.
 func (s *FrameServer) handle(req *requestFrame) *responseFrame {
 	resp := &responseFrame{ID: req.ID}

@@ -38,6 +38,11 @@ var ErrQueueFull = errors.New("scheme: service queue full")
 // wrong-sized inputs must not fail the round its neighbours are riding.
 var ErrInputLength = errors.New("scheme: input length differs from the round's batch")
 
+// ErrNonCanonicalInput rejects a request with an input element ≥ q, alone:
+// the kernels take canonical operands only. It is cluster's sentinel, so
+// errors.Is matches the driver's refusal as well.
+var ErrNonCanonicalInput = cluster.ErrNonCanonicalInput
+
 // DefaultTenant is the tenant requests are accounted under when their
 // context carries no WithTenant annotation.
 const DefaultTenant = "default"
@@ -209,6 +214,9 @@ type Service struct {
 	// slots is how many rounds may be in flight at once: roundsInFlight when
 	// the master's rounds are independent, else 1 (the serial dispatcher).
 	slots int
+	// q is the master's field modulus, against which Submit checks every
+	// input; 0 when the master reports no field (test fakes).
+	q uint64
 	// elastic is non-nil when master is a shard-plane fleet: after every
 	// successful round the dispatcher feeds it the live load signal (queue
 	// depth, service-wide p99) so the fleet can rebalance or autoscale.
@@ -258,6 +266,11 @@ func NewService(master Master, cfg ServiceConfig) *Service {
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	if fm, ok := master.(interface{ Field() *field.Field }); ok {
+		if f := fm.Field(); f != nil {
+			s.q = f.Q()
+		}
+	}
 	s.elastic, _ = master.(Elastic)
 	go s.dispatch()
 	return s
@@ -265,16 +278,23 @@ func NewService(master Master, cfg ServiceConfig) *Service {
 
 // Submit enqueues one solve for the given round key. The returned Future
 // never blocks the caller: admission errors (ErrServiceClosed,
-// ErrQueueFull) surface through Wait. The request is accounted to
-// TenantFrom(ctx); a ctx cancelled while the request is still queued drops
-// it at dispatch time with ctx's error.
+// ErrQueueFull) surface through Wait. An input with an element ≥ q fails
+// alone with ErrNonCanonicalInput (counted as failed), before it can join a
+// batch. The request is accounted to TenantFrom(ctx); a ctx cancelled while
+// the request is still queued drops it at dispatch time with ctx's error.
 func (s *Service) Submit(ctx context.Context, key string, input []field.Elem) *Future {
 	fu := newFuture()
 	tenant := TenantFrom(ctx)
+	canonical := s.q == 0 || field.Canonical(s.q, input)
 	s.mu.Lock()
 	tc := s.tenant(tenant)
 	tc.submitted++
 	switch {
+	case !canonical:
+		tc.failed++
+		s.mu.Unlock()
+		fu.resolve(nil, fmt.Errorf("%w (q = %d)", ErrNonCanonicalInput, s.q))
+		return fu
 	case s.closed:
 		tc.rejected++
 		s.mu.Unlock()

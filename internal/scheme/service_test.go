@@ -100,6 +100,66 @@ func (m *heldMaster) RunRoundBatch(ctx context.Context, key string, inputs [][]f
 	return m.Master.RunRoundBatch(ctx, key, inputs, iter)
 }
 
+// Field forwards the wrapped master's field, so the service checks inputs
+// against it as it would the bare master's.
+func (m *heldMaster) Field() *field.Field {
+	return m.Master.(interface{ Field() *field.Field }).Field()
+}
+
+// TestServiceRefusesNonCanonicalInputAlone: an input with an element ≥ q
+// fails alone at Submit, with an errors.Is-able error, while the requests
+// queued around it coalesce and decode exactly; a direct RunRoundBatch
+// caller gets the same refusal from the driver.
+func TestServiceRefusesNonCanonicalInputAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	x := fieldmat.Rand(f, rng, 36, 10)
+	m, err := New("avcc", f, NewConfig(WithSeed(43)), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &heldMaster{Master: m, started: make(chan struct{}), release: make(chan struct{})}
+	svc := NewService(held, ServiceConfig{MaxBatch: 8, MaxLinger: 20 * time.Millisecond})
+	defer svc.Close(context.Background())
+
+	goods := make([][]field.Elem, 5)
+	for i := range goods {
+		goods[i] = f.RandVec(rng, 10)
+	}
+	futures := []*Future{svc.Submit(context.Background(), "fwd", goods[0])}
+	<-held.started // the rest queue behind the held round and coalesce
+	var bads []*Future
+	for i, v := range []field.Elem{f.Q(), 1 << 32, 1 << 63, ^field.Elem(0)} {
+		futures = append(futures, svc.Submit(context.Background(), "fwd", goods[1+i]))
+		in := f.RandVec(rng, 10)
+		in[3*i] = v
+		bads = append(bads, svc.Submit(context.Background(), "fwd", in))
+	}
+	close(held.release)
+	for i, fu := range bads {
+		if _, err := fu.Wait(context.Background()); !errors.Is(err, ErrNonCanonicalInput) || !errors.Is(err, cluster.ErrNonCanonicalInput) {
+			t.Fatalf("non-canonical request %d got %v, want ErrNonCanonicalInput", i, err)
+		}
+	}
+	for i, fu := range futures {
+		out, err := fu.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("canonical request %d failed beside the refused ones: %v", i, err)
+		}
+		if !field.EqualVec(out.Decoded, fieldmat.MatVec(f, x, goods[i])) {
+			t.Fatalf("canonical request %d decoded the wrong product", i)
+		}
+	}
+	if st := svc.Stats(); st.Tenants[0].Failed != uint64(len(bads)) {
+		t.Fatalf("tenant counted %d failed requests, want %d", st.Tenants[0].Failed, len(bads))
+	}
+
+	bad := field.CopyVec(goods[0])
+	bad[9] = f.Q()
+	if _, err := m.RunRoundBatch(context.Background(), "fwd", [][]field.Elem{goods[1], bad}, 0); !errors.Is(err, cluster.ErrNonCanonicalInput) {
+		t.Fatalf("RunRoundBatch with a non-canonical input got %v, want cluster.ErrNonCanonicalInput", err)
+	}
+}
+
 // TestServiceServesCorrectDecodes drives a real AVCC master through the
 // service from many goroutines and checks every future decodes the exact
 // product — the serving layer must be invisible to correctness — and that

@@ -224,6 +224,21 @@ func (m *Master) Workers() []*cluster.Worker {
 	return all
 }
 
+// Field returns the field of the groups (every group computes over the
+// same one), or nil when they report none; scheme.Service reads it to refuse
+// non-canonical inputs at Submit.
+func (m *Master) Field() *field.Field {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if len(m.groups) == 0 {
+		return nil
+	}
+	if fm, ok := m.groups[0].(interface{ Field() *field.Field }); ok {
+		return fm.Field()
+	}
+	return nil
+}
+
 // RunRound implements cluster.Master as the batch-of-one projection of
 // RunRoundBatch, like every other master.
 func (m *Master) RunRound(ctx context.Context, key string, input []field.Elem, iter int) (*cluster.RoundOutput, error) {

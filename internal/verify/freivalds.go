@@ -21,17 +21,21 @@
 package verify
 
 import (
+	"slices"
+
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 )
 
 // Key verifies claims of the form result = X̃·input for one fixed shard X̃.
+// Both vectors are held packed in 32-bit words (every canonical element fits
+// one), so the checks run the packed kernels DotPacked and DotPackedRows.
 type Key struct {
 	f *field.Field
 	// r is the secret verification vector, length = shard rows.
-	r []field.Elem
+	r []uint32
 	// s = r·X̃, length = shard cols.
-	s []field.Elem
+	s []uint32
 }
 
 // NewKey draws the secret vector from src and precomputes s = r·X̃. This is
@@ -41,16 +45,28 @@ type Key struct {
 func NewKey(f *field.Field, src Source, shard *fieldmat.Matrix) *Key {
 	r := src.Vec(f, shard.Rows)
 	s := fieldmat.VecMat(f, r, shard)
-	return &Key{f: f, r: r, s: s}
+	return &Key{f: f, r: pack(r), s: pack(s)}
+}
+
+// pack narrows a canonical vector to 32-bit words.
+func pack(v []field.Elem) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = uint32(x)
+	}
+	return out
 }
 
 // Check reports whether result is consistent with X̃·input. Cost: one
-// length-b and one length-a inner product.
+// length-b and one length-a inner product. Both vectors must be canonical,
+// as the packed kernels require (the round driver refuses any other).
+//
+//avcc:noalloc
 func (k *Key) Check(input, result []field.Elem) bool {
 	if len(input) != len(k.s) || len(result) != len(k.r) {
 		return false // dimension mismatch can never be a valid claim
 	}
-	return k.f.Dot(k.s, input) == k.f.Dot(k.r, result)
+	return k.f.DotPacked(k.s, input) == k.f.DotPacked(k.r, result)
 }
 
 // CheckBatch verifies a whole batched claim Y = X̃·W in one Freivalds sweep
@@ -59,14 +75,32 @@ func (k *Key) Check(input, result []field.Elem) bool {
 // s·W == r·Y componentwise — the matrix identity (r·X̃)·W = r·(X̃·W), checked
 // column by column with the SAME secret r, so a single corrupted column
 // fails the whole claim with probability ≥ 1 − 1/q. Cost: batch·O(a+b),
-// identical to the per-vector total, but one verdict and one pass.
+// identical to the per-vector total, but one verdict and one pass. s·W and
+// r·Y are taken four columns at a time as one-row panel products
+// (DotPackedRows), into stack arrays; inputs and results must be canonical,
+// as for Check.
+//
+//avcc:noalloc
 func (k *Key) CheckBatch(inputs, results []field.Elem, batch int) bool {
-	if batch < 1 || len(inputs) != batch*len(k.s) || len(results) != batch*len(k.r) {
+	b, a := len(k.s), len(k.r)
+	if batch < 1 || len(inputs) != batch*b || len(results) != batch*a {
 		return false // dimension mismatch can never be a valid claim
 	}
-	b, a := len(k.s), len(k.r)
-	for c := 0; c < batch; c++ {
-		if k.f.Dot(k.s, inputs[c*b:(c+1)*b]) != k.f.Dot(k.r, results[c*a:(c+1)*a]) {
+	var sw, ry [4]field.Elem
+	var ws, ys, sws, rys [4][]field.Elem
+	for j := range sw {
+		sws[j], rys[j] = sw[j:j+1], ry[j:j+1]
+	}
+	for c0 := 0; c0 < batch; c0 += 4 {
+		m := min(4, batch-c0)
+		for j := 0; j < m; j++ {
+			c := c0 + j
+			ws[j] = inputs[c*b : (c+1)*b]
+			ys[j] = results[c*a : (c+1)*a]
+		}
+		k.f.DotPackedRows(sws[:m], ws[:m], k.s, b)
+		k.f.DotPackedRows(rys[:m], ys[:m], k.r, a)
+		if !slices.Equal(sw[:m], ry[:m]) {
 			return false
 		}
 	}

@@ -284,3 +284,46 @@ func TestCheckBatchRejectsOneCorruptedColumn(t *testing.T) {
 		t.Fatal("wrong batch count accepted")
 	}
 }
+
+// TestCheckBatchMatchesPerColumnDot pins the packed-key check to the
+// per-column Freivalds identity over Dot, for every batch size whose columns
+// split into whole and partial groups of four (the panel products'
+// granularity): an honest stack passes, and a stack with one corrupted
+// column fails exactly as that column's own check does. The check must not
+// allocate.
+func TestCheckBatchMatchesPerColumnDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	for _, dims := range [][2]int{{8, 5}, {40, 120}, {3, 17}} {
+		a, b := dims[0], dims[1]
+		shard := fieldmat.Rand(f, rng, a, b)
+		// The key draws r first from its source: the same seed gives the
+		// same r here.
+		key := NewKey(f, Seeded(rand.New(rand.NewSource(7))), shard)
+		r := Seeded(rand.New(rand.NewSource(7))).Vec(f, a)
+		s := fieldmat.VecMat(f, r, shard)
+		for batch := 1; batch <= 9; batch++ {
+			var inputs, results []field.Elem
+			for c := 0; c < batch; c++ {
+				x := f.RandVec(rng, b)
+				inputs = append(inputs, x...)
+				results = append(results, fieldmat.MatVec(f, shard, x)...)
+			}
+			if !key.CheckBatch(inputs, results, batch) {
+				t.Fatalf("%dx%d batch %d: honest claim rejected", a, b, batch)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { key.CheckBatch(inputs, results, batch) }); allocs != 0 {
+				t.Fatalf("%dx%d batch %d: CheckBatch allocates %v times", a, b, batch, allocs)
+			}
+			for c := 0; c < batch; c++ {
+				bad := field.CopyVec(results)
+				pos := c*a + rng.Intn(a)
+				bad[pos] = f.Add(bad[pos], f.RandNonZero(rng))
+				col := func(v []field.Elem, n int) []field.Elem { return v[c*n : (c+1)*n] }
+				want := f.Dot(s, col(inputs, b)) == f.Dot(r, col(bad, a))
+				if got := key.CheckBatch(inputs, bad, batch); got != want {
+					t.Fatalf("%dx%d batch %d, column %d corrupted: CheckBatch %v, per-column Dot %v", a, b, batch, c, got, want)
+				}
+			}
+		}
+	}
+}
