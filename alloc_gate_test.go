@@ -71,6 +71,8 @@ func gateKernels(t *testing.T) map[string]func() {
 
 	key := verify.NewKey(f, verify.Seeded(rng), shard)
 	claim := fieldmat.MatVec(f, shard, x)
+	keygenR := f.RandVec(rng, gateRows)
+	keygenOut := make([]field.Elem, gateDim)
 
 	kernels := map[string]func(){
 		"Dot/paper":    func() { dotSink = f.Dot(a, x) },
@@ -86,6 +88,8 @@ func gateKernels(t *testing.T) map[string]func() {
 				t.Fatal("honest claim rejected")
 			}
 		},
+		// Freivalds keygen, s = r·X̃, four rows per accumulator pass.
+		"Keygen/paper": func() { fieldmat.VecMatInto(f, keygenOut, keygenR, shard) },
 		// The batched check of that round's 32 claims.
 		"Freivalds/packed-batch/paper": func() {
 			if !batchKey.CheckBatch(batchIn, batchOut, 32) {
@@ -174,10 +178,10 @@ func TestAllocGate(t *testing.T) {
 			}
 		})
 	}
-	// The artifact currently commits nine zero-alloc lazy rows, one packed
-	// and two packed-batch rows; losing rows silently would hollow out the
-	// gate.
-	if gated < 12 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 12", gated)
+	// The artifact currently commits ten zero-alloc lazy rows (Keygen among
+	// them), one packed and two packed-batch rows; losing rows silently
+	// would hollow out the gate.
+	if gated < 13 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 13", gated)
 	}
 }

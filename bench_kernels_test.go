@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/lcc"
@@ -51,6 +52,54 @@ func matVecSeedRef(q uint64, m *fieldmat.Matrix, x, y []field.Elem) {
 	for i := 0; i < m.Rows; i++ {
 		y[i] = dotSeedRef(q, m.Row(i), x)
 	}
+}
+
+// vecMatSeedRef is the seed VecMat, Freivalds keygen s = xᵀ·m: one seed
+// AXPY per row.
+func vecMatSeedRef(q uint64, x []field.Elem, m *fieldmat.Matrix, y []field.Elem) {
+	clear(y)
+	for i, xi := range x {
+		axpySeedRef(q, y, xi, m.Row(i))
+	}
+}
+
+// packScalarRef is the loop fieldmat.Pack ran before its vector narrowing:
+// one comparison and one narrowing per entry.
+func packScalarRef(q uint64, dst []uint32, src []field.Elem) {
+	for i, v := range src {
+		if v >= q {
+			panic("bench: entry not below q")
+		}
+		dst[i] = uint32(v)
+	}
+}
+
+// commitDotRef is commit.CommitMatrix before its extension became a panel
+// product: the same columns, hashes and tree, with each extension entry one
+// field.Dot of a weight vector and a row. It returns the root.
+func commitDotRef(f *field.Field, x *fieldmat.Matrix) commit.Hash {
+	r, c := x.Rows, x.Cols
+	points := f.DistinctPoints(2*c, 1)
+	cols := make([][]field.Elem, 2*c)
+	for j := 0; j < c; j++ {
+		col := make([]field.Elem, r)
+		for i := range col {
+			col[i] = x.At(i, j)
+		}
+		cols[j] = col
+	}
+	for e, w := range poly.InterpWeightsBatch(f, points[:c], points[c:]) {
+		col := make([]field.Elem, r)
+		for i := range col {
+			col[i] = f.Dot(w, x.Row(i))
+		}
+		cols[c+e] = col
+	}
+	leaves := make([]commit.Hash, len(cols))
+	for e, col := range cols {
+		leaves[e] = commit.ColumnLeaf(e, col)
+	}
+	return commit.NewTree(leaves).Root()
 }
 
 // matMulSeedRef is the seed MatMul loop body (i-k-j AXPY order), serial.
@@ -138,7 +187,9 @@ func mdsDecodeSeedRef(q uint64, gen *fieldmat.Matrix, workers []int, results [][
 type kernelBenchRecord struct {
 	Kernel string `json:"kernel"`
 	// Variant is "lazy" (production, uint64 rows), "ref" (seed arithmetic;
-	// on LCCEncode, the clear + AXPY encoder the fused one replaced), on the
+	// on LCCEncode, the clear + AXPY encoder the fused one replaced; on Pack
+	// and CommitMatrix, the scalar code the vector kernels replaced),
+	// "vector" (production Pack and CommitMatrix), on the
 	// MatVec cell "packed" (the worker-side kernel over fieldmat.Pack's
 	// 32-bit rows) and "packed-batch" (a batched worker round through
 	// fieldmat.MatVecBatchInto, at its own shape, so it carries no speedup;
@@ -400,6 +451,37 @@ func BenchmarkKernels(b *testing.B) {
 	})
 	r2 := f.RandVec(rng, shardRows)
 	s2 := fieldmat.VecMat(f, r2, shard)
+
+	// Keygen: a Freivalds key's s = r·X̃ on the 667×5000 shard (the row
+	// products stream four rows per accumulator pass), and Pack: the check
+	// and narrowing fieldmat.Pack runs to build the 32-bit copy of that
+	// shard every worker holds, into a held buffer. fieldmat.Pack itself
+	// also allocates the 13 MB copy, which at this size costs more than the
+	// loop (DESIGN.md §7 "Set-up kernels").
+	keygenOut := make([]field.Elem, d)
+	kernelCell(b, records, iters, "Keygen", "lazy", "paper", "shard 667x5000", func() { fieldmat.VecMatInto(f, keygenOut, r2, shard) })
+	kernelCell(b, records, iters, "Keygen", "ref", "paper", "shard 667x5000", func() { vecMatSeedRef(q, r2, shard, keygenOut) })
+	packOut := make([]uint32, len(shard.Data))
+	kernelCell(b, records, iters, "Pack", "vector", "paper", "shard 667x5000 into a held buffer", func() {
+		if field.PackWords(q, packOut, shard.Data) >= 0 {
+			b.Fatal("PackWords refused a canonical shard")
+		}
+	})
+	kernelCell(b, records, iters, "Pack", "ref", "paper", "shard 667x5000 into a held buffer", func() { packScalarRef(q, packOut, shard.Data) })
+
+	// CommitMatrix: the receipt commitment of avccserve's 360×120 matrix,
+	// its Reed–Solomon extension one panel product, against one Dot per row
+	// per extension column; both build the same root.
+	served := fieldmat.Rand(f, rng, 360, 120)
+	if mc, err := commit.CommitMatrix(f, served); err != nil || mc.Digest().Root != commitDotRef(f, served) {
+		b.Fatalf("CommitMatrix and its reference disagree (err %v)", err)
+	}
+	kernelCell(b, records, iters, "CommitMatrix", "vector", "paper", "360x120", func() {
+		if _, err := commit.CommitMatrix(f, served); err != nil {
+			b.Fatal(err)
+		}
+	})
+	kernelCell(b, records, iters, "CommitMatrix", "ref", "paper", "360x120", func() { commitDotRef(f, served) })
 	kernelCell(b, records, iters, "Freivalds", "ref", "paper", "shard 667x5000", func() {
 		if dotSeedRef(q, s2, x) != dotSeedRef(q, r2, claim) {
 			b.Fatal("honest claim rejected by reference check")
@@ -419,6 +501,7 @@ func BenchmarkKernels(b *testing.B) {
 		{"MDSEncode", "lazy", "paper"}, {"MDSDecode", "lazy", "paper"},
 		{"MDSEncode", "lazy", "ntt"}, {"MDSDecode", "lazy", "ntt"},
 		{"Freivalds", "lazy", "paper"}, {"LCCEncode", "fused", "paper"},
+		{"Keygen", "lazy", "paper"}, {"Pack", "vector", "paper"}, {"CommitMatrix", "vector", "paper"},
 	}
 	out := make([]kernelBenchRecord, 0, 2*len(cells))
 	for _, c := range cells {

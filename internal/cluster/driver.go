@@ -144,7 +144,9 @@ func NewDriver(f *field.Field, name string, p Policy, n int, data map[string]*fi
 	for key, x := range data {
 		d.rows[key] = x.Rows
 		if d.issuer != nil {
-			d.issuer.Commit(key, x)
+			if _, err := d.issuer.Commit(key, x); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
 		}
 	}
 	for i := range d.workers {

@@ -31,7 +31,9 @@ func honestMatVec(seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
 	rng := rand.New(rand.NewSource(seed))
 	x := fieldmat.Rand(f, rng, rows, cols)
 	is := NewIssuer(f, "test")
-	is.Commit("w", x)
+	if _, err := is.Commit("w", x); err != nil {
+		panic(err)
+	}
 
 	b := (rows + k - 1) / k
 	alphas := f.DistinctPoints(n, 1)
@@ -62,7 +64,9 @@ func honestGram(seed int64, rows, cols, k, n int) (*Issuer, Round) {
 	rng := rand.New(rand.NewSource(seed))
 	x := fieldmat.Rand(f, rng, rows, cols)
 	is := NewIssuer(f, "test-gram")
-	is.Commit("g", x)
+	if _, err := is.Commit("g", x); err != nil {
+		panic(err)
+	}
 
 	blocks := fieldmat.SplitRows(fieldmat.PadRows(x, k), k)
 	b := blocks[0].Rows
@@ -354,5 +358,27 @@ func TestIssueRejectsMalformedRounds(t *testing.T) {
 	bad.Workers[0].Commit = []byte{1, 2, 3}
 	if _, err := is.Issue(bad); err == nil {
 		t.Fatal("short worker commitment accepted")
+	}
+}
+
+// TestCommitRejectsNonCanonicalMatrix: an entry ≥ q is refused, with the
+// entry named, by CommitMatrix and by Issuer.Commit, which then holds no
+// commitment for the key; it is never narrowed into the extension.
+func TestCommitRejectsNonCanonicalMatrix(t *testing.T) {
+	f := field.Default()
+	for _, bad := range []uint64{f.Q(), f.Q() + 3, 1 << 32} {
+		x := fieldmat.Rand(f, rand.New(rand.NewSource(9)), 36, 12)
+		x.Data[35] = bad
+		var entry *fieldmat.NonCanonicalError
+		if mc, err := CommitMatrix(f, x); mc != nil || !errors.As(err, &entry) || entry.Index != 35 || entry.Value != bad {
+			t.Fatalf("CommitMatrix on entry %d: got %v, %v", bad, mc, err)
+		}
+		is := NewIssuer(f, "test")
+		if _, err := is.Commit("w", x); !errors.As(err, &entry) {
+			t.Fatalf("Issuer.Commit on entry %d: got %v", bad, err)
+		}
+		if len(is.Digests()) != 0 {
+			t.Fatalf("Issuer.Commit kept a commitment of a refused matrix")
+		}
 	}
 }

@@ -62,11 +62,17 @@ type MatrixCommitment struct {
 // CommitMatrix extends each row of x from Cols to 2·Cols Reed–Solomon
 // symbols and Merkle-commits the resulting columns. Cost: O(Rows·Cols²)
 // field multiplies plus O(Rows·Cols) hashing — a one-time setup cost on the
-// order of a single uncoded round, amortised over every receipt issued.
-func CommitMatrix(f *field.Field, x *fieldmat.Matrix) *MatrixCommitment {
+// order of a single uncoded round, amortised over every receipt issued. The
+// extension is one batched product over a packed copy of x (the worker's
+// panel kernel, four weight vectors per pass), and it refuses a matrix with
+// an entry ≥ q (a *fieldmat.NonCanonicalError) rather than narrow it.
+func CommitMatrix(f *field.Field, x *fieldmat.Matrix) (*MatrixCommitment, error) {
 	r, c := x.Rows, x.Cols
 	if r < 1 || c < 1 {
 		panic("commit: cannot commit an empty matrix")
+	}
+	if err := fieldmat.CheckCanonical(f, x); err != nil {
+		return nil, fmt.Errorf("commit: cannot commit the matrix: %w", err)
 	}
 	m := 2 * c
 	points := f.DistinctPoints(m, 1)
@@ -78,16 +84,20 @@ func CommitMatrix(f *field.Field, x *fieldmat.Matrix) *MatrixCommitment {
 		}
 		cols[j] = col
 	}
-	// Each extension column e holds, per row, the row interpolant evaluated
-	// at points[e]; one weight vector per target, shared by every row.
+	// Extension column c+e holds, per row, the row interpolant evaluated at
+	// points[c+e]: the inner product of the row with weight vector e, shared
+	// by every row. With the weights stacked as a batch of c inputs, all c
+	// columns are one product of x with that batch, column e landing in
+	// ext[e·r:(e+1)·r].
 	weights := poly.InterpWeightsBatch(f, points[:c], points[c:])
-	for e := c; e < m; e++ {
-		w := weights[e-c]
-		col := make([]field.Elem, r)
-		for i := 0; i < r; i++ {
-			col[i] = f.Dot(w, x.Row(i))
-		}
-		cols[e] = col
+	in := make([]field.Elem, 0, c*c)
+	for _, w := range weights {
+		in = append(in, w...)
+	}
+	ext := make([]field.Elem, c*r)
+	fieldmat.MatVecBatchInto(f, ext, fieldmat.Pack(f, x), in, c)
+	for e := 0; e < c; e++ {
+		cols[c+e] = ext[e*r : (e+1)*r : (e+1)*r]
 	}
 	leaves := make([]Hash, m)
 	for e := range cols {
@@ -104,7 +114,7 @@ func CommitMatrix(f *field.Field, x *fieldmat.Matrix) *MatrixCommitment {
 			Rows: r, Cols: c, Ext: m,
 			Q: f.Q(),
 		},
-	}
+	}, nil
 }
 
 // Digest returns the public digest.

@@ -240,10 +240,13 @@ func NewIssuer(f *field.Field, scheme string) *Issuer {
 
 // Commit commits the (unpadded) data matrix for a round key and returns its
 // public digest. Committing a key twice replaces the previous commitment.
-func (is *Issuer) Commit(key string, x *fieldmat.Matrix) Digest {
-	mc := CommitMatrix(is.f, x)
+func (is *Issuer) Commit(key string, x *fieldmat.Matrix) (Digest, error) {
+	mc, err := CommitMatrix(is.f, x)
+	if err != nil {
+		return Digest{}, fmt.Errorf("%w (round key %q)", err, key)
+	}
 	is.mcs[key] = mc
-	return mc.Digest()
+	return mc.Digest(), nil
 }
 
 // Digests returns the public digest of every committed key as one-group
@@ -257,17 +260,15 @@ func (is *Issuer) Digests() map[string][]Digest {
 	return out
 }
 
-// blockCombo accumulates coeff(p)·row_p over block k's real rows (padding
-// rows are zero and contribute nothing, so the issuer never materialises
-// them).
-func blockCombo(f *field.Field, x *fieldmat.Matrix, k, b int, coeff func(p int) field.Elem) []field.Elem {
+// blockCombo returns Σ_p coeffs[p−lo]·row_p over block k's real rows
+// [lo, hi) (padding rows are zero and contribute nothing, so the issuer
+// never materialises them): one VecMat over the block's rows, which stream
+// into the accumulator four at a time.
+func blockCombo(f *field.Field, x *fieldmat.Matrix, k, b int, coeffs []field.Elem) []field.Elem {
 	lo, hi := blockSpan(k, b, x.Rows)
-	acc := f.NewLazyAcc(make([]uint64, x.Cols))
-	for p := lo; p < hi; p++ {
-		acc.AXPY(coeff(p), x.Row(p))
-	}
+	block := &fieldmat.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
 	out := make([]field.Elem, x.Cols)
-	acc.Flush(out)
+	fieldmat.VecMatInto(f, out, coeffs[:hi-lo], block)
 	return out
 }
 
@@ -362,17 +363,15 @@ func (is *Issuer) Issue(rd Round) (*Receipt, error) {
 	g.U = make([][]field.Elem, k)
 	g.V = make([][]field.Elem, k)
 	for kk := 0; kk < k; kk++ {
-		lo := kk * b
-		g.U[kk] = blockCombo(f, mc.x, kk, b, func(p int) field.Elem { return rT[p] })
-		g.V[kk] = blockCombo(f, mc.x, kk, b, func(p int) field.Elem { return phi[p-lo] })
+		g.U[kk] = blockCombo(f, mc.x, kk, b, rT[kk*b:])
+		g.V[kk] = blockCombo(f, mc.x, kk, b, phi)
 	}
 	if rd.Gram {
 		g.U2 = make([][]field.Elem, k)
 		g.V2 = make([][]field.Elem, k)
 		for kk := 0; kk < k; kk++ {
-			lo := kk * b
-			g.U2[kk] = blockCombo(f, mc.x, kk, b, func(p int) field.Elem { return chi[p] })
-			g.V2[kk] = blockCombo(f, mc.x, kk, b, func(p int) field.Elem { return phi2[p-lo] })
+			g.U2[kk] = blockCombo(f, mc.x, kk, b, chi[kk*b:])
+			g.V2[kk] = blockCombo(f, mc.x, kk, b, phi2)
 		}
 	}
 

@@ -13,6 +13,7 @@
 // adds the products into four accumulators (VPADDQ); the accumulators are
 // summed horizontally and a scalar loop adds the last len(a) mod 16 products.
 TEXT ·dotPackedAVX2(SB), NOSPLIT, $0-56
+	PCALIGN $64           // pins this file's kernels to their 64-byte residues
 	MOVQ a_base+0(FP), SI
 	MOVQ a_len+8(FP), CX
 	MOVQ b_base+24(FP), DI
@@ -395,4 +396,157 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
+	RET
+
+// func lazyAXPY4AVX2(acc []uint64, c *[4]Elem, r0, r1, r2, r3 []Elem)
+//
+// Adds c[0]·r0[i] + c[1]·r1[i] + c[2]·r2[i] + c[3]·r3[i] into acc[i] for
+// every i < len(acc), unreduced: four raw products per entry. Every rk is at
+// least len(acc) long, and every word of c and of the rows is below 2³²
+// (canonical), because VPMULUDQ reads only the low 32 bits of each lane. The
+// caller charges the four products against the accumulator's LazyBatch
+// budget (LazyAcc.AXPY4).
+//
+// Each 8-entry step multiplies eight words of each row by its broadcast
+// coefficient (VPMULUDQ), sums the four rows' products (VPADDQ) and adds
+// them into the accumulator; a 4-entry step and a scalar loop take the last
+// len(acc) mod 8 entries.
+TEXT ·lazyAXPY4AVX2(SB), NOSPLIT, $0-128
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ c+24(FP), AX
+	MOVQ r0_base+32(FP), R8
+	MOVQ r1_base+56(FP), R9
+	MOVQ r2_base+80(FP), R10
+	MOVQ r3_base+104(FP), R11
+	XORQ BX, BX            // entry index
+	MOVQ CX, DX
+	ANDQ $-8, DX           // entries covered by whole 8-entry steps
+	MOVQ CX, SI
+	ANDQ $-4, SI           // entries covered by whole 4-entry steps
+	JZ   tail
+	VPBROADCASTQ 0(AX), Y12
+	VPBROADCASTQ 8(AX), Y13
+	VPBROADCASTQ 16(AX), Y14
+	VPBROADCASTQ 24(AX), Y15
+	TESTQ DX, DX
+	JZ    four
+
+	PCALIGN $32
+eight:
+	VPMULUDQ (R8)(BX*8), Y12, Y0
+	VPMULUDQ 32(R8)(BX*8), Y12, Y1
+	VPMULUDQ (R9)(BX*8), Y13, Y2
+	VPMULUDQ 32(R9)(BX*8), Y13, Y3
+	VPMULUDQ (R10)(BX*8), Y14, Y4
+	VPMULUDQ 32(R10)(BX*8), Y14, Y5
+	VPMULUDQ (R11)(BX*8), Y15, Y6
+	VPMULUDQ 32(R11)(BX*8), Y15, Y7
+	VPADDQ   Y2, Y0, Y0
+	VPADDQ   Y3, Y1, Y1
+	VPADDQ   Y6, Y4, Y4
+	VPADDQ   Y7, Y5, Y5
+	VPADDQ   Y4, Y0, Y0
+	VPADDQ   Y5, Y1, Y1
+	VPADDQ   (DI)(BX*8), Y0, Y0
+	VPADDQ   32(DI)(BX*8), Y1, Y1
+	VMOVDQU  Y0, (DI)(BX*8)
+	VMOVDQU  Y1, 32(DI)(BX*8)
+	ADDQ     $8, BX
+	CMPQ     BX, DX
+	JB       eight
+
+four:
+	CMPQ     BX, SI
+	JAE      vdone
+	VPMULUDQ (R8)(BX*8), Y12, Y0
+	VPMULUDQ (R9)(BX*8), Y13, Y2
+	VPMULUDQ (R10)(BX*8), Y14, Y4
+	VPMULUDQ (R11)(BX*8), Y15, Y6
+	VPADDQ   Y2, Y0, Y0
+	VPADDQ   Y6, Y4, Y4
+	VPADDQ   Y4, Y0, Y0
+	VPADDQ   (DI)(BX*8), Y0, Y0
+	VMOVDQU  Y0, (DI)(BX*8)
+	ADDQ     $4, BX
+
+vdone:
+	VZEROUPPER
+
+tail:
+	CMPQ BX, CX
+	JAE  done
+
+tailstep:
+	MOVQ  (R8)(BX*8), R12
+	IMULQ 0(AX), R12
+	MOVQ  (R9)(BX*8), R13
+	IMULQ 8(AX), R13
+	ADDQ  R13, R12
+	MOVQ  (R10)(BX*8), R13
+	IMULQ 16(AX), R13
+	ADDQ  R13, R12
+	MOVQ  (R11)(BX*8), R13
+	IMULQ 24(AX), R13
+	ADDQ  R13, R12
+	ADDQ  R12, (DI)(BX*8)
+	INCQ  BX
+	CMPQ  BX, CX
+	JB    tailstep
+
+done:
+	RET
+
+// func packWordsAVX2(dst []uint32, src []Elem, q uint64) bool
+//
+// Stores the low 32 bits of each of src[:len(src) &^ 7] in dst and reports
+// whether every one of those words is below q (q ≤ 2³²; dst is at least that
+// long). A word is below q exactly when its high half is zero and its low
+// half, compared as a non-negative signed qword (VPCMPGTQ), does not exceed
+// q−1: the loop ORs every word into one accumulator and every comparison mask
+// into another, and one VPTEST of the accumulated high halves and masks
+// decides. Each 8-word step narrows two vectors into one (VSHUFPS picks the
+// low dwords, VPERMQ restores their order) and stores 32 bytes.
+TEXT ·packWordsAVX2(SB), NOSPLIT, $0-57
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	ANDQ $-8, CX           // words covered by whole 8-word steps
+	MOVB $1, ret+56(FP)
+	JZ   packdone
+	MOVQ q+48(FP), AX
+	DECQ AX
+	MOVQ AX, X15
+	VPBROADCASTQ X15, Y15  // q−1 in every lane
+	MOVQ $0xffffffff00000000, AX
+	MOVQ AX, X14
+	VPBROADCASTQ X14, Y14  // the high halves
+	VPXOR Y10, Y10, Y10    // OR of every word
+	VPXOR Y11, Y11, Y11    // OR of every word > q−1 mask
+	XORQ BX, BX            // word index
+
+	PCALIGN $32
+packstep:
+	VMOVDQU  (SI)(BX*8), Y0
+	VMOVDQU  32(SI)(BX*8), Y1
+	VPOR     Y0, Y10, Y10
+	VPOR     Y1, Y10, Y10
+	VPCMPGTQ Y15, Y0, Y2
+	VPCMPGTQ Y15, Y1, Y3
+	VPOR     Y2, Y11, Y11
+	VPOR     Y3, Y11, Y11
+	VSHUFPS  $0x88, Y1, Y0, Y4 // [w0 w1 w4 w5 | w2 w3 w6 w7]
+	VPERMQ   $0xd8, Y4, Y4     // [w0 w1 w2 w3 w4 w5 w6 w7]
+	VMOVDQU  Y4, (DI)(BX*4)
+	ADDQ     $8, BX
+	CMPQ     BX, CX
+	JB       packstep
+
+	VPAND  Y14, Y10, Y10
+	VPOR   Y11, Y10, Y10
+	VPTEST Y10, Y10
+	SETEQ  ret+56(FP)
+	VZEROUPPER
+
+packdone:
 	RET

@@ -193,3 +193,51 @@ func TestPanel2IFMAMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// vectorAXPY4 runs the AVX2 four-row kernel on any width, bypassing
+// axpy4Lazy's width cut-off (so a row shorter than one step runs the scalar
+// tail alone); false where the CPU cannot run it.
+func vectorAXPY4(acc []uint64, c *[4]Elem, rows *[4][]Elem) bool {
+	if !useAVX2 {
+		return false
+	}
+	lazyAXPY4AVX2(acc, c, rows[0], rows[1], rows[2], rows[3])
+	return true
+}
+
+// vectorPackWords runs the AVX2 narrowing kernel over the whole 8-word steps
+// of src; false where the CPU cannot run it.
+func vectorPackWords(q uint64, dst []uint32, src []Elem) (ok, ran bool) {
+	if !useAVX2 {
+		return false, false
+	}
+	return packWordsAVX2(dst, src, q), true
+}
+
+// TestAXPY4TakesAVX2WhereTheCPUReportsIt is the four-row step's dispatch
+// guard: on an AVX2 CPU, AXPY4 must reach the vector kernel on a row of one
+// step, told apart by row words of 2³² + 1, of which the kernel multiplies
+// only the low 32 bits.
+func TestAXPY4TakesAVX2WhereTheCPUReportsIt(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 with OS YMM state: AXPY4 runs the generic loop")
+	}
+	f := Default()
+	var rows [4][]Elem
+	for k := range rows {
+		rows[k] = make([]Elem, axpy4Step)
+		for i := range rows[k] {
+			rows[k][i] = 1<<32 + 1
+		}
+	}
+	c := [4]Elem{1, 1, 1, 1}
+	la := f.NewLazyAcc(make([]uint64, axpy4Step))
+	la.AXPY4(&c, &rows)
+	dst := make([]Elem, axpy4Step)
+	la.Flush(dst)
+	for i, v := range dst {
+		if v != 4 {
+			t.Fatalf("AXPY4 entry %d = %d, want 4: it took the generic loop on an AVX2 CPU", i, v)
+		}
+	}
+}

@@ -7,3 +7,9 @@ func vectorDotPacked(*Field, []uint32, []Elem) (Elem, bool) { return 0, false }
 
 // vectorDotPackedRows reports that no panel kernel exists off amd64.
 func vectorDotPackedRows(*Field, string, [][]Elem, [][]Elem, []uint32, int) bool { return false }
+
+// vectorAXPY4 reports that no vector four-row step exists off amd64.
+func vectorAXPY4([]uint64, *[4]Elem, *[4][]Elem) bool { return false }
+
+// vectorPackWords reports that no vector narrowing exists off amd64.
+func vectorPackWords(uint64, []uint32, []Elem) (ok, ran bool) { return false, false }

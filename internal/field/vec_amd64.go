@@ -151,3 +151,55 @@ func (f *Field) dotPackedRowsVector(ys [][]Elem, x *[4][]Elem, a []uint32, strid
 		}
 	}
 }
+
+// lazyAXPY4AVX2 adds c[0]·r0[i] + c[1]·r1[i] + c[2]·r2[i] + c[3]·r3[i] into
+// acc[i] for every i < len(acc), unreduced: four raw products per entry,
+// which the caller charges against its LazyBatch budget. Every rk is at
+// least len(acc) long, and every word of c and of the rows is below 2³².
+//
+//go:noescape
+func lazyAXPY4AVX2(acc []uint64, c *[4]Elem, r0, r1, r2, r3 []Elem)
+
+// axpy4Step is the shortest row axpy4Lazy hands the vector kernel: below one
+// 8-entry step the scalar loop costs less than the call.
+const axpy4Step = 8
+
+// axpy4Lazy is LazyAcc.AXPY4's raw step: the AVX2 kernel, or the portable
+// loop without AVX2 and on rows shorter than one step. Both add the same raw
+// products, so the accumulator ends the same bit for bit.
+//
+//avcc:noalloc
+func axpy4Lazy(acc []uint64, c *[4]Elem, rows *[4][]Elem) {
+	if useAVX2 && len(acc) >= axpy4Step {
+		lazyAXPY4AVX2(acc, c, rows[0], rows[1], rows[2], rows[3])
+		return
+	}
+	axpy4Generic(acc, c, rows)
+}
+
+// packWordsAVX2 narrows src[:len(src) &^ 7] into dst and reports whether
+// every one of those words is below q.
+//
+//go:noescape
+func packWordsAVX2(dst []uint32, src []Elem, q uint64) bool
+
+// packStep is the shortest vector PackWords hands packWordsAVX2: below two
+// 8-word steps the scalar loop costs less than the call.
+const packStep = 16
+
+// packWords is PackWords past its length check: the AVX2 kernel over whole
+// 8-word steps and the scalar loop over the rest. When the kernel finds a
+// word ≥ q, the scalar loop rescans its part to name the first.
+func packWords(q uint64, dst []uint32, src []Elem) int {
+	if !useAVX2 || len(src) < packStep {
+		return packWordsGeneric(q, dst, src)
+	}
+	n := len(src) &^ 7
+	if !packWordsAVX2(dst, src, q) {
+		return packWordsGeneric(q, dst[:n], src[:n])
+	}
+	if i := packWordsGeneric(q, dst[n:], src[n:]); i >= 0 {
+		return n + i
+	}
+	return -1
+}

@@ -17,3 +17,15 @@ func canonical(q uint64, v []Elem) bool {
 // KernelTier names the kernel DotPackedRows runs: off amd64, always the
 // portable loop.
 func (f *Field) KernelTier() string { return "generic" }
+
+// axpy4Lazy is LazyAcc.AXPY4's raw step: the portable loop.
+//
+//avcc:noalloc
+func axpy4Lazy(acc []uint64, c *[4]Elem, rows *[4][]Elem) {
+	axpy4Generic(acc, c, rows)
+}
+
+// packWords is PackWords past its length check: the portable loop.
+func packWords(q uint64, dst []uint32, src []Elem) int {
+	return packWordsGeneric(q, dst, src)
+}

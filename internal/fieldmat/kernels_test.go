@@ -123,17 +123,34 @@ func TestMatMulWorstCaseEntries(t *testing.T) {
 	}
 }
 
+// TestVecMatMatchesRef covers the keygen kernel's four-row step: widths
+// below, at and past one vector step, coefficient vectors with zeros (which
+// shift the grouping of rows into fours), and, on a modulus with a LazyBatch
+// of 2047, row counts past two batches with all-(q−1) entries.
 func TestVecMatMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, fld := range kernelFields() {
-		rows := 2*fld.LazyBatch() + 3
-		if rows > 300 {
-			rows = 300
-		}
-		m := Rand(fld, rng, rows, 17)
-		x := fld.RandVec(rng, rows)
-		if !field.EqualVec(VecMat(fld, x, m), vecMatRef(fld, x, m)) {
-			t.Fatalf("q=%d: VecMat diverges from reference", fld.Q())
+	for _, fld := range append(kernelFields(), field.MustNew(67108879)) {
+		rows := min(2*fld.LazyBatch()+3, 4200)
+		for _, cols := range []int{1, 7, 8, 17, 64} {
+			m := Rand(fld, rng, rows, cols)
+			x := fld.RandVec(rng, rows)
+			for i := range x {
+				if rng.Intn(5) == 0 {
+					x[i] = 0
+				}
+			}
+			if !field.EqualVec(VecMat(fld, x, m), vecMatRef(fld, x, m)) {
+				t.Fatalf("q=%d %dx%d: VecMat diverges from reference", fld.Q(), rows, cols)
+			}
+			for i := range m.Data {
+				m.Data[i] = fld.Q() - 1
+			}
+			for i := range x {
+				x[i] = fld.Q() - 1
+			}
+			if !field.EqualVec(VecMat(fld, x, m), vecMatRef(fld, x, m)) {
+				t.Fatalf("q=%d %dx%d: worst-case VecMat diverges from reference", fld.Q(), rows, cols)
+			}
 		}
 	}
 }

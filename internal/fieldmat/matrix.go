@@ -29,22 +29,50 @@ type Matrix struct {
 // plus a copy of the entries in 32-bit words that MatVecInto streams instead
 // of Data, halving the bytes a matrix-vector product reads. Packing is
 // lossless because every modulus field.New accepts is below 2^32; Pack
-// panics on any entry ≥ q. The view shares Data with m, so neither may be
-// written afterwards: a changed matrix is a new matrix, packed anew. A
-// matrix that is already a packed view is returned as is.
+// panics on any entry ≥ q (field.PackWords checks and narrows in one pass).
+// The view shares Data with m, so neither may be written afterwards: a
+// changed matrix is a new matrix, packed anew. A matrix that is already a
+// packed view is returned as is.
 func Pack(f *field.Field, m *Matrix) *Matrix {
 	if m.packed != nil {
 		return m
 	}
 	q := f.Q()
 	p := make([]uint32, len(m.Data))
-	for i, v := range m.Data {
-		if v >= q {
-			panic(fmt.Sprintf("fieldmat: cannot pack entry %d = %d, not below q = %d", i, v, q))
-		}
-		p[i] = uint32(v)
+	if i := field.PackWords(q, p, m.Data); i >= 0 {
+		panic(fmt.Sprintf("fieldmat: cannot pack entry %d = %d, not below q = %d", i, m.Data[i], q))
 	}
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, packed: p}
+}
+
+// NonCanonicalError names the first entry of a matrix that is not a reduced
+// residue mod q: the refusal of a matrix the vector kernels cannot take,
+// since they read only the low 32 bits of a word.
+type NonCanonicalError struct {
+	Index int // row-major position of the entry
+	Value uint64
+	Q     uint64
+}
+
+func (e *NonCanonicalError) Error() string {
+	return fmt.Sprintf("fieldmat: entry %d = %d is not below q = %d", e.Index, e.Value, e.Q)
+}
+
+// CheckCanonical returns nil when every entry of m is below q, and otherwise
+// a *NonCanonicalError naming the first entry that is not: the check for a
+// matrix that arrives from outside the arithmetic core, before any kernel
+// reads it.
+func CheckCanonical(f *field.Field, m *Matrix) error {
+	q := f.Q()
+	if field.Canonical(q, m.Data) {
+		return nil
+	}
+	for i, v := range m.Data {
+		if v >= q {
+			return &NonCanonicalError{Index: i, Value: v, Q: q}
+		}
+	}
+	return nil
 }
 
 // Packed reports whether m is a packed view built by Pack.
@@ -361,9 +389,11 @@ func VecMat(f *field.Field, x []field.Elem, m *Matrix) []field.Elem {
 }
 
 // VecMatInto computes y = xᵀ·m into a caller-owned slice through pooled
-// lazy accumulator rows: one reduction pass per LazyBatch matrix rows. From
-// ParallelThreshold elements on, the columns are split into one strip per
-// pool worker; every column is an independent sum, so the split is exact.
+// lazy accumulator rows: the rows with a non-zero coefficient stream into
+// the accumulator four at a time (field.LazyAcc.AXPY4), with one reduction
+// pass per LazyBatch of them. From ParallelThreshold elements on, the
+// columns are split into one strip per pool worker; every column is an
+// independent sum, so the split is exact.
 //
 //avcc:noalloc
 func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
@@ -385,16 +415,29 @@ func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
 
 func runVecMat(t *task) { vecMatCols(t.f, t.y, t.x, t.a, t.lo, t.hi) }
 
-// vecMatCols computes the columns [lo, hi) of y = xᵀ·m.
+// vecMatCols computes the columns [lo, hi) of y = xᵀ·m. The rows with a
+// non-zero coefficient are gathered four at a time for AXPY4; the last one
+// to three take AXPY steps.
 //
 //avcc:noalloc
 func vecMatCols(f *field.Field, y, x []field.Elem, m *Matrix, lo, hi int) {
 	buf := getAcc(hi - lo)
 	la := f.NewLazyAcc(buf.s)
+	var c [4]field.Elem
+	var rows [4][]field.Elem
+	k := 0
 	for i, xi := range x {
-		if xi != 0 {
-			la.AXPY(xi, m.Data[i*m.Cols+lo:i*m.Cols+hi])
+		if xi == 0 {
+			continue
 		}
+		c[k], rows[k] = xi, m.Data[i*m.Cols+lo:i*m.Cols+hi]
+		if k++; k == len(c) {
+			la.AXPY4(&c, &rows)
+			k = 0
+		}
+	}
+	for j := 0; j < k; j++ {
+		la.AXPY(c[j], rows[j])
 	}
 	la.Flush(y[lo:hi])
 	putAcc(buf)

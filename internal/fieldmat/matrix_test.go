@@ -1,6 +1,7 @@
 package fieldmat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,6 +228,32 @@ func BenchmarkMatVec1200x600(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MatVec(f, m, x)
+	}
+}
+
+// BenchmarkVecMat times Freivalds keygen, s = r·X̃, at train_logreg's two
+// shard shapes (the fwd shard and its transpose) and avccserve's.
+func BenchmarkVecMat(b *testing.B) {
+	for _, shape := range [][2]int{{334, 2501}, {2501, 334}, {40, 120}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(30))
+			m := Rand(f, rng, shape[0], shape[1])
+			x := f.RandVec(rng, shape[0])
+			y := make([]field.Elem, shape[1])
+			b.ReportAllocs()
+			for b.Loop() {
+				VecMatInto(f, y, x, m)
+			}
+		})
+	}
+}
+
+// BenchmarkPack times packing train_logreg's fwd shard.
+func BenchmarkPack(b *testing.B) {
+	m := Rand(f, rand.New(rand.NewSource(31)), 334, 2501)
+	b.ReportAllocs()
+	for b.Loop() {
+		Pack(f, m)
 	}
 }
 

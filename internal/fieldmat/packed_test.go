@@ -1,6 +1,7 @@
 package fieldmat
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -87,19 +88,31 @@ func TestPackKeepsDataAndIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestPackRejectsNonCanonicalEntries plants an entry ≥ q at every position
+// of a 5×7 matrix, in the vector narrowing's whole 8-word steps and in its
+// scalar tail: Pack must refuse each, and CheckCanonical name it.
 func TestPackRejectsNonCanonicalEntries(t *testing.T) {
 	for _, fld := range packedFields() {
 		for _, bad := range []uint64{fld.Q(), fld.Q() + 1, 1 << 32} {
-			m := NewMatrix(2, 3)
-			m.Data[4] = bad
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("q=%d: Pack accepted entry %d", fld.Q(), bad)
-					}
+			for pos := 0; pos < 5*7; pos++ {
+				m := NewMatrix(5, 7)
+				m.Data[pos] = bad
+				var nc *NonCanonicalError
+				if err := CheckCanonical(fld, m); !errors.As(err, &nc) || nc.Index != pos || nc.Value != bad || nc.Q != fld.Q() {
+					t.Errorf("q=%d: CheckCanonical on entry %d = %d returned %v", fld.Q(), pos, bad, err)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("q=%d: Pack accepted entry %d = %d", fld.Q(), pos, bad)
+						}
+					}()
+					Pack(fld, m)
 				}()
-				Pack(fld, m)
-			}()
+			}
+		}
+		if err := CheckCanonical(fld, Rand(fld, rand.New(rand.NewSource(3)), 5, 7)); err != nil {
+			t.Errorf("q=%d: CheckCanonical refused a canonical matrix: %v", fld.Q(), err)
 		}
 	}
 }

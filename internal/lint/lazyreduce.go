@@ -38,8 +38,22 @@ package lint
 //	named n, and every call, on whichever branch of a tier dispatch, must
 //	hand it an n derived from LazyBatch. Its sums then reach the caller's
 //	accumulators as plain values, where rules 1 to 3 apply as usual. A
-//	kernel whose result is compared rather than added (Canonical's max
-//	reduction) sums no products and is no raw site.
+//	kernel that adds its products into a []uint64 parameter named acc is an
+//	accumulator kernel (lazyAXPY4AVX2, which adds Σ_{k<4} c_k·row_k into
+//	the accumulator behind LazyAcc.AXPY4): one call adds one raw product per
+//	row operand (each of its other slice parameters) to every entry, so its
+//	call is a raw site like AXPYLazy's, of that weight, and so is the call
+//	of any package function that hands such a kernel an acc parameter of
+//	its own (the tier dispatch axpy4Lazy), whose caller then owns the
+//	budget. A loop around a site of weight w > 1 must reduce; a LazyBatch
+//	bound would admit w·LazyBatch products. Where the site is not handed a
+//	parameter, the function keeps the budget itself: a guard
+//	`if budget < w { reduce }` must precede the call and `budget -= w`
+//	follow it, with the same budget and a constant of at least w. A guard
+//	for fewer (LazyAcc.AXPY's `budget == 0`) hands the kernel more raw
+//	products than the budget holds. A kernel whose result is compared
+//	rather than added (Canonical's max reduction, PackWords' range check)
+//	sums no products and is no raw site.
 //
 // Hand-verified kernels whose bound lives at the call site (the fused
 // three-destination combine, whose caller enforces len(srcs) ≤ LazyBatch)
@@ -47,6 +61,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -88,11 +103,16 @@ type rawSite struct {
 	index ast.Expr
 	// kernel is the assembly-kernel call a `+=` site adds, nil for products.
 	kernel *ast.CallExpr
+	// weight is the raw products one execution adds to an entry, counted
+	// for accumulator-kernel calls (0 elsewhere: one product, or a kernel
+	// whose count rule 4 checks at the call).
+	weight int
 }
 
 func runLazyReduce(pass *Pass) error {
 	kernels := asmKernels(pass)
-	rawOut := rawOutKernels(kernels)
+	accs := accumulators(pass, kernels)
+	rawOut := rawOutKernels(kernels, accs)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -103,10 +123,11 @@ func runLazyReduce(pass *Pass) error {
 				continue
 			}
 			tainted := batchTainted(pass, fn.Body)
-			sites := rawSites(pass, fn.Body, kernels)
+			sites := rawSites(pass, fn.Body, kernels, accs)
 			checkNarrowProducts(pass, fn, sites)
 			checkAsmTiles(pass, fn, sites, tainted)
 			checkRawOutTiles(pass, fn, rawOut, tainted)
+			checkBudgetCharge(pass, fn, sites, accs)
 			checkLoopBounds(pass, file, fn, sites, tainted)
 			if fn.Name.IsExported() {
 				checkRawEscape(pass, fn, sites)
@@ -216,7 +237,7 @@ func batchTainted(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
 }
 
 // rawSites collects the raw-accumulation statements in a function body.
-func rawSites(pass *Pass, body *ast.BlockStmt, kernels map[types.Object]bool) []rawSite {
+func rawSites(pass *Pass, body *ast.BlockStmt, kernels map[types.Object]bool, accs map[types.Object]accumulator) []rawSite {
 	var sites []rawSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -241,6 +262,9 @@ func rawSites(pass *Pass, body *ast.BlockStmt, kernels map[types.Object]bool) []
 		case *ast.CallExpr:
 			if calleeName(n) == "AXPYLazy" && len(n.Args) > 0 {
 				sites = append(sites, rawSite{node: n, base: baseObject(pass, n.Args[0])})
+			}
+			if acc, ok := accs[calleeObject(pass, n)]; ok && acc.param < len(n.Args) {
+				sites = append(sites, rawSite{node: n, base: baseObject(pass, n.Args[acc.param]), weight: acc.weight})
 			}
 		}
 		return true
@@ -301,12 +325,13 @@ func checkAsmTiles(pass *Pass, fn *ast.FuncDecl, sites []rawSite, tainted map[ty
 
 // rawOutKernels returns the assembly kernels that hand their raw sums back
 // through a []uint64 argument rather than a result, each with the index of
-// its column-count parameter n, or -1 where it declares none.
-func rawOutKernels(kernels map[types.Object]bool) map[types.Object]int {
+// its column-count parameter n, or -1 where it declares none. Accumulator
+// kernels, which add into their acc argument, are not among them.
+func rawOutKernels(kernels map[types.Object]bool, accs map[types.Object]accumulator) map[types.Object]int {
 	out := make(map[types.Object]int)
 	for obj := range kernels {
 		sig, ok := obj.Type().(*types.Signature)
-		if !ok || sig.Results().Len() != 0 {
+		if _, acc := accs[obj]; !ok || acc || sig.Results().Len() != 0 {
 			continue
 		}
 		col, rawOut := -1, false
@@ -356,6 +381,167 @@ func checkRawOutTiles(pass *Pass, fn *ast.FuncDecl, rawOut map[types.Object]int,
 		}
 		return true
 	})
+}
+
+// accumulator is a function that adds raw products into one of its
+// []uint64 parameters: an accumulator kernel, or a package function that
+// hands one of its own parameters to one.
+type accumulator struct {
+	name   string
+	param  int // index of the accumulator parameter
+	weight int // raw products one call adds to every entry
+}
+
+// accumulators finds the accumulator kernels (assembly kernels with no
+// result and a []uint64 parameter named acc, weighing one product per other
+// slice parameter) and, to a fixpoint, the package functions that hand them
+// an acc parameter of their own, with the kernel's weight.
+func accumulators(pass *Pass, kernels map[types.Object]bool) map[types.Object]accumulator {
+	accs := make(map[types.Object]accumulator)
+	for obj := range kernels {
+		sig, ok := obj.Type().(*types.Signature)
+		if !ok || sig.Results().Len() != 0 {
+			continue
+		}
+		acc := accumulator{name: obj.Name(), param: -1}
+		for i := 0; i < sig.Params().Len(); i++ {
+			p := sig.Params().At(i)
+			sl, ok := p.Type().Underlying().(*types.Slice)
+			switch {
+			case !ok:
+			case p.Name() == "acc" && isUint64(sl.Elem()):
+				acc.param = i
+			default:
+				acc.weight++
+			}
+		}
+		if acc.param >= 0 {
+			accs[obj] = acc
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, file := range pass.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				obj := pass.Info.Defs[fn.Name]
+				if _, done := accs[obj]; obj == nil || done {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					acc, ok := accs[calleeObject(pass, call)]
+					if !ok || acc.param >= len(call.Args) {
+						return true
+					}
+					if i := paramIndex(pass, fn, call.Args[acc.param]); i >= 0 {
+						accs[obj] = accumulator{name: acc.name, param: i, weight: acc.weight}
+						changed = true
+						return false
+					}
+					return true
+				})
+			}
+		}
+	}
+	return accs
+}
+
+// calleeObject resolves the function or method a call names, or nil.
+func calleeObject(pass *Pass, call *ast.CallExpr) types.Object {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pass.Info.Uses[fn]
+	case *ast.SelectorExpr:
+		return pass.Info.Uses[fn.Sel]
+	}
+	return nil
+}
+
+// paramIndex returns the index of the (non-receiver) parameter of fn that e
+// names exactly, or -1.
+func paramIndex(pass *Pass, fn *ast.FuncDecl, e ast.Expr) int {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return -1
+	}
+	obj := pass.Info.Uses[id]
+	i := 0
+	for _, field := range fn.Type.Params.List {
+		for _, name := range field.Names {
+			if pass.Info.Defs[name] == obj {
+				return i
+			}
+			i++
+		}
+		if len(field.Names) == 0 {
+			i++
+		}
+	}
+	return -1
+}
+
+// checkBudgetCharge enforces rule 4's budget for accumulator calls of
+// weight w > 1 that are not handed a parameter of fn: a guard
+// `if budget < k { reduce }` with constant k ≥ w must end before the call,
+// and `budget -= k'` with the same budget and constant k' ≥ w must follow it.
+func checkBudgetCharge(pass *Pass, fn *ast.FuncDecl, sites []rawSite, accs map[types.Object]accumulator) {
+	for _, site := range sites {
+		call, ok := site.node.(*ast.CallExpr)
+		if !ok || site.weight <= 1 {
+			continue
+		}
+		acc := accs[calleeObject(pass, call)]
+		if paramIndex(pass, fn, call.Args[acc.param]) >= 0 {
+			continue // the caller's budget: fn is an accumulator itself
+		}
+		atLeast := func(e ast.Expr) bool {
+			tv, ok := pass.Info.Types[e]
+			if !ok || tv.Value == nil {
+				return false
+			}
+			v, exact := constant.Int64Val(constant.ToInt(tv.Value))
+			return exact && v >= int64(site.weight)
+		}
+		budget := ""
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			ifs, ok := n.(*ast.IfStmt)
+			if !ok || budget != "" || ifs.End() > call.Pos() {
+				return budget == ""
+			}
+			if cond, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr); ok && cond.Op == token.LSS &&
+				atLeast(cond.Y) && containsReducer(ifs.Body) {
+				budget = types.ExprString(cond.X)
+			}
+			return true
+		})
+		if budget == "" {
+			pass.Reportf(call.Pos(),
+				"accumulator kernel %s in %s adds %d raw products per entry per call, but no guard `if budget < %d { reduce }` precedes it: the budget can run out inside the call",
+				acc.name, fn.Name.Name, site.weight, site.weight)
+			continue
+		}
+		charged := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if ok && as.Tok == token.SUB_ASSIGN && len(as.Lhs) == 1 && as.Pos() > call.End() &&
+				types.ExprString(as.Lhs[0]) == budget && atLeast(as.Rhs[0]) {
+				charged = true
+			}
+			return !charged
+		})
+		if !charged {
+			pass.Reportf(call.Pos(),
+				"accumulator kernel %s in %s adds %d raw products per entry per call, but %s is not charged for them: follow the call with `%s -= %d`",
+				acc.name, fn.Name.Name, site.weight, budget, budget, site.weight)
+		}
+	}
 }
 
 // containsMul reports whether e contains an integer multiplication — the
@@ -497,7 +683,7 @@ func checkSite(pass *Pass, file *ast.File, fn *ast.FuncDecl, site *rawSite, stac
 		if containsReducer(body) {
 			return
 		}
-		if loopBatchBounded(pass, l.node, tainted) {
+		if site.weight <= 1 && loopBatchBounded(pass, l.node, tainted) {
 			continue
 		}
 		if pass.allowedAt(file, l.node.Pos(), "lazy-ok") {

@@ -334,3 +334,91 @@ func CanonicalMax(q uint64, v []uint64) bool {
 	}
 	return true
 }
+
+// acc4 is an accumulator kernel: it adds c[0]·r0[i] + … + c[3]·r3[i] into
+// acc[i], four raw products per entry per call.
+func acc4(acc []uint64, c *[4]uint64, r0, r1, r2, r3 []uint64)
+
+// acc4Tiers mirrors the tier dispatch axpy4Lazy: it hands its own acc to the
+// kernel, so its caller owns the budget. Clean.
+func acc4Tiers(acc []uint64, c *[4]uint64, rows *[4][]uint64, wide bool) {
+	if wide {
+		acc4(acc, c, rows[0], rows[1], rows[2], rows[3])
+		return
+	}
+	for i := range acc {
+		acc[i] += c[0]*rows[0][i] + c[1]*rows[1][i] + c[2]*rows[2][i] + c[3]*rows[3][i]
+	}
+}
+
+// Acc is a budgeted accumulator row, the mirror of field.LazyAcc.
+type Acc struct {
+	f      *Field
+	acc    []uint64
+	budget int
+}
+
+// Add4 mirrors LazyAcc.AXPY4: it reduces when fewer than four steps remain
+// and charges all four. Clean.
+func (a *Acc) Add4(c *[4]uint64, rows *[4][]uint64) {
+	if a.budget < len(c) {
+		a.f.ReduceAcc(a.acc)
+		a.budget = a.f.lazyBatch
+	}
+	acc4Tiers(a.acc, c, rows, true)
+	a.budget -= len(c)
+}
+
+// Add4OneStepGuard guards like a one-product step: with one to three steps
+// left, the kernel's four products overrun the budget.
+func (a *Acc) Add4OneStepGuard(c *[4]uint64, rows *[4][]uint64) {
+	if a.budget == 0 {
+		a.f.ReduceAcc(a.acc)
+		a.budget = a.f.lazyBatch
+	}
+	acc4Tiers(a.acc, c, rows, true) // want "accumulator kernel acc4 in Add4OneStepGuard adds 4 raw products per entry per call, but no guard"
+	a.budget -= 4
+}
+
+// Add4UnderGuarded reserves two steps for a four-product call.
+func (a *Acc) Add4UnderGuarded(c *[4]uint64, rows *[4][]uint64) {
+	if a.budget < 2 {
+		a.f.ReduceAcc(a.acc)
+		a.budget = a.f.lazyBatch
+	}
+	acc4(a.acc, c, rows[0], rows[1], rows[2], rows[3]) // want "accumulator kernel acc4 in Add4UnderGuarded adds 4 raw products per entry per call, but no guard"
+	a.budget -= 4
+}
+
+// Add4ChargesOne guards for four but charges the budget one step.
+func (a *Acc) Add4ChargesOne(c *[4]uint64, rows *[4][]uint64) {
+	if a.budget < 4 {
+		a.f.ReduceAcc(a.acc)
+		a.budget = a.f.lazyBatch
+	}
+	acc4Tiers(a.acc, c, rows, true) // want "accumulator kernel acc4 in Add4ChargesOne adds 4 raw products per entry per call, but a.budget is not charged"
+	a.budget--
+}
+
+// Acc4Rows streams row groups into a local accumulator with no reduction:
+// the loop can add any number of products.
+func Acc4Rows(f *Field, dst []uint64, c []uint64, rows [][]uint64) {
+	acc := make([]uint64, len(dst))
+	for i := 0; i+4 <= len(rows); i += 4 {
+		acc4(acc, (*[4]uint64)(c[i:i+4]), rows[i], rows[i+1], rows[i+2], rows[i+3]) // want "raw uint64 accumulation in Acc4Rows" "accumulator kernel acc4 in Acc4Rows adds 4 raw products per entry per call, but no guard"
+	}
+	for i, v := range acc {
+		dst[i] = f.barrett(v)
+	}
+}
+
+// Acc4BatchRows bounds its loop by LazyBatch calls: four products each, so
+// four times the budget.
+func Acc4BatchRows(f *Field, acc []uint64, c *[4]uint64, rows *[4][]uint64) {
+	local := make([]uint64, len(acc))
+	for i := 0; i < f.lazyBatch; i++ {
+		acc4Tiers(local, c, rows, true) // want "raw uint64 accumulation in Acc4BatchRows" "accumulator kernel acc4 in Acc4BatchRows adds 4 raw products per entry per call, but no guard"
+	}
+	f.ReduceAcc(local)
+	copy(acc, local)
+}

@@ -58,6 +58,30 @@ func TestNewRejectsModulusMismatch(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonCanonicalData plants one entry at q+3 in a data matrix:
+// every scheme, sharded or not and with receipts on or off, must refuse it
+// at New with an error errors.Is matches against ErrNonCanonicalInput and
+// that names the entry, instead of building a master whose first round
+// panics packing the shard.
+func TestNewRejectsNonCanonicalData(t *testing.T) {
+	x := fieldmat.Rand(f, rand.New(rand.NewSource(5)), 18, 6)
+	x.Data[7] = f.Q() + 3
+	for _, name := range Names() {
+		data := map[string]*fieldmat.Matrix{"fwd": x, "bwd": x.Transpose(), "gram": x}
+		for _, cfg := range []Config{NewConfig(), NewConfig(WithReceipts(true)), NewConfig(WithShards(2))} {
+			_, err := New(name, f, cfg, data, nil, nil)
+			if !errors.Is(err, ErrNonCanonicalInput) {
+				t.Fatalf("%s: New returned %v, want an error matching ErrNonCanonicalInput", name, err)
+			}
+			var dataErr *NonCanonicalDataError
+			var entry *fieldmat.NonCanonicalError
+			if !errors.As(err, &dataErr) || dataErr.Key != "bwd" || !errors.As(err, &entry) || entry.Value != f.Q()+3 {
+				t.Fatalf("%s: New returned %v, want the bwd matrix's entry %d named", name, err, f.Q()+3)
+			}
+		}
+	}
+}
+
 // TestRoundOnNTTModulus runs one verified round end to end on the
 // NTT-friendly field — the full protocol stack (encode, Freivalds verify,
 // decode) over the fast-path codec's companion modulus.

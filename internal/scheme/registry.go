@@ -112,6 +112,9 @@ func New(name string, f *field.Field, cfg Config, data map[string]*fieldmat.Matr
 		return nil, &InvalidConfigError{"Modulus",
 			fmt.Sprintf("= %d but the supplied field has q = %d: resolve the field with scheme.FieldFor", cfg.Modulus, f.Q())}
 	}
+	if err := checkCanonical(f, data); err != nil {
+		return nil, err
+	}
 	if cfg.Shards > 1 || cfg.Rebalance != nil || len(cfg.GroupScenarios) > 0 {
 		return newSharded(e, name, f, cfg, data, behaviors, stragglers)
 	}
@@ -125,6 +128,41 @@ func New(name string, f *field.Field, cfg Config, data map[string]*fieldmat.Matr
 		}
 	}
 	return m, nil
+}
+
+// NonCanonicalDataError refuses a data matrix with an entry ≥ q. The vector
+// kernels read only the low 32 bits of a word, and workers pack their shards
+// into 32-bit words, so such an entry would be narrowed or would panic in a
+// worker; New refuses it before any backend encodes, packs or commits the
+// matrix. errors.Is matches it against ErrNonCanonicalInput, and errors.As
+// finds the *fieldmat.NonCanonicalError that names the entry.
+type NonCanonicalDataError struct {
+	Key string // the data key ("fwd", "bwd", "gram", …)
+	Err error  // the *fieldmat.NonCanonicalError
+}
+
+// Error implements error.
+func (e *NonCanonicalDataError) Error() string {
+	return fmt.Sprintf("scheme: data matrix %q: %v", e.Key, e.Err)
+}
+
+// Unwrap exposes both the sentinel and the entry.
+func (e *NonCanonicalDataError) Unwrap() []error { return []error{ErrNonCanonicalInput, e.Err} }
+
+// checkCanonical refuses the first data matrix, in key order, that holds an
+// entry ≥ q.
+func checkCanonical(f *field.Field, data map[string]*fieldmat.Matrix) error {
+	keys := make([]string, 0, len(data))
+	for key := range data {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if err := fieldmat.CheckCanonical(f, data[key]); err != nil {
+			return &NonCanonicalDataError{Key: key, Err: err}
+		}
+	}
+	return nil
 }
 
 // attachScenario compiles cfg.Scenario and threads it through a freshly

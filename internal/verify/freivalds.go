@@ -21,6 +21,7 @@
 package verify
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/field"
@@ -45,14 +46,14 @@ type Key struct {
 func NewKey(f *field.Field, src Source, shard *fieldmat.Matrix) *Key {
 	r := src.Vec(f, shard.Rows)
 	s := fieldmat.VecMat(f, r, shard)
-	return &Key{f: f, r: pack(r), s: pack(s)}
+	return &Key{f: f, r: pack(f, r), s: pack(f, s)}
 }
 
 // pack narrows a canonical vector to 32-bit words.
-func pack(v []field.Elem) []uint32 {
+func pack(f *field.Field, v []field.Elem) []uint32 {
 	out := make([]uint32, len(v))
-	for i, x := range v {
-		out[i] = uint32(x)
+	if i := field.PackWords(f.Q(), out, v); i >= 0 {
+		panic(fmt.Sprintf("verify: key word %d = %d is not below q = %d", i, v[i], f.Q()))
 	}
 	return out
 }
