@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
@@ -27,7 +28,11 @@ func codedShard(f *field.Field, x *fieldmat.Matrix, k int, alpha field.Elem) *fi
 // honestMatVec builds an issuer plus a fully honest matvec round: n coded
 // workers, a correct decode, outputs trimmed to the unpadded row count.
 func honestMatVec(seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
-	f := field.Default()
+	return honestMatVecOver(field.Default(), seed, rows, cols, k, n, batch)
+}
+
+// honestMatVecOver is honestMatVec over the field f.
+func honestMatVecOver(f *field.Field, seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
 	rng := rand.New(rand.NewSource(seed))
 	x := fieldmat.Rand(f, rng, rows, cols)
 	is := NewIssuer(f, "test")
@@ -177,6 +182,38 @@ func TestMatVecReceiptVerifies(t *testing.T) {
 	}
 	if got := rec.FoldedDigest(); got != FoldDigests([]Digest{rec.Groups[0].Digest}) {
 		t.Fatalf("folded digest mismatch: %s", got)
+	}
+}
+
+// TestReceiptsVerifyOverEveryModulus: a receipt over either shipped modulus
+// is audited in that modulus's shared field, one over any other prime in a
+// field of its own, and a receipt whose modulus was tampered to a
+// non-prime is still refused.
+func TestReceiptsVerifyOverEveryModulus(t *testing.T) {
+	for _, m := range []struct {
+		q      uint64
+		shared *field.Field // nil: none
+	}{{field.QDefault, field.Default()}, {field.QNTT, field.NTTFriendly()}, {67108879, nil}} {
+		q := m.q
+		f, err := fieldOf(q)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		if m.shared != nil && f != m.shared {
+			t.Fatalf("q=%d: audited in a field of its own, not the shared one", q)
+		}
+		is, rd := honestMatVecOver(f, 11, 18, 7, 3, 5, 2)
+		rec := mustIssue(t, is, rd)
+		if rec.Groups[0].Digest.Q != q {
+			t.Fatalf("q=%d: receipt digest carries q=%d", q, rec.Groups[0].Digest.Q)
+		}
+		if err := rec.Verify(); err != nil {
+			t.Fatalf("q=%d: honest receipt rejected: %v", q, err)
+		}
+		rec.Groups[0].Digest.Q = q + 1 // even: not prime
+		if err := rec.Verify(); err == nil || !strings.Contains(err.Error(), "invalid modulus") {
+			t.Fatalf("q=%d: receipt with modulus %d: %v, want an invalid-modulus refusal", q, q+1, err)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	if err := d.validate(); err != nil {
 		return nil, false, err
 	}
-	f, err := field.New(d.Q)
+	f, err := fieldOf(d.Q)
 	if err != nil {
 		return nil, false, fmt.Errorf("invalid modulus %d: %w", d.Q, err)
 	}
@@ -351,4 +351,18 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 // padding are empty.
 func blockSpan(kk, b, rows int) (lo, hi int) {
 	return min(kk*b, rows), min((kk+1)*b, rows)
+}
+
+// fieldOf returns F_q for a receipt's modulus. A shipped modulus resolves to
+// its process-wide field, so an audit does not rerun field.New's primality
+// test on every receipt; any other q goes through field.New, which refuses
+// one that is not an odd prime below 2³².
+func fieldOf(q uint64) (*field.Field, error) {
+	switch q {
+	case field.QDefault:
+		return field.Default(), nil
+	case field.QNTT:
+		return field.NTTFriendly(), nil
+	}
+	return field.New(q)
 }

@@ -39,8 +39,10 @@ func (e WorkerError) Error() string { return string(e) }
 // connection is not keeping up, and the worker sits this round out.
 var errQueueFull = errors.New("rpccluster: write queue full")
 
-// writeQueueLen bounds a connection's queued frame writes. Two rounds in
-// flight queue two; a queue this full means the peer is not reading.
+// writeQueueLen bounds a connection's queued frame writes. A frame is queued
+// only while another is being written on its connection; a queue this full
+// means the peer is not reading. The queue's channel has one slot more, kept
+// for the wake-up that hands the writer a carried frame.
 const writeQueueLen = 8
 
 // frameConn is one persistent framed connection to a worker endpoint. Every
@@ -50,22 +52,52 @@ const writeQueueLen = 8
 // round that ends — decided, cancelled or past its deadline — reaps its
 // entries at once, so a late response matches nothing on arrival and its
 // vector goes straight back to the pool: nothing a slow server does can pin
-// client memory. Frames
-// go out through one writer per connection, fed by a bounded queue that a
-// round fills without ever blocking. A severed connection misses all its
-// pending calls at once and stays down until the next round that asks its
-// worker starts a redial — behind the round, which goes on without the
-// worker.
+// client memory. A round writes its own frame, inline, when nothing is owed
+// on the connection; otherwise the frame joins a bounded queue that one
+// writer per connection drains, and a round fills that queue without ever
+// blocking. A severed connection misses all its pending calls at once and
+// stays down until the next round that asks its worker starts a redial —
+// behind the round, which goes on without the worker.
 type frameConn struct {
 	addr string
 
 	mu      sync.Mutex
 	conn    net.Conn        // nil while the connection is down
 	probe   *peerProbe      // conn's TCP-state probe, made when it was dialled
+	wire    *wire           // conn's write side
 	wq      chan frameWrite // conn's write queue; closed when conn goes down
+	owed    int             // frames on conn not yet wholly written: inline, queued or carried
 	dialing bool            // a dial is under way, off the lock
 	pending map[uint64]pendingCall
 	closed  bool
+	// inlined counts the frames a round wrote whole itself, carried those
+	// the writer finished after the kernel took only part of an inline write.
+	inlined, carried int
+}
+
+// wire is one dialled connection's write side. Whoever writes to conn holds
+// mu — a round writing its own frame, or the connection's writer — so frames
+// never interleave, and a long write holds up no one but the frames behind
+// it: not the read loop, not a reap.
+type wire struct {
+	mu    sync.Mutex
+	conn  net.Conn
+	raw   *rawWriter // nil where a round cannot write itself: every frame is queued
+	head  [requestHeadLen]byte
+	parts [2][]byte
+	bufs  net.Buffers
+	carry carriedFrame // what an inline write left unwritten
+}
+
+// carriedFrame is the rest of a frame whose inline write the kernel took only
+// in part (or not at all): the writer finishes it, under its round's
+// deadline, before it writes any later frame — whether or not its call is
+// still out, since the stream cannot be framed around half a frame. Its head
+// is still the wire's: nothing else is written until it is finished.
+type carriedFrame struct {
+	tail     *requestTail // held; nil: nothing carried
+	off      int          // bytes of head and tail already written
+	deadline time.Time
 }
 
 // pendingCall is one call out on a connection: where its response lands.
@@ -76,7 +108,8 @@ type pendingCall struct {
 }
 
 // frameWrite is one queued request frame: its head is built by the writer,
-// the tail is the round's shared encoding.
+// the tail is the round's shared encoding. One with no tail only wakes the
+// writer to finish a carried frame.
 type frameWrite struct {
 	id       uint64
 	worker   int
@@ -85,9 +118,9 @@ type frameWrite struct {
 }
 
 // requestTail is a round's shared request tail (encodeRequestTail), recycled.
-// The round holds one reference while it fans out and every queued write
-// holds one until it has gone out or been dropped; the last release puts the
-// buffer back in the pool.
+// The round holds one reference while it fans out, and every queued or
+// carried write holds one until it has gone out or been dropped; the last
+// release puts the buffer back in the pool.
 type requestTail struct {
 	b    []byte
 	refs atomic.Int32
@@ -143,9 +176,10 @@ func (c *frameConn) dial() error {
 		return errConnClosed
 	}
 	c.conn, c.probe = conn, newPeerProbe(conn)
-	c.wq = make(chan frameWrite, writeQueueLen)
+	c.wire = &wire{conn: conn, raw: newRawWriter(conn)}
+	c.wq = make(chan frameWrite, writeQueueLen+1)
 	go c.readLoop(conn)
-	go c.writeLoop(conn, c.wq)
+	go c.writeLoop(c.wire, c.wq)
 	return nil
 }
 
@@ -168,34 +202,79 @@ func (c *frameConn) up() bool {
 	return true
 }
 
-// send registers call id of worker, whose response lands in arr, and queues
-// its frame — head plus the round's shared tail, written under deadline. It
-// never blocks: a stopped round, a connection gone down or a full write
-// queue refuses the call with an error, and the caller reports the worker
-// missed. A call whose round is already stopped is refused under the same
-// lock reap takes, so once a stopped round has reaped its calls none of them
-// can register afterwards.
+// send registers call id of worker, whose response lands in arr, and puts its
+// frame — head plus the round's shared tail, written under deadline — on the
+// wire. When nothing is owed on the connection the round writes the frame
+// itself (writeInline); otherwise it queues it for the writer. It never
+// blocks: a stopped round, a connection gone down or a full write queue
+// refuses the call with an error, and the caller reports the worker missed.
+// A call whose round is already stopped is refused under the same lock reap
+// takes, so once a stopped round has reaped its calls none of them can
+// register afterwards.
 func (c *frameConn) send(ctx context.Context, arr *cluster.Arrivals, id uint64, worker int, tail *requestTail, deadline time.Time) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if err := c.admit(ctx); err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	if c.closed {
+	c.pending[id] = pendingCall{arr: arr, worker: worker, sent: time.Now()}
+	c.owed++
+	if c.owed > 1 || c.wire.raw == nil {
+		tail.hold()
+		c.wq <- frameWrite{id: id, worker: worker, tail: tail, deadline: deadline} // admit left room
+		c.mu.Unlock()
+		return nil
+	}
+	w := c.wire
+	c.mu.Unlock()
+	c.writeInline(w, id, worker, tail, deadline)
+	return nil
+}
+
+// admit refuses a call that cannot go out on c now. Callers hold c.mu.
+func (c *frameConn) admit(ctx context.Context) error {
+	switch {
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case c.closed:
 		return errConnClosed
-	}
-	if c.conn == nil {
+	case c.conn == nil:
 		return errConnFailed // died since the fan-out found it up
-	}
-	tail.hold()
-	select {
-	case c.wq <- frameWrite{id: id, worker: worker, tail: tail, deadline: deadline}:
-	default:
-		tail.release()
+	case (c.owed > 0 || c.wire.raw == nil) && len(c.wq) >= writeQueueLen:
 		return errQueueFull
 	}
-	c.pending[id] = pendingCall{arr: arr, worker: worker, sent: time.Now()}
 	return nil
+}
+
+// writeInline writes call id's frame from the round's own goroutine, with one
+// non-blocking writev: no writer has to be woken and scheduled first. What
+// the kernel does not take — its buffers are full because the peer is not
+// reading, or the frame is larger than they are — is carried to the writer,
+// which finishes it under deadline before it writes any later frame. The
+// call is already registered, so its response may land before this returns.
+func (c *frameConn) writeInline(w *wire, id uint64, worker int, tail *requestTail, deadline time.Time) {
+	w.mu.Lock()
+	requestHead(&w.head, id, worker, len(tail.b))
+	if n := w.raw.writev(w.head[:], tail.b); n < requestHeadLen+len(tail.b) {
+		tail.hold()
+		w.carry = carriedFrame{tail: tail, off: n, deadline: deadline}
+		c.mu.Lock()
+		if c.wire == w {
+			c.wq <- frameWrite{} // the slot beyond writeQueueLen is kept for this
+		} else {
+			w.finishCarry(true) // gone down meanwhile: no writer will look
+		}
+		c.mu.Unlock()
+		w.mu.Unlock()
+		return
+	}
+	w.mu.Unlock()
+	c.mu.Lock()
+	if c.wire == w {
+		c.owed--
+	}
+	c.inlined++
+	c.mu.Unlock()
 }
 
 // reap abandons a pending call and reports whether it was still out: the
@@ -252,7 +331,7 @@ func (c *frameConn) close() {
 // hold c.mu.
 func (c *frameConn) down() map[uint64]pendingCall {
 	close(c.wq)
-	c.conn, c.probe, c.wq = nil, nil, nil
+	c.conn, c.probe, c.wire, c.wq, c.owed = nil, nil, nil, nil, 0
 	failed := c.pending
 	c.pending = make(map[uint64]pendingCall)
 	return failed
@@ -266,31 +345,77 @@ func missAll(calls map[uint64]pendingCall) {
 	}
 }
 
-// writeLoop writes conn's queued frames, in order, until the queue is
-// closed. A write whose call was reaped while it waited is dropped unwritten.
-// Each write carries its call's deadline, so a peer that stops reading costs
-// one deadline; a write error severs conn, and what is still queued is
-// dropped.
-func (c *frameConn) writeLoop(conn net.Conn, wq <-chan frameWrite) {
-	var head [requestHeadLen]byte
-	var parts [2][]byte
-	var bufs net.Buffers
+// writeLoop writes what the rounds could not write themselves, until the
+// queue is closed: first the rest of a carried frame, then conn's queued
+// frames, in order. A queued write whose call was reaped while it waited is
+// dropped unwritten. Each write carries its call's deadline, so a peer that
+// stops reading costs one deadline; a write error severs conn, and what is
+// still queued or carried is dropped.
+func (c *frameConn) writeLoop(w *wire, wq <-chan frameWrite) {
 	failed := false
-	for w := range wq {
-		if !failed && c.isPending(w.id) {
-			requestHead(&head, w.id, w.worker, len(w.tail.b))
-			parts = [2][]byte{head[:], w.tail.b}
-			bufs = parts[:]
-			// Zero clears the previous write's deadline; an error here means
-			// conn is closed and the write reports it.
-			_ = conn.SetWriteDeadline(w.deadline)
-			if _, err := bufs.WriteTo(conn); err != nil {
-				failed = true
-				c.fail(conn)
-			}
+	for fw := range wq {
+		w.mu.Lock()
+		carried, err := w.finishCarry(failed)
+		if err == nil && !failed && fw.tail != nil && c.isPending(fw.id) {
+			requestHead(&w.head, fw.id, fw.worker, len(fw.tail.b))
+			err = w.write(w.head[:], fw.tail.b, fw.deadline)
 		}
-		w.tail.release()
+		w.mu.Unlock()
+		if fw.tail != nil {
+			fw.tail.release()
+		}
+		if err != nil && !failed {
+			failed = true
+			c.fail(w.conn)
+		}
+		c.mu.Lock()
+		if c.wire == w {
+			c.owed--
+		}
+		if carried && !failed {
+			c.carried++
+		}
+		c.mu.Unlock()
 	}
+	w.mu.Lock()
+	w.finishCarry(true)
+	w.mu.Unlock()
+}
+
+// finishCarry writes the rest of the carried frame, or drops it once the
+// connection has failed, and reports whether there was one. Callers hold
+// w.mu.
+func (w *wire) finishCarry(failed bool) (bool, error) {
+	cf := &w.carry
+	if cf.tail == nil {
+		return false, nil
+	}
+	var err error
+	if !failed {
+		head, tail := w.head[:], cf.tail.b
+		if cf.off < len(head) {
+			head = head[cf.off:]
+		} else {
+			head, tail = nil, tail[cf.off-len(head):]
+		}
+		err = w.write(head, tail, cf.deadline)
+	}
+	cf.tail.release()
+	*cf = carriedFrame{}
+	return true, err
+}
+
+// write writes head and tail to conn whole, under deadline (zero: none),
+// which replaces the previous write's. An inline write never consults it
+// (rawWriter), so a deadline that passes after its write costs nothing.
+// Callers hold w.mu.
+func (w *wire) write(head, tail []byte, deadline time.Time) error {
+	w.parts = [2][]byte{head, tail}
+	w.bufs = w.parts[:]
+	// An error here means conn is closed, and the write reports it.
+	_ = w.conn.SetWriteDeadline(deadline)
+	_, err := w.bufs.WriteTo(w.conn)
+	return err
 }
 
 // readLoop lands response frames in their calls' rounds until the connection
@@ -409,9 +534,11 @@ func (e *FrameExecutor) pendingCalls() int {
 // frame arrives, workers whose calls time out or fail at the transport layer
 // are omitted (erasures), server-side errors surface as Result.Err, and the
 // round returns the moment ctx is done. The round's broadcast input is encoded
-// ONCE, into a recycled tail that every worker's frame shares, and queued to
-// each connection's writer without waiting on any of them: a connection whose
-// queue is full costs its worker this round, never the round. Responses land
+// ONCE, into a recycled tail that every worker's frame shares. The round
+// writes each frame itself, one non-blocking writev per idle connection, and
+// queues it to the connection's writer where a write is already under way,
+// without waiting on any of them: a connection whose queue is full costs its
+// worker this round, never the round. Responses land
 // from the connections' read loops; the round arms one deadline (Timeout ∧
 // ctx), and when it expires every call still out is reaped and missed.
 func (e *FrameExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []cluster.Result {
