@@ -126,7 +126,7 @@ func run(schemeName, task, attackName string, s, m, iters int, scale string, see
 		}
 		fmt.Print(series.CSV())
 		fmt.Fprintf(os.Stderr, "final test accuracy %.4f, total virtual time %.4fs\n",
-			model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols), series.TotalTime())
+			model.TestAccuracy(ds), series.TotalTime())
 	case "linreg":
 		cfg := linreg.DefaultTrainConfig()
 		if iters > 0 {

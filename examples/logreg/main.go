@@ -86,7 +86,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		acc := model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+		acc := model.TestAccuracy(ds)
 		fmt.Printf("%-10s final accuracy %.4f, total virtual time %.4fs, byzantine caught iter0: %v\n",
 			master.Name(), acc, series.TotalTime(), series.Records[0].ByzantineCaught)
 	}

@@ -164,7 +164,7 @@ func TestAttackedLogregOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		acc[name] = model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+		acc[name] = model.TestAccuracy(ds)
 	}
 	if acc["avcc"] < 0.8 {
 		t.Fatalf("AVCC accuracy %.3f too low", acc["avcc"])

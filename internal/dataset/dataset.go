@@ -68,9 +68,10 @@ func DefaultConfig() Config {
 
 // Data is a generated dataset. Features are stored in float64 row-major
 // form (they hold exact small integers); FieldMatrix embeds them into F_q
-// on demand. TrainX is not mutated after construction: MaxRowL1 and
-// MaxColL1 compute the training geometry once per Data and cache it.
-// Share a Data by pointer; copying one copies its cache guard.
+// on demand. Neither TrainX nor TestX is mutated after construction:
+// MaxRowL1 and MaxColL1 compute the training geometry once per Data and
+// cache it, and TestNonzeros does the same for the test block's nonzero
+// entries. Share a Data by pointer; copying one copies its cache guards.
 type Data struct {
 	// TrainX is TrainN×(Features+1) row-major, the last column the bias 1.
 	TrainX []float64
@@ -89,6 +90,63 @@ type Data struct {
 
 	geomOnce           sync.Once
 	maxRowL1, maxColL1 float64
+
+	testOnce sync.Once
+	testNZ   *Nonzeros
+}
+
+// Nonzeros is a row-major block's nonzero entries in compressed sparse row
+// form: row i's entries sit at Col[RowStart[i]:RowStart[i+1]] with the
+// values Val[RowStart[i]:RowStart[i+1]], in column order. A zero entry,
+// +0 or −0, is left out.
+type Nonzeros struct {
+	RowStart []int
+	Col      []int32
+	Val      []float64
+}
+
+// compressRows returns the nonzero entries of the rows×cols row-major block
+// x. It panics if cols does not fit an int32.
+func compressRows(x []float64, rows, cols int) *Nonzeros {
+	if cols > math.MaxInt32 {
+		panic("dataset: compressRows column index overflows int32")
+	}
+	x = x[:rows*cols]
+	n := 0
+	for _, v := range x {
+		if v != 0 {
+			n++
+		}
+	}
+	nz := &Nonzeros{
+		RowStart: make([]int, rows+1),
+		Col:      make([]int32, 0, n),
+		Val:      make([]float64, 0, n),
+	}
+	for i := 0; i < rows; i++ {
+		for j, v := range x[i*cols : (i+1)*cols] {
+			if v != 0 {
+				nz.Col = append(nz.Col, int32(j))
+				nz.Val = append(nz.Val, v)
+			}
+		}
+		nz.RowStart[i+1] = len(nz.Col)
+	}
+	return nz
+}
+
+// Row returns row i's column indices and values.
+func (n *Nonzeros) Row(i int) ([]int32, []float64) {
+	lo, hi := n.RowStart[i], n.RowStart[i+1]
+	return n.Col[lo:hi], n.Val[lo:hi]
+}
+
+// TestNonzeros returns the test block's nonzero entries. They are found on
+// the first call and cached, so every later call, from any goroutine,
+// returns the same *Nonzeros; callers must not modify it.
+func (d *Data) TestNonzeros() *Nonzeros {
+	d.testOnce.Do(func() { d.testNZ = compressRows(d.TestX, d.TestRows, d.Cols) })
+	return d.testNZ
 }
 
 // Generate draws a dataset.

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/field"
@@ -253,5 +255,65 @@ func TestDensityControlsSparsity(t *testing.T) {
 	if _, err := Generate(Config{TrainN: 10, TestN: 2, Features: 5, Informative: 2,
 		MaxValue: 9, Separation: 1, Density: 1.5}); err == nil {
 		t.Fatal("density > 1 accepted")
+	}
+}
+
+func TestCompressRowsKeepsEveryNonzeroInOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	x := []float64{
+		0, 0, 0, // an all-zero row
+		negZero, 7, 0, // −0 is a zero
+		-2, 0.5, 3,
+		4, negZero, 0, // a row that ends in zeros
+	}
+	nz := compressRows(x, 4, 3)
+	if want := []int{0, 0, 1, 4, 5}; !slices.Equal(nz.RowStart, want) {
+		t.Fatalf("RowStart %v, want %v", nz.RowStart, want)
+	}
+	for i := 0; i < 4; i++ {
+		dense := make([]float64, 3)
+		cols, vals := nz.Row(i)
+		for k, j := range cols {
+			if k > 0 && cols[k-1] >= j {
+				t.Fatalf("row %d: columns %v not increasing", i, cols)
+			}
+			if vals[k] == 0 {
+				t.Fatalf("row %d keeps a zero at column %d", i, j)
+			}
+			dense[j] = vals[k]
+		}
+		for j, v := range x[i*3 : (i+1)*3] {
+			if dense[j] != v {
+				t.Fatalf("row %d column %d: %v, want %v", i, j, dense[j], v)
+			}
+		}
+	}
+}
+
+func TestTestNonzerosIsBuiltOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrainN, cfg.TestN, cfg.Features, cfg.Informative = 20, 30, 40, 8
+	d, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := make([]*Nonzeros, 4)
+	var wg sync.WaitGroup
+	for i := range forms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			forms[i] = d.TestNonzeros()
+		}()
+	}
+	wg.Wait()
+	for i, nz := range forms {
+		if nz != forms[0] {
+			t.Fatalf("caller %d got a second nonzero form", i)
+		}
+	}
+	ref := compressRows(d.TestX, d.TestRows, d.Cols)
+	if !slices.Equal(forms[0].RowStart, ref.RowStart) || !slices.Equal(forms[0].Col, ref.Col) || !slices.Equal(forms[0].Val, ref.Val) {
+		t.Fatal("cached form differs from compressRows of TestX")
 	}
 }

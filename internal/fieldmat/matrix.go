@@ -246,11 +246,9 @@ func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
 }
 
 //avcc:noalloc
-
 func runMatVec(t *task) { matVecRows(t.f, t.y, t.a, t.x, t.lo, t.hi) }
 
 //avcc:noalloc
-
 func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, hi int) {
 	if p := m.packed; p != nil {
 		for i := lo; i < hi; i++ {
@@ -293,7 +291,6 @@ func MatVecBatchInto(f *field.Field, out []field.Elem, m *Matrix, in []field.Ele
 }
 
 //avcc:noalloc
-
 func runMatVecBatch(t *task) { matVecBatchRows(t.f, t.y, t.a, t.x, t.batch, t.lo, t.hi) }
 
 // matVecBatchRows computes the rows [lo, hi) of every product in the batch.
@@ -355,7 +352,6 @@ func MatMulInto(f *field.Field, c, a, b *Matrix) {
 }
 
 //avcc:noalloc
-
 func runMatMul(t *task) {
 	buf := getAcc(t.b.Cols)
 	matMulRows(t.f, t.c, t.a, t.b, t.lo, t.hi, buf.s)
@@ -412,7 +408,6 @@ func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
 }
 
 //avcc:noalloc
-
 func runVecMat(t *task) { vecMatCols(t.f, t.y, t.x, t.a, t.lo, t.hi) }
 
 // vecMatCols computes the columns [lo, hi) of y = xᵀ·m. The rows with a

@@ -140,6 +140,6 @@ func getAcc(n int) *accBuf {
 
 // putAcc returns a row to the pool. The caller must have flushed it (all
 // entries zero) — see accBuf.
+//
 //avcc:noalloc
-
 func putAcc(b *accBuf) { accPool.Put(b) }

@@ -24,6 +24,12 @@ package lint
 // dynamically; this analyzer pins it at review time, before a benchmark
 // ever runs.
 //
+// A //avcc:noalloc must be part of its function's doc comment, which Go's
+// parser attaches only to a comment group ending on the line directly above
+// the declaration. A blank line in between detaches it, and the contract
+// would go unchecked without a word; the analyzer reports every top-level
+// comment group that carries the directive but is no declaration's doc.
+//
 // The check is intraprocedural by design: each annotated function vouches
 // for its own body, and the helpers it composes (matMulRows, Dot, AXPYLazy,
 // the pool plumbing) carry their own annotations.
@@ -43,6 +49,7 @@ var NoAlloc = &Analyzer{
 
 func runNoAlloc(pass *Pass) error {
 	for _, file := range pass.Files {
+		reportDetached(pass, file, "noalloc")
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !funcDirective(fn, "noalloc") {
@@ -52,6 +59,34 @@ func runNoAlloc(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// reportDetached flags each //avcc:<name> directive in a top-level comment
+// group (one outside every declaration) that is no declaration's Doc.
+func reportDetached(pass *Pass, file *ast.File, name string) {
+	docs := make(map[*ast.CommentGroup]bool)
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			docs[d.Doc] = true
+		case *ast.GenDecl:
+			docs[d.Doc] = true
+		}
+	}
+	decls := file.Decls // both lists run in source order
+	for _, group := range file.Comments {
+		for len(decls) > 0 && decls[0].End() <= group.Pos() {
+			decls = decls[1:]
+		}
+		if docs[group] || len(decls) > 0 && decls[0].Pos() <= group.Pos() {
+			continue // a doc comment, or a comment inside a declaration
+		}
+		for _, c := range group.List {
+			if directive(c) == name {
+				pass.Reportf(c.Pos(), "//avcc:%s is detached from every declaration (a blank line above the func?): no contract is checked", name)
+			}
+		}
+	}
 }
 
 func checkNoAlloc(pass *Pass, file *ast.File, fn *ast.FuncDecl) {

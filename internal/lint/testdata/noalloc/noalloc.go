@@ -74,6 +74,15 @@ func BadConvert(s string) []byte {
 	return []byte(s) // want "conversion between string and byte/rune slice allocates"
 }
 
+// Detached would allocate unchecked: the blank line below its directive
+// keeps the comment group from being its doc comment.
+//
+//avcc:noalloc // want "//avcc:noalloc is detached from every declaration"
+
+func Detached(n int) []uint64 {
+	return make([]uint64, n)
+}
+
 // OKArithmetic touches no allocator.
 //
 //avcc:noalloc

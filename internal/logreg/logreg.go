@@ -52,23 +52,45 @@ func (m *Model) PredictProb(x []float64) float64 {
 	return Sigmoid(dot)
 }
 
-// Accuracy returns the 0/1 accuracy over a row-major feature block.
-func (m *Model) Accuracy(x []float64, y []float64, rows, cols int) float64 {
+// TestAccuracy returns the 0/1 accuracy over ds's test split. Each dot
+// product walks only its row's nonzero entries (ds.TestNonzeros, found once
+// per Data), in column order, with PredictProb's expression dot += v·w_j.
+//
+// For finite weights that is PredictProb's dot product to the bit. The sum
+// starts at +0 and is never −0 (x + (−x) = +0), a zero entry's term v·w_j
+// is ±0, and x + ±0 = x for x ≠ 0 while +0 + ±0 = +0: leaving those terms
+// out and keeping the order of the rest changes nothing, whether or not the
+// multiply-add is fused. TrainDistributed's weights are finite by
+// construction: capped before every round, then moved by a bounded decoded
+// gradient. An infinite weight would turn a skipped 0·w_j into NaN.
+func (m *Model) TestAccuracy(ds *dataset.Data) float64 {
+	nz := ds.TestNonzeros()
+	rows := len(nz.RowStart) - 1
 	if rows == 0 {
 		return 0
 	}
 	correct := 0
 	for i := 0; i < rows; i++ {
-		p := m.PredictProb(x[i*cols : (i+1)*cols])
 		pred := 0.0
-		if p >= 0.5 {
+		if Sigmoid(m.sparseDot(nz, i)) >= 0.5 {
 			pred = 1
 		}
-		if pred == y[i] {
+		if pred == ds.TestY[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(rows)
+}
+
+// sparseDot returns x_i·w over row i's nonzero entries.
+func (m *Model) sparseDot(nz *dataset.Nonzeros, i int) float64 {
+	cols, vals := nz.Row(i)
+	vals = vals[:len(cols)]
+	var dot float64
+	for k, j := range cols {
+		dot += vals[k] * m.W[j]
+	}
+	return dot
 }
 
 // CrossEntropy returns the mean cross-entropy loss (eq. 4), clamping
@@ -219,7 +241,7 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 		series.Records = append(series.Records, metrics.IterationRecord{
 			Iter:            iter,
 			Time:            clock,
-			TestAccuracy:    model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols),
+			TestAccuracy:    model.TestAccuracy(ds),
 			TrainLoss:       loss / float64(ds.Rows),
 			Breakdown:       b,
 			ByzantineCaught: dedupInts(byz),

@@ -82,11 +82,11 @@ func TestModelAccuracyAndLoss(t *testing.T) {
 	m := &Model{W: []float64{1, 0}}
 	x := []float64{5, 1, -5, 1} // two rows, bias column
 	y := []float64{1, 0}
-	if acc := m.Accuracy(x, y, 2, 2); acc != 1 {
+	if acc := m.TestAccuracy(&dataset.Data{TestX: x, TestY: y, TestRows: 2, Cols: 2}); acc != 1 {
 		t.Fatalf("accuracy %v, want 1", acc)
 	}
 	yWrong := []float64{0, 1}
-	if acc := m.Accuracy(x, yWrong, 2, 2); acc != 0 {
+	if acc := m.TestAccuracy(&dataset.Data{TestX: x, TestY: yWrong, TestRows: 2, Cols: 2}); acc != 0 {
 		t.Fatalf("accuracy %v, want 0", acc)
 	}
 	if l := m.CrossEntropy(x, y, 2, 2); l <= 0 || math.IsInf(l, 0) || math.IsNaN(l) {
@@ -106,7 +106,7 @@ func TestTrainLocalLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+	acc := model.TestAccuracy(ds)
 	if acc < 0.8 {
 		t.Fatalf("local reference accuracy %.3f < 0.8 — workload not learnable", acc)
 	}
@@ -141,8 +141,8 @@ func TestDistributedMatchesLocalReference(t *testing.T) {
 	if maxDiff > 0.02 {
 		t.Fatalf("distributed weights diverge from reference by %.4f", maxDiff)
 	}
-	distAcc := distModel.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
-	localAcc := localModel.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+	distAcc := distModel.TestAccuracy(ds)
+	localAcc := localModel.TestAccuracy(ds)
 	if math.Abs(distAcc-localAcc) > 0.05 {
 		t.Fatalf("accuracy gap %.3f vs %.3f", distAcc, localAcc)
 	}
@@ -165,7 +165,7 @@ func TestDistributedUnderAttackStillLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+	acc := model.TestAccuracy(ds)
 	if acc < 0.8 {
 		t.Fatalf("AVCC under attack reached only %.3f accuracy", acc)
 	}
@@ -219,8 +219,8 @@ func TestUncodedUnderAttackDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cleanAcc := cleanModel.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
-	attackedAcc := attackedModel.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+	cleanAcc := cleanModel.TestAccuracy(ds)
+	attackedAcc := attackedModel.TestAccuracy(ds)
 	if attackedAcc >= cleanAcc {
 		t.Fatalf("uncoded under attack (%.3f) not worse than clean (%.3f)", attackedAcc, cleanAcc)
 	}
