@@ -1,8 +1,8 @@
 package repro_test
 
 // TestAllocGate pins the committed zero-allocation contract: every "lazy",
-// "packed" and "packed-batch" row in BENCH_kernels.json recorded with
-// allocs_per_op = 0 is re-measured
+// "packed", "packed-batch", "words…" and "bytes…" row in BENCH_kernels.json
+// recorded with allocs_per_op = 0 is re-measured
 // here with testing.AllocsPerRun and must still be zero. The noalloc static
 // analyzer (internal/lint, DESIGN.md §13) enforces the same contract at
 // review time from the //avcc:noalloc annotations; this gate enforces it
@@ -18,6 +18,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/field"
@@ -74,6 +76,18 @@ func gateKernels(t *testing.T) map[string]func() {
 	keygenR := f.RandVec(rng, gateRows)
 	keygenOut := make([]field.Elem, gateDim)
 
+	// train_logreg's worker rounds over a parity shard's word view and a raw
+	// integer block's byte view, at batch 1, 4 and 32, and the byte view's
+	// narrowing into a held buffer.
+	words := fieldmat.Pack(f, fieldmat.Rand(f, rng, gateRows, gateDim))
+	bytes := fieldmat.Pack(f, integerMatrix(rng, gateRows, gateDim))
+	if words.BytePacked() || !bytes.BytePacked() {
+		t.Fatal("fieldmat.Pack chose the wrong width for the gate's shards")
+	}
+	roundIn := f.RandVec(rng, 32*gateDim)
+	roundOut := make([]field.Elem, 32*gateRows)
+	packBytesOut := make([]uint8, len(bytes.Data))
+
 	kernels := map[string]func(){
 		"Dot/paper":    func() { dotSink = f.Dot(a, x) },
 		"AXPY/paper":   func() { f.AXPY(dst, cf, a) },
@@ -96,6 +110,22 @@ func gateKernels(t *testing.T) map[string]func() {
 				t.Fatal("honest batched claim rejected")
 			}
 		},
+	}
+	for variant, view := range map[string]*fieldmat.Matrix{"words": words, "bytes": bytes} {
+		for _, batch := range []int{1, 4, 32} {
+			id := "MatVec/" + variant + "/paper"
+			if batch > 1 {
+				id = "MatVec/" + variant + "-batch" + strconv.Itoa(batch) + "/paper"
+			}
+			kernels[id] = func() {
+				fieldmat.MatVecBatchInto(f, roundOut[:batch*gateRows], view, roundIn[:batch*gateDim], batch)
+			}
+		}
+	}
+	kernels["Pack/bytes/paper"] = func() {
+		if !field.PackBytes(f.Q(), packBytesOut, bytes.Data) {
+			t.Fatal("PackBytes refused a shard of bytes")
+		}
 	}
 	_ = dotSink
 
@@ -151,7 +181,7 @@ func TestAllocGate(t *testing.T) {
 	kernels := gateKernels(t)
 	gated := 0
 	for _, rec := range artifact.Rows {
-		if rec.Variant != "lazy" && rec.Variant != "packed" && rec.Variant != "packed-batch" || rec.AllocsPerOp != 0 {
+		if !gatedVariant(rec.Variant) || rec.AllocsPerOp != 0 {
 			continue
 		}
 		id := rec.Kernel + "/" + rec.Modulus
@@ -179,9 +209,17 @@ func TestAllocGate(t *testing.T) {
 		})
 	}
 	// The artifact currently commits ten zero-alloc lazy rows (Keygen among
-	// them), one packed and two packed-batch rows; losing rows silently
-	// would hollow out the gate.
-	if gated < 13 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 13", gated)
+	// them), one packed and two packed-batch rows, six words/bytes rows and
+	// the byte narrowing's Pack row; losing rows silently would hollow out
+	// the gate.
+	if gated < 20 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 20", gated)
 	}
+}
+
+// gatedVariant reports whether the gate re-measures rows of this variant:
+// the production kernels ("lazy"), the worker-side packed products and the
+// rows beside them (sideVariants, the byte view's among them).
+func gatedVariant(v string) bool {
+	return v == "lazy" || v == "packed" || slices.Contains(sideVariants, v)
 }

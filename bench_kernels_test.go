@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -191,10 +192,14 @@ type kernelBenchRecord struct {
 	// and CommitMatrix, the scalar code the vector kernels replaced),
 	// "vector" (production Pack and CommitMatrix), on the
 	// MatVec cell "packed" (the worker-side kernel over fieldmat.Pack's
-	// 32-bit rows) and "packed-batch" (a batched worker round through
+	// 32-bit rows), "packed-batch" (a batched worker round through
 	// fieldmat.MatVecBatchInto, at its own shape, so it carries no speedup;
 	// on the Freivalds cell, Key.CheckBatch over that round's 32 claims),
-	// or on LCCEncode "fused" (the production encoder).
+	// and "words"/"bytes" with a "-batch4"/"-batch32" suffix (a worker round
+	// on train_logreg's 334×2501 shard over fieldmat.Pack's 32-bit word view
+	// of a parity shard and its byte view of a raw integer block), on the
+	// Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
+	// LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
 	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
@@ -213,6 +218,25 @@ type kernelBenchRecord struct {
 	// SpeedupVsRef = ref ns/op ÷ this row's ns/op, set on "lazy" and
 	// "packed" rows when the ref variant ran.
 	SpeedupVsRef float64 `json:"speedup_vs_ref,omitempty"`
+}
+
+// sideVariants are the rows that run at their own shape beside a cell's
+// production and ref rows, so they carry no speedup: the batched rounds on
+// the MatVec cell, and the byte narrowing on the Pack cell.
+var sideVariants = []string{
+	"packed-batch",
+	"words", "bytes", "words-batch4", "bytes-batch4", "words-batch32", "bytes-batch32",
+}
+
+// integerMatrix returns a rows×cols matrix of integers below 100, as
+// dataset.Data.FieldMatrix embeds training data under the default MaxValue
+// of 99: fieldmat.Pack gives it a byte view.
+func integerMatrix(rng *rand.Rand, rows, cols int) *fieldmat.Matrix {
+	m := fieldmat.NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = field.Elem(rng.Intn(100))
+	}
+	return m
 }
 
 // kernelCell runs fn as a sub-benchmark and records ns/op, allocs/op, and
@@ -416,6 +440,31 @@ func BenchmarkKernels(b *testing.B) {
 		fieldmat.MatVecBatchInto(f, batchOut, batchShard, batchIn, 32)
 	})
 
+	// The same worker round on train_logreg's fwd shard, 334×2501, at batch
+	// 1, 4 and 32: "words" on a uniform shard (a parity shard's 32-bit word
+	// view), "bytes" on a shard of integer data below 100 (a raw block's
+	// byte view), both as cluster.Worker.Compute packs them.
+	const trainRows, trainCols = 334, 2501
+	words := fieldmat.Pack(f, fieldmat.Rand(f, rng, trainRows, trainCols))
+	bytes := fieldmat.Pack(f, integerMatrix(rng, trainRows, trainCols))
+	if words.BytePacked() || !bytes.BytePacked() {
+		b.Fatal("fieldmat.Pack chose the wrong width for the train_logreg shards")
+	}
+	trainIn := f.RandVec(rng, 32*trainCols)
+	trainOut := make([]field.Elem, 32*trainRows)
+	for _, batch := range []int{1, 4, 32} {
+		suffix := ""
+		if batch > 1 {
+			suffix = "-batch" + strconv.Itoa(batch)
+		}
+		dims := "shard 334x2501 batch " + strconv.Itoa(batch)
+		for variant, view := range map[string]*fieldmat.Matrix{"words": words, "bytes": bytes} {
+			kernelCell(b, records, iters, "MatVec", variant+suffix, "paper", dims, func() {
+				fieldmat.MatVecBatchInto(f, trainOut[:batch*trainRows], view, trainIn[:batch*trainCols], batch)
+			})
+		}
+	}
+
 	// MatMul: a shard times a 64-wide weight batch.
 	bm := fieldmat.Rand(f, rng, d, mulCols)
 	cm := fieldmat.NewMatrix(shardRows, mulCols)
@@ -468,6 +517,15 @@ func BenchmarkKernels(b *testing.B) {
 		}
 	})
 	kernelCell(b, records, iters, "Pack", "ref", "paper", "shard 667x5000 into a held buffer", func() { packScalarRef(q, packOut, shard.Data) })
+	// The byte view's narrowing (field.PackBytes) of a 667×5000 shard of
+	// integer data below 100, into a held buffer.
+	integer := integerMatrix(rng, shardRows, d)
+	packBytesOut := make([]uint8, len(integer.Data))
+	kernelCell(b, records, iters, "Pack", "bytes", "paper", "integer shard 667x5000 into a held buffer", func() {
+		if !field.PackBytes(q, packBytesOut, integer.Data) {
+			b.Fatal("PackBytes refused a shard of bytes")
+		}
+	})
 
 	// CommitMatrix: the receipt commitment of avccserve's 360×120 matrix,
 	// its Reed–Solomon extension one panel product, against one Dot per row
@@ -526,8 +584,10 @@ func BenchmarkKernels(b *testing.B) {
 			}
 			out = append(out, *p)
 		}
-		if p := records[c.kernel+"/packed-batch/"+c.modulus]; p != nil {
-			out = append(out, *p)
+		for _, v := range sideVariants {
+			if p := records[c.kernel+"/"+v+"/"+c.modulus]; p != nil {
+				out = append(out, *p)
+			}
 		}
 	}
 	data, err := json.MarshalIndent(kernelArtifact{Env: kernelEnv(), Rows: out}, "", "  ")

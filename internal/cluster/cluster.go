@@ -111,10 +111,11 @@ func (GramOp) Degree() int { return 2 }
 type Worker struct {
 	ID int
 	// Shards are replaced, never mutated in place after first use: Compute
-	// packs each shard into 32-bit rows on its first use (fieldmat.Pack) and
-	// reuses that copy for as long as the key holds the same *Matrix, so a
-	// write into a shard's Data would not reach the packed rows. Installing a
-	// new matrix under the key (a re-code) repacks.
+	// packs each shard on its first use (fieldmat.Pack: bytes when every
+	// entry fits one, else 32-bit words) and reuses that copy for as long as
+	// the key holds the same *Matrix, so a write into a shard's Data would
+	// not reach the packed rows. Installing a new matrix under the key (a
+	// re-code) repacks.
 	Shards   map[string]*fieldmat.Matrix
 	Ops      map[string]Op
 	Behavior attack.Behavior
@@ -141,8 +142,12 @@ func NewWorker(id int) *Worker {
 }
 
 // packedView returns the packed view of shard, the matrix Shards[key] holds,
-// packing it on its first use. The cache entry is tied to the shard pointer:
-// a different matrix under the same key is packed afresh.
+// packing it on its first use. The view's width comes from the shard's
+// entries alone (fieldmat.Pack): a systematic shard of integer data — a raw
+// block of a T = 0 code — packs to bytes, a parity or privacy-masked shard
+// to 32-bit words; no scheme name or option is consulted. The cache entry is
+// tied to the shard pointer: a different matrix under the same key is packed
+// afresh, at whatever width its own entries take.
 //
 //avcc:noalloc
 func (w *Worker) packedView(f *field.Field, key string, shard *fieldmat.Matrix) *fieldmat.Matrix {
@@ -178,8 +183,9 @@ func (w *Worker) op(key string) Op {
 // through the behaviour once, as one message. batch <= 0 is treated as 1.
 //
 // The op receives the shard's packed view (see Shards), so every worker
-// matvec, on every executor, streams 32-bit rows; the view keeps Data, so
-// ops that read it directly (GramOp, custom ops) see the same matrix.
+// matvec, on every executor, streams byte or 32-bit rows; the view keeps
+// Data, so ops that read it directly (GramOp, custom ops) see the same
+// matrix.
 func (w *Worker) Compute(f *field.Field, key string, input []field.Elem, batch, iter int) (out []field.Elem, ops float64, err error) {
 	shard, ok := w.Shards[key]
 	if !ok {

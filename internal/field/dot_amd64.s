@@ -1,6 +1,16 @@
 #include "textflag.h"
 
-// func dotPackedAVX2(a []uint32, b []Elem) uint64
+// The multiply kernels come in two widths: packed 32-bit words (the word
+// view of fieldmat.Pack) and single bytes (its byte view, for matrices whose
+// entries are all below min(256, q)). Each kernel's body is one macro
+// parameterised on the widening load — WIDEN, VPMOVZXDQ or VPMOVZXBQ, which
+// reads four (eight, into a zmm) entries and zero-extends each to a 64-bit
+// lane — and on the entry size: SCALE, the index scale of an entry, LOG its
+// base-2 logarithm, and O1–O3 the byte offsets of the entries four, eight
+// and twelve places on. Everything past the widening load, and so every
+// product, sum and bound below, is the same for both widths.
+
+// DOTROW is the row kernels' body (dotPackedAVX2, dotBytesAVX2):
 //
 // Returns the raw sum Σ uint64(a[i])·b[i] over i < len(a); b is at least as
 // long as a and every b[i] is below 2³² (canonical), because VPMULUDQ reads
@@ -8,70 +18,65 @@
 // LazyBatch elements and reduces the sum, so no lane (each holds part of the
 // same tile sum) and no step of the horizontal add can overflow.
 //
-// Each 16-element step widens four groups of four packed entries
-// (VPMOVZXDQ), multiplies them by the matching input words (VPMULUDQ) and
-// adds the products into four accumulators (VPADDQ); the accumulators are
-// summed horizontally and a scalar loop adds the last len(a) mod 16 products.
-TEXT ·dotPackedAVX2(SB), NOSPLIT, $0-56
-	PCALIGN $64           // pins this file's kernels to their 64-byte residues
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	XORQ AX, AX           // element index
-	XORQ BX, BX           // raw sum
-	MOVQ CX, DX
-	ANDQ $-16, DX         // elements covered by whole 16-element steps
-	JZ   tail
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-
-step:
-	VPMOVZXDQ (SI)(AX*4), Y4
-	VPMOVZXDQ 16(SI)(AX*4), Y5
-	VPMOVZXDQ 32(SI)(AX*4), Y6
-	VPMOVZXDQ 48(SI)(AX*4), Y7
-	VPMULUDQ  (DI)(AX*8), Y4, Y4
-	VPMULUDQ  32(DI)(AX*8), Y5, Y5
-	VPMULUDQ  64(DI)(AX*8), Y6, Y6
-	VPMULUDQ  96(DI)(AX*8), Y7, Y7
-	VPADDQ    Y4, Y0, Y0
-	VPADDQ    Y5, Y1, Y1
-	VPADDQ    Y6, Y2, Y2
-	VPADDQ    Y7, Y3, Y3
-	ADDQ      $16, AX
-	CMPQ      AX, DX
-	JB        step
-
-	VPADDQ       Y1, Y0, Y0
-	VPADDQ       Y3, Y2, Y2
-	VPADDQ       Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VPSHUFD      $0x4e, X0, X1 // swap the two 64-bit halves
-	VPADDQ       X1, X0, X0
-	VMOVQ        X0, BX
-	VZEROUPPER
-
-tail:
-	CMPQ AX, CX
-	JAE  done
-
-tailstep:
-	MOVLQZX (SI)(AX*4), R8
-	IMULQ   (DI)(AX*8), R8
-	ADDQ    R8, BX
-	INCQ    AX
-	CMPQ    AX, CX
-	JB      tailstep
-
-done:
-	MOVQ BX, ret+48(FP)
+// Each 16-element step widens four groups of four entries (WIDEN),
+// multiplies them by the matching input words (VPMULUDQ) and adds the
+// products into four accumulators (VPADDQ); the accumulators are summed
+// horizontally and a scalar loop (SCALAR, the zero-extending scalar load)
+// adds the last len(a) mod 16 products.
+#define DOTROW(WIDEN, SCALAR, SCALE, O1, O2, O3) \
+	MOVQ a_base+0(FP), SI; \
+	MOVQ a_len+8(FP), CX; \
+	MOVQ b_base+24(FP), DI; \
+	XORQ AX, AX; \
+	XORQ BX, BX; \
+	MOVQ CX, DX; \
+	ANDQ $-16, DX; \
+	JZ   tail; \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+step: \
+	WIDEN    (SI)(AX*SCALE), Y4; \
+	WIDEN    O1(SI)(AX*SCALE), Y5; \
+	WIDEN    O2(SI)(AX*SCALE), Y6; \
+	WIDEN    O3(SI)(AX*SCALE), Y7; \
+	VPMULUDQ (DI)(AX*8), Y4, Y4; \
+	VPMULUDQ 32(DI)(AX*8), Y5, Y5; \
+	VPMULUDQ 64(DI)(AX*8), Y6, Y6; \
+	VPMULUDQ 96(DI)(AX*8), Y7, Y7; \
+	VPADDQ   Y4, Y0, Y0; \
+	VPADDQ   Y5, Y1, Y1; \
+	VPADDQ   Y6, Y2, Y2; \
+	VPADDQ   Y7, Y3, Y3; \
+	ADDQ     $16, AX; \
+	CMPQ     AX, DX; \
+	JB       step; \
+	VPADDQ       Y1, Y0, Y0; \
+	VPADDQ       Y3, Y2, Y2; \
+	VPADDQ       Y2, Y0, Y0; \
+	VEXTRACTI128 $1, Y0, X1; \
+	VPADDQ       X1, X0, X0; \
+	VPSHUFD      $0x4e, X0, X1; \
+	VPADDQ       X1, X0, X0; \
+	VMOVQ        X0, BX; \
+	VZEROUPPER; \
+tail: \
+	CMPQ AX, CX; \
+	JAE  done; \
+tailstep: \
+	SCALAR (SI)(AX*SCALE), R8; \
+	IMULQ  (DI)(AX*8), R8; \
+	ADDQ   R8, BX; \
+	INCQ   AX; \
+	CMPQ   AX, CX; \
+	JB     tailstep; \
+done: \
+	MOVQ BX, ret+48(FP); \
 	RET
 
-// func dotPanelAVX2(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Elem)
+// DOTPANEL is the AVX2 panel kernels' body (dotPanelAVX2,
+// dotPanelBytesAVX2):
 //
 // For each row r < len(sums)/4 of the panel a (row r starts at a[r*stride])
 // and each vector k < 4, stores the raw sum Σ uint64(a[r*stride+j])·xk[j]
@@ -80,98 +85,93 @@ done:
 // elements, and the caller cuts n to at most LazyBatch, so no lane and no
 // step of the horizontal add can overflow.
 //
-// Each 4-column step widens four packed entries of the row once (VPMOVZXDQ)
-// and multiplies them into the matching words of all four vectors
-// (VPMULUDQ), adding the products into one accumulator per vector; the loop
-// runs two steps per iteration and a last single step. The four
-// accumulators are then summed horizontally as a transpose: Y0–Y3 become one
-// vector whose lane k is vector k's sum, stored with a single VMOVDQU.
-TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-160
-	MOVQ sums_base+0(FP), DI
-	MOVQ sums_len+8(FP), R8
-	SHRQ $2, R8            // rows
-	JZ   done
-	MOVQ a_base+24(FP), SI
-	MOVQ stride+48(FP), R9
-	SHLQ $2, R9            // row stride in bytes
-	MOVQ n+56(FP), CX
-	ANDQ $-4, CX           // columns covered by whole 4-column steps
-	MOVQ CX, DX
-	ANDQ $-8, DX           // columns covered by whole 8-column double steps
-	MOVQ x0_base+64(FP), R10
-	MOVQ x1_base+88(FP), R11
-	MOVQ x2_base+112(FP), R12
-	MOVQ x3_base+136(FP), R13
-
-row:
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  AX, AX           // column index
-	TESTQ DX, DX
-	JZ    single
-
-double:
-	VPMOVZXDQ (SI)(AX*4), Y4
-	VPMOVZXDQ 16(SI)(AX*4), Y9
-	VPMULUDQ  (R10)(AX*8), Y4, Y5
-	VPMULUDQ  (R11)(AX*8), Y4, Y6
-	VPMULUDQ  (R12)(AX*8), Y4, Y7
-	VPMULUDQ  (R13)(AX*8), Y4, Y8
-	VPADDQ    Y5, Y0, Y0
-	VPADDQ    Y6, Y1, Y1
-	VPADDQ    Y7, Y2, Y2
-	VPADDQ    Y8, Y3, Y3
-	VPMULUDQ  32(R10)(AX*8), Y9, Y5
-	VPMULUDQ  32(R11)(AX*8), Y9, Y6
-	VPMULUDQ  32(R12)(AX*8), Y9, Y7
-	VPMULUDQ  32(R13)(AX*8), Y9, Y8
-	VPADDQ    Y5, Y0, Y0
-	VPADDQ    Y6, Y1, Y1
-	VPADDQ    Y7, Y2, Y2
-	VPADDQ    Y8, Y3, Y3
-	ADDQ      $8, AX
-	CMPQ      AX, DX
-	JB        double
-
-single:
-	CMPQ AX, CX
-	JAE  hsum
-	VPMOVZXDQ (SI)(AX*4), Y4
-	VPMULUDQ  (R10)(AX*8), Y4, Y5
-	VPMULUDQ  (R11)(AX*8), Y4, Y6
-	VPMULUDQ  (R12)(AX*8), Y4, Y7
-	VPMULUDQ  (R13)(AX*8), Y4, Y8
-	VPADDQ    Y5, Y0, Y0
-	VPADDQ    Y6, Y1, Y1
-	VPADDQ    Y7, Y2, Y2
-	VPADDQ    Y8, Y3, Y3
-
-hsum:
-	VPUNPCKLQDQ Y1, Y0, Y4    // [x0.0, x1.0, x0.2, x1.2]
-	VPUNPCKHQDQ Y1, Y0, Y5    // [x0.1, x1.1, x0.3, x1.3]
-	VPADDQ      Y5, Y4, Y4    // [x0.01, x1.01, x0.23, x1.23]
-	VPUNPCKLQDQ Y3, Y2, Y6
-	VPUNPCKHQDQ Y3, Y2, Y7
-	VPADDQ      Y7, Y6, Y6    // [x2.01, x3.01, x2.23, x3.23]
-	VPERM2I128  $0x20, Y6, Y4, Y5 // [x0.01, x1.01, x2.01, x3.01]
-	VPERM2I128  $0x31, Y6, Y4, Y7 // [x0.23, x1.23, x2.23, x3.23]
-	VPADDQ      Y7, Y5, Y5
-	VMOVDQU     Y5, (DI)
-	ADDQ        $32, DI
-	ADDQ        R9, SI
-	DECQ        R8
-	JNZ         row
-	VZEROUPPER
-
-done:
+// Each 4-column step widens four entries of the row once (WIDEN) and
+// multiplies them into the matching words of all four vectors (VPMULUDQ),
+// adding the products into one accumulator per vector; the loop runs two
+// steps per iteration and a last single step. The four accumulators are
+// then summed horizontally as a transpose: Y0–Y3 become one vector whose
+// lane k is vector k's sum, stored with a single VMOVDQU.
+#define DOTPANEL(WIDEN, SCALE, LOG, O1) \
+	MOVQ sums_base+0(FP), DI; \
+	MOVQ sums_len+8(FP), R8; \
+	SHRQ $2, R8; \
+	JZ   done; \
+	MOVQ a_base+24(FP), SI; \
+	MOVQ stride+48(FP), R9; \
+	SHLQ $LOG, R9; \
+	MOVQ n+56(FP), CX; \
+	ANDQ $-4, CX; \
+	MOVQ CX, DX; \
+	ANDQ $-8, DX; \
+	MOVQ x0_base+64(FP), R10; \
+	MOVQ x1_base+88(FP), R11; \
+	MOVQ x2_base+112(FP), R12; \
+	MOVQ x3_base+136(FP), R13; \
+row: \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+	XORQ  AX, AX; \
+	TESTQ DX, DX; \
+	JZ    single; \
+double: \
+	WIDEN    (SI)(AX*SCALE), Y4; \
+	WIDEN    O1(SI)(AX*SCALE), Y9; \
+	VPMULUDQ (R10)(AX*8), Y4, Y5; \
+	VPMULUDQ (R11)(AX*8), Y4, Y6; \
+	VPMULUDQ (R12)(AX*8), Y4, Y7; \
+	VPMULUDQ (R13)(AX*8), Y4, Y8; \
+	VPADDQ   Y5, Y0, Y0; \
+	VPADDQ   Y6, Y1, Y1; \
+	VPADDQ   Y7, Y2, Y2; \
+	VPADDQ   Y8, Y3, Y3; \
+	VPMULUDQ 32(R10)(AX*8), Y9, Y5; \
+	VPMULUDQ 32(R11)(AX*8), Y9, Y6; \
+	VPMULUDQ 32(R12)(AX*8), Y9, Y7; \
+	VPMULUDQ 32(R13)(AX*8), Y9, Y8; \
+	VPADDQ   Y5, Y0, Y0; \
+	VPADDQ   Y6, Y1, Y1; \
+	VPADDQ   Y7, Y2, Y2; \
+	VPADDQ   Y8, Y3, Y3; \
+	ADDQ     $8, AX; \
+	CMPQ     AX, DX; \
+	JB       double; \
+single: \
+	CMPQ     AX, CX; \
+	JAE      hsum; \
+	WIDEN    (SI)(AX*SCALE), Y4; \
+	VPMULUDQ (R10)(AX*8), Y4, Y5; \
+	VPMULUDQ (R11)(AX*8), Y4, Y6; \
+	VPMULUDQ (R12)(AX*8), Y4, Y7; \
+	VPMULUDQ (R13)(AX*8), Y4, Y8; \
+	VPADDQ   Y5, Y0, Y0; \
+	VPADDQ   Y6, Y1, Y1; \
+	VPADDQ   Y7, Y2, Y2; \
+	VPADDQ   Y8, Y3, Y3; \
+hsum: \
+	VPUNPCKLQDQ Y1, Y0, Y4; \
+	VPUNPCKHQDQ Y1, Y0, Y5; \
+	VPADDQ      Y5, Y4, Y4; \
+	VPUNPCKLQDQ Y3, Y2, Y6; \
+	VPUNPCKHQDQ Y3, Y2, Y7; \
+	VPADDQ      Y7, Y6, Y6; \
+	VPERM2I128  $0x20, Y6, Y4, Y5; \
+	VPERM2I128  $0x31, Y6, Y4, Y7; \
+	VPADDQ      Y7, Y5, Y5; \
+	VMOVDQU     Y5, (DI); \
+	ADDQ        $32, DI; \
+	ADDQ        R9, SI; \
+	DECQ        R8; \
+	JNZ         row; \
+	VZEROUPPER; \
+done: \
 	RET
 
 // PANELSUM4 stores the four horizontal sums of the accumulators z0–z3 (the
 // same registers as y0–y3) to dst as one vector, lane k holding zk's sum:
 // each zmm is folded onto its low half (VEXTRACTI64X4), and the four halves
-// are summed as dotPanelAVX2's transpose. Clobbers Y8–Y11.
+// are summed as DOTPANEL's transpose. Clobbers Y8–Y11.
 #define PANELSUM4(z0, z1, z2, z3, y0, y1, y2, y3, dst) \
 	VEXTRACTI64X4 $1, z0, Y8; \
 	VPADDQ        Y8, y0, y0; \
@@ -192,142 +192,152 @@ done:
 	VPADDQ        Y11, Y9, Y9; \
 	VMOVDQU       Y9, dst
 
-// func dotPanel2IFMA(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Elem)
+// DOTPANEL2IFMA is the IFMA panel kernels' body (dotPanel2IFMA,
+// dotPanel2BytesIFMA):
 //
-// dotPanelAVX2's contract on AVX-512 IFMA, for moduli below 2²⁶: for each row
+// DOTPANEL's contract on AVX-512 IFMA, for moduli below 2²⁶: for each row
 // r < len(sums)/4 of the panel a and each vector k < 4, stores the raw sum
 // Σ uint64(a[r*stride+j])·xk[j] over j < n &^ 3 into sums[4r+k]. VPMADD52LUQ
 // adds the low 52 bits of the product of the low 52 bits of its operands, so
 // the sum is exact only when every a entry and every xk word is below 2²⁶:
 // the caller checks q, and the words are canonical.
 //
-// Rows run in pairs. Each 8-column step widens eight packed entries of both
-// rows (VPMOVZXDQ → zmm), loads eight words of each of the four vectors once,
-// and issues eight multiply-adds, one per (row, vector) accumulator. A last
+// Rows run in pairs. Each 8-column step widens eight entries of both rows
+// (WIDEN → zmm), loads eight words of each of the four vectors once, and
+// issues eight multiply-adds, one per (row, vector) accumulator. A last
 // 4-column step widens into the low halves only (a VEX write zeroes the upper
 // lanes, whose products then add nothing). An odd last row runs the same
 // steps alone (1×4). Each row's four accumulators are summed horizontally
 // and stored as one vector (PANELSUM4).
-TEXT ·dotPanel2IFMA(SB), NOSPLIT, $0-160
-	MOVQ sums_base+0(FP), DI
-	MOVQ sums_len+8(FP), R8
-	SHRQ $2, R8            // rows
-	JZ   done
-	MOVQ a_base+24(FP), SI
-	MOVQ stride+48(FP), R9
-	SHLQ $2, R9            // row stride in bytes
-	MOVQ n+56(FP), CX
-	ANDQ $-4, CX           // columns covered by whole 4-column steps
-	MOVQ CX, DX
-	ANDQ $-8, DX           // columns covered by whole 8-column steps
-	MOVQ x0_base+64(FP), R10
-	MOVQ x1_base+88(FP), R11
-	MOVQ x2_base+112(FP), R12
-	MOVQ x3_base+136(FP), R13
-
-pair:
-	CMPQ R8, $2
-	JB   odd
-	LEAQ (SI)(R9*1), BX    // the pair's second row
-	VPXOR Y0, Y0, Y0       // VEX zeroing clears the whole zmm
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	XORQ  AX, AX           // column index
-	TESTQ DX, DX
-	JZ    pairhalf
-
-pairstep:
-	VPMOVZXDQ   (SI)(AX*4), Z8
-	VPMOVZXDQ   (BX)(AX*4), Z9
-	VMOVDQU64   (R10)(AX*8), Z10
-	VMOVDQU64   (R11)(AX*8), Z11
-	VMOVDQU64   (R12)(AX*8), Z12
-	VMOVDQU64   (R13)(AX*8), Z13
-	VPMADD52LUQ Z10, Z8, Z0
-	VPMADD52LUQ Z11, Z8, Z1
-	VPMADD52LUQ Z12, Z8, Z2
-	VPMADD52LUQ Z13, Z8, Z3
-	VPMADD52LUQ Z10, Z9, Z4
-	VPMADD52LUQ Z11, Z9, Z5
-	VPMADD52LUQ Z12, Z9, Z6
-	VPMADD52LUQ Z13, Z9, Z7
-	ADDQ        $8, AX
-	CMPQ        AX, DX
-	JB          pairstep
-
-pairhalf:
-	CMPQ        AX, CX
-	JAE         pairsum
-	VPMOVZXDQ   (SI)(AX*4), Y8
-	VPMOVZXDQ   (BX)(AX*4), Y9
-	VMOVDQU     (R10)(AX*8), Y10
-	VMOVDQU     (R11)(AX*8), Y11
-	VMOVDQU     (R12)(AX*8), Y12
-	VMOVDQU     (R13)(AX*8), Y13
-	VPMADD52LUQ Z10, Z8, Z0
-	VPMADD52LUQ Z11, Z8, Z1
-	VPMADD52LUQ Z12, Z8, Z2
-	VPMADD52LUQ Z13, Z8, Z3
-	VPMADD52LUQ Z10, Z9, Z4
-	VPMADD52LUQ Z11, Z9, Z5
-	VPMADD52LUQ Z12, Z9, Z6
-	VPMADD52LUQ Z13, Z9, Z7
-
-pairsum:
-	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI))
-	PANELSUM4(Z4, Z5, Z6, Z7, Y4, Y5, Y6, Y7, 32(DI))
-	ADDQ $64, DI
-	LEAQ (SI)(R9*2), SI
-	SUBQ $2, R8
-	JMP  pair
-
-odd:
-	TESTQ R8, R8
-	JZ    finish
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  AX, AX
-	TESTQ DX, DX
-	JZ    oddhalf
-
-oddstep:
-	VPMOVZXDQ   (SI)(AX*4), Z8
-	VPMADD52LUQ (R10)(AX*8), Z8, Z0
-	VPMADD52LUQ (R11)(AX*8), Z8, Z1
-	VPMADD52LUQ (R12)(AX*8), Z8, Z2
-	VPMADD52LUQ (R13)(AX*8), Z8, Z3
-	ADDQ        $8, AX
-	CMPQ        AX, DX
-	JB          oddstep
-
-oddhalf:
-	CMPQ        AX, CX
-	JAE         oddsum
-	VPMOVZXDQ   (SI)(AX*4), Y8
-	VMOVDQU     (R10)(AX*8), Y10
-	VMOVDQU     (R11)(AX*8), Y11
-	VMOVDQU     (R12)(AX*8), Y12
-	VMOVDQU     (R13)(AX*8), Y13
-	VPMADD52LUQ Z10, Z8, Z0
-	VPMADD52LUQ Z11, Z8, Z1
-	VPMADD52LUQ Z12, Z8, Z2
-	VPMADD52LUQ Z13, Z8, Z3
-
-oddsum:
-	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI))
-
-finish:
-	VZEROUPPER
-
-done:
+#define DOTPANEL2IFMA(WIDEN, SCALE, LOG) \
+	MOVQ sums_base+0(FP), DI; \
+	MOVQ sums_len+8(FP), R8; \
+	SHRQ $2, R8; \
+	JZ   done; \
+	MOVQ a_base+24(FP), SI; \
+	MOVQ stride+48(FP), R9; \
+	SHLQ $LOG, R9; \
+	MOVQ n+56(FP), CX; \
+	ANDQ $-4, CX; \
+	MOVQ CX, DX; \
+	ANDQ $-8, DX; \
+	MOVQ x0_base+64(FP), R10; \
+	MOVQ x1_base+88(FP), R11; \
+	MOVQ x2_base+112(FP), R12; \
+	MOVQ x3_base+136(FP), R13; \
+pair: \
+	CMPQ R8, $2; \
+	JB   odd; \
+	LEAQ (SI)(R9*1), BX; \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+	VPXOR Y4, Y4, Y4; \
+	VPXOR Y5, Y5, Y5; \
+	VPXOR Y6, Y6, Y6; \
+	VPXOR Y7, Y7, Y7; \
+	XORQ  AX, AX; \
+	TESTQ DX, DX; \
+	JZ    pairhalf; \
+pairstep: \
+	WIDEN       (SI)(AX*SCALE), Z8; \
+	WIDEN       (BX)(AX*SCALE), Z9; \
+	VMOVDQU64   (R10)(AX*8), Z10; \
+	VMOVDQU64   (R11)(AX*8), Z11; \
+	VMOVDQU64   (R12)(AX*8), Z12; \
+	VMOVDQU64   (R13)(AX*8), Z13; \
+	VPMADD52LUQ Z10, Z8, Z0; \
+	VPMADD52LUQ Z11, Z8, Z1; \
+	VPMADD52LUQ Z12, Z8, Z2; \
+	VPMADD52LUQ Z13, Z8, Z3; \
+	VPMADD52LUQ Z10, Z9, Z4; \
+	VPMADD52LUQ Z11, Z9, Z5; \
+	VPMADD52LUQ Z12, Z9, Z6; \
+	VPMADD52LUQ Z13, Z9, Z7; \
+	ADDQ        $8, AX; \
+	CMPQ        AX, DX; \
+	JB          pairstep; \
+pairhalf: \
+	CMPQ        AX, CX; \
+	JAE         pairsum; \
+	WIDEN       (SI)(AX*SCALE), Y8; \
+	WIDEN       (BX)(AX*SCALE), Y9; \
+	VMOVDQU     (R10)(AX*8), Y10; \
+	VMOVDQU     (R11)(AX*8), Y11; \
+	VMOVDQU     (R12)(AX*8), Y12; \
+	VMOVDQU     (R13)(AX*8), Y13; \
+	VPMADD52LUQ Z10, Z8, Z0; \
+	VPMADD52LUQ Z11, Z8, Z1; \
+	VPMADD52LUQ Z12, Z8, Z2; \
+	VPMADD52LUQ Z13, Z8, Z3; \
+	VPMADD52LUQ Z10, Z9, Z4; \
+	VPMADD52LUQ Z11, Z9, Z5; \
+	VPMADD52LUQ Z12, Z9, Z6; \
+	VPMADD52LUQ Z13, Z9, Z7; \
+pairsum: \
+	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI)); \
+	PANELSUM4(Z4, Z5, Z6, Z7, Y4, Y5, Y6, Y7, 32(DI)); \
+	ADDQ $64, DI; \
+	LEAQ (SI)(R9*2), SI; \
+	SUBQ $2, R8; \
+	JMP  pair; \
+odd: \
+	TESTQ R8, R8; \
+	JZ    finish; \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+	XORQ  AX, AX; \
+	TESTQ DX, DX; \
+	JZ    oddhalf; \
+oddstep: \
+	WIDEN       (SI)(AX*SCALE), Z8; \
+	VPMADD52LUQ (R10)(AX*8), Z8, Z0; \
+	VPMADD52LUQ (R11)(AX*8), Z8, Z1; \
+	VPMADD52LUQ (R12)(AX*8), Z8, Z2; \
+	VPMADD52LUQ (R13)(AX*8), Z8, Z3; \
+	ADDQ        $8, AX; \
+	CMPQ        AX, DX; \
+	JB          oddstep; \
+oddhalf: \
+	CMPQ        AX, CX; \
+	JAE         oddsum; \
+	WIDEN       (SI)(AX*SCALE), Y8; \
+	VMOVDQU     (R10)(AX*8), Y10; \
+	VMOVDQU     (R11)(AX*8), Y11; \
+	VMOVDQU     (R12)(AX*8), Y12; \
+	VMOVDQU     (R13)(AX*8), Y13; \
+	VPMADD52LUQ Z10, Z8, Z0; \
+	VPMADD52LUQ Z11, Z8, Z1; \
+	VPMADD52LUQ Z12, Z8, Z2; \
+	VPMADD52LUQ Z13, Z8, Z3; \
+oddsum: \
+	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI)); \
+finish: \
+	VZEROUPPER; \
+done: \
 	RET
+
+// func dotPackedAVX2(a []uint32, b []Elem) uint64
+//
+// DOTROW over packed 32-bit words.
+TEXT ·dotPackedAVX2(SB), NOSPLIT, $0-56
+	PCALIGN $64 // pins this file's kernels to their 64-byte residues
+	DOTROW(VPMOVZXDQ, MOVLQZX, 4, 16, 32, 48)
+
+// func dotPanelAVX2(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Elem)
+//
+// DOTPANEL over packed 32-bit words.
+TEXT ·dotPanelAVX2(SB), NOSPLIT, $0-160
+	DOTPANEL(VPMOVZXDQ, 4, 2, 16)
+
+// func dotPanel2IFMA(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Elem)
+//
+// DOTPANEL2IFMA over packed 32-bit words.
+TEXT ·dotPanel2IFMA(SB), NOSPLIT, $0-160
+	DOTPANEL2IFMA(VPMOVZXDQ, 4, 2)
 
 // func maxWordAVX512(v []Elem) uint64
 //
@@ -549,4 +559,78 @@ packstep:
 	VZEROUPPER
 
 packdone:
+	RET
+
+// func dotBytesAVX2(a []uint8, b []Elem) uint64
+//
+// DOTROW over bytes. The byte kernels follow every word kernel, so that the
+// word kernels keep their 64-byte residues, and open with dotPackedAVX2's
+// alignment, so that each sits at its word twin's residue (DESIGN.md §7,
+// "Code layout").
+TEXT ·dotBytesAVX2(SB), NOSPLIT, $0-56
+	PCALIGN $64
+	DOTROW(VPMOVZXBQ, MOVBQZX, 1, 4, 8, 12)
+
+// func dotPanelBytesAVX2(sums []uint64, a []uint8, stride, n int, x0, x1, x2, x3 []Elem)
+//
+// DOTPANEL over bytes.
+TEXT ·dotPanelBytesAVX2(SB), NOSPLIT, $0-160
+	DOTPANEL(VPMOVZXBQ, 1, 0, 4)
+
+// func dotPanel2BytesIFMA(sums []uint64, a []uint8, stride, n int, x0, x1, x2, x3 []Elem)
+//
+// DOTPANEL2IFMA over bytes.
+TEXT ·dotPanel2BytesIFMA(SB), NOSPLIT, $0-160
+	DOTPANEL2IFMA(VPMOVZXBQ, 1, 0)
+
+// func packBytesAVX2(dst []uint8, src []Elem) bool
+//
+// Stores the low byte of each of src[:len(src) &^ 15] in dst and reports
+// whether every one of those words is below 256 (dst is at least that
+// long). It gives up at the first 16-word step that holds a larger word,
+// with dst unspecified: each step ORs its four vectors together and one
+// VPTEST against the bits above the low byte decides. A step narrows its
+// sixteen words with two packs to words and two to bytes (VPACKUSDW,
+// VPACKUSWB, exact since every word is below 256) and one interleave of the
+// halves' low words (VPUNPCKLWD), and stores 16 bytes.
+TEXT ·packBytesAVX2(SB), NOSPLIT, $0-49
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	ANDQ $-16, CX          // words covered by whole 16-word steps
+	MOVB $1, ret+48(FP)
+	JZ   bytesdone
+	MOVQ $-256, AX
+	MOVQ AX, X15
+	VPBROADCASTQ X15, Y15  // every bit above the low byte
+	XORQ BX, BX            // word index
+
+bytesstep:
+	VMOVDQU     (SI)(BX*8), Y0
+	VMOVDQU     32(SI)(BX*8), Y1
+	VMOVDQU     64(SI)(BX*8), Y2
+	VMOVDQU     96(SI)(BX*8), Y3
+	VPOR        Y1, Y0, Y4
+	VPOR        Y3, Y2, Y5
+	VPOR        Y5, Y4, Y4
+	VPTEST      Y15, Y4
+	JNZ         bytesfail
+	VPACKUSDW   Y1, Y0, Y4 // [w0 0 w1 0 w4 0 w5 0 | w2 0 w3 0 w6 0 w7 0]
+	VPACKUSDW   Y3, Y2, Y5 // the same of w8–w15
+	VPACKUSWB   Y5, Y4, Y4 // each 16-bit word one of w0–w15
+	VPACKUSWB   Y4, Y4, Y4 // [w0 w1 w4 w5 w8 w9 w12 w13 ×2 | w2 w3 w6 w7 …]
+	VEXTRACTI128 $1, Y4, X5
+	VPUNPCKLWD  X5, X4, X4 // [w0 … w15]
+	VMOVDQU     X4, (DI)(BX*1)
+	ADDQ        $16, BX
+	CMPQ        BX, CX
+	JB          bytesstep
+	VZEROUPPER
+	RET
+
+bytesfail:
+	MOVB $0, ret+48(FP)
+	VZEROUPPER
+
+bytesdone:
 	RET

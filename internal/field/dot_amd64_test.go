@@ -65,6 +65,25 @@ func TestDotPackedTakesAVX2WhereTheCPUReportsIt(t *testing.T) {
 	}
 }
 
+// TestDotBytesTakesAVX2WhereTheCPUReportsIt is the byte kernel's dispatch
+// guard, the twin of DotPacked's: on an AVX2 CPU, DotBytes must reach the
+// vector kernel on a row of one step, told apart by input words of 2³² + 1,
+// of which the kernel multiplies only the low 32 bits.
+func TestDotBytesTakesAVX2WhereTheCPUReportsIt(t *testing.T) {
+	if _, ok := vectorDotBytes(Default(), nil, nil); !ok {
+		t.Skip("the CPU runs no vector DotBytes; the generic loop is the kernel")
+	}
+	f := Default()
+	a := make([]uint8, avx2Step)
+	b := make([]Elem, avx2Step)
+	for i := range a {
+		a[i], b[i] = 1, 1<<32+1
+	}
+	if got := f.DotBytes(a, b); got != avx2Step {
+		t.Fatalf("DotBytes on a %d-element row = %d, want %d: it took the generic loop on an AVX2 CPU", avx2Step, got, avx2Step)
+	}
+}
+
 // TestKernelTier is the AVX-512 dispatch guard, and the line CI logs: it
 // reads the feature bits itself, requires useAVX512 and useIFMA to match
 // them, and names the panel tier of each shipped modulus and of a modulus
@@ -84,6 +103,11 @@ func TestKernelTier(t *testing.T) {
 	above := MustNew(aboveIFMABound)
 	t.Logf("kernel tier: paper q %s, ntt q %s, q=%d %s; Canonical AVX-512 %v",
 		Default().KernelTier(), NTTFriendly().KernelTier(), above.q, above.KernelTier(), useAVX512)
+	bytesRow, bytesPack := "generic", "generic"
+	if useAVX2 {
+		bytesRow, bytesPack = "avx2 (dotBytesAVX2)", "avx2 (packBytesAVX2)"
+	}
+	t.Logf("byte views: DotBytes %s, DotBytesRows on the panel tier above, PackBytes %s", bytesRow, bytesPack)
 	if tier := above.KernelTier(); useAVX2 && tier != "avx2" {
 		t.Fatalf("q=%d runs the %s panel, want avx2: IFMA products of its operands overflow 52 bits", above.q, tier)
 	}
@@ -111,12 +135,12 @@ const aboveIFMABound = 67108879
 const plantedWord = 1<<52 | 1<<32 | 1
 
 // TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt is the panel's dispatch
-// guard, the twin of the test above: DotPackedRows must reach the kernel of
-// the CPU's tier, told apart by the planted input word, for every lane count
-// — the IFMA kernel for the two 25-bit moduli where TestKernelTier found
-// IFMA, the AVX2 kernel for them elsewhere and for a modulus above 2²⁶ on any
-// AVX2 CPU. Off AVX2 the shared check above has already pinned useAVX2 to
-// the CPU's report.
+// guard, the twin of the test above: DotPackedRows, and DotBytesRows over the
+// same panel held in bytes, must reach the kernel of the CPU's tier, told
+// apart by the planted input word, for every lane count — the IFMA kernel
+// for the two 25-bit moduli where TestKernelTier found IFMA, the AVX2 kernel
+// for them elsewhere and for a modulus above 2²⁶ on any AVX2 CPU. Off AVX2
+// the shared check above has already pinned useAVX2 to the CPU's report.
 func TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 with OS YMM state: DotPackedRows runs the generic loop")
@@ -141,12 +165,21 @@ func TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt(t *testing.T) {
 				}
 				ys[k] = make([]Elem, rows)
 			}
-			f.DotPackedRows(ys, xs, a, cols)
-			for k, y := range ys {
-				for r, got := range y {
-					if got != want {
-						t.Fatalf("q=%d lanes=%d: DotPackedRows row %d vector %d = %d, want %d: it did not take the %s kernel",
-							f.q, lanes, r, k, got, want, f.KernelTier())
+			a8 := make([]uint8, len(a))
+			for i := range a8 {
+				a8[i] = 1
+			}
+			for name, run := range map[string]func(){
+				"DotPackedRows": func() { f.DotPackedRows(ys, xs, a, cols) },
+				"DotBytesRows":  func() { f.DotBytesRows(ys, xs, a8, cols) },
+			} {
+				run()
+				for k, y := range ys {
+					for r, got := range y {
+						if got != want {
+							t.Fatalf("q=%d lanes=%d: %s row %d vector %d = %d, want %d: it did not take the %s kernel",
+								f.q, lanes, name, r, k, got, want, f.KernelTier())
+						}
 					}
 				}
 			}
@@ -240,4 +273,37 @@ func TestAXPY4TakesAVX2WhereTheCPUReportsIt(t *testing.T) {
 			t.Fatalf("AXPY4 entry %d = %d, want 4: it took the generic loop on an AVX2 CPU", i, v)
 		}
 	}
+}
+
+// vectorDotBytes runs the AVX2 byte tile loop on any row and modulus,
+// bypassing DotBytes' length and LazyBatch cut-offs; false where the CPU
+// cannot run it.
+func vectorDotBytes(f *Field, a []uint8, b []Elem) (Elem, bool) {
+	if !useAVX2 {
+		return 0, false
+	}
+	return f.dotBytesVector(a, b), true
+}
+
+// vectorDotBytesRows is vectorDotPackedRows over byte-wide rows.
+func vectorDotBytesRows(f *Field, tier string, ys, xs [][]Elem, a []uint8, stride int) bool {
+	ifma := tier == "avx512-ifma"
+	if !useAVX2 || len(xs[0]) == 0 || ifma && !f.panelIFMA() {
+		return false
+	}
+	var x4 [4][]Elem
+	for k := range x4 {
+		x4[k] = xs[min(k, len(xs)-1)]
+	}
+	f.dotBytesRowsVector(ys, &x4, a, stride, ifma)
+	return true
+}
+
+// vectorPackBytes runs the AVX2 byte narrowing over the whole 16-word steps
+// of src; false where the CPU cannot run it.
+func vectorPackBytes(dst []uint8, src []Elem) (ok, ran bool) {
+	if !useAVX2 {
+		return false, false
+	}
+	return packBytesAVX2(dst, src), true
 }

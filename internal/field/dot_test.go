@@ -224,8 +224,9 @@ func TestDotPackedRowsRejectsBadShapes(t *testing.T) {
 var dotPackedSink Elem
 
 // BenchmarkDotPacked times one packed row on each kernel at the two row
-// widths the benchmark workloads run: train_logreg's 2501 features and
-// serve_sat's 120 columns.
+// widths the benchmark workloads run, train_logreg's 2501 features and
+// serve_sat's 120 columns, and DotBytes on a row of bytes below 100 (a raw
+// block's byte view) at the same widths.
 func BenchmarkDotPacked(b *testing.B) {
 	f := Default()
 	rng := rand.New(rand.NewSource(30))
@@ -243,6 +244,15 @@ func BenchmarkDotPacked(b *testing.B) {
 			}
 			for b.Loop() {
 				dotPackedSink, _ = vectorDotPacked(f, a32, x)
+			}
+		})
+		a8 := make([]uint8, n)
+		for i := range a8 {
+			a8[i] = uint8(rng.Intn(100))
+		}
+		b.Run(fmt.Sprintf("bytes/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				dotPackedSink = f.DotBytes(a8, x)
 			}
 		})
 	}

@@ -159,22 +159,7 @@ func (f *Field) dotPackedGeneric(a []uint32, b []Elem) Elem {
 //
 //avcc:noalloc
 func (f *Field) DotPackedRows(ys, xs [][]Elem, a []uint32, stride int) {
-	if len(xs) < 1 || len(xs) > 4 || len(ys) != len(xs) {
-		panic("field: DotPackedRows takes one to four vectors and as many outputs")
-	}
-	n, rows := len(xs[0]), len(ys[0])
-	for k := range xs {
-		if len(xs[k]) != n || len(ys[k]) != rows {
-			panic("field: DotPackedRows length mismatch")
-		}
-	}
-	if rows > 1 && n > stride || rows > 0 && len(a) < (rows-1)*stride+n {
-		panic("field: DotPackedRows panel too short")
-	}
-	var x4 [4][]Elem
-	for k := range x4 {
-		x4[k] = xs[min(k, len(xs)-1)]
-	}
+	x4 := panelLanes(ys, xs, len(a), stride)
 	f.dotPackedRows(ys, &x4, a, stride)
 }
 

@@ -242,6 +242,9 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	cSmall := NewMatrix(24, 24)
 
 	packed := Pack(f, big)
+	bytes := Pack(f, smallMatrix(rng, 256, 256, 100))
+	smallBytes := Pack(f, smallMatrix(rng, 24, 24, 100))
+	batchIn, batchOut := f.RandVec(rng, 5*256), make([]field.Elem, 5*256)
 	// The encoder's combination at the (12,9) parity shape, 9 sources into 3
 	// destinations: several FusedTile tiles past ParallelThreshold, and a
 	// narrow one below it.
@@ -253,15 +256,19 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		dsts[p], dstsS[p] = make([]field.Elem, wide), make([]field.Elem, narrow)
 	}
 	cases := map[string]func(){
-		"MatVecInto/parallel":  func() { MatVecInto(f, y, big, x) },
-		"MatVecInto/packed":    func() { MatVecInto(f, y, packed, x) },
-		"MatVecInto/serial":    func() { MatVecInto(f, ys, small, xs) },
-		"MatMulInto/parallel":  func() { MatMulInto(f, cBig, big, big) },
-		"MatMulInto/serial":    func() { MatMulInto(f, cSmall, small, small) },
-		"VecMatInto/parallel":  func() { VecMatInto(f, y, x, big) },
-		"VecMatInto/serial":    func() { VecMatInto(f, ys, xs, small) },
-		"CombineInto/parallel": func() { CombineInto(f, dsts, w, srcs) },
-		"CombineInto/serial":   func() { CombineInto(f, dstsS, wS, srcsS) },
+		"MatVecInto/parallel":     func() { MatVecInto(f, y, big, x) },
+		"MatVecInto/packed":       func() { MatVecInto(f, y, packed, x) },
+		"MatVecInto/bytes":        func() { MatVecInto(f, y, bytes, x) },
+		"MatVecInto/bytes-serial": func() { MatVecInto(f, ys, smallBytes, xs) },
+		"MatVecBatchInto/bytes":   func() { MatVecBatchInto(f, batchOut, bytes, batchIn, 5) },
+		"MatVecBatchInto/packed":  func() { MatVecBatchInto(f, batchOut, packed, batchIn, 5) },
+		"MatVecInto/serial":       func() { MatVecInto(f, ys, small, xs) },
+		"MatMulInto/parallel":     func() { MatMulInto(f, cBig, big, big) },
+		"MatMulInto/serial":       func() { MatMulInto(f, cSmall, small, small) },
+		"VecMatInto/parallel":     func() { VecMatInto(f, y, x, big) },
+		"VecMatInto/serial":       func() { VecMatInto(f, ys, xs, small) },
+		"CombineInto/parallel":    func() { CombineInto(f, dsts, w, srcs) },
+		"CombineInto/serial":      func() { CombineInto(f, dstsS, wS, srcsS) },
 	}
 	for name, fn := range cases {
 		fn() // warm the task/acc pools and start the workers

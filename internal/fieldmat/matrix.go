@@ -20,29 +20,55 @@ import (
 type Matrix struct {
 	Rows, Cols int
 	Data       []field.Elem
-	// packed mirrors Data in 32-bit words on a read-only view built by Pack;
-	// nil on every ordinary matrix. MatVecInto reads it whenever it is set.
+	// A read-only view built by Pack mirrors Data in one narrower copy:
+	// bytes, one byte per entry, when every entry is below min(256, q), and
+	// packed, 32-bit words, otherwise. Both are nil on every ordinary
+	// matrix; MatVecInto and MatVecBatchInto read whichever is set.
 	packed []uint32
+	bytes  []uint8
 }
 
 // Pack returns a read-only packed view of m: the same Rows, Cols and Data,
-// plus a copy of the entries in 32-bit words that MatVecInto streams instead
-// of Data, halving the bytes a matrix-vector product reads. Packing is
-// lossless because every modulus field.New accepts is below 2^32; Pack
-// panics on any entry ≥ q (field.PackWords checks and narrows in one pass).
-// The view shares Data with m, so neither may be written afterwards: a
-// changed matrix is a new matrix, packed anew. A matrix that is already a
-// packed view is returned as is.
+// plus a narrower copy of the entries that MatVecInto and MatVecBatchInto
+// stream instead of Data. A matrix whose entries are all below min(256, q) —
+// the raw blocks of integer data a systematic code hands its first K
+// workers — gets a byte view, an eighth of Data's bytes (field.PackBytes,
+// which gives up at the first entry that does not fit). Any other matrix
+// gets 32-bit words, half of Data's bytes (field.PackWords): lossless
+// because every modulus field.New accepts is below 2^32. Either copy holds
+// every entry's canonical residue exactly, so every product is the one Data
+// gives, bit for bit. Pack panics on any entry ≥ q. The view shares Data
+// with m, so neither may be written afterwards: a changed matrix is a new
+// matrix, packed anew. A matrix that is already a packed view is returned
+// as is.
 func Pack(f *field.Field, m *Matrix) *Matrix {
-	if m.packed != nil {
+	if m.Packed() {
 		return m
 	}
 	q := f.Q()
+	if b := packBytes(q, m.Data); b != nil {
+		return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, bytes: b}
+	}
 	p := make([]uint32, len(m.Data))
 	if i := field.PackWords(q, p, m.Data); i >= 0 {
 		panic(fmt.Sprintf("fieldmat: cannot pack entry %d = %d, not below q = %d", i, m.Data[i], q))
 	}
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, packed: p}
+}
+
+// packBytes returns data narrowed to bytes when every entry is below
+// min(256, q), and nil otherwise. The first entry is tried before the copy
+// is allocated, so a matrix of uniform residues, whose first entry fits a
+// byte with odds of 256 in q, gives up without allocating.
+func packBytes(q uint64, data []field.Elem) []uint8 {
+	if len(data) == 0 || data[0] >= min(q, 256) {
+		return nil
+	}
+	b := make([]uint8, len(data))
+	if !field.PackBytes(q, b, data) {
+		return nil
+	}
+	return b
 }
 
 // NonCanonicalError names the first entry of a matrix that is not a reduced
@@ -76,7 +102,11 @@ func CheckCanonical(f *field.Field, m *Matrix) error {
 }
 
 // Packed reports whether m is a packed view built by Pack.
-func (m *Matrix) Packed() bool { return m.packed != nil }
+func (m *Matrix) Packed() bool { return m.packed != nil || m.bytes != nil }
+
+// BytePacked reports whether m is a byte view: a packed view whose entries
+// are all below min(256, q), stored one byte each.
+func (m *Matrix) BytePacked() bool { return m.bytes != nil }
 
 // NewMatrix allocates a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -227,7 +257,8 @@ func MatVec(f *field.Field, m *Matrix, x []field.Elem) []field.Elem {
 
 // MatVecInto computes y = m·x into a caller-owned slice: the steady-state
 // form (zero heap allocations) for round loops that reuse their output rows.
-// A packed view (Pack) is read through its 32-bit rows, with the same result.
+// A packed view (Pack) is read through its byte or 32-bit rows, with the
+// same result.
 //
 //avcc:noalloc
 func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
@@ -256,6 +287,12 @@ func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, h
 		}
 		return
 	}
+	if b := m.bytes; b != nil {
+		for i := lo; i < hi; i++ {
+			y[i] = f.DotBytes(b[i*m.Cols:(i+1)*m.Cols], x)
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		y[i] = f.Dot(m.Row(i), x)
 	}
@@ -264,11 +301,12 @@ func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, h
 // MatVecBatchInto computes batch products at once into a caller-owned slice:
 // out[i*m.Rows:(i+1)*m.Rows] = m·in[i*m.Cols:(i+1)*m.Cols] for i < batch,
 // each equal to MatVecInto's result bit for bit. On a packed view (Pack) the
-// rows are multiplied into four inputs at a time (field.DotPackedRows), so a
-// row is read once per four products; a last group of one to three inputs
-// runs the same kernel. An unpacked matrix runs matVecRows once per input.
-// Batch 1 is MatVecInto. The parallel cut is MatVecInto's, counted on the
-// matrix alone, and the row blocks of a large matrix go to the pool.
+// rows are multiplied into four inputs at a time (field.DotPackedRows, or
+// field.DotBytesRows on a byte view), so a row is read once per four
+// products; a last group of one to three inputs runs the same kernel. An
+// unpacked matrix runs matVecRows once per input. Batch 1 is MatVecInto.
+// The parallel cut is MatVecInto's, counted on the matrix alone, and the row
+// blocks of a large matrix go to the pool.
 //
 //avcc:noalloc
 func MatVecBatchInto(f *field.Field, out []field.Elem, m *Matrix, in []field.Elem, batch int) {
@@ -298,8 +336,7 @@ func runMatVecBatch(t *task) { matVecBatchRows(t.f, t.y, t.a, t.x, t.batch, t.lo
 //avcc:noalloc
 func matVecBatchRows(f *field.Field, out []field.Elem, m *Matrix, in []field.Elem, batch, lo, hi int) {
 	rows, cols := m.Rows, m.Cols
-	p := m.packed
-	if p == nil {
+	if !m.Packed() {
 		for i := 0; i < batch; i++ {
 			matVecRows(f, out[i*rows:(i+1)*rows], m, in[i*cols:(i+1)*cols], lo, hi)
 		}
@@ -313,7 +350,11 @@ func matVecBatchRows(f *field.Field, out []field.Elem, m *Matrix, in []field.Ele
 			xs[k] = in[i*cols : (i+1)*cols]
 			ys[k] = out[i*rows+lo : i*rows+hi]
 		}
-		f.DotPackedRows(ys[:g], xs[:g], p[lo*cols:hi*cols], cols)
+		if p := m.packed; p != nil {
+			f.DotPackedRows(ys[:g], xs[:g], p[lo*cols:hi*cols], cols)
+		} else {
+			f.DotBytesRows(ys[:g], xs[:g], m.bytes[lo*cols:hi*cols], cols)
+		}
 	}
 }
 

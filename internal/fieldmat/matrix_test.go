@@ -248,12 +248,21 @@ func BenchmarkVecMat(b *testing.B) {
 	}
 }
 
-// BenchmarkPack times packing train_logreg's fwd shard.
+// BenchmarkPack times packing train_logreg's fwd shard: "words" is a parity
+// shard (uniform residues, 32-bit words), "bytes" a raw block of integer
+// data (entries below 100, a byte view).
 func BenchmarkPack(b *testing.B) {
-	m := Rand(f, rand.New(rand.NewSource(31)), 334, 2501)
-	b.ReportAllocs()
-	for b.Loop() {
-		Pack(f, m)
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range []struct {
+		name string
+		m    *Matrix
+	}{{"words", Rand(f, rng, 334, 2501)}, {"bytes", smallMatrix(rng, 334, 2501, 100)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Pack(f, c.m)
+			}
+		})
 	}
 }
 

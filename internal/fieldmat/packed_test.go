@@ -117,6 +117,127 @@ func TestPackRejectsNonCanonicalEntries(t *testing.T) {
 	}
 }
 
+// smallMatrix returns a rows×cols matrix of uniform entries below top: a
+// matrix of small integers, as integer training data embeds.
+func smallMatrix(rng *rand.Rand, rows, cols int, top uint64) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.Uint64() % top
+	}
+	return m
+}
+
+// wordView returns the 32-bit word view of m, which Pack builds for any
+// matrix that has an entry of a byte or more: the twin a byte view is
+// checked against.
+func wordView(fld *field.Field, m *Matrix) *Matrix {
+	p := make([]uint32, len(m.Data))
+	if field.PackWords(fld.Q(), p, m.Data) >= 0 {
+		panic("wordView: entry not below q")
+	}
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, packed: p}
+}
+
+// TestPackPicksBytesOnlyWhenEveryEntryFits pins the width rule: Pack builds a
+// byte view exactly when every entry is below min(256, q). A matrix of
+// entries up to that bound gets bytes; one entry at or past it, planted at
+// every position of a 3×37 matrix (inside the narrowing's whole 16-word
+// steps and in its tail), gets 32-bit words, or for q = 97, whose 97–255 fit
+// a byte but are not residues, the refusal of any entry ≥ q. Uniform random
+// matrices (for q ≥ 256) and an empty one get words.
+func TestPackPicksBytesOnlyWhenEveryEntryFits(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for _, fld := range packedFields() {
+		bound := min(fld.Q(), 256)
+		m := smallMatrix(rng, 3, 37, bound)
+		m.Data[len(m.Data)-1] = bound - 1
+		if p := Pack(fld, m); !p.BytePacked() || !p.Packed() {
+			t.Fatalf("q=%d: entries below %d got no byte view", fld.Q(), bound)
+		}
+		bads := []uint64{256, 1 << 20}
+		if fld.Q() < 256 {
+			bads = []uint64{fld.Q(), 200, 255}
+		}
+		for _, bad := range bads {
+			for pos := range m.Data {
+				planted := m.Clone()
+				planted.Data[pos] = bad
+				if bad >= fld.Q() {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("q=%d: Pack accepted entry %d = %d", fld.Q(), pos, bad)
+							}
+						}()
+						Pack(fld, planted)
+					}()
+					continue
+				}
+				if p := Pack(fld, planted); p.BytePacked() || !p.Packed() {
+					t.Errorf("q=%d: entry %d = %d packed to bytes=%v packed=%v, want a word view",
+						fld.Q(), pos, bad, p.BytePacked(), p.Packed())
+				}
+			}
+		}
+		if p := Pack(fld, Rand(fld, rng, 5, 40)); p.BytePacked() && fld.Q() >= 256 {
+			t.Errorf("q=%d: a uniform random matrix got a byte view", fld.Q())
+		}
+		if p := Pack(fld, NewMatrix(0, 4)); p.BytePacked() || !p.Packed() {
+			t.Errorf("q=%d: an empty matrix must pack to an empty word view", fld.Q())
+		}
+	}
+}
+
+// TestByteViewMatchesWordView checks that a byte view and a word view of the
+// same matrix give the same bits through MatVecInto and MatVecBatchInto (and
+// both the uint64 kernel's), at batches 1–6 and 32, on shapes on both sides
+// of ParallelThreshold, for matrices of random small entries and of the
+// largest byte the modulus admits times all-(q−1) inputs.
+func TestByteViewMatchesWordView(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, fld := range packedFields() {
+		bound := min(fld.Q(), 256)
+		for _, shape := range packedShapes() {
+			rows, cols := shape[0], shape[1]
+			for _, worst := range []bool{false, true} {
+				m := smallMatrix(rng, rows, cols, bound)
+				if worst {
+					for i := range m.Data {
+						m.Data[i] = bound - 1
+					}
+				}
+				bytes, words := Pack(fld, m), wordView(fld, m)
+				if len(m.Data) > 0 && !bytes.BytePacked() {
+					t.Fatalf("q=%d %dx%d: no byte view", fld.Q(), rows, cols)
+				}
+				for _, batch := range []int{1, 2, 3, 4, 5, 6, 32} {
+					in := batchInputs(fld, rng, cols, batch)
+					if worst {
+						for i := range in {
+							in[i] = fld.Q() - 1
+						}
+					}
+					got, want := make([]field.Elem, batch*rows), make([]field.Elem, batch*rows)
+					MatVecBatchInto(fld, got, bytes, in, batch)
+					MatVecBatchInto(fld, want, words, in, batch)
+					if !field.EqualVec(got, want) {
+						t.Fatalf("q=%d %dx%d worst=%v batch %d: byte view diverges from the word view",
+							fld.Q(), rows, cols, worst, batch)
+					}
+					MatVecBatchInto(fld, want, m, in, batch)
+					if !field.EqualVec(got, want) {
+						t.Fatalf("q=%d %dx%d worst=%v batch %d: byte view diverges from the uint64 kernel",
+							fld.Q(), rows, cols, worst, batch)
+					}
+					if batch > 1 {
+						checkMatVecBatch(t, fld, bytes, batchInputs(fld, rng, cols, batch), batch)
+					}
+				}
+			}
+		}
+	}
+}
+
 // checkMatVecBatch reports whether MatVecBatchInto over m equals MatVecInto
 // per input, bit for bit. The inputs and outputs are cut from larger buffers
 // whose spare capacity holds sentinels, so a kernel that writes a padded
@@ -237,8 +358,9 @@ func FuzzPackedMatVec(fz *testing.F) {
 // (334×2501, batch 4), reporting ns per multiply-add: "per-input" is one
 // MatVecInto per input on the packed shard (DotPacked per row per input),
 // "panel" is MatVecBatchInto on it (each row multiplied into four inputs at
-// a time), and "unpacked" is MatVecBatchInto's portable loop over the uint64
-// rows.
+// a time), "bytes" is MatVecBatchInto on the byte view of a matrix of
+// entries below 100 (the byte panel kernels), and "unpacked" is
+// MatVecBatchInto's portable loop over the uint64 rows.
 func BenchmarkMatVecBatch(b *testing.B) {
 	fld := field.Default()
 	rng := rand.New(rand.NewSource(49))
@@ -249,6 +371,7 @@ func BenchmarkMatVecBatch(b *testing.B) {
 		out := make([]field.Elem, shape.batch*shape.rows)
 		macs := float64(shape.rows * shape.cols * shape.batch)
 		dims := fmt.Sprintf("%dx%dx%d", shape.rows, shape.cols, shape.batch)
+		bytes := Pack(fld, smallMatrix(rng, shape.rows, shape.cols, 100))
 		variants := []struct {
 			name string
 			run  func()
@@ -259,6 +382,7 @@ func BenchmarkMatVecBatch(b *testing.B) {
 				}
 			}},
 			{"panel", func() { MatVecBatchInto(fld, out, p, in, shape.batch) }},
+			{"bytes", func() { MatVecBatchInto(fld, out, bytes, in, shape.batch) }},
 			{"unpacked", func() { MatVecBatchInto(fld, out, m, in, shape.batch) }},
 		}
 		for _, v := range variants {
