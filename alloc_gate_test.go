@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
-	"repro/internal/mds"
 	"repro/internal/verify"
 )
 
@@ -46,7 +45,7 @@ const (
 // gateKernels returns the measurable steady-state kernels keyed by
 // "Kernel/Modulus" for "lazy" rows and "Kernel/Variant/Modulus" for the
 // others, matching the artifact rows. Every returned closure is
-// safe to call repeatedly; pools and plan caches warm on the first call.
+// safe to call repeatedly; pools warm on the first call.
 func gateKernels(t *testing.T) map[string]func() {
 	t.Helper()
 	f := field.Default()
@@ -129,38 +128,6 @@ func gateKernels(t *testing.T) map[string]func() {
 	}
 	_ = dotSink
 
-	// MDS codec cells under both moduli: "paper" is the Lagrange layout,
-	// "ntt" the subgroup fast path — the same split the artifact records.
-	for _, mod := range []struct {
-		name string
-		f    *field.Field
-	}{{"paper", field.Default()}, {"ntt", field.NTTFriendly()}} {
-		code, err := mds.New(mod.f, 12, 9)
-		if err != nil {
-			t.Fatalf("mds.New on %s modulus: %v", mod.name, err)
-		}
-		if wantFast := mod.name == "ntt"; code.NTTAccelerated() != wantFast {
-			t.Fatalf("%s modulus: NTTAccelerated = %v, want %v", mod.name, !wantFast, wantFast)
-		}
-		encData := fieldmat.Rand(mod.f, rng, 9*gateRows, 200)
-		shards := make([]*fieldmat.Matrix, 12)
-		workers := []int{0, 2, 3, 5, 6, 7, 9, 10, 11}
-		results := make([][]field.Elem, len(workers))
-		for r := range results {
-			results[r] = mod.f.RandVec(rng, gateRows)
-		}
-		decoded := make([]field.Elem, 9*gateRows)
-		kernels["MDSEncode/"+mod.name] = func() {
-			if err := code.EncodeMatrixInto(shards, encData); err != nil {
-				t.Fatal(err)
-			}
-		}
-		kernels["MDSDecode/"+mod.name] = func() {
-			if err := code.DecodeConcatInto(decoded, workers, results); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	return kernels
 }
 
@@ -195,7 +162,7 @@ func TestAllocGate(t *testing.T) {
 		}
 		gated++
 		t.Run(id, func(t *testing.T) {
-			fn() // warm pools, plan caches, and shard headers outside the measurement
+			fn() // warm pools outside the measurement
 			// Minimum over a few attempts: a GC emptying a sync.Pool in the
 			// middle of one attempt is noise, while a real regression
 			// allocates on every attempt.
@@ -208,12 +175,12 @@ func TestAllocGate(t *testing.T) {
 			}
 		})
 	}
-	// The artifact currently commits ten zero-alloc lazy rows (Keygen among
+	// The artifact currently commits six zero-alloc lazy rows (Keygen among
 	// them), one packed and two packed-batch rows, six words/bytes rows and
 	// the byte narrowing's Pack row; losing rows silently would hollow out
 	// the gate.
-	if gated < 20 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 20", gated)
+	if gated < 16 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 16", gated)
 	}
 }
 

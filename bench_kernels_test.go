@@ -24,7 +24,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/lcc"
-	"repro/internal/mds"
 	"repro/internal/poly"
 	"repro/internal/verify"
 )
@@ -119,70 +118,6 @@ func matMulSeedRef(q uint64, a, b, c *fieldmat.Matrix) {
 	}
 }
 
-// invSeedRef is Fermat inversion with `%` multiplication.
-func invSeedRef(q, a uint64) uint64 {
-	result, e := uint64(1), q-2
-	for ; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			result = result * a % q
-		}
-		a = a * a % q
-	}
-	return result
-}
-
-// mdsDecodeSeedRef is the seed MDS decode: select the K×K generator
-// submatrix and Gauss–Jordan the augmented system with seed arithmetic.
-func mdsDecodeSeedRef(q uint64, gen *fieldmat.Matrix, workers []int, results [][]field.Elem) []field.Elem {
-	k := len(workers)
-	dim := len(results[0])
-	aug := fieldmat.NewMatrix(k, k+dim)
-	for r, w := range workers {
-		for j := 0; j < k; j++ {
-			aug.Set(r, j, gen.At(j, w))
-		}
-		copy(aug.Row(r)[k:], results[r])
-	}
-	for col := 0; col < k; col++ {
-		pivot := -1
-		for r := col; r < k; r++ {
-			if aug.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			panic("bench: reference decode singular")
-		}
-		if pivot != col {
-			pr, cr := aug.Row(pivot), aug.Row(col)
-			for j := range pr {
-				pr[j], cr[j] = cr[j], pr[j]
-			}
-		}
-		inv := invSeedRef(q, aug.At(col, col))
-		prow := aug.Row(col)
-		for j := col; j < k+dim; j++ {
-			prow[j] = prow[j] * inv % q
-		}
-		for r := 0; r < k; r++ {
-			if r == col || aug.At(r, col) == 0 {
-				continue
-			}
-			factor := q - aug.At(r, col)
-			row := aug.Row(r)
-			for j := col; j < k+dim; j++ {
-				row[j] = (row[j] + factor*prow[j]%q) % q
-			}
-		}
-	}
-	out := make([]field.Elem, 0, k*dim)
-	for j := 0; j < k; j++ {
-		out = append(out, aug.Row(j)[k:]...)
-	}
-	return out
-}
-
 // --- harness ---
 
 type kernelBenchRecord struct {
@@ -201,19 +136,13 @@ type kernelBenchRecord struct {
 	// Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
 	// LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
-	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
-	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
-	// internal/mds). Every cell exists for "paper"; the MDS codec cells run
-	// under both so the artifact tracks the two encode pipelines side by
-	// side.
+	// Modulus names the prime field the cell ran on: every cell runs on
+	// "paper" (q = 2²⁵−39).
 	Modulus string `json:"modulus"`
 	Dims    string `json:"dims"`
 	NsPerOp int64  `json:"ns_per_op"`
 	// AllocsPerOp is measured with testing.AllocsPerRun in steady state
-	// (pools warm); the MatMul/MatVec/MDSEncode/MDSDecode contract is
-	// exactly 0 (the MDS cells measure the Into forms — the seed's
-	// EncodeMatrix allocated 44 times per op in SplitRows copies and
-	// per-shard matrices).
+	// (pools warm); the MatMul/MatVec contract is exactly 0.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// SpeedupVsRef = ref ns/op ÷ this row's ns/op, set on "lazy" and
 	// "packed" rows when the ref variant ran.
@@ -265,64 +194,8 @@ func kernelCell(b *testing.B, records map[string]*kernelBenchRecord, iters map[s
 	})
 }
 
-// mdsCells runs the MDS codec cells at the paper's (12,9) GISETTE shape on
-// the given field. The encode cells encode a 6003×1000 matrix into
-// caller-owned shards (EncodeMatrixInto: zero steady-state allocations on
-// both layouts); the decode cells recover the 9 blocks of a dim-667 round
-// from a non-systematic survivor set through the warmed plan cache. On the
-// NTT modulus the code MUST take the fast path — a silent fallback would
-// record Lagrange numbers under the "ntt" label and poison the artifact.
-func mdsCells(b *testing.B, records map[string]*kernelBenchRecord, iters map[string]int, f *field.Field, modulus string, rng *rand.Rand) {
-	b.Helper()
-	code, err := mds.New(f, 12, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if wantFast := modulus == "ntt"; code.NTTAccelerated() != wantFast {
-		b.Fatalf("%s modulus: NTTAccelerated = %v, want %v — dispatch guard", modulus, !wantFast, wantFast)
-	}
-	q := f.Q()
-	encData := fieldmat.Rand(f, rng, 6003, 1000)
-	shards := make([]*fieldmat.Matrix, 12)
-	kernelCell(b, records, iters, "MDSEncode", "lazy", modulus, "(12,9) 6003x1000", func() {
-		if err := code.EncodeMatrixInto(shards, encData); err != nil {
-			b.Fatal(err)
-		}
-	})
-	gen := code.Generator()
-	blocks := fieldmat.SplitRows(encData, 9)
-	kernelCell(b, records, iters, "MDSEncode", "ref", modulus, "(12,9) 6003x1000", func() {
-		for i := 0; i < 12; i++ {
-			sh := fieldmat.NewMatrix(667, 1000)
-			for j := 0; j < 9; j++ {
-				if coef := gen.At(j, i); coef != 0 {
-					axpySeedRef(q, sh.Data, coef, blocks[j].Data)
-				}
-			}
-		}
-	})
-
-	// Decode timing is value-independent; random result vectors of the
-	// round-1 shape (667 per block) measure exactly what decoded worker
-	// outputs would.
-	workers := []int{0, 2, 3, 5, 6, 7, 9, 10, 11} // a non-systematic survivor set
-	results := make([][]field.Elem, len(workers))
-	for r := range results {
-		results[r] = f.RandVec(rng, 667)
-	}
-	decoded := make([]field.Elem, 9*667)
-	kernelCell(b, records, iters, "MDSDecode", "lazy", modulus, "(12,9) dim=667", func() {
-		if err := code.DecodeConcatInto(decoded, workers, results); err != nil {
-			b.Fatal(err)
-		}
-	})
-	kernelCell(b, records, iters, "MDSDecode", "ref", modulus, "(12,9) dim=667", func() {
-		_ = mdsDecodeSeedRef(q, gen, workers, results)
-	})
-}
-
-// lccCells runs the deployment encoder at the paper modulus and the
-// MDSEncode shape, (12,9) 6003×1000: "fused" is lcc.EncodeMatrix (the nine
+// lccCells runs the deployment encoder at the paper modulus and the paper's
+// (12,9) GISETTE shape, 6003×1000: "fused" is lcc.EncodeMatrix (the nine
 // systematic shards are views of x, the three parity shards one
 // fieldmat.CombineInto pass on the pool); "ref" is the encoder it replaced,
 // the test oracle: all twelve shards allocated, cleared and accumulated one
@@ -471,13 +344,6 @@ func BenchmarkKernels(b *testing.B) {
 	kernelCell(b, records, iters, "MatMul", "lazy", "paper", "667x5000 x 5000x64", func() { fieldmat.MatMulInto(f, cm, shard, bm) })
 	kernelCell(b, records, iters, "MatMul", "ref", "paper", "667x5000 x 5000x64", func() { matMulSeedRef(q, shard, bm, cm) })
 
-	// MDS encode/decode at the paper's (12,9), under BOTH moduli: "paper"
-	// exercises the Lagrange layout, "ntt" the subgroup fast path. The lazy
-	// cells measure the zero-allocation Into forms (the steady-state shape
-	// of a round loop); the ref cells are the seed's per-element-division
-	// arithmetic on the same generator.
-	mdsCells(b, records, iters, field.Default(), "paper", rng)
-	mdsCells(b, records, iters, field.NTTFriendly(), "ntt", rng)
 	lccCells(b, records, iters, rng)
 
 	// Freivalds: one verification of a 667×5000 shard claim (a length-5000
@@ -556,8 +422,6 @@ func BenchmarkKernels(b *testing.B) {
 	// LCC encoder) with its "ref".
 	cells := []struct{ kernel, variant, modulus string }{
 		{"Dot", "lazy", "paper"}, {"AXPY", "lazy", "paper"}, {"MatVec", "lazy", "paper"}, {"MatMul", "lazy", "paper"},
-		{"MDSEncode", "lazy", "paper"}, {"MDSDecode", "lazy", "paper"},
-		{"MDSEncode", "lazy", "ntt"}, {"MDSDecode", "lazy", "ntt"},
 		{"Freivalds", "lazy", "paper"}, {"LCCEncode", "fused", "paper"},
 		{"Keygen", "lazy", "paper"}, {"Pack", "vector", "paper"}, {"CommitMatrix", "vector", "paper"},
 	}

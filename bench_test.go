@@ -284,7 +284,7 @@ func BenchmarkAblationDecoders(b *testing.B) {
 }
 
 // BenchmarkEncodeKeygen measures the one-time setup costs the paper
-// amortises over training: MDS encoding plus Freivalds key generation.
+// amortises over training: the LCC encode plus Freivalds key generation.
 func BenchmarkEncodeKeygen(b *testing.B) {
 	f := field.Default()
 	rng := rand.New(rand.NewSource(4))

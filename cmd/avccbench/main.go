@@ -35,7 +35,7 @@ func main() {
 	trainN := flag.Int("train-n", 0, "override training sample count m")
 	features := flag.Int("features", 0, "override feature count d")
 	seed := flag.Int64("seed", 0, "override experiment seed")
-	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt unlocks the O(N log N) encode path)")
+	fieldName := flag.String("field", "paper", "prime field: paper (q = 2^25-39) | ntt (q = 11*2^21+1) | a decimal prime modulus")
 	flag.Parse()
 
 	f, err := field.Select(*fieldName)

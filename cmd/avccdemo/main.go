@@ -30,7 +30,7 @@ func main() {
 	rounds := flag.Int("rounds", 3, "number of coded matvec rounds")
 	byzantine := flag.Int("byzantine", 5, "worker id to corrupt (-1 for none)")
 	attackName := flag.String("attack", "reverse", "reverse | constant")
-	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt unlocks the O(N log N) encode path)")
+	fieldName := flag.String("field", "paper", "prime field: paper (q = 2^25-39) | ntt (q = 11*2^21+1) | a decimal prime modulus")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 

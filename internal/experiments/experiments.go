@@ -29,8 +29,8 @@ type Scale struct {
 	Sim     simnet.Config
 	Seed    int64
 	// Modulus selects the prime field every system runs on; 0 means the
-	// paper's default q = 2²⁵−39. field.QNTT turns on the NTT-accelerated
-	// encode path (cmd flag -field ntt).
+	// paper's default q = 2²⁵−39. field.QNTT is the companion modulus
+	// (cmd flag -field ntt).
 	Modulus uint64
 }
 

@@ -19,21 +19,19 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"sync"
 )
 
 // QDefault is the field size used throughout the paper's evaluation:
 // 2^25 - 39 = 33554393, the largest 25-bit prime.
 const QDefault uint64 = 1<<25 - 39
 
-// QNTT is the NTT-friendly companion modulus: 23068673 = 11·2^21 + 1, a
-// 25-bit prime whose multiplicative group contains subgroups of every
-// power-of-two order up to 2^21. Like QDefault it is sized so the lazy
+// QNTT is the companion modulus: 23068673 = 11·2^21 + 1, a 25-bit prime
+// whose q−1 has a large power-of-two factor (the name records that; no code
+// path here runs a transform). Like QDefault it is sized so the lazy
 // reduction batch stays large (⌊(2^63−1)/(q−1)²⌋ = 17331 ≥ the d = 5000
-// worst-case inner product the paper's field was chosen for), but unlike
-// QDefault — whose q−1 = 2^3·7·599099 caps transforms at size 8 — it
-// admits radix-2 NTTs at every code length this system deploys. See
-// DESIGN.md §12.
+// worst-case inner product the paper's field was chosen for). The tests run
+// it as a second modulus to show nothing depends on the paper's q; see
+// DESIGN.md §12 for why the codec keeps a single point domain.
 const QNTT uint64 = 11<<21 + 1
 
 // Elem is a canonical representative of a field element, always in [0, q).
@@ -62,15 +60,6 @@ type Field struct {
 	// q = 2^25−39 this is 8192 — one reduction per 8192 multiply-adds,
 	// exactly the headroom the paper chose the field for.
 	lazyBatch int
-
-	// NTT state, built lazily under nttMu: the cached primitive root of
-	// F_q* (0 until first use) and one transform plan per power-of-two
-	// size. Twiddle tables are pure functions of (q, size), so caching
-	// them on the Field keeps every code and every column of a round
-	// sharing one table set. See ntt.go.
-	nttMu    sync.Mutex
-	nttRoot  Elem
-	nttPlans map[int]*NTTPlan
 }
 
 // lazyBatchCap bounds lazyBatch so chunk arithmetic stays in comfortable int
@@ -111,10 +100,9 @@ func MustNew(q uint64) *Field {
 	return f
 }
 
-// The two shipped moduli are process-wide shared instances: a Field is safe
-// for concurrent use (its NTT-plan cache is mutex-guarded, everything else
-// is immutable), and sharing lets every caller reuse the same cached
-// transform plans instead of rebuilding root-of-unity tables per call site.
+// The two shipped moduli are process-wide shared instances, so the
+// accessors below cost no allocation. A Field is immutable and safe for
+// concurrent use.
 var (
 	defaultField     = MustNew(QDefault)
 	nttFriendlyField = MustNew(QNTT)
@@ -123,12 +111,12 @@ var (
 // Default returns F_q for q = 2^25 - 39, the paper's field.
 func Default() *Field { return defaultField }
 
-// NTTFriendly returns F_q for q = QNTT = 11·2^21 + 1, the NTT-friendly
-// companion modulus that unlocks the O(N log N) encode path (ntt.go).
+// NTTFriendly returns F_q for q = QNTT = 11·2^21 + 1, the companion
+// modulus (see QNTT).
 func NTTFriendly() *Field { return nttFriendlyField }
 
 // Select resolves a CLI -field flag value: "paper" (or "default") is the
-// paper's q = 2^25−39, "ntt" is the NTT-friendly QNTT, and anything else
+// paper's q = 2^25−39, "ntt" is the companion modulus QNTT, and anything else
 // must parse as a decimal prime modulus accepted by New.
 func Select(name string) (*Field, error) {
 	switch name {

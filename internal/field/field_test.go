@@ -51,6 +51,21 @@ func TestDefaultIsPaperField(t *testing.T) {
 	}
 }
 
+func TestQNTTProperties(t *testing.T) {
+	f, err := New(QNTT)
+	if err != nil {
+		t.Fatalf("QNTT rejected: %v", err)
+	}
+	// The companion modulus must keep the lazy batch useful: at least the
+	// d = 5000 worst-case inner product the paper sized its field for.
+	if f.LazyBatch() < 5000 {
+		t.Fatalf("QNTT lazy batch %d is below the d = 5000 bound", f.LazyBatch())
+	}
+	if NTTFriendly().Q() != QNTT {
+		t.Fatalf("NTTFriendly().Q() = %d, want QNTT", NTTFriendly().Q())
+	}
+}
+
 func TestFieldAxiomsQuick(t *testing.T) {
 	for _, f := range testFields {
 		f := f

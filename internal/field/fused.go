@@ -1,7 +1,7 @@
 package field
 
-// The fused weighted-combination kernel behind the coded encoders (the NTT
-// fast path of internal/mds, and internal/lcc through the fieldmat pool):
+// The fused weighted-combination kernel behind the coded encoder
+// (internal/lcc, through the fieldmat pool):
 // dsts[p] = Σ_j w[p][j]·srcs[j] over long rows.
 //
 // The naive shape — one AXPY pass per (destination, source) pair — streams

@@ -193,7 +193,8 @@ func TestFusedCombineRangeStitches(t *testing.T) {
 
 // BenchmarkFusedCombineParity is the paper-shape parity computation: 3
 // parity rows from 9 source blocks of 667×1000 elements (the (12,9) code at
-// GISETTE scale). The artifact row lives in BENCH_kernels.json (MDSEncode).
+// GISETTE scale). The artifact row lives in BENCH_kernels.json (LCCEncode
+// "fused", which adds the pool split on top).
 func BenchmarkFusedCombineParity(b *testing.B) {
 	f := NTTFriendly()
 	rng := rand.New(rand.NewSource(33))

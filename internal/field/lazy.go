@@ -2,7 +2,7 @@ package field
 
 // Lazy-reduction accumulator rows and batch inversion — the primitives the
 // blocked matrix kernels (internal/fieldmat) and the cached decode plans
-// (internal/mds, internal/lcc) are built from.
+// (internal/lcc) are built from.
 //
 // An accumulator row is a plain []uint64 holding *unreduced* sums of raw
 // products. The safety contract, shared with Dot (see LazyBatch): starting

@@ -6,10 +6,9 @@ import (
 	"repro/internal/field"
 )
 
-// Linear solving over F_q. The MDS decoder inverts the K×K submatrix of the
-// generator formed by the columns of the K verified workers; over a prime
-// field plain Gauss–Jordan with any nonzero pivot is exact, so no pivoting
-// strategy beyond "first nonzero in column" is needed.
+// Square linear solving over F_q. Over a prime field plain Gauss–Jordan
+// with any nonzero pivot is exact, so no pivoting strategy beyond "first
+// nonzero in column" is needed.
 
 // ErrSingular reports a rank-deficient system. For MDS generator submatrices
 // this is impossible by construction (any K columns of a K×N Cauchy/
@@ -59,31 +58,6 @@ func Solve(f *field.Field, a *Matrix, b []field.Elem) ([]field.Elem, error) {
 	x := make([]field.Elem, n)
 	for i := 0; i < n; i++ {
 		x[i] = aug.At(i, n)
-	}
-	return x, nil
-}
-
-// SolveMatrix returns the unique X with a·X = b for square a, solving for
-// all of b's columns at once. The MDS decoder's tests use it as an oracle.
-func SolveMatrix(f *field.Field, a, b *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		panic("fieldmat: SolveMatrix with non-square matrix")
-	}
-	if b.Rows != a.Rows {
-		panic("fieldmat: SolveMatrix dimension mismatch")
-	}
-	n := a.Rows
-	aug := NewMatrix(n, n+b.Cols)
-	for i := 0; i < n; i++ {
-		copy(aug.Row(i)[:n], a.Row(i))
-		copy(aug.Row(i)[n:], b.Row(i))
-	}
-	if err := gaussJordan(f, aug, n); err != nil {
-		return nil, err
-	}
-	x := NewMatrix(n, b.Cols)
-	for i := 0; i < n; i++ {
-		copy(x.Row(i), aug.Row(i)[n:])
 	}
 	return x, nil
 }

@@ -100,24 +100,6 @@ func TestSolveMatchesInverse(t *testing.T) {
 	}
 }
 
-func TestSolveMatrixRecoversBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	n, cols := 6, 9
-	a := Rand(f, rng, n, n)
-	if _, err := Inverse(f, a); err != nil {
-		t.Skip("singular draw")
-	}
-	x := Rand(f, rng, n, cols)
-	b := MatMul(f, a, x)
-	got, err := SolveMatrix(f, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(x) {
-		t.Fatal("SolveMatrix did not recover X")
-	}
-}
-
 func TestSolveSingular(t *testing.T) {
 	a := FromRows([][]field.Elem{
 		{1, 1},

@@ -69,6 +69,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestLinearDecodeMatchesMDSBehaviour: with degF = 1 the code is an (N, K)
+// MDS code, so every K of the N results decode X·w exactly — all C(12, 9) =
+// 220 survivor sets, each in shuffled order and twice (the second pass runs
+// the cached plan).
 func TestLinearDecodeMatchesMDSBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	code, err := New(f, 12, 9, 0, 1)
@@ -82,17 +86,39 @@ func TestLinearDecodeMatchesMDSBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fieldmat.MatVec(f, x, w)
-	idx := []int{11, 0, 7, 3, 5, 2, 9, 1, 4} // any 9 of 12, shuffled
-	res := make([][]field.Elem, len(idx))
-	for r, i := range idx {
-		res[r] = applyLinear(shards[i], w)
+	results := make([][]field.Elem, len(shards))
+	for i, sh := range shards {
+		results[i] = applyLinear(sh, w)
 	}
-	got, err := code.DecodeConcat(idx, res)
-	if err != nil {
-		t.Fatal(err)
+	sets := 0
+	for mask := 0; mask < 1<<12; mask++ {
+		var idx []int
+		for i := 0; i < 12; i++ {
+			if mask>>i&1 == 1 {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) != 9 {
+			continue
+		}
+		sets++
+		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+		res := make([][]field.Elem, len(idx))
+		for r, i := range idx {
+			res[r] = results[i]
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := code.DecodeConcat(idx, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !field.EqualVec(got, want) {
+				t.Fatalf("linear LCC decode from %v failed (pass %d)", idx, pass)
+			}
+		}
 	}
-	if !field.EqualVec(got, want) {
-		t.Fatal("linear LCC decode failed")
+	if sets != 220 {
+		t.Fatalf("%d survivor sets, want 220", sets)
 	}
 }
 

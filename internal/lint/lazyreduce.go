@@ -84,7 +84,6 @@ var LazyReduce = &Analyzer{
 	Scope: pathIn(
 		"repro/internal/field",
 		"repro/internal/poly",
-		"repro/internal/mds",
 		"repro/internal/fieldmat",
 	),
 	Run: runLazyReduce,

@@ -2,9 +2,9 @@ package lint
 
 // noalloc enforces the zero-allocation contract of the hot kernels: a
 // function whose doc comment carries //avcc:noalloc (MatMulInto, MatVecInto,
-// MatVecBatchInto, EncodeMatrixInto, DecodeVectorsInto, FusedCombineInto,
-// the NTT transforms, the leaf vector kernels they compose — DotPacked and
-// the panel wrapper DotPackedRows among them — and the receipt plane's hashes:
+// MatVecBatchInto, VecMatInto, CombineInto, FusedCombineInto, the leaf
+// vector kernels they compose — DotPacked and the panel wrapper
+// DotPackedRows among them — and the receipt plane's hashes:
 // commit.ColumnLeaf, OutputLeaf, hashNode, Transcript.absorb and
 // Transcript.block) must contain no heap-allocating construct:
 //

@@ -1,8 +1,8 @@
 package lint
 
 // typederr enforces the error-matching contract: the module's typed errors
-// (*field.NTTSizeError, *scheme.InvalidConfigError, *mds.BadWorkersError,
-// transport's ErrQueueFull, ...) travel through fmt.Errorf("%w") wrapping at
+// (*scheme.InvalidConfigError, *scheme.NonCanonicalDataError,
+// scheme.ErrQueueFull, ...) travel through fmt.Errorf("%w") wrapping at
 // every layer boundary, so a direct type assertion or a == comparison on a
 // possibly-wrapped error silently stops matching the moment anyone adds
 // context to the chain. errors.Is and errors.As unwrap; nothing else does.

@@ -165,7 +165,7 @@ func LagrangeBasis(f *field.Field, xs []field.Elem, j int) Poly {
 // denominators are inverted in one field.InvMany batch. Building the bases
 // one at a time (LagrangeBasis) costs O(n²) polynomial work PLUS a Fermat
 // inversion PER basis — this is the encoder-side analogue of the decode
-// plans in internal/mds and internal/lcc.
+// plans in internal/lcc.
 func LagrangeBasisAll(f *field.Field, xs []field.Elem) []Poly {
 	n := len(xs)
 	if n == 0 {

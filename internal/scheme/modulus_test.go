@@ -30,10 +30,9 @@ func TestFieldForResolvesModuli(t *testing.T) {
 			t.Errorf("%s: q = %d, want %d", c.name, got.Q(), c.wantQ)
 		}
 	}
-	// The shipped moduli resolve to the shared instances (their NTT-plan
-	// and decode caches live per Field).
+	// The shipped moduli resolve to the shared instances.
 	if got, _ := FieldFor(Config{Modulus: field.QNTT}); got != field.NTTFriendly() {
-		t.Error("QNTT did not resolve to the shared NTT-friendly instance")
+		t.Error("QNTT did not resolve to the shared companion instance")
 	}
 	if got, _ := FieldFor(Config{}); got != field.Default() {
 		t.Error("zero modulus did not resolve to the shared default instance")
@@ -83,8 +82,8 @@ func TestNewRejectsNonCanonicalData(t *testing.T) {
 }
 
 // TestRoundOnNTTModulus runs one verified round end to end on the
-// NTT-friendly field — the full protocol stack (encode, Freivalds verify,
-// decode) over the fast-path codec's companion modulus.
+// companion field QNTT — the full protocol stack (encode, Freivalds verify,
+// decode) over a modulus other than the paper's.
 func TestRoundOnNTTModulus(t *testing.T) {
 	cfg := NewConfig(WithModulus(field.QNTT), WithSeed(7))
 	nf, err := FieldFor(cfg)

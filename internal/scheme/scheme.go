@@ -151,7 +151,7 @@ type Config struct {
 	// Modulus pins the configuration to a specific prime field: FieldFor
 	// resolves it to the field the deployment should run on, and New rejects
 	// a master construction whose field disagrees — a config tuned for the
-	// NTT-friendly modulus silently running on the paper's modulus (or vice
+	// companion modulus silently running on the paper's modulus (or vice
 	// versa) would invalidate any benchmark comparison. 0 means the caller's
 	// field is authoritative (the paper's default modulus via FieldFor).
 	Modulus uint64
@@ -298,16 +298,15 @@ func WithDeterministicKeys(deterministic bool) Option {
 
 // WithModulus pins the config to the prime field of modulus q (resolve it
 // with FieldFor). 0 — the default — leaves the field to the caller. The two
-// shipped moduli are field.QDefault (the paper's q = 2²⁵−39, Lagrange
-// codecs) and field.QNTT (11·2²¹+1, which unlocks the NTT fast path in
-// internal/mds); any other prime ≥ 5 works too.
+// shipped moduli are field.QDefault (the paper's q = 2²⁵−39) and
+// field.QNTT (the companion 11·2²¹+1); any other prime ≥ 5 works too.
 func WithModulus(q uint64) Option {
 	return func(c *Config) { c.Modulus = q }
 }
 
 // FieldFor resolves cfg.Modulus to its field: the process-wide shared
-// instance for the two shipped moduli (their NTT plan and decode caches are
-// per-Field, so sharing matters), a freshly validated field.New otherwise,
+// instance for the two shipped moduli (no primality test on every call), a
+// freshly validated field.New otherwise,
 // and the paper's default field when Modulus is 0.
 func FieldFor(cfg Config) (*field.Field, error) {
 	switch cfg.Modulus {
