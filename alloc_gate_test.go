@@ -121,6 +121,15 @@ func gateKernels(t *testing.T) map[string]func() {
 			}
 		}
 	}
+	// The batch-1 round cycling many shards of each view.
+	for variant, view := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes} {
+		shards := streamShards(f, view)
+		next := 0
+		kernels["MatVec/"+variant+"/paper"] = func() {
+			fieldmat.MatVecInto(f, roundOut[:gateRows], shards[next], roundIn[:gateDim])
+			next = (next + 1) % len(shards)
+		}
+	}
 	kernels["Pack/bytes/paper"] = func() {
 		if !field.PackBytes(f.Q(), packBytesOut, bytes.Data) {
 			t.Fatal("PackBytes refused a shard of bytes")
@@ -176,11 +185,11 @@ func TestAllocGate(t *testing.T) {
 		})
 	}
 	// The artifact currently commits six zero-alloc lazy rows (Keygen among
-	// them), one packed and two packed-batch rows, six words/bytes rows and
+	// them), one packed and two packed-batch rows, eight words/bytes rows and
 	// the byte narrowing's Pack row; losing rows silently would hollow out
 	// the gate.
-	if gated < 16 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 16", gated)
+	if gated < 18 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 18", gated)
 	}
 }
 

@@ -132,7 +132,9 @@ type kernelBenchRecord struct {
 	// on the Freivalds cell, Key.CheckBatch over that round's 32 claims),
 	// and "words"/"bytes" with a "-batch4"/"-batch32" suffix (a worker round
 	// on train_logreg's 334×2501 shard over fieldmat.Pack's 32-bit word view
-	// of a parity shard and its byte view of a raw integer block), on the
+	// of a parity shard and its byte view of a raw integer block) or a
+	// "-stream" suffix (the batch-1 round cycling an iteration's 24 shards,
+	// so they stream from memory), on the
 	// Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
 	// LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
@@ -154,7 +156,23 @@ type kernelBenchRecord struct {
 // the MatVec cell, and the byte narrowing on the Pack cell.
 var sideVariants = []string{
 	"packed-batch",
-	"words", "bytes", "words-batch4", "bytes-batch4", "words-batch32", "bytes-batch32",
+	"words", "bytes", "words-stream", "bytes-stream",
+	"words-batch4", "bytes-batch4", "words-batch32", "bytes-batch32",
+}
+
+// streamShardCount is the shards the "-stream" MatVec cells cycle: one
+// train_logreg iteration's, two rounds over twelve workers.
+const streamShardCount = 24
+
+// streamShards packs streamShardCount fresh views of a packed view's Data,
+// each its own packed copy at the same width.
+func streamShards(f *field.Field, m *fieldmat.Matrix) []*fieldmat.Matrix {
+	raw := &fieldmat.Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data}
+	shards := make([]*fieldmat.Matrix, streamShardCount)
+	for i := range shards {
+		shards[i] = fieldmat.Pack(f, raw)
+	}
+	return shards
 }
 
 // integerMatrix returns a rows×cols matrix of integers below 100, as
@@ -336,6 +354,19 @@ func BenchmarkKernels(b *testing.B) {
 				fieldmat.MatVecBatchInto(f, trainOut[:batch*trainRows], view, trainIn[:batch*trainCols], batch)
 			})
 		}
+	}
+
+	// The same batch-1 round cycling 24 shards of each view, an iteration's
+	// worth (two rounds of twelve workers): 80 MB of words and 20 MB of
+	// bytes, past the last-level cache a single-shard cell stays in. The 24
+	// views share one Data matrix; only their packed copies are read.
+	for variant, m := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes} {
+		shards := streamShards(f, m)
+		next := 0
+		kernelCell(b, records, iters, "MatVec", variant, "paper", "shard 334x2501 batch 1, 24 shards cycled", func() {
+			fieldmat.MatVecInto(f, trainOut[:trainRows], shards[next], trainIn[:trainCols])
+			next = (next + 1) % len(shards)
+		})
 	}
 
 	// MatMul: a shard times a 64-wide weight batch.

@@ -168,19 +168,10 @@ hsum: \
 done: \
 	RET
 
-// PANELSUM4 stores the four horizontal sums of the accumulators z0–z3 (the
-// same registers as y0–y3) to dst as one vector, lane k holding zk's sum:
-// each zmm is folded onto its low half (VEXTRACTI64X4), and the four halves
-// are summed as DOTPANEL's transpose. Clobbers Y8–Y11.
-#define PANELSUM4(z0, z1, z2, z3, y0, y1, y2, y3, dst) \
-	VEXTRACTI64X4 $1, z0, Y8; \
-	VPADDQ        Y8, y0, y0; \
-	VEXTRACTI64X4 $1, z1, Y9; \
-	VPADDQ        Y9, y1, y1; \
-	VEXTRACTI64X4 $1, z2, Y10; \
-	VPADDQ        Y10, y2, y2; \
-	VEXTRACTI64X4 $1, z3, Y11; \
-	VPADDQ        Y11, y3, y3; \
+// SUM4 stores the four horizontal sums of the ymm accumulators y0–y3 to
+// dst as one vector, lane k holding yk's sum: DOTPANEL's transpose, on
+// Y8–Y11, which it clobbers.
+#define SUM4(y0, y1, y2, y3, dst) \
 	VPUNPCKLQDQ   y1, y0, Y8; \
 	VPUNPCKHQDQ   y1, y0, Y9; \
 	VPADDQ        Y9, Y8, Y8; \
@@ -191,6 +182,21 @@ done: \
 	VPERM2I128    $0x31, Y10, Y8, Y11; \
 	VPADDQ        Y11, Y9, Y9; \
 	VMOVDQU       Y9, dst
+
+// PANELSUM4 stores the four horizontal sums of the accumulators z0–z3 (the
+// same registers as y0–y3) to dst as one vector, lane k holding zk's sum:
+// each zmm is folded onto its low half (VEXTRACTI64X4), and the four halves
+// are summed by SUM4. Clobbers Y8–Y11.
+#define PANELSUM4(z0, z1, z2, z3, y0, y1, y2, y3, dst) \
+	VEXTRACTI64X4 $1, z0, Y8; \
+	VPADDQ        Y8, y0, y0; \
+	VEXTRACTI64X4 $1, z1, Y9; \
+	VPADDQ        Y9, y1, y1; \
+	VEXTRACTI64X4 $1, z2, Y10; \
+	VPADDQ        Y10, y2, y2; \
+	VEXTRACTI64X4 $1, z3, Y11; \
+	VPADDQ        Y11, y3, y3; \
+	SUM4(y0, y1, y2, y3, dst)
 
 // DOTPANEL2IFMA is the IFMA panel kernels' body (dotPanel2IFMA,
 // dotPanel2BytesIFMA):
@@ -316,6 +322,152 @@ oddhalf: \
 oddsum: \
 	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI)); \
 finish: \
+	VZEROUPPER; \
+done: \
+	RET
+
+// The row-block kernels (dotRows4AVX2, dotRows4IFMA and their byte twins)
+// multiply four rows into one vector per pass: each step loads the vector's
+// words once for all four rows, and the four rows' products go to four
+// independent accumulators, so four row streams are in flight where the row
+// kernel (DOTROW) has one. Both bodies share one contract:
+//
+// For each row r < len(sums) &^ 3 of the panel a (row r starts at
+// a[r*stride]), stores the raw sum Σ uint64(a[r*stride+j])·x[j] over
+// j < n &^ 3 into sums[r]; the caller adds the last n mod 4 columns and
+// multiplies the last len(sums) mod 4 rows itself. x is at least n long and
+// canonical, a holds (rows−1)·stride + n elements, and the caller cuts n to
+// at most LazyBatch, so no lane and no step of the horizontal add can
+// overflow. Block b's four sums are stored as one vector (SUM4) at sums[4b].
+
+// ROWBLOCK points BX, R12 and R13 at rows 1–3 of the block whose row 0 is
+// at SI, R9 bytes apart, and zeroes the four accumulators and the column
+// index AX.
+#define ROWBLOCK \
+	LEAQ  (SI)(R9*1), BX; \
+	LEAQ  (SI)(R9*2), R12; \
+	LEAQ  (BX)(R9*2), R13; \
+	VPXOR Y0, Y0, Y0; \
+	VPXOR Y1, Y1, Y1; \
+	VPXOR Y2, Y2, Y2; \
+	VPXOR Y3, Y3, Y3; \
+	XORQ  AX, AX
+
+// ROWSARGS loads the row-block kernels' arguments: DI the sums, R8 the
+// block count, SI the panel, R9 the row stride in bytes (stride << LOG), CX
+// the columns of whole 4-column steps, DX those of whole 8-column steps and
+// R10 the vector. It leaves through done when there is no whole block.
+#define ROWSARGS(LOG) \
+	MOVQ sums_base+0(FP), DI; \
+	MOVQ sums_len+8(FP), R8; \
+	SHRQ $2, R8; \
+	JZ   done; \
+	MOVQ a_base+24(FP), SI; \
+	MOVQ stride+48(FP), R9; \
+	SHLQ $LOG, R9; \
+	MOVQ n+56(FP), CX; \
+	ANDQ $-4, CX; \
+	MOVQ CX, DX; \
+	ANDQ $-8, DX; \
+	MOVQ x_base+64(FP), R10
+
+// ROWSTEP4 multiplies four columns of the block's four rows, at byte offset
+// O of each row, into the vector words held in xv (VPMULUDQ) and adds the
+// products into Y0–Y3. t0–t3 are scratch.
+#define ROWSTEP4(WIDEN, SCALE, O, xv, t0, t1, t2, t3) \
+	WIDEN    O(SI)(AX*SCALE), t0; \
+	WIDEN    O(BX)(AX*SCALE), t1; \
+	WIDEN    O(R12)(AX*SCALE), t2; \
+	WIDEN    O(R13)(AX*SCALE), t3; \
+	VPMULUDQ xv, t0, t0; \
+	VPMULUDQ xv, t1, t1; \
+	VPMULUDQ xv, t2, t2; \
+	VPMULUDQ xv, t3, t3; \
+	VPADDQ   t0, Y0, Y0; \
+	VPADDQ   t1, Y1, Y1; \
+	VPADDQ   t2, Y2, Y2; \
+	VPADDQ   t3, Y3, Y3
+
+// DOTROWS4 is the AVX2 row-block kernels' body (dotRows4AVX2,
+// dotRows4BytesAVX2). Each 8-column step loads eight words of the vector
+// into two ymm and runs two 4-column steps (ROWSTEP4) over them; a last
+// 4-column step takes the rest of n &^ 3.
+#define DOTROWS4(WIDEN, SCALE, LOG, O1) \
+	ROWSARGS(LOG); \
+block: \
+	ROWBLOCK; \
+	TESTQ DX, DX; \
+	JZ    single; \
+double: \
+	VMOVDQU (R10)(AX*8), Y4; \
+	VMOVDQU 32(R10)(AX*8), Y5; \
+	ROWSTEP4(WIDEN, SCALE, 0, Y4, Y6, Y7, Y8, Y9); \
+	ROWSTEP4(WIDEN, SCALE, O1, Y5, Y10, Y11, Y12, Y13); \
+	ADDQ    $8, AX; \
+	CMPQ    AX, DX; \
+	JB      double; \
+single: \
+	CMPQ    AX, CX; \
+	JAE     blocksum; \
+	VMOVDQU (R10)(AX*8), Y4; \
+	ROWSTEP4(WIDEN, SCALE, 0, Y4, Y6, Y7, Y8, Y9); \
+blocksum: \
+	SUM4(Y0, Y1, Y2, Y3, (DI)); \
+	ADDQ $32, DI; \
+	LEAQ (SI)(R9*4), SI; \
+	DECQ R8; \
+	JNZ  block; \
+	VZEROUPPER; \
+done: \
+	RET
+
+// ROWFMA4 adds the low 52 bits of the products of the widened rows t0–t3
+// and the vector words in xv into Z0–Z3 (VPMADD52LUQ).
+#define ROWFMA4(xv, t0, t1, t2, t3) \
+	VPMADD52LUQ xv, t0, Z0; \
+	VPMADD52LUQ xv, t1, Z1; \
+	VPMADD52LUQ xv, t2, Z2; \
+	VPMADD52LUQ xv, t3, Z3
+
+// DOTROWS4IFMA is the IFMA row-block kernels' body (dotRows4IFMA,
+// dotRows4BytesIFMA): DOTROWS4's contract on AVX-512 IFMA, exact only when
+// every entry and every vector word is below 2²⁶ (the caller checks q; see
+// DOTPANEL2IFMA). Each 8-column step loads eight vector words into one zmm,
+// widens eight entries of each of the four rows (WIDEN → zmm) and issues
+// four multiply-adds; a last 4-column step widens into the low halves only
+// (a VEX write zeroes the upper lanes, whose products then add nothing).
+// Each block's accumulators are summed horizontally by PANELSUM4.
+#define DOTROWS4IFMA(WIDEN, SCALE, LOG) \
+	ROWSARGS(LOG); \
+block: \
+	ROWBLOCK; \
+	TESTQ DX, DX; \
+	JZ    half; \
+step: \
+	VMOVDQU64 (R10)(AX*8), Z4; \
+	WIDEN     (SI)(AX*SCALE), Z6; \
+	WIDEN     (BX)(AX*SCALE), Z7; \
+	WIDEN     (R12)(AX*SCALE), Z12; \
+	WIDEN     (R13)(AX*SCALE), Z13; \
+	ROWFMA4(Z4, Z6, Z7, Z12, Z13); \
+	ADDQ      $8, AX; \
+	CMPQ      AX, DX; \
+	JB        step; \
+half: \
+	CMPQ    AX, CX; \
+	JAE     blocksum; \
+	VMOVDQU (R10)(AX*8), Y4; \
+	WIDEN   (SI)(AX*SCALE), Y6; \
+	WIDEN   (BX)(AX*SCALE), Y7; \
+	WIDEN   (R12)(AX*SCALE), Y12; \
+	WIDEN   (R13)(AX*SCALE), Y13; \
+	ROWFMA4(Z4, Z6, Z7, Z12, Z13); \
+blocksum: \
+	PANELSUM4(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI)); \
+	ADDQ $32, DI; \
+	LEAQ (SI)(R9*4), SI; \
+	DECQ R8; \
+	JNZ  block; \
 	VZEROUPPER; \
 done: \
 	RET
@@ -634,3 +786,32 @@ bytesfail:
 
 bytesdone:
 	RET
+
+// func dotRows4AVX2(sums []uint64, a []uint32, stride, n int, x []Elem)
+//
+// DOTROWS4 over packed 32-bit words. Each row-block kernel opens with
+// PCALIGN $64, so that it starts a cache line whatever precedes it.
+TEXT ·dotRows4AVX2(SB), NOSPLIT, $0-88
+	PCALIGN $64
+	DOTROWS4(VPMOVZXDQ, 4, 2, 16)
+
+// func dotRows4IFMA(sums []uint64, a []uint32, stride, n int, x []Elem)
+//
+// DOTROWS4IFMA over packed 32-bit words.
+TEXT ·dotRows4IFMA(SB), NOSPLIT, $0-88
+	PCALIGN $64
+	DOTROWS4IFMA(VPMOVZXDQ, 4, 2)
+
+// func dotRows4BytesAVX2(sums []uint64, a []uint8, stride, n int, x []Elem)
+//
+// DOTROWS4 over bytes.
+TEXT ·dotRows4BytesAVX2(SB), NOSPLIT, $0-88
+	PCALIGN $64
+	DOTROWS4(VPMOVZXBQ, 1, 0, 4)
+
+// func dotRows4BytesIFMA(sums []uint64, a []uint8, stride, n int, x []Elem)
+//
+// DOTROWS4IFMA over bytes.
+TEXT ·dotRows4BytesIFMA(SB), NOSPLIT, $0-88
+	PCALIGN $64
+	DOTROWS4IFMA(VPMOVZXBQ, 1, 0)

@@ -108,6 +108,8 @@ func TestKernelTier(t *testing.T) {
 		bytesRow, bytesPack = "avx2 (dotBytesAVX2)", "avx2 (packBytesAVX2)"
 	}
 	t.Logf("byte views: DotBytes %s, DotBytesRows on the panel tier above, PackBytes %s", bytesRow, bytesPack)
+	t.Logf("batch-1 rows (one-vector DotPackedRows, DotBytesRows, so MatVecInto on a packed view): paper q %s, ntt q %s, q=%d %s",
+		rowBlockKernel(Default()), rowBlockKernel(NTTFriendly()), above.q, rowBlockKernel(above))
 	if tier := above.KernelTier(); useAVX2 && tier != "avx2" {
 		t.Fatalf("q=%d runs the %s panel, want avx2: IFMA products of its operands overflow 52 bits", above.q, tier)
 	}
@@ -125,6 +127,18 @@ func TestKernelTier(t *testing.T) {
 	}
 }
 
+// rowBlockKernel names the row-block kernels a one-vector DotPackedRows and
+// DotBytesRows run for f on this CPU.
+func rowBlockKernel(f *Field) string {
+	switch f.KernelTier() {
+	case "avx512-ifma":
+		return "dotRows4IFMA/dotRows4BytesIFMA"
+	case "avx2":
+		return "dotRows4AVX2/dotRows4BytesAVX2"
+	}
+	return "generic"
+}
+
 // aboveIFMABound is the smallest prime above 2²⁶, whose LazyBatch (2047) still
 // admits the panel: the IFMA kernel must not take it.
 const aboveIFMABound = 67108879
@@ -139,8 +153,11 @@ const plantedWord = 1<<52 | 1<<32 | 1
 // same panel held in bytes, must reach the kernel of the CPU's tier, told
 // apart by the planted input word, for every lane count — the IFMA kernel
 // for the two 25-bit moduli where TestKernelTier found IFMA, the AVX2 kernel
-// for them elsewhere and for a modulus above 2²⁶ on any AVX2 CPU. Off AVX2
-// the shared check above has already pinned useAVX2 to the CPU's report.
+// for them elsewhere and for a modulus above 2²⁶ on any AVX2 CPU; with one
+// vector, the row-block kernel of that tier, and DotPacked (here, on rows
+// shorter than its vector step, the generic loop) for the row past the last
+// block of four. Off AVX2 the shared check above has already pinned useAVX2
+// to the CPU's report.
 func TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 with OS YMM state: DotPackedRows runs the generic loop")
@@ -176,6 +193,10 @@ func TestDotPackedRowsTakesThePanelWhereTheCPUReportsIt(t *testing.T) {
 				run()
 				for k, y := range ys {
 					for r, got := range y {
+						want := want
+						if lanes == 1 && r >= rows&^3 {
+							want = f.dotPackedGeneric(a[r*cols:(r+1)*cols], xs[0])
+						}
 						if got != want {
 							t.Fatalf("q=%d lanes=%d: %s row %d vector %d = %d, want %d: it did not take the %s kernel",
 								f.q, lanes, name, r, k, got, want, f.KernelTier())
@@ -306,4 +327,22 @@ func vectorPackBytes(dst []uint8, src []Elem) (ok, ran bool) {
 		return false, false
 	}
 	return packBytesAVX2(dst, src), true
+}
+
+// vectorRowBlocks runs the one-vector row-block loop on one tier's kernel —
+// dotRows4IFMA (dotRows4BytesIFMA on byte rows) when ifma is set, else
+// dotRows4AVX2 (dotRows4BytesAVX2) — over the word rows a32, or the byte
+// rows a8 when a8 is not nil, bypassing DotPackedRows' column and LazyBatch
+// cut-offs; false where the CPU, or for IFMA the modulus, cannot run that
+// kernel, and on empty rows, which have no tile to run.
+func vectorRowBlocks(f *Field, ifma bool, y, x []Elem, a32 []uint32, a8 []uint8, stride int) bool {
+	if !useAVX2 || len(x) == 0 || ifma && !f.panelIFMA() {
+		return false
+	}
+	if a8 != nil {
+		f.dotBytesRowBlocks(y, x, a8, stride, ifma)
+	} else {
+		f.dotPackedRowBlocks(y, x, a32, stride, ifma)
+	}
+	return true
 }

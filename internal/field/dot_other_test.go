@@ -22,3 +22,6 @@ func vectorDotBytesRows(*Field, string, [][]Elem, [][]Elem, []uint8, int) bool {
 
 // vectorPackBytes reports that no vector byte narrowing exists off amd64.
 func vectorPackBytes([]uint8, []Elem) (ok, ran bool) { return false, false }
+
+// vectorRowBlocks reports that no row-block kernel exists off amd64.
+func vectorRowBlocks(*Field, bool, []Elem, []Elem, []uint32, []uint8, int) bool { return false }

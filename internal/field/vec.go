@@ -150,8 +150,11 @@ func (f *Field) dotPackedGeneric(a []uint32, b []Elem) Elem {
 // bit for bit, but on amd64 with AVX2 a panel of rows is widened once and
 // multiplied into all four vectors in one pass (dot_amd64.s), so the call,
 // horizontal-sum and tail costs of a row are paid once per four products.
-// A group of fewer than four vectors runs the same kernel with its last
-// vector repeated in the empty lanes, whose sums are discarded.
+// Two or three vectors run the same kernel with the last vector repeated in
+// the empty lanes, whose sums are discarded. One vector — every batch-1
+// round, through fieldmat.MatVecInto — runs a row-block kernel instead,
+// which multiplies four rows into it per pass and leaves the rows past the
+// last multiple of four to DotPacked.
 //
 // 1 ≤ len(xs) = len(ys) ≤ 4; every xs[k] has the same length n and every
 // ys[k] the same length rows; n ≤ stride unless rows ≤ 1, and a holds at

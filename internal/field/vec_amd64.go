@@ -83,6 +83,10 @@ func dotPanelAVX2(sums []uint64, a []uint32, stride, n int, x0, x1, x2, x3 []Ele
 //avcc:noalloc
 func (f *Field) dotPackedRows(ys [][]Elem, x *[4][]Elem, a []uint32, stride int) {
 	if useAVX2 && len(x[0]) >= panelStep && f.lazyBatch >= panelStep {
+		if len(ys) == 1 {
+			f.dotPackedRowBlocks(ys[0], x[0], a, stride, f.panelIFMA())
+			return
+		}
 		f.dotPackedRowsVector(ys, x, a, stride, f.panelIFMA())
 		return
 	}
@@ -149,6 +153,69 @@ func (f *Field) dotPackedRowsVector(ys [][]Elem, x *[4][]Elem, a []uint32, strid
 				}
 			}
 		}
+	}
+}
+
+// dotRows4AVX2 stores into sums[r] the raw (unreduced) sum
+// Σ uint64(a[r*stride+j])·x[j] over j < n &^ 3, for each row r <
+// len(sums) &^ 3, four rows per pass. x is at least n long with words below
+// 2³², a holds (rows−1)·stride + n words, and the caller bounds n by
+// LazyBatch, adds the last n mod 4 columns and multiplies the last
+// len(sums) mod 4 rows itself.
+//
+//go:noescape
+func dotRows4AVX2(sums []uint64, a []uint32, stride, n int, x []Elem)
+
+// dotRows4IFMA is dotRows4AVX2 on AVX-512 IFMA, eight lanes wide: the same
+// raw sums, exact when every a entry and x word is below 2²⁶.
+//
+//go:noescape
+func dotRows4IFMA(sums []uint64, a []uint32, stride, n int, x []Elem)
+
+// dotPackedRowBlocks is dotPackedRowsGeneric for one vector with the raw
+// sums of each tile taken by a row-block kernel, four rows per pass —
+// dotRows4IFMA when ifma is set, else dotRows4AVX2 — up to len(sums) rows
+// per call: the same LazyBatch tiles, the tile's last n mod 4 columns added
+// into the same raw sums, and one Barrett reduction per row per tile, so the
+// same results bit for bit. The last len(y) mod 4 rows take dotPacked.
+//
+//avcc:noalloc
+func (f *Field) dotPackedRowBlocks(y, x []Elem, a []uint32, stride int, ifma bool) {
+	rows, cols := len(y), len(x)
+	blocks := rows &^ 3
+	var sums [4 * panelRows]uint64
+	for r0 := 0; r0 < blocks; r0 += len(sums) {
+		h := min(len(sums), blocks-r0)
+		for c0 := 0; c0 < cols; c0 += f.lazyBatch {
+			n := min(cols-c0, f.lazyBatch)
+			if ifma {
+				dotRows4IFMA(sums[:h], a[r0*stride+c0:], stride, n, x[c0:])
+			} else {
+				dotRows4AVX2(sums[:h], a[r0*stride+c0:], stride, n, x[c0:])
+			}
+			if tail := n &^ (panelStep - 1); tail < n {
+				xt := x[c0:]
+				xt = xt[:n]
+				for i := 0; i < h; i++ {
+					row := a[(r0+i)*stride+c0:]
+					row = row[:n]
+					for j := tail; j < n; j++ {
+						sums[i] += uint64(row[j]) * xt[j]
+					}
+				}
+			}
+			yb := y[r0 : r0+h]
+			for i := range yb {
+				s := sums[i]
+				if c0 > 0 {
+					s += yb[i] // the reduced sum of the earlier tiles
+				}
+				yb[i] = f.barrett(s)
+			}
+		}
+	}
+	for r := blocks; r < rows; r++ {
+		y[r] = f.dotPacked(a[r*stride:r*stride+cols], x)
 	}
 }
 

@@ -43,7 +43,8 @@ func (f *Field) dotBytesGeneric(a []uint8, b []Elem) Elem {
 // DotBytesRows is DotPackedRows over byte-wide rows: ys[k][r] =
 // DotBytes(a[r*stride : r*stride+n], xs[k]), each row multiplied into up to
 // four vectors in one pass, on the panel kernel of the CPU's tier
-// (KernelTier) with bytes in place of words. Shapes as for DotPackedRows.
+// (KernelTier) with bytes in place of words, and one vector on that tier's
+// row-block kernel, as DotPackedRows. Shapes as for DotPackedRows.
 //
 //avcc:noalloc
 func (f *Field) DotBytesRows(ys, xs [][]Elem, a []uint8, stride int) {

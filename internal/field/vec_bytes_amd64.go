@@ -61,6 +61,10 @@ func (f *Field) dotBytesVector(a []uint8, b []Elem) Elem {
 //avcc:noalloc
 func (f *Field) dotBytesRows(ys [][]Elem, x *[4][]Elem, a []uint8, stride int) {
 	if useAVX2 && len(x[0]) >= panelStep && f.lazyBatch >= panelStep {
+		if len(ys) == 1 {
+			f.dotBytesRowBlocks(ys[0], x[0], a, stride, f.panelIFMA())
+			return
+		}
 		f.dotBytesRowsVector(ys, x, a, stride, f.panelIFMA())
 		return
 	}
@@ -108,6 +112,62 @@ func (f *Field) dotBytesRowsVector(ys [][]Elem, x *[4][]Elem, a []uint8, stride 
 				}
 			}
 		}
+	}
+}
+
+// dotRows4BytesAVX2 is dotRows4AVX2 over byte-wide rows.
+//
+//go:noescape
+func dotRows4BytesAVX2(sums []uint64, a []uint8, stride, n int, x []Elem)
+
+// dotRows4BytesIFMA is dotRows4IFMA over byte-wide rows, exact under the
+// same bound: every x word below 2²⁶ (the entries are below 2⁸).
+//
+//go:noescape
+func dotRows4BytesIFMA(sums []uint64, a []uint8, stride, n int, x []Elem)
+
+// dotBytesRowBlocks is dotPackedRowBlocks over byte-wide rows: the same row
+// blocks, LazyBatch tiles, Go tail and reductions, on dotRows4BytesIFMA when
+// ifma is set, else dotRows4BytesAVX2, and dotBytes for the last len(y) mod
+// 4 rows.
+//
+//avcc:noalloc
+func (f *Field) dotBytesRowBlocks(y, x []Elem, a []uint8, stride int, ifma bool) {
+	rows, cols := len(y), len(x)
+	blocks := rows &^ 3
+	var sums [4 * panelRows]uint64
+	for r0 := 0; r0 < blocks; r0 += len(sums) {
+		h := min(len(sums), blocks-r0)
+		for c0 := 0; c0 < cols; c0 += f.lazyBatch {
+			n := min(cols-c0, f.lazyBatch)
+			if ifma {
+				dotRows4BytesIFMA(sums[:h], a[r0*stride+c0:], stride, n, x[c0:])
+			} else {
+				dotRows4BytesAVX2(sums[:h], a[r0*stride+c0:], stride, n, x[c0:])
+			}
+			if tail := n &^ (panelStep - 1); tail < n {
+				xt := x[c0:]
+				xt = xt[:n]
+				for i := 0; i < h; i++ {
+					row := a[(r0+i)*stride+c0:]
+					row = row[:n]
+					for j := tail; j < n; j++ {
+						sums[i] += uint64(row[j]) * xt[j]
+					}
+				}
+			}
+			yb := y[r0 : r0+h]
+			for i := range yb {
+				s := sums[i]
+				if c0 > 0 {
+					s += yb[i] // the reduced sum of the earlier tiles
+				}
+				yb[i] = f.barrett(s)
+			}
+		}
+	}
+	for r := blocks; r < rows; r++ {
+		y[r] = f.dotBytes(a[r*stride:r*stride+cols], x)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fieldmat provides dense vectors and matrices over a prime field,
 // the data plane of the whole AVCC stack: data shards X_i, coded shards X̃_i,
 // worker products X̃_i·w and X̃_iᵀ·e, Freivalds key rows r·X̃_i, and the
-// K×K MDS decode systems all live here.
+// Berlekamp–Welch key-equation systems (SolveAny) all live here.
 //
 // Matrices are row-major over a single backing slice. The multiply kernels
 // split work across goroutines by row blocks because worker compute time —
@@ -279,17 +279,19 @@ func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
 //avcc:noalloc
 func runMatVec(t *task) { matVecRows(t.f, t.y, t.a, t.x, t.lo, t.hi) }
 
+// matVecRows computes the rows [lo, hi) of y = m·x. A packed view's row
+// range is one DotPackedRows (DotBytesRows on a byte view) call with one
+// vector, which takes the rows four at a time, the path MatVecBatchInto's
+// one-vector groups share.
+//
 //avcc:noalloc
 func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, hi int) {
-	if p := m.packed; p != nil {
-		for i := lo; i < hi; i++ {
-			y[i] = f.DotPacked(p[i*m.Cols:(i+1)*m.Cols], x)
-		}
-		return
-	}
-	if b := m.bytes; b != nil {
-		for i := lo; i < hi; i++ {
-			y[i] = f.DotBytes(b[i*m.Cols:(i+1)*m.Cols], x)
+	if m.Packed() {
+		ys, xs := [1][]field.Elem{y[lo:hi]}, [1][]field.Elem{x}
+		if p := m.packed; p != nil {
+			f.DotPackedRows(ys[:], xs[:], p[lo*m.Cols:hi*m.Cols], m.Cols)
+		} else {
+			f.DotBytesRows(ys[:], xs[:], m.bytes[lo*m.Cols:hi*m.Cols], m.Cols)
 		}
 		return
 	}
@@ -303,8 +305,9 @@ func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, h
 // each equal to MatVecInto's result bit for bit. On a packed view (Pack) the
 // rows are multiplied into four inputs at a time (field.DotPackedRows, or
 // field.DotBytesRows on a byte view), so a row is read once per four
-// products; a last group of one to three inputs runs the same kernel. An
-// unpacked matrix runs matVecRows once per input. Batch 1 is MatVecInto.
+// products; a last group of two or three inputs runs the same kernel, and a
+// last single input the row-block kernel MatVecInto runs. An unpacked
+// matrix runs matVecRows once per input. Batch 1 is MatVecInto.
 // The parallel cut is MatVecInto's, counted on the matrix alone, and the row
 // blocks of a large matrix go to the pool.
 //

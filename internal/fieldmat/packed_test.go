@@ -72,6 +72,51 @@ func TestPackedMatVecMatchesUint64Kernel(t *testing.T) {
 	}
 }
 
+// TestMatVecRowBlocksMatchUnpacked runs MatVecInto, whose packed rows take
+// the one-vector row-block path four rows at a time, at the shapes the
+// benchmark workloads run — train_logreg's 334×2501 fwd shard (split across
+// the pool, each half ending in rows past its last block of four) and the
+// 40×120 shards of serve_sat, straggler_round and http_receipts — on word
+// and byte views, random and worst-case, against MatVecInto over the
+// unpacked matrix.
+func TestMatVecRowBlocksMatchUnpacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, fld := range []*field.Field{field.Default(), field.NTTFriendly(), field.MustNew(67108879)} {
+		for _, shape := range [][2]int{{334, 2501}, {40, 120}} {
+			rows, cols := shape[0], shape[1]
+			words, bytes := Rand(fld, rng, rows, cols), smallMatrix(rng, rows, cols, 256)
+			worstWords, worstBytes := NewMatrix(rows, cols), NewMatrix(rows, cols)
+			x, xw := fld.RandVec(rng, cols), make([]field.Elem, cols)
+			for i := range worstWords.Data {
+				worstWords.Data[i], worstBytes.Data[i] = fld.Q()-1, 255
+			}
+			for i := range xw {
+				xw[i] = fld.Q() - 1
+			}
+			for _, c := range []struct {
+				name  string
+				m     *Matrix
+				x     []field.Elem
+				bytes bool
+			}{
+				{"words", words, x, false}, {"bytes", bytes, x, true},
+				{"worst words", worstWords, xw, false}, {"worst bytes", worstBytes, xw, true},
+			} {
+				p := Pack(fld, c.m)
+				if p.BytePacked() != c.bytes {
+					t.Fatalf("q=%d %dx%d %s: Pack built the wrong width", fld.Q(), rows, cols, c.name)
+				}
+				got, want := make([]field.Elem, rows), make([]field.Elem, rows)
+				MatVecInto(fld, got, p, c.x)
+				MatVecInto(fld, want, c.m, c.x)
+				if !field.EqualVec(got, want) {
+					t.Fatalf("q=%d %dx%d %s: packed MatVecInto diverges from the unpacked matrix", fld.Q(), rows, cols, c.name)
+				}
+			}
+		}
+	}
+}
+
 func TestPackKeepsDataAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := Rand(f, rng, 4, 6)

@@ -81,3 +81,26 @@ func TestSolveAnyZeroMatrixNonzeroRHS(t *testing.T) {
 		t.Fatal("expected ErrInconsistent")
 	}
 }
+
+func TestVandermondeInvertible(t *testing.T) {
+	// Any square Vandermonde on distinct points must be invertible — this is
+	// the algebraic fact the MDS "any K of N" property rests on. A full-rank
+	// system has one solution, so SolveAny must return the planted x itself.
+	rng := rand.New(rand.NewSource(62))
+	for _, n := range []int{2, 5, 9, 12} {
+		pts := f.DistinctPoints(n, 3)
+		v := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			p := field.Elem(1)
+			for j := 0; j < n; j++ {
+				v.Set(i, j, p)
+				p = f.Mul(p, pts[i])
+			}
+		}
+		x := f.RandVec(rng, n)
+		got, err := SolveAny(f, v, MatVec(f, v, x))
+		if err != nil || !field.EqualVec(got, x) {
+			t.Fatalf("Vandermonde(%d) singular: SolveAny returned %v, %v for planted %v", n, got, err, x)
+		}
+	}
+}

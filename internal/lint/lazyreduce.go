@@ -33,10 +33,11 @@ package lint
 //	tile bound the analyzer cannot see inside the assembly. A kernel that
 //	returns nothing and takes a []uint64 hands its raw sums back through
 //	that argument instead (the panel kernels behind DotPackedRows, one row
-//	or two rows per pass, whose panel spans many rows, so no slice they read
-//	is one tile long): it must declare its column count as a parameter
-//	named n, and every call, on whichever branch of a tier dispatch, must
-//	hand it an n derived from LazyBatch. Its sums then reach the caller's
+//	or two rows into four vectors per pass, and the row-block kernels behind
+//	its one-vector form, four rows per pass, whose panel spans many rows, so
+//	no slice they read is one tile long): it must declare its column count
+//	as a parameter named n, and every call, on whichever branch of a tier
+//	dispatch, must hand it an n derived from LazyBatch. Its sums then reach the caller's
 //	accumulators as plain values, where rules 1 to 3 apply as usual. A
 //	kernel that adds its products into a []uint64 parameter named acc is an
 //	accumulator kernel (lazyAXPY4AVX2, which adds Σ_{k<4} c_k·row_k into

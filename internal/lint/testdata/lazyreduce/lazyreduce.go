@@ -317,6 +317,45 @@ func AsmPanel2Untiled(f *Field, ys []uint64, a []uint32, stride int, x []uint64)
 	}
 }
 
+// rows4Sums is the row-block kernel: one vector, four rows per pass,
+// sums[r] = Σ_{j<n} a[r*stride+j]·x[j] for r < len(sums) &^ 3.
+func rows4Sums(sums []uint64, a []uint32, stride, n int, x []uint64)
+
+// AsmRowBlocks mirrors the one-vector row-block loop: up to len(sums) rows
+// per call, the column count cut to the batch budget, every raw sum reduced
+// per tile. Clean.
+func AsmRowBlocks(f *Field, y []uint64, a []uint32, stride int, x []uint64) {
+	var sums [32]uint64
+	blocks := len(y) &^ 3
+	for r0 := 0; r0 < blocks; r0 += len(sums) {
+		h := min(len(sums), blocks-r0)
+		for c0 := 0; c0 < len(x); c0 += f.lazyBatch {
+			n := min(len(x)-c0, f.lazyBatch)
+			rows4Sums(sums[:h], a[r0*stride+c0:], stride, n, x[c0:])
+			yb := y[r0 : r0+h]
+			for i := range yb {
+				s := sums[i]
+				if c0 > 0 {
+					s += yb[i]
+				}
+				yb[i] = f.barrett(s)
+			}
+		}
+	}
+}
+
+// AsmRowBlocksUntiled hands the row-block kernel the row width itself, cut
+// by nothing: one call can sum more raw products into a lane than the
+// budget allows.
+func AsmRowBlocksUntiled(f *Field, y []uint64, a []uint32, stride int, x []uint64) {
+	var sums [32]uint64
+	n := len(x)
+	rows4Sums(sums[:len(y)&^3], a, stride, n, x) // want "assembly kernel rows4Sums in AsmRowBlocksUntiled is handed a column count not cut to LazyBatch"
+	for r := range y {
+		y[r] = f.barrett(sums[r])
+	}
+}
+
 // maxWord is an assembly max-reduction: the largest word of v, no product.
 func maxWord(v []uint64) uint64
 

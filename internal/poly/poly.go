@@ -125,25 +125,6 @@ func DivMod(f *field.Field, p, d Poly) (quo, rem Poly) {
 	return Normalize(quo), Normalize(rem)
 }
 
-// Interpolate returns the unique polynomial of degree < len(xs) passing
-// through all (xs[i], ys[i]) via the Lagrange formula. Points must be
-// distinct; the caller guarantees this by construction of the code's
-// evaluation points.
-func Interpolate(f *field.Field, xs, ys []field.Elem) Poly {
-	if len(xs) != len(ys) {
-		panic("poly: Interpolate length mismatch")
-	}
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	result := make(Poly, 0, n)
-	for j, lj := range LagrangeBasisAll(f, xs) {
-		result = Add(f, result, Scale(f, ys[j], lj))
-	}
-	return Normalize(result)
-}
-
 // LagrangeBasis returns ℓ_j(z) = Π_{k≠j} (z−x_k)/(x_j−x_k) in coefficient
 // form (paper eq. 13).
 func LagrangeBasis(f *field.Field, xs []field.Elem, j int) Poly {

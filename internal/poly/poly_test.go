@@ -11,6 +11,25 @@ import (
 
 var f = field.Default()
 
+// Interpolate returns the unique polynomial of degree < len(xs) passing
+// through all (xs[i], ys[i]) via the Lagrange formula: the tests'
+// coefficient-form oracle (EvalLagrange is held against it). Points must be
+// distinct.
+func Interpolate(f *field.Field, xs, ys []field.Elem) Poly {
+	if len(xs) != len(ys) {
+		panic("poly: Interpolate length mismatch")
+	}
+	n := len(xs)
+	if n == 0 {
+		return nil
+	}
+	result := make(Poly, 0, n)
+	for j, lj := range LagrangeBasisAll(f, xs) {
+		result = Add(f, result, Scale(f, ys[j], lj))
+	}
+	return Normalize(result)
+}
+
 func randPoly(rng *rand.Rand, deg int) Poly {
 	p := make(Poly, deg+1)
 	for i := range p {
