@@ -226,7 +226,7 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 		encodeOps += float64(k+m.opt.T) * shardElems * float64(n)
 		keys := make([]*verify.AmplifiedKey, len(workers))
 		for pos, id := range m.active {
-			workers[id].Shards[key] = shards[pos]
+			workers[id].Install(key, shards[pos]) // a stopped round's calls may still be computing
 			keys[id] = verify.NewAmplifiedKey(m.f, m.keySrc, shards[pos], trials)
 			distElems += shardElems
 		}

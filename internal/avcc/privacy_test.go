@@ -4,10 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/attack"
-	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 )
@@ -103,39 +101,5 @@ func TestInfeasiblePrivateParamsRejected(t *testing.T) {
 	}
 	if _, err := NewMaster(f, opt, data, nil, nil); err == nil {
 		t.Fatal("infeasible T=1 params accepted")
-	}
-}
-
-func TestMasterOverGoExecutor(t *testing.T) {
-	// Real goroutine concurrency instead of virtual time: outputs must be
-	// identical; Byzantine results must never be used.
-	rng := rand.New(rand.NewSource(404))
-	data, x := testData(rng, 36, 8)
-	behaviors := byzBehaviors(12, map[int]attack.Behavior{4: attack.ReverseValue{C: 1}})
-	m, err := NewMaster(f, paperOpts(1, 2, true), data, behaviors, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetExecutor(&cluster.GoExecutor{
-		F:              f,
-		Workers:        m.Workers(),
-		Stragglers:     attack.NewFixedStragglers(0),
-		StragglerDelay: 20 * time.Millisecond,
-	})
-	w := f.RandVec(rng, 8)
-	want := fieldmat.MatVec(f, x, w)
-	for iter := 0; iter < 2; iter++ {
-		out, err := m.RunRound(context.Background(), "fwd", w, iter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !field.EqualVec(out.Decoded, want) {
-			t.Fatalf("iter %d: decode wrong over GoExecutor", iter)
-		}
-		for _, id := range out.Used {
-			if id == 4 {
-				t.Fatal("Byzantine used in decode")
-			}
-		}
 	}
 }

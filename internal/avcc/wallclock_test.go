@@ -12,16 +12,18 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/rpccluster"
 )
 
-// AVCC on the wall clock (GoExecutor): rounds end at the threshold-th verified
-// arrival, and the adaptation rule reads what was awaited — not what the
-// driver cancelled.
+// AVCC on the wall clock, over loopback frames: rounds end at the
+// threshold-th verified arrival, and the adaptation rule reads what was
+// awaited — not what the driver cancelled.
 
-// paced makes every worker take the same few milliseconds before it answers
-// (then applies its own behaviour), so real arrival times differ only by
-// scheduling noise that is small against them and the 2× straggler cut-off
-// reads the same on a loaded two-core host as on an idle one.
+// paced makes a worker take a fixed time before it answers (then applies its
+// own behaviour). Every worker is paced by a few milliseconds, so real
+// arrival times differ only by scheduling noise that is small against them
+// and the 2× straggler cut-off reads the same on a loaded two-core host as on
+// an idle one; a straggler is paced by a stall far beyond that.
 type paced struct {
 	pace time.Duration
 	then attack.Behavior
@@ -35,28 +37,50 @@ func (p paced) Apply(f *field.Field, iter int, honest []field.Elem) []field.Elem
 func (paced) Name() string { return "paced" }
 
 const (
-	goPace  = 5 * time.Millisecond
-	goStall = 300 * time.Millisecond
+	framePace  = 5 * time.Millisecond
+	frameStall = 300 * time.Millisecond
 )
 
-// goMaster builds a (12, 9) master whose rounds run on goroutine workers:
-// everyone paced, `byz` lying on top of it, `stragglers` sleeping goStall.
-func goMaster(t *testing.T, opt Options, data map[string]*fieldmat.Matrix,
-	byz map[int]attack.Behavior, stragglers ...int) *Master {
+// frameMaster builds a (12, 9) master whose own workers are served by one
+// loopback frame server, which its executor dials once per worker: every
+// worker paced by `pace`, `byz` lying on top of it, `stragglers` stalling
+// `stall` instead. The executor and the server close with the test, or
+// earlier through the returned close.
+func frameMaster(t *testing.T, opt Options, data map[string]*fieldmat.Matrix,
+	byz map[int]attack.Behavior, pace, stall time.Duration, stragglers ...int) (*Master, func()) {
 	t.Helper()
 	behaviors := byzBehaviors(12, byz)
 	for i, b := range behaviors {
-		behaviors[i] = paced{pace: goPace, then: b}
+		p := pace
+		if slices.Contains(stragglers, i) {
+			p = stall
+		}
+		behaviors[i] = paced{pace: p, then: b}
 	}
 	m, err := NewMaster(f, opt, data, behaviors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetExecutor(&cluster.GoExecutor{
-		F: f, Workers: m.Workers(),
-		Stragglers: attack.NewFixedStragglers(stragglers...), StragglerDelay: goStall,
-	})
-	return m
+	srv, err := rpccluster.ServeFrames("127.0.0.1:0", f, m.Workers()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, len(m.Workers()))
+	for i := range addrs {
+		addrs[i] = srv.Addr
+	}
+	exec, err := rpccluster.DialFrames(addrs, nil)
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	m.SetExecutor(exec)
+	closeAll := func() {
+		exec.Close()
+		srv.Close()
+	}
+	t.Cleanup(closeAll)
+	return m, closeAll
 }
 
 // timedRound runs one round and fails the test if it took as long as limit.
@@ -73,11 +97,12 @@ func timedRound(t *testing.T, m *Master, w []field.Elem, iter int, limit time.Du
 	return out
 }
 
-func TestGoRoundEndsAtThresholdNotAtSlowestWorker(t *testing.T) {
+func TestFramesRoundEndsAtThresholdNotAtSlowestWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(170))
 	data, x := testData(rng, 36, 10)
 	baseGo := runtime.NumGoroutine()
-	m := goMaster(t, paperOpts(1, 1, false), data, map[int]attack.Behavior{10: attack.ReverseValue{C: 1}}, 3)
+	m, closeAll := frameMaster(t, paperOpts(1, 1, false), data,
+		map[int]attack.Behavior{10: attack.ReverseValue{C: 1}}, framePace, frameStall, 3)
 	w := f.RandVec(rng, 10)
 	want := fieldmat.MatVec(f, x, w)
 	for iter := 0; iter < 5; iter++ {
@@ -94,7 +119,10 @@ func TestGoRoundEndsAtThresholdNotAtSlowestWorker(t *testing.T) {
 			}
 		}
 	}
-	// The stopped rounds' sleeping stragglers leave with their round.
+	// Nothing outlives the deployment: once the executor and the server are
+	// closed, the connections' loops and the stopped rounds' stalled calls
+	// all leave.
+	closeAll()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseGo {
 		if time.Now().After(deadline) {
@@ -104,17 +132,17 @@ func TestGoRoundEndsAtThresholdNotAtSlowestWorker(t *testing.T) {
 	}
 }
 
-func TestGoSkippedStragglerNeverRecodes(t *testing.T) {
+func TestFramesSkippedStragglerNeverRecodes(t *testing.T) {
 	// One straggler inside the slack is simply not awaited: its cancelled
 	// call, and the two spare fast workers cancelled with it, are not
 	// evidence of straggling, so twenty iterations leave the code alone.
 	rng := rand.New(rand.NewSource(171))
 	data, x := testData(rng, 36, 10)
-	m := goMaster(t, paperOpts(2, 1, true), data, nil, 3)
+	m, _ := frameMaster(t, paperOpts(2, 1, true), data, nil, framePace, frameStall, 3)
 	w := f.RandVec(rng, 10)
 	want := fieldmat.MatVec(f, x, w)
 	for iter := 0; iter < 20; iter++ {
-		out := timedRound(t, m, w, iter, goStall/2)
+		out := timedRound(t, m, w, iter, frameStall/2)
 		if !field.EqualVec(out.Decoded, want) {
 			t.Fatalf("iter %d: decode wrong", iter)
 		}
@@ -128,11 +156,13 @@ func TestGoSkippedStragglerNeverRecodes(t *testing.T) {
 	}
 }
 
-func TestGoFig5ScenarioRecodesLikeTheVirtualPath(t *testing.T) {
+func TestFramesFig5ScenarioRecodesLikeTheVirtualPath(t *testing.T) {
 	// TestFig5ScenarioRecodesTo11_8's geometry on the wall clock: three
 	// stragglers and a Byzantine exceed the slack, so the round is forced to
 	// wait for a straggler — and the two still out when it completes are then
-	// KNOWN late. The re-code must be the one the virtual path makes.
+	// KNOWN late. The re-code must be the one the virtual path makes, and it
+	// installs new shards on workers whose stalled calls the server is still
+	// running.
 	rng := rand.New(rand.NewSource(172))
 	// Compute-dominated sizes, as there, so the virtual path's waited-for
 	// straggler is detectably late.
@@ -151,8 +181,8 @@ func TestGoFig5ScenarioRecodesLikeTheVirtualPath(t *testing.T) {
 	virtual.FinishIteration(0)
 	wantN, wantK := virtual.Coding()
 
-	m := goMaster(t, paperOpts(2, 1, true), data, byz, 0, 1, 2)
-	out := timedRound(t, m, w, 0, 10*goStall)
+	m, _ := frameMaster(t, paperOpts(2, 1, true), data, byz, framePace, frameStall, 0, 1, 2)
+	out := timedRound(t, m, w, 0, 10*frameStall)
 	if !field.EqualVec(out.Decoded, want) {
 		t.Fatal("iteration-0 decode wrong")
 	}
@@ -166,9 +196,32 @@ func TestGoFig5ScenarioRecodesLikeTheVirtualPath(t *testing.T) {
 		t.Fatalf("coding = (%d,%d), virtual path (%d,%d), want (11,8)", n, k, wantN, wantK)
 	}
 	// After the re-code no straggler is on the critical path.
-	out = timedRound(t, m, w, 1, goStall/2)
+	out = timedRound(t, m, w, 1, frameStall/2)
 	if !field.EqualVec(out.Decoded, want) {
 		t.Fatal("post-recode decode wrong")
+	}
+}
+
+func TestMasterOverFrames(t *testing.T) {
+	// Real concurrency instead of virtual time: outputs must be identical;
+	// Byzantine results must never be used.
+	rng := rand.New(rand.NewSource(404))
+	data, x := testData(rng, 36, 8)
+	m, _ := frameMaster(t, paperOpts(1, 2, true), data,
+		map[int]attack.Behavior{4: attack.ReverseValue{C: 1}}, 0, 20*time.Millisecond, 0)
+	w := f.RandVec(rng, 8)
+	want := fieldmat.MatVec(f, x, w)
+	for iter := 0; iter < 2; iter++ {
+		out, err := m.RunRound(context.Background(), "fwd", w, iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !field.EqualVec(out.Decoded, want) {
+			t.Fatalf("iter %d: decode wrong over frames", iter)
+		}
+		if slices.Contains(out.Used, 4) {
+			t.Fatal("Byzantine used in decode")
+		}
 	}
 }
 

@@ -29,13 +29,13 @@ func lose(ctx context.Context, worker int) {
 }
 
 // Arrivals is the executor's side of a round on the wall clock: the calls of
-// one RunRound report here from whatever goroutine learns their outcome —
-// their own (Go), or a connection's read loop (Land) — each result is stamped,
-// recorded and handed to the driver under one lock (so hand-over order is
-// arrival order is slice order), and Wait returns as soon as the round is
-// stopped. Every asked worker must be reported exactly once: by Go for a call
-// made on a goroutine of its own, by Land for a result the executor received
-// itself, and by Miss for a worker the executor gives up on.
+// one RunRound report here from whatever goroutine learns their outcome — a
+// connection's read loop, or the round itself as it fans out and reaps — each
+// result is stamped, recorded and handed to the driver under one lock (so
+// hand-over order is arrival order is slice order), and Wait returns as soon
+// as the round is stopped. Every asked worker must be reported exactly once:
+// by Land for a result the executor received, or by Miss for a worker the
+// executor gives up on.
 type Arrivals struct {
 	ctx   context.Context
 	start time.Time
@@ -58,20 +58,6 @@ func NewArrivals(ctx context.Context, asked int) *Arrivals {
 		close(a.done)
 	}
 	return a
-}
-
-// Go makes one worker's call on its own goroutine and reports its outcome,
-// from this one place: the result, if call returns one, as arrived now; the
-// worker as missing if it returns none — of its own doing if the round was
-// still live when the call ended.
-func (a *Arrivals) Go(worker int, call func() (Result, bool)) {
-	go func() {
-		if res, ok := call(); ok {
-			a.Land(res)
-		} else {
-			a.miss(worker, a.ctx.Err() == nil)
-		}
-	}()
 }
 
 // Land records res as arrived now, hands it to the driver and reports true. A
@@ -101,11 +87,8 @@ func (a *Arrivals) Land(res Result) bool {
 // call it has seen fail: while the round is live that is the worker's own
 // failure and the driver is told. Once the round's ctx is done a call that
 // ends without a result was abandoned, which says nothing about the worker.
-func (a *Arrivals) Miss(worker int) { a.miss(worker, a.ctx.Err() == nil) }
-
-// miss counts worker off; own says it failed on its own, as judged when its
-// call ended rather than after the wait for the lock.
-func (a *Arrivals) miss(worker int, own bool) {
+func (a *Arrivals) Miss(worker int) {
+	own := a.ctx.Err() == nil // judged when the call ended, not after the wait for the lock
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if own && !a.closed {

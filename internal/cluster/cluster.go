@@ -2,14 +2,11 @@
 // state (coded shards + adversarial behaviour) and executors that run one
 // protocol round across all workers and deliver results in arrival order.
 //
-// Two executors are provided:
-//
-//   - VirtualExecutor: workers compute for real, arrival times come from the
-//     simnet latency model. Deterministic given a seed; powers every
-//     experiment (see DESIGN.md on the testbed substitution).
-//   - GoExecutor: workers are goroutines, times are wall-clock, straggling
-//     is injected as sleeps. Used by examples and the integration tests
-//     that exercise real concurrency.
+// VirtualExecutor is the one executor here: workers compute for real and
+// arrival times come from the simnet latency model, deterministic given a
+// seed; it powers every experiment (see DESIGN.md on the testbed
+// substitution). The wall clock has one executor too, the framed transport
+// (internal/rpccluster), which reports its arrivals through Arrivals.
 //
 // Driver (driver.go) runs the one round sequence against the Executor
 // interface, so the same protocol logic runs on either; the scheme masters
@@ -21,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/field"
@@ -115,13 +111,15 @@ type Worker struct {
 	// entry fits one, else 32-bit words) and reuses that copy for as long as
 	// the key holds the same *Matrix, so a write into a shard's Data would
 	// not reach the packed rows. Installing a new matrix under the key (a
-	// re-code) repacks.
+	// re-code) repacks. The map may be written directly only before the
+	// worker serves; once Compute may run, a shard changes through Install.
 	Shards   map[string]*fieldmat.Matrix
 	Ops      map[string]Op
 	Behavior attack.Behavior
 
-	// packMu guards packed, the packed view of each key's current shard;
-	// Compute runs concurrently under the framed and goroutine executors.
+	// packMu guards packed, the packed view of each key's current shard, and
+	// Shards once the worker serves: a framed server runs Compute
+	// concurrently, and a master re-codes its workers between rounds.
 	packMu sync.Mutex
 	packed map[string]packedShard
 }
@@ -141,27 +139,41 @@ func NewWorker(id int) *Worker {
 	}
 }
 
-// packedView returns the packed view of shard, the matrix Shards[key] holds,
-// packing it on its first use. The view's width comes from the shard's
-// entries alone (fieldmat.Pack): a systematic shard of integer data — a raw
-// block of a T = 0 code — packs to bytes, a parity or privacy-masked shard
-// to 32-bit words; no scheme name or option is consulted. The cache entry is
-// tied to the shard pointer: a different matrix under the same key is packed
-// afresh, at whatever width its own entries take.
-//
-//avcc:noalloc
-func (w *Worker) packedView(f *field.Field, key string, shard *fieldmat.Matrix) *fieldmat.Matrix {
+// Install puts shard under key while the worker may be serving: a Compute
+// that has already read the old shard finishes on it, and every Compute that
+// starts after Install returns packs and uses the new one.
+func (w *Worker) Install(key string, shard *fieldmat.Matrix) {
 	w.packMu.Lock()
 	defer w.packMu.Unlock()
+	w.Shards[key] = shard
+}
+
+// packedView returns the packed view of the matrix Shards[key] holds,
+// packing it on its first use, and false when the key holds none. The view's
+// width comes from the shard's entries alone (fieldmat.Pack): a systematic
+// shard of integer data — a raw block of a T = 0 code — packs to bytes, a
+// parity or privacy-masked shard to 32-bit words; no scheme name or option
+// is consulted. The cache entry is tied to the shard pointer: a different
+// matrix under the same key is packed afresh, at whatever width its own
+// entries take.
+//
+//avcc:noalloc
+func (w *Worker) packedView(f *field.Field, key string) (*fieldmat.Matrix, bool) {
+	w.packMu.Lock()
+	defer w.packMu.Unlock()
+	shard, ok := w.Shards[key]
+	if !ok {
+		return nil, false
+	}
 	if p, ok := w.packed[key]; ok && p.src == shard {
-		return p.view
+		return p.view, true
 	}
 	if w.packed == nil {
 		w.packed = make(map[string]packedShard) //avcc:alloc-ok first use of a worker only
 	}
 	view := fieldmat.Pack(f, shard) //avcc:alloc-ok first use of a shard only; every later round hits the cache
 	w.packed[key] = packedShard{src: shard, view: view}
-	return view
+	return view, true
 }
 
 // op resolves the operation for a round key.
@@ -187,11 +199,10 @@ func (w *Worker) op(key string) Op {
 // Data, so ops that read it directly (GramOp, custom ops) see the same
 // matrix.
 func (w *Worker) Compute(f *field.Field, key string, input []field.Elem, batch, iter int) (out []field.Elem, ops float64, err error) {
-	shard, ok := w.Shards[key]
+	shard, ok := w.packedView(f, key)
 	if !ok {
 		return nil, 0, fmt.Errorf("cluster: worker %d has no shard %q", w.ID, key)
 	}
-	shard = w.packedView(f, key, shard)
 	op := w.op(key)
 	var honest []field.Elem
 	if batch <= 1 {
@@ -379,101 +390,4 @@ func (e *VirtualExecutor) RunRound(ctx context.Context, key string, input []fiel
 		deliver(ctx, &results[len(results)-1])
 	}
 	return results
-}
-
-// GoExecutor runs workers as goroutines with wall-clock timing. Straggling
-// workers sleep for StragglerDelay before responding; scenario slowdowns
-// and link degradation sleep proportionally (StragglerDelay x (factor-1)
-// each), so StragglerDelay is the executor's unit of slowness.
-type GoExecutor struct {
-	F              *field.Field
-	Workers        []*Worker
-	Stragglers     attack.StragglerSchedule
-	StragglerDelay time.Duration
-	// Dynamics overlays time-varying environment state; nil means the
-	// steady world. Crashed workers spawn no goroutine; dropped results are
-	// computed but never delivered.
-	Dynamics simnet.Dynamics
-}
-
-// RunRound implements Executor with real concurrency: results are handed over
-// and ordered by actual completion time, and the round returns as soon as ctx
-// is done and no worker is still computing — the workers are the master's own
-// objects, which it may re-shard before the next round, so a computation is
-// never left running behind the round. What is abandoned is the injected
-// slowness: a straggler still sleeping leaves without answering.
-func (e *GoExecutor) RunRound(ctx context.Context, key string, input []field.Elem, batch, iter int, active []int) []Result {
-	// The round works on a copy of the configuration: a sleeping straggler's
-	// goroutine may outlive it.
-	run := *e
-	if run.Stragglers == nil {
-		run.Stragglers = attack.NoStragglers{}
-	}
-	arr := NewArrivals(ctx, len(active))
-	var computing sync.WaitGroup
-	for _, id := range active {
-		if run.Dynamics != nil && run.Dynamics.Crashed(id, iter) {
-			arr.Miss(id)
-			continue
-		}
-		computing.Add(1)
-		arr.Go(id, func() (Result, bool) {
-			return run.work(ctx, &computing, key, input, batch, iter, id)
-		})
-	}
-	results := arr.Wait()
-	computing.Wait()
-	return results
-}
-
-// work is one worker's part of a round: its computation, which the round
-// joins through computing, then its injected slowness, which ctx cuts short.
-// ok is false when the worker has nothing to deliver.
-func (e *GoExecutor) work(ctx context.Context, computing *sync.WaitGroup, key string, input []field.Elem, batch, iter, id int) (res Result, ok bool) {
-	t0 := time.Now()
-	var out []field.Elem
-	var err error
-	stopped := ctx.Err() != nil // before this worker got to run
-	if !stopped {
-		out, _, err = e.Workers[id].Compute(e.F, key, input, batch, iter)
-	}
-	computing.Done()
-	if stopped {
-		return Result{}, false
-	}
-	if e.Stragglers.IsStraggler(id, iter) && !sleepCtx(ctx, e.StragglerDelay) {
-		return Result{}, false
-	}
-	if dyn := e.Dynamics; dyn != nil {
-		// Compute slowdown and link degradation both stretch this worker's
-		// wall time; StragglerDelay is the unit for each.
-		slow := (dyn.ComputeFactor(id, iter) - 1) + (dyn.LinkFactor(id, iter) - 1)
-		if slow > 0 && !sleepCtx(ctx, time.Duration(float64(e.StragglerDelay)*slow)) {
-			return Result{}, false
-		}
-		if dyn.Dropped(id, iter) {
-			return Result{}, false // computed, but the message never arrives
-		}
-	}
-	return Result{
-		Worker:     id,
-		Output:     out,
-		ComputeSec: time.Since(t0).Seconds(),
-		Err:        err,
-	}, true
-}
-
-// sleepCtx sleeps for d, returning false early if ctx is cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

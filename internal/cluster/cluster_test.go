@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/field"
@@ -160,47 +159,6 @@ func TestVirtualExecutorWorkerError(t *testing.T) {
 	}
 }
 
-func TestGoExecutorMatchesVirtualOutputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(136))
-	workers, shards := buildWorkers(t, rng, 4, 6, 6)
-	in := f.RandVec(rng, 6)
-	ex := &GoExecutor{F: f, Workers: workers}
-	results := ex.RunRound(context.Background(), "fwd", in, 1, 0, []int{0, 1, 2, 3})
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if !field.EqualVec(r.Output, fieldmat.MatVec(f, shards[r.Worker], in)) {
-			t.Fatalf("worker %d output wrong under real concurrency", r.Worker)
-		}
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].ArriveAt < results[i-1].ArriveAt {
-			t.Fatal("GoExecutor results not sorted by completion")
-		}
-	}
-}
-
-func TestGoExecutorStragglerDelay(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	workers, _ := buildWorkers(t, rng, 3, 4, 4)
-	ex := &GoExecutor{
-		F: f, Workers: workers,
-		Stragglers:     attack.NewFixedStragglers(1),
-		StragglerDelay: 50 * time.Millisecond,
-	}
-	results := ex.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1, 2})
-	if results[len(results)-1].Worker != 1 {
-		t.Fatalf("delayed worker should arrive last, got order ending in %d", results[len(results)-1].Worker)
-	}
-	if results[len(results)-1].ArriveAt < 0.045 {
-		t.Fatal("straggler delay not applied")
-	}
-}
-
 // scriptedDynamics is a hand-written simnet.Dynamics for executor tests.
 type scriptedDynamics struct {
 	crashed map[int]bool
@@ -271,31 +229,6 @@ func approx(a, b float64) bool {
 		diff = -diff
 	}
 	return diff <= 1e-12*(1+b)
-}
-
-func TestGoExecutorDynamics(t *testing.T) {
-	rng := rand.New(rand.NewSource(139))
-	workers, _ := buildWorkers(t, rng, 4, 4, 4)
-	ex := &GoExecutor{
-		F: f, Workers: workers,
-		StragglerDelay: 30 * time.Millisecond,
-		Dynamics: scriptedDynamics{
-			crashed: map[int]bool{0: true},
-			dropped: map[int]bool{1: true},
-			rate:    map[int]float64{2: 2}, // sleeps StragglerDelay x (2-1)
-			link:    map[int]float64{2: 2}, // and StragglerDelay x (2-1) more
-		},
-	}
-	results := ex.RunRound(context.Background(), "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1, 2, 3})
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2 (one crash, one drop)", len(results))
-	}
-	if results[len(results)-1].Worker != 2 {
-		t.Fatalf("slowed worker should finish last, got %d", results[len(results)-1].Worker)
-	}
-	if results[len(results)-1].ArriveAt < 0.055 {
-		t.Fatal("scenario slowdown + link-degradation sleeps not applied")
-	}
 }
 
 func TestMatVecOpExplicit(t *testing.T) {
@@ -483,25 +416,5 @@ func TestVirtualExecutorCancelledContextStopsScheduling(t *testing.T) {
 	results := ex.RunRound(ctx, "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1, 2, 3})
 	if len(results) != 0 {
 		t.Fatalf("a pre-cancelled round computed %d results", len(results))
-	}
-}
-
-func TestGoExecutorCancelledContextReturnsEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(148))
-	workers, _ := buildWorkers(t, rng, 3, 4, 4)
-	ex := &GoExecutor{
-		F: f, Workers: workers,
-		Stragglers:     attack.NewFixedStragglers(0, 1, 2),
-		StragglerDelay: 10 * time.Second,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	results := ex.RunRound(ctx, "fwd", f.RandVec(rng, 4), 1, 0, []int{0, 1, 2})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancelled GoExecutor round took %v", elapsed)
-	}
-	if len(results) != 0 {
-		t.Fatalf("got %d results from a round whose workers all sleep 10s", len(results))
 	}
 }

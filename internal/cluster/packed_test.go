@@ -66,7 +66,7 @@ func TestWorkerRepacksAReplacedShard(t *testing.T) {
 	// A re-code installs a different matrix under the same key, here even a
 	// different shape; the next round must compute on it.
 	second := fieldmat.Rand(f, rng, 3, 7)
-	w.Shards["fwd"] = second
+	w.Install("fwd", second)
 	out, _, err := w.Compute(f, "fwd", in, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestWorkerRepacksAReplacedShard(t *testing.T) {
 		t.Fatal("Compute after a shard replacement used the stale packed shard")
 	}
 	// Switching back to the first matrix repacks it too.
-	w.Shards["fwd"] = first
+	w.Install("fwd", first)
 	if out, _, _ := w.Compute(f, "fwd", in, 1, 2); !field.EqualVec(out, fieldmat.MatVec(f, first, in)) {
 		t.Fatal("Compute after restoring the first shard wrong")
 	}
@@ -115,5 +115,72 @@ func TestWorkerComputeConcurrentCallers(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestInstallWhileComputing re-codes a worker that is serving: twelve
+// goroutines call Compute while another installs a second shard under the
+// same key. Every product is one shard's or the other's, and a Compute
+// started after Install returned uses the new shard — the packed-view cache
+// repacks it, here from 32-bit words to bytes. Run under -race in CI.
+func TestInstallWhileComputing(t *testing.T) {
+	rng := rand.New(rand.NewSource(153))
+	w := NewWorker(0)
+	old := fieldmat.Rand(f, rng, 150, 120)
+	w.Shards["fwd"] = old
+	next := fieldmat.NewMatrix(150, 120)
+	for i := range next.Data {
+		next.Data[i] = field.Elem(rng.Intn(256))
+	}
+	in := f.RandVec(rng, 120)
+	wantOld, wantNext := fieldmat.MatVec(f, old, in), fieldmat.MatVec(f, next, in)
+	if _, _, err := w.Compute(f, "fwd", in, 1, 0); err != nil { // caches old's view
+		t.Fatal(err)
+	}
+	const callers = 12
+	var installed atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan string, callers+1)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 6; it++ {
+				after := installed.Load()
+				out, _, err := w.Compute(f, "fwd", in, 1, it)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if field.EqualVec(out, wantNext) {
+					continue
+				}
+				if after {
+					errs <- "a Compute started after Install used the old shard"
+					return
+				}
+				if !field.EqualVec(out, wantOld) {
+					errs <- "Compute returned neither shard's product"
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w.Install("fwd", next)
+		installed.Store(true)
+		if out, _, err := w.Compute(f, "fwd", in, 1, 0); err != nil || !field.EqualVec(out, wantNext) {
+			errs <- "the Compute right after Install did not use the new shard"
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if !w.packed["fwd"].view.BytePacked() {
+		t.Fatal("the installed byte-sized shard was not repacked to bytes")
 	}
 }

@@ -225,21 +225,3 @@ func CopyVec(a []Elem) []Elem {
 	copy(out, a)
 	return out
 }
-
-// FromInt64Vec embeds a signed integer vector into F_q.
-func (f *Field) FromInt64Vec(xs []int64) []Elem {
-	out := make([]Elem, len(xs))
-	for i, x := range xs {
-		out[i] = f.FromInt64(x)
-	}
-	return out
-}
-
-// ToInt64Vec lifts a field vector back to centered signed integers.
-func (f *Field) ToInt64Vec(as []Elem) []int64 {
-	out := make([]int64, len(as))
-	for i, a := range as {
-		out[i] = f.ToInt64(a)
-	}
-	return out
-}

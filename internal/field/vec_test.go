@@ -110,20 +110,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestInt64VecRoundTrip(t *testing.T) {
-	f := Default()
-	xs := []int64{0, 1, -1, 1000, -1000, 123456, -123456}
-	if got := f.ToInt64Vec(f.FromInt64Vec(xs)); len(got) != len(xs) {
-		t.Fatal("length changed")
-	} else {
-		for i := range xs {
-			if got[i] != xs[i] {
-				t.Fatalf("round trip xs[%d]=%d -> %d", i, xs[i], got[i])
-			}
-		}
-	}
-}
-
 func TestRandIsCanonicalAndCoversField(t *testing.T) {
 	f := MustNew(7)
 	rng := rand.New(rand.NewSource(14))

@@ -187,7 +187,7 @@ func TestPoolSizedFromGOMAXPROCS(t *testing.T) {
 }
 
 // TestKernelsConcurrentCallers hammers the shared pool from many goroutines
-// at once — the Go executor's access pattern (one matvec per worker) — and
+// at once — a framed server's access pattern (one matvec per request) — and
 // checks every result. Run under -race in CI.
 func TestKernelsConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))

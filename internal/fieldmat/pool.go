@@ -81,7 +81,7 @@ func ensurePool() {
 // dispatch splits [0, n) into one contiguous block per pool worker and
 // blocks until all blocks complete. proto supplies the kernel and operands;
 // it is copied into pooled tasks, never retained. Safe for concurrent use
-// from many goroutines (the Go executor runs one matvec per worker at once).
+// from many goroutines (a framed server runs one matvec per request at once).
 func dispatch(n int, proto *task) {
 	ensurePool()
 	workers := poolSize

@@ -39,15 +39,6 @@ func (p Poly) Eval(f *field.Field, z field.Elem) field.Elem {
 	return acc
 }
 
-// EvalMany evaluates p at each point.
-func (p Poly) EvalMany(f *field.Field, zs []field.Elem) []field.Elem {
-	out := make([]field.Elem, len(zs))
-	for i, z := range zs {
-		out[i] = p.Eval(f, z)
-	}
-	return out
-}
-
 // Add returns p + q.
 func Add(f *field.Field, p, q Poly) Poly {
 	n := len(p)
@@ -123,84 +114,4 @@ func DivMod(f *field.Field, p, d Poly) (quo, rem Poly) {
 		}
 	}
 	return Normalize(quo), Normalize(rem)
-}
-
-// LagrangeBasis returns ℓ_j(z) = Π_{k≠j} (z−x_k)/(x_j−x_k) in coefficient
-// form (paper eq. 13).
-func LagrangeBasis(f *field.Field, xs []field.Elem, j int) Poly {
-	num := Poly{1}
-	denom := field.Elem(1)
-	for k, xk := range xs {
-		if k == j {
-			continue
-		}
-		num = Mul(f, num, Poly{f.Neg(xk), 1})
-		denom = f.Mul(denom, f.Sub(xs[j], xk))
-	}
-	return Scale(f, f.Inv(denom), num)
-}
-
-// LagrangeBasisAll returns every basis polynomial ℓ_0..ℓ_{n−1} at once, in
-// O(n²) total: the master polynomial M(z) = Π_k (z−x_k) is built once, each
-// numerator M/(z−x_j) falls out of a length-n synthetic division, and all n
-// denominators are inverted in one field.InvMany batch. Building the bases
-// one at a time (LagrangeBasis) costs O(n²) polynomial work PLUS a Fermat
-// inversion PER basis — this is the encoder-side analogue of the decode
-// plans in internal/lcc.
-func LagrangeBasisAll(f *field.Field, xs []field.Elem) []Poly {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	// Master polynomial M(z) = Π_k (z−x_k), degree n.
-	master := make(Poly, n+1)
-	master[0] = 1
-	deg := 0
-	for _, xk := range xs {
-		// Multiply by (z − x_k) in place: shift up and subtract x_k·coeff.
-		master[deg+1] = master[deg]
-		for i := deg; i > 0; i-- {
-			master[i] = f.Sub(master[i-1], f.Mul(xk, master[i]))
-		}
-		master[0] = f.Mul(f.Neg(xk), master[0])
-		deg++
-	}
-	invDen := f.InvMany(lagrangeDenominators(f, xs))
-	out := make([]Poly, n)
-	for j, xj := range xs {
-		// Synthetic division: q(z) = M(z)/(z−x_j), exact because x_j is a
-		// root. Coefficients emerge highest-first via Horner's recurrence.
-		q := make(Poly, n)
-		carry := master[n]
-		for i := n - 1; i >= 0; i-- {
-			q[i] = carry
-			carry = f.Add(master[i], f.Mul(xj, carry))
-		}
-		out[j] = Scale(f, invDen[j], q)
-	}
-	return out
-}
-
-// EvalLagrange evaluates the interpolant of (xs, ys) directly at point z
-// without building coefficients — the decode hot path uses the barycentric
-// form below instead; this is the simple reference used in tests.
-func EvalLagrange(f *field.Field, xs, ys []field.Elem, z field.Elem) field.Elem {
-	var acc field.Elem
-	for j := range xs {
-		w := ys[j]
-		for k, xk := range xs {
-			if k == j {
-				continue
-			}
-			w = f.Mul(w, f.Div(f.Sub(z, xk), f.Sub(xs[j], xk)))
-		}
-		acc = f.Add(acc, w)
-	}
-	return acc
-}
-
-// Equal reports whether two polynomials are identical after normalisation.
-func Equal(p, q Poly) bool {
-	p, q = Normalize(p), Normalize(q)
-	return field.EqualVec(p, q)
 }

