@@ -7,8 +7,9 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Absolute virtual seconds come from the
-// simnet calibration; the paper-vs-measured comparison lives in
-// EXPERIMENTS.md.
+// simnet calibration: DESIGN.md §1 ("What is reproduced") says what the
+// evaluation reproduces of the paper, and §2 gives the virtual-time
+// calibration caveats.
 package repro_test
 
 import (
@@ -261,7 +262,7 @@ func BenchmarkAblationDecoders(b *testing.B) {
 	b.Run("erasure-9-verified", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := code.DecodeConcat(idx[:9], results[:9]); err != nil {
+			if _, err := code.DecodeVectors(idx[:9], results[:9]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -276,7 +277,7 @@ func BenchmarkAblationDecoders(b *testing.B) {
 	b.Run("berlekamp-welch-11-with-error", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := code.DecodeConcatWithErrors(idx, corrupted, 1, rng); err != nil {
+			if _, _, err := code.DecodeWithErrors(idx, corrupted, 1, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,8 +9,9 @@
 //	avccbench -exp scenarios -seed 3     # scheme x fault-profile matrix
 //
 // Experiment ids: fig3a fig3b fig3c fig3d table1 fig4a fig4b fig4c fig5
-// scenarios. See EXPERIMENTS.md for the expected shapes versus the paper's
-// results; the scenarios matrix runs every registered backend through every
+// scenarios. DESIGN.md §1 ("What is reproduced") says what the experiments
+// reproduce of the paper, and §2 gives the virtual-time calibration caveats;
+// the scenarios matrix runs every registered backend through every
 // fault-injection preset (internal/scenario) and reports cost, adaptation,
 // and bit-exactness per cell.
 package main

@@ -2,8 +2,9 @@
 // evaluation (Section VI). Each Run* function builds the workload, wires the
 // three systems (AVCC, the LCC baseline, the uncoded baseline) onto the same
 // simulated cluster conditions, trains logistic regression, and returns the
-// series the corresponding figure plots. See EXPERIMENTS.md for paper-vs-
-// measured results and the calibration caveats.
+// series the corresponding figure plots. DESIGN.md §1 ("What is
+// reproduced") says what the experiments reproduce of the paper, and §2
+// gives the virtual-time calibration caveats.
 package experiments
 
 import (

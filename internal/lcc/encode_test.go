@@ -134,7 +134,7 @@ func checkLinearDecode(t *testing.T, name string, fld *field.Field, code *Code, 
 	for r, i := range idx {
 		res[r] = fieldmat.MatVec(fld, shards[i], w)
 	}
-	got, err := code.DecodeConcat(idx, res)
+	got, err := decodeFlat(code, idx, res)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
 	}

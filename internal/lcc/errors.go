@@ -94,16 +94,3 @@ func (c *Code) DecodeWithErrors(workers []int, results [][]field.Elem, maxErrors
 	}
 	return out, bad, nil
 }
-
-// DecodeConcatWithErrors is DecodeWithErrors with concatenated output.
-func (c *Code) DecodeConcatWithErrors(workers []int, results [][]field.Elem, maxErrors int, rng *rand.Rand) ([]field.Elem, []int, error) {
-	blocks, bad, err := c.DecodeWithErrors(workers, results, maxErrors, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]field.Elem, 0, len(blocks)*len(blocks[0]))
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out, bad, nil
-}

@@ -3,6 +3,7 @@ package lcc
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -43,14 +44,14 @@ func TestDecodeWithErrorsNoErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	code, res, want := setupLinear(t, rng, 12, 9)
 	// 11 results (one straggler), M=1 budget, nobody actually Byzantine.
-	got, bad, err := code.DecodeConcatWithErrors(allWorkers(11), res[:11], 1, rng)
+	got, bad, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 0 {
 		t.Fatalf("flagged %v as Byzantine with none present", bad)
 	}
-	if !field.EqualVec(got, want) {
+	if !field.EqualVec(slices.Concat(got...), want) {
 		t.Fatal("decode mismatch")
 	}
 }
@@ -64,14 +65,14 @@ func TestDecodeWithErrorsOneByzantine(t *testing.T) {
 	for j := range res[byz] {
 		res[byz][j] = f.Add(res[byz][j], 7) // arbitrary corruption
 	}
-	got, bad, err := code.DecodeConcatWithErrors(allWorkers(11), res[:11], 1, rng)
+	got, bad, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 1 || bad[0] != byz {
 		t.Fatalf("identified Byzantine positions %v, want [%d]", bad, byz)
 	}
-	if !field.EqualVec(got, want) {
+	if !field.EqualVec(slices.Concat(got...), want) {
 		t.Fatal("decode with 1 error failed")
 	}
 }
@@ -85,14 +86,14 @@ func TestDecodeWithErrorsTwoByzantine(t *testing.T) {
 			res[byz][j] = f.RandNonZero(rng)
 		}
 	}
-	got, bad, err := code.DecodeConcatWithErrors(allWorkers(13), res[:13], 2, rng)
+	got, bad, err := code.DecodeWithErrors(allWorkers(13), res[:13], 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 2 {
 		t.Fatalf("identified %v, want 2 positions", bad)
 	}
-	if !field.EqualVec(got, want) {
+	if !field.EqualVec(slices.Concat(got...), want) {
 		t.Fatal("decode with 2 errors failed")
 	}
 }
@@ -107,8 +108,8 @@ func TestDecodeWithErrorsBudgetExceeded(t *testing.T) {
 			res[byz][j] = f.Rand(rng)
 		}
 	}
-	got, _, err := code.DecodeConcatWithErrors(allWorkers(11), res[:11], 1, rng)
-	if err == nil && field.EqualVec(got, want) {
+	got, _, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
+	if err == nil && field.EqualVec(slices.Concat(got...), want) {
 		t.Fatal("decode claimed success beyond its error budget")
 	}
 }
@@ -117,7 +118,7 @@ func TestDecodeWithErrorsTooFewResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	code, res, _ := setupLinear(t, rng, 12, 9)
 	// 10 results cannot correct 1 error (need 11).
-	if _, _, err := code.DecodeConcatWithErrors(allWorkers(10), res[:10], 1, rng); !errors.Is(err, ErrTooManyByzantine) {
+	if _, _, err := code.DecodeWithErrors(allWorkers(10), res[:10], 1, rng); !errors.Is(err, ErrTooManyByzantine) {
 		t.Fatalf("expected ErrTooManyByzantine, got %v", err)
 	}
 }
@@ -125,14 +126,14 @@ func TestDecodeWithErrorsTooFewResults(t *testing.T) {
 func TestDecodeWithErrorsZeroBudgetFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	code, res, want := setupLinear(t, rng, 12, 9)
-	got, bad, err := code.DecodeConcatWithErrors(allWorkers(9), res[:9], 0, rng)
+	got, bad, err := code.DecodeWithErrors(allWorkers(9), res[:9], 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 0 {
 		t.Fatal("zero-budget decode flagged workers")
 	}
-	if !field.EqualVec(got, want) {
+	if !field.EqualVec(slices.Concat(got...), want) {
 		t.Fatal("zero-budget decode mismatch")
 	}
 }
@@ -193,7 +194,7 @@ func BenchmarkLCCErrorDecode12Workers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := code.DecodeConcatWithErrors(idx, res, 1, rng); err != nil {
+		if _, _, err := code.DecodeWithErrors(idx, res, 1, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

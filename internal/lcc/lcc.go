@@ -316,19 +316,6 @@ func (c *Code) points(workers []int) []field.Elem {
 	return xs
 }
 
-// DecodeConcat decodes and concatenates block results into one vector.
-func (c *Code) DecodeConcat(workers []int, results [][]field.Elem) ([]field.Elem, error) {
-	blocks, err := c.DecodeVectors(workers, results)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]field.Elem, 0, len(blocks)*len(blocks[0]))
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
 // checkWorkers rejects an out-of-range or repeated worker index. It marks
 // the workers seen in a bitset, on the stack for codes of up to 256 workers.
 func (c *Code) checkWorkers(workers []int) error {

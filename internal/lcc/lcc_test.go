@@ -15,6 +15,13 @@ func applyLinear(sh *fieldmat.Matrix, w []field.Elem) []field.Elem {
 	return fieldmat.MatVec(f, sh, w)
 }
 
+// decodeFlat decodes into one output of K·b elements, which is the K
+// decoded blocks concatenated.
+func decodeFlat(code *Code, workers []int, results [][]field.Elem) ([]field.Elem, error) {
+	out := make([]field.Elem, code.K()*len(results[0]))
+	return out, code.DecodeInto([][]field.Elem{out}, workers, results)
+}
+
 // applySquare simulates a worker computing the element-wise square of its
 // shard flattened to a vector — a degree-2 polynomial computation, the
 // smallest nonlinear case LCC supports and MDS does not.
@@ -108,7 +115,7 @@ func TestLinearDecodeMatchesMDSBehaviour(t *testing.T) {
 			res[r] = results[i]
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := code.DecodeConcat(idx, res)
+			got, err := decodeFlat(code, idx, res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,11 +299,11 @@ func TestExtraResultsIgnoredConsistently(t *testing.T) {
 	for r, i := range idx {
 		res[r] = applyLinear(shards[i], w)
 	}
-	all, err := code.DecodeConcat(idx, res)
+	all, err := decodeFlat(code, idx, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nine, err := code.DecodeConcat(idx[:9], res[:9])
+	nine, err := decodeFlat(code, idx[:9], res[:9])
 	if err != nil {
 		t.Fatal(err)
 	}

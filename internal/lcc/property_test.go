@@ -2,6 +2,7 @@ package lcc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func TestEncodeDecodeIdentityQuickLinear(t *testing.T) {
 		for i, wk := range perm {
 			res[i] = fieldmat.MatVec(f, shards[wk], w)
 		}
-		got, err := code.DecodeConcat(perm, res)
+		got, err := decodeFlat(code, perm, res)
 		if err != nil {
 			return false
 		}
@@ -120,11 +121,11 @@ func TestErrorDecodeIdentityQuick(t *testing.T) {
 			res[p] = field.CopyVec(res[p])
 			res[p][r.Intn(len(res[p]))] = f.Add(res[p][0], f.RandNonZero(r))
 		}
-		got, bad, err := code.DecodeConcatWithErrors(idx, res, maxErr, r)
+		got, bad, err := code.DecodeWithErrors(idx, res, maxErr, r)
 		if err != nil {
 			return false
 		}
-		if !field.EqualVec(got, fieldmat.MatVec(f, x, w)) {
+		if !field.EqualVec(slices.Concat(got...), fieldmat.MatVec(f, x, w)) {
 			return false
 		}
 		// Flagged positions must be a subset of the corrupted ones (a

@@ -2,14 +2,17 @@ package scheme
 
 // The elastic shard plane at the scheme layer: construction through the
 // registry (WithRebalance / WithGroupScenarios), bit-exact serving across
-// mid-run topology changes, the Service→master feedback loop, and the
-// degraded-fleet soak behind the "recovers without restart" claim.
+// mid-run topology changes, the Service→master feedback loop, Service
+// accounting across a retire/add cycle, and the degraded-fleet soak behind
+// the "recovers without restart" claim.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
@@ -169,6 +172,98 @@ func TestServiceTicksElasticMaster(t *testing.T) {
 	}
 	if st.LastError != "" {
 		t.Fatalf("ticking recorded an error: %s", st.LastError)
+	}
+}
+
+// TestServiceCountersReconcileAcrossElasticCycle drives a Service over an
+// elastic deployment that retires and adds groups while concurrent callers
+// submit (seed slot 0 runs 6x slow; growth pressure adds a group, then the
+// laggard is replaced). The accounting must survive the topology churn
+// exactly: nothing fails, every decode is the exact product, each tenant's
+// submits are completed, failed or rejected, and every completed request
+// rode exactly one round.
+func TestServiceCountersReconcileAcrossElasticCycle(t *testing.T) {
+	const (
+		callers = 8
+		submits = 25 // per caller
+	)
+	tenants := []string{"alpha", "beta", "gamma", "delta"}
+	f := field.Default()
+	rng := rand.New(rand.NewSource(31))
+	x := fieldmat.Rand(f, rng, 240, 16)
+	m, err := New("avcc", f, NewConfig(
+		WithSeed(31),
+		WithShards(2),
+		WithSim(conformanceSim()),
+		WithGroupScenarios(degradeAll(12, 6, 0)), // slot 0 runs 6x slow from the start
+		WithRebalance(shard.RebalanceConfig{
+			Alpha: 0.5, Ratio: 1.2, CooldownRounds: 1,
+			MinGroups: 1, MaxGroups: 3,
+			ScaleUpWall: 1e-9, // constant growth pressure: add, then replace the laggard
+		}),
+	), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(m, ServiceConfig{MaxBatch: 4, MaxLinger: time.Millisecond})
+
+	inputs := make([][][]field.Elem, callers)
+	for c := range inputs {
+		inputs[c] = make([][]field.Elem, submits)
+		for i := range inputs[c] {
+			inputs[c][i] = f.RandVec(rng, x.Cols)
+		}
+	}
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		completed int
+	)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ctx := WithTenant(context.Background(), tenants[c%len(tenants)])
+			for i, in := range inputs[c] {
+				out, err := svc.Submit(ctx, "fwd", in).Wait(context.Background())
+				if err != nil {
+					t.Errorf("caller %d request %d: %v", c, i, err)
+					continue
+				}
+				if !field.EqualVec(out.Decoded, fieldmat.MatVec(f, x, in)) {
+					t.Errorf("caller %d request %d: decode across the cycle is not the exact product", c, i)
+				}
+				mu.Lock()
+				completed++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	st := m.(Elastic).RebalanceStatus()
+	if st.GroupsRetired < 1 || st.GroupsAdded < 1 {
+		t.Fatalf("no retire/add cycle happened under load (status %+v); the reconciliation is vacuous", st)
+	}
+	stats := svc.Stats()
+	var totCompleted uint64
+	for _, ts := range stats.Tenants {
+		if ts.Submitted != ts.Completed+ts.Failed+ts.Rejected {
+			t.Errorf("tenant %s: submitted %d != completed %d + failed %d + rejected %d",
+				ts.Tenant, ts.Submitted, ts.Completed, ts.Failed, ts.Rejected)
+		}
+		totCompleted += ts.Completed
+	}
+	if int(totCompleted) != completed {
+		t.Errorf("tenants account %d completed requests, callers saw %d", totCompleted, completed)
+	}
+	// Every completed request rode exactly one coded round across the
+	// retire/add cycle: none lost, none double-counted.
+	if int(stats.Requests) != completed {
+		t.Errorf("rounds carried %d requests, callers completed %d", stats.Requests, completed)
 	}
 }
 
