@@ -1,7 +1,7 @@
 package repro_test
 
 // TestAllocGate pins the committed zero-allocation contract: every "lazy",
-// "packed", "packed-batch", "words…" and "bytes…" row in BENCH_kernels.json
+// "packed", "packed-batch", "words…" and "bytes…" (masked among them) row in BENCH_kernels.json
 // recorded with allocs_per_op = 0 is re-measured
 // here with testing.AllocsPerRun and must still be zero. The noalloc static
 // analyzer (internal/lint, DESIGN.md §13) enforces the same contract at
@@ -86,6 +86,9 @@ func gateKernels(t *testing.T) map[string]func() {
 	roundIn := f.RandVec(rng, 32*gateDim)
 	roundOut := make([]field.Elem, 32*gateRows)
 	packBytesOut := make([]uint8, len(bytes.Data))
+	// A raw block of train_logreg's data at the gate's shape: masked where
+	// the CPU has the masked tier.
+	masked := fieldmat.Pack(f, logregShard(f, gateRows, gateDim-1, gateRows))
 
 	kernels := map[string]func(){
 		"Dot/paper":    func() { dotSink = f.Dot(a, x) },
@@ -122,7 +125,10 @@ func gateKernels(t *testing.T) map[string]func() {
 		}
 	}
 	// The batch-1 round cycling many shards of each view.
-	for variant, view := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes} {
+	kernels["MatVec/bytes-masked/paper"] = func() {
+		fieldmat.MatVecInto(f, roundOut[:gateRows], masked, roundIn[:gateDim])
+	}
+	for variant, view := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes, "bytes-masked-stream": masked} {
 		shards := streamShards(f, view)
 		next := 0
 		kernels["MatVec/"+variant+"/paper"] = func() {
@@ -185,11 +191,11 @@ func TestAllocGate(t *testing.T) {
 		})
 	}
 	// The artifact currently commits six zero-alloc lazy rows (Keygen among
-	// them), one packed and two packed-batch rows, eight words/bytes rows and
-	// the byte narrowing's Pack row; losing rows silently would hollow out
-	// the gate.
-	if gated < 18 {
-		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 18", gated)
+	// them), one packed and two packed-batch rows, ten words/bytes rows (the
+	// two masked ones among them) and the byte narrowing's Pack row; losing
+	// rows silently would hollow out the gate.
+	if gated < 20 {
+		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 20", gated)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/commit"
+	"repro/internal/dataset"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/lcc"
@@ -134,8 +135,14 @@ type kernelBenchRecord struct {
 	// on train_logreg's 334×2501 shard over fieldmat.Pack's 32-bit word view
 	// of a parity shard and its byte view of a raw integer block) or a
 	// "-stream" suffix (the batch-1 round cycling an iteration's 24 shards,
-	// so they stream from memory), on the
-	// Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
+	// so they stream from memory); "bytes-masked" and "bytes-masked-stream"
+	// are the batch-1 round and its 24-shard cycle on a raw block of
+	// train_logreg's own data (dataset.Generate, 26 % nonzero), whose byte
+	// view is masked where the CPU has AVX512_VNNI and AVX512_VBMI2 (env
+	// "masked_tier"). There the "bytes…" cells run masked views too, at
+	// 99 % nonzero, so they compare only with refreshes whose env block
+	// names the same masked_tier; elsewhere they run the dense byte view.
+	// On the Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
 	// LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
 	// Modulus names the prime field the cell ran on: every cell runs on
@@ -157,6 +164,7 @@ type kernelBenchRecord struct {
 var sideVariants = []string{
 	"packed-batch",
 	"words", "bytes", "words-stream", "bytes-stream",
+	"bytes-masked", "bytes-masked-stream",
 	"words-batch4", "bytes-batch4", "words-batch32", "bytes-batch32",
 }
 
@@ -184,6 +192,26 @@ func integerMatrix(rng *rand.Rand, rows, cols int) *fieldmat.Matrix {
 		m.Data[i] = field.Elem(rng.Intn(100))
 	}
 	return m
+}
+
+// logregShard returns the first rows rows of train_logreg's fwd matrix at
+// trainN samples of features features (dataset.Generate at the workload's
+// config, integer data below 100, about 26 % nonzero, plus the bias
+// column): worker 0's raw block, whose byte view is the one a systematic
+// worker packs.
+func logregShard(f *field.Field, trainN, features, rows int) *fieldmat.Matrix {
+	dc := dataset.DefaultConfig()
+	dc.TrainN, dc.TestN = trainN, trainN/6
+	dc.Features, dc.Informative = features, features*2/25
+	dc.Seed = 1
+	ds, err := dataset.Generate(dc)
+	if err != nil {
+		panic(err)
+	}
+	x := ds.FieldMatrix(f)
+	shard := fieldmat.NewMatrix(rows, x.Cols)
+	copy(shard.Data, x.Data)
+	return shard
 }
 
 // kernelCell runs fn as a sub-benchmark and records ns/op, allocs/op, and
@@ -274,6 +302,9 @@ func kernelEnv() map[string]any {
 		// this CPU ("avx512-ifma", "avx2" or "generic"): both packed-batch
 		// rows depend on it.
 		"kernel_tier": field.Default().KernelTier(),
+		// Whether byte views are masked (AVX512_VNNI and AVX512_VBMI2):
+		// every "bytes…" MatVec row depends on it.
+		"masked_tier": field.Default().MaskedTier(),
 	}
 }
 
@@ -356,11 +387,23 @@ func BenchmarkKernels(b *testing.B) {
 		}
 	}
 
+	// The batch-1 round on a raw block of train_logreg's data, at its
+	// density: the masked view a systematic worker streams on the masked
+	// tier.
+	masked := fieldmat.Pack(f, logregShard(f, 3000, trainCols-1, trainRows))
+	if masked.Masked() != f.MaskedTier() {
+		b.Fatal("fieldmat.Pack built the wrong byte view for the train_logreg raw block")
+	}
+	kernelCell(b, records, iters, "MatVec", "bytes-masked", "paper", "shard 334x2501 batch 1, train_logreg data", func() {
+		fieldmat.MatVecInto(f, trainOut[:trainRows], masked, trainIn[:trainCols])
+	})
+
 	// The same batch-1 round cycling 24 shards of each view, an iteration's
-	// worth (two rounds of twelve workers): 80 MB of words and 20 MB of
-	// bytes, past the last-level cache a single-shard cell stays in. The 24
-	// views share one Data matrix; only their packed copies are read.
-	for variant, m := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes} {
+	// worth (two rounds of twelve workers): 80 MB of words, 20 MB of dense
+	// bytes and 8 MB of masked ones, past the last-level cache a
+	// single-shard cell stays in. The 24 views share one Data matrix; only
+	// their packed copies are read.
+	for variant, m := range map[string]*fieldmat.Matrix{"words-stream": words, "bytes-stream": bytes, "bytes-masked-stream": masked} {
 		shards := streamShards(f, m)
 		next := 0
 		kernelCell(b, records, iters, "MatVec", variant, "paper", "shard 334x2501 batch 1, 24 shards cycled", func() {

@@ -85,20 +85,32 @@ func TestDotBytesTakesAVX2WhereTheCPUReportsIt(t *testing.T) {
 }
 
 // TestKernelTier is the AVX-512 dispatch guard, and the line CI logs: it
-// reads the feature bits itself, requires useAVX512 and useIFMA to match
-// them, and names the panel tier of each shipped modulus and of a modulus
-// above the IFMA bound.
+// reads the feature bits itself, requires useAVX512, useIFMA and useMasked
+// to match them, names the panel tier of each shipped modulus and of a
+// modulus above the IFMA bound, and logs whether byte views are masked.
 func TestKernelTier(t *testing.T) {
-	avx512, ifma := false, false
+	avx512, ifma, masked := false, false, false
 	if useAVX2 { // OSXSAVE, so XGETBV may run
 		xcr0, _ := xgetbv()
-		_, ebx7, _, _ := cpuid(7, 0)
+		_, ebx7, ecx7, _ := cpuid(7, 0)
+		_, _, ecx1, _ := cpuid(1, 0)
 		zmm := xcr0&0xe6 == 0xe6 // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM state
 		avx512 = zmm && ebx7>>16&1 == 1
 		ifma = avx512 && ebx7>>21&1 == 1 && ebx7>>31&1 == 1 // AVX512IFMA, AVX512VL
+		// AVX512BW, AVX512_VBMI2, AVX512_VNNI, POPCNT
+		masked = avx512 && ebx7>>30&1 == 1 && ecx7>>6&1 == 1 && ecx7>>11&1 == 1 && ecx1>>23&1 == 1
 	}
-	if useAVX512 != avx512 || useIFMA != ifma {
-		t.Fatalf("useAVX512, useIFMA = %v, %v, but the CPU and OS report %v, %v", useAVX512, useIFMA, avx512, ifma)
+	if useAVX512 != avx512 || useIFMA != ifma || useMasked != masked {
+		t.Fatalf("useAVX512, useIFMA, useMasked = %v, %v, %v, but the CPU and OS report %v, %v, %v",
+			useAVX512, useIFMA, useMasked, avx512, ifma, masked)
+	}
+	view := "dense (no AVX512_VNNI with AVX512_VBMI2: dotRows4BytesIFMA/dotRows4BytesAVX2)"
+	if masked {
+		view = "masked (AVX512_VNNI and AVX512_VBMI2: dotMaskedVNNI)"
+	}
+	t.Logf("byte views (paper and ntt q): %s; q=%d (above 2²⁸): dense", view, above28)
+	if MustNew(above28).MaskedTier() || Default().MaskedTier() != masked || NTTFriendly().MaskedTier() != masked {
+		t.Fatalf("the masked tier must run for both shipped moduli exactly where the CPU has it, and never for q ≥ 2²⁸")
 	}
 	above := MustNew(aboveIFMABound)
 	t.Logf("kernel tier: paper q %s, ntt q %s, q=%d %s; Canonical AVX-512 %v",
@@ -138,6 +150,10 @@ func rowBlockKernel(f *Field) string {
 	}
 	return "generic"
 }
+
+// above28 is the smallest prime above 2²⁸, whose words need a fifth 7-bit
+// limb: its byte views stay dense.
+const above28 = 268435459
 
 // aboveIFMABound is the smallest prime above 2²⁶, whose LazyBatch (2047) still
 // admits the panel: the IFMA kernel must not take it.

@@ -25,7 +25,7 @@ var useAVX512, useIFMA = detectAVX512()
 // ECX=0):EBX bit 16) with the OS saving the opmask and ZMM state as well as
 // the XMM and YMM state (XCR0 bits 1, 2 and 5–7), and, for ifma, also
 // AVX512IFMA and AVX512VL (EBX bits 21 and 31). It reads XCR0 only where
-// useAVX2 found OSXSAVE.
+// useAVX2 found OSXSAVE, and sets useMasked.
 func detectAVX512() (avx512, ifma bool) {
 	if !useAVX2 {
 		return false, false
@@ -37,6 +37,7 @@ func detectAVX512() (avx512, ifma bool) {
 	_, ebx, _, _ := cpuid(7, 0)
 	const avx512f, avx512ifma, avx512vl = 1 << 16, 1 << 21, 1 << 31
 	avx512 = ebx&avx512f != 0
+	useMasked = avx512 && detectMasked()
 	return avx512, avx512 && ebx&avx512ifma != 0 && ebx&avx512vl != 0
 }
 

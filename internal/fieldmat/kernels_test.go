@@ -242,8 +242,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	cSmall := NewMatrix(24, 24)
 
 	packed := Pack(f, big)
+	// Byte views: whichever Pack builds on this CPU (masked on the masked
+	// tier), and the dense one on every host.
 	bytes := Pack(f, smallMatrix(rng, 256, 256, 100))
 	smallBytes := Pack(f, smallMatrix(rng, 24, 24, 100))
+	sparse := Pack(f, sparseMatrix(rng, 256, 256, 0.26, 100))
+	denseBytes := denseByteView(f, sparseMatrix(rng, 256, 256, 0.26, 100))
 	batchIn, batchOut := f.RandVec(rng, 5*256), make([]field.Elem, 5*256)
 	// The encoder's combination at the (12,9) parity shape, 9 sources into 3
 	// destinations: several FusedTile tiles past ParallelThreshold, and a
@@ -261,6 +265,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		"MatVecInto/bytes":        func() { MatVecInto(f, y, bytes, x) },
 		"MatVecInto/bytes-serial": func() { MatVecInto(f, ys, smallBytes, xs) },
 		"MatVecBatchInto/bytes":   func() { MatVecBatchInto(f, batchOut, bytes, batchIn, 5) },
+		"MatVecInto/sparse":       func() { MatVecInto(f, y, sparse, x) },
+		"MatVecBatchInto/sparse":  func() { MatVecBatchInto(f, batchOut, sparse, batchIn, 5) },
+		"MatVecInto/dense-bytes":  func() { MatVecInto(f, y, denseBytes, x) },
+		"MatVecBatchInto/dense":   func() { MatVecBatchInto(f, batchOut, denseBytes, batchIn, 5) },
 		"MatVecBatchInto/packed":  func() { MatVecBatchInto(f, batchOut, packed, batchIn, 5) },
 		"MatVecInto/serial":       func() { MatVecInto(f, ys, small, xs) },
 		"MatMulInto/parallel":     func() { MatMulInto(f, cBig, big, big) },

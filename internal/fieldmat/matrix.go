@@ -21,11 +21,14 @@ type Matrix struct {
 	Rows, Cols int
 	Data       []field.Elem
 	// A read-only view built by Pack mirrors Data in one narrower copy:
-	// bytes, one byte per entry, when every entry is below min(256, q), and
-	// packed, 32-bit words, otherwise. Both are nil on every ordinary
-	// matrix; MatVecInto and MatVecBatchInto read whichever is set.
+	// when every entry is below min(256, q), masked, its nonzero bytes
+	// under per-chunk masks, where the CPU has the masked kernels
+	// (field.MaskedTier), else bytes, one byte per entry; and packed,
+	// 32-bit words, otherwise. All are nil on every ordinary matrix;
+	// MatVecInto and MatVecBatchInto read whichever is set.
 	packed []uint32
 	bytes  []uint8
+	masked *field.MaskedBytes
 }
 
 // Pack returns a read-only packed view of m: the same Rows, Cols and Data,
@@ -33,9 +36,12 @@ type Matrix struct {
 // stream instead of Data. A matrix whose entries are all below min(256, q) —
 // the raw blocks of integer data a systematic code hands its first K
 // workers — gets a byte view, an eighth of Data's bytes (field.PackBytes,
-// which gives up at the first entry that does not fit). Any other matrix
+// which gives up at the first entry that does not fit). Where
+// field.MaskedTier holds, that byte view is masked (field.NewMaskedBytes):
+// only the nonzero bytes, under one 64-bit mask per 64 columns of a row, a
+// third of the dense bytes at train_logreg's 26 % density. Any other matrix
 // gets 32-bit words, half of Data's bytes (field.PackWords): lossless
-// because every modulus field.New accepts is below 2^32. Either copy holds
+// because every modulus field.New accepts is below 2^32. Every view holds
 // every entry's canonical residue exactly, so every product is the one Data
 // gives, bit for bit. Pack panics on any entry ≥ q. The view shares Data
 // with m, so neither may be written afterwards: a changed matrix is a new
@@ -47,6 +53,11 @@ func Pack(f *field.Field, m *Matrix) *Matrix {
 	}
 	q := f.Q()
 	if b := packBytes(q, m.Data); b != nil {
+		if f.MaskedTier() {
+			// The view keeps only the nonzero bytes; the dense ones it is
+			// built from are garbage once it is.
+			return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, masked: field.NewMaskedBytes(m.Rows, m.Cols, b)}
+		}
 		return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data, bytes: b}
 	}
 	p := make([]uint32, len(m.Data))
@@ -102,11 +113,15 @@ func CheckCanonical(f *field.Field, m *Matrix) error {
 }
 
 // Packed reports whether m is a packed view built by Pack.
-func (m *Matrix) Packed() bool { return m.packed != nil || m.bytes != nil }
+func (m *Matrix) Packed() bool { return m.packed != nil || m.BytePacked() }
 
 // BytePacked reports whether m is a byte view: a packed view whose entries
-// are all below min(256, q), stored one byte each.
-func (m *Matrix) BytePacked() bool { return m.bytes != nil }
+// are all below min(256, q), stored one byte each, densely or masked.
+func (m *Matrix) BytePacked() bool { return m.bytes != nil || m.masked != nil }
+
+// Masked reports whether m is a masked byte view: a byte view that stores
+// only its nonzero bytes.
+func (m *Matrix) Masked() bool { return m.masked != nil }
 
 // NewMatrix allocates a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -273,24 +288,32 @@ func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
 		return
 	}
 	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
-	dispatch(m.Rows, &task{run: runMatVec, f: f, a: m, x: x, y: y})
+	dispatch(m.Rows, rowGrain, &task{run: runMatVec, f: f, a: m, x: x, y: y})
 }
+
+// rowGrain is the MatVec kernels' pool split: tasks start on a row block
+// of four, as the masked kernel requires (field.DotMaskedRows).
+const rowGrain = 4
 
 //avcc:noalloc
 func runMatVec(t *task) { matVecRows(t.f, t.y, t.a, t.x, t.lo, t.hi) }
 
-// matVecRows computes the rows [lo, hi) of y = m·x. A packed view's row
-// range is one DotPackedRows (DotBytesRows on a byte view) call with one
-// vector, which takes the rows four at a time, the path MatVecBatchInto's
-// one-vector groups share.
+// matVecRows computes the rows [lo, hi) of y = m·x; lo is a multiple of
+// rowGrain. A packed view's row range is one DotPackedRows (DotBytesRows on
+// a byte view, DotMaskedRows on a masked one) call with one vector, which
+// takes the rows four at a time, the path MatVecBatchInto's one-vector
+// groups share.
 //
 //avcc:noalloc
 func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, hi int) {
 	if m.Packed() {
 		ys, xs := [1][]field.Elem{y[lo:hi]}, [1][]field.Elem{x}
-		if p := m.packed; p != nil {
-			f.DotPackedRows(ys[:], xs[:], p[lo*m.Cols:hi*m.Cols], m.Cols)
-		} else {
+		switch {
+		case m.packed != nil:
+			f.DotPackedRows(ys[:], xs[:], m.packed[lo*m.Cols:hi*m.Cols], m.Cols)
+		case m.masked != nil:
+			f.DotMaskedRows(ys[0], x, m.masked, lo)
+		default:
 			f.DotBytesRows(ys[:], xs[:], m.bytes[lo*m.Cols:hi*m.Cols], m.Cols)
 		}
 		return
@@ -306,8 +329,11 @@ func matVecRows(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem, lo, h
 // rows are multiplied into four inputs at a time (field.DotPackedRows, or
 // field.DotBytesRows on a byte view), so a row is read once per four
 // products; a last group of two or three inputs runs the same kernel, and a
-// last single input the row-block kernel MatVecInto runs. An unpacked
-// matrix runs matVecRows once per input. Batch 1 is MatVecInto.
+// last single input the row-block kernel MatVecInto runs. A masked view and
+// an unpacked matrix run matVecRows once per input: a masked product per
+// input measured faster than expanding the rows for the byte panel, even
+// at 99 % nonzero (DESIGN.md §7, "Masked byte views").
+// Batch 1 is MatVecInto.
 // The parallel cut is MatVecInto's, counted on the matrix alone, and the row
 // blocks of a large matrix go to the pool.
 //
@@ -328,7 +354,7 @@ func MatVecBatchInto(f *field.Field, out []field.Elem, m *Matrix, in []field.Ele
 		return
 	}
 	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
-	dispatch(m.Rows, &task{run: runMatVecBatch, f: f, a: m, x: in, y: out, batch: batch})
+	dispatch(m.Rows, rowGrain, &task{run: runMatVecBatch, f: f, a: m, x: in, y: out, batch: batch})
 }
 
 //avcc:noalloc
@@ -339,7 +365,7 @@ func runMatVecBatch(t *task) { matVecBatchRows(t.f, t.y, t.a, t.x, t.batch, t.lo
 //avcc:noalloc
 func matVecBatchRows(f *field.Field, out []field.Elem, m *Matrix, in []field.Elem, batch, lo, hi int) {
 	rows, cols := m.Rows, m.Cols
-	if !m.Packed() {
+	if !m.Packed() || m.masked != nil {
 		for i := 0; i < batch; i++ {
 			matVecRows(f, out[i*rows:(i+1)*rows], m, in[i*cols:(i+1)*cols], lo, hi)
 		}
@@ -392,7 +418,7 @@ func MatMulInto(f *field.Field, c, a, b *Matrix) {
 		return
 	}
 	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
-	dispatch(a.Rows, &task{run: runMatMul, f: f, a: a, b: b, c: c})
+	dispatch(a.Rows, 1, &task{run: runMatMul, f: f, a: a, b: b, c: c})
 }
 
 //avcc:noalloc
@@ -448,7 +474,7 @@ func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
 		return
 	}
 	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
-	dispatch(m.Cols, &task{run: runVecMat, f: f, a: m, x: x, y: y})
+	dispatch(m.Cols, 1, &task{run: runVecMat, f: f, a: m, x: x, y: y})
 }
 
 //avcc:noalloc
@@ -499,7 +525,7 @@ func CombineInto(f *field.Field, dsts, w, srcs [][]field.Elem) {
 		return
 	}
 	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
-	dispatch(tiles, &task{run: runCombine, f: f, dsts: dsts, w: w, srcs: srcs})
+	dispatch(tiles, 1, &task{run: runCombine, f: f, dsts: dsts, w: w, srcs: srcs})
 }
 
 // runCombine turns its tile range into the element range it covers.

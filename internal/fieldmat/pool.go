@@ -78,16 +78,17 @@ func ensurePool() {
 	})
 }
 
-// dispatch splits [0, n) into one contiguous block per pool worker and
-// blocks until all blocks complete. proto supplies the kernel and operands;
-// it is copied into pooled tasks, never retained. Safe for concurrent use
-// from many goroutines (a framed server runs one matvec per request at once).
-func dispatch(n int, proto *task) {
+// dispatch splits [0, n) into one contiguous block per pool worker, each
+// cut on a multiple of grain (the last ends at n), and blocks until all
+// blocks complete. The MatVec kernels cut on row blocks of four (rowGrain):
+// the masked kernel starts a task only on a block, and the dense row-block
+// kernels leave no rows of a task's middle to the one-row kernel. proto
+// supplies the kernel and operands; it is copied into pooled tasks, never
+// retained. Safe for concurrent use from many goroutines (a framed server
+// runs one matvec per request at once).
+func dispatch(n, grain int, proto *task) {
 	ensurePool()
-	workers := poolSize
-	if workers > n {
-		workers = n
-	}
+	workers := min(poolSize, (n+grain-1)/grain)
 	if workers <= 1 {
 		// Run inline, but still through a pooled copy: passing proto itself
 		// into the indirect call would make it escape and cost the callers
@@ -101,12 +102,9 @@ func dispatch(n int, proto *task) {
 		return
 	}
 	wg := wgPool.Get().(*sync.WaitGroup)
-	per := (n + workers - 1) / workers
+	per := ((n+workers-1)/workers + grain - 1) / grain * grain
 	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+per, n)
 		t := taskPool.Get().(*task)
 		*t = *proto
 		t.lo, t.hi = lo, hi

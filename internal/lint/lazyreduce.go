@@ -31,14 +31,24 @@ package lint
 //	products, so rules 1 and 2 apply to the loop around it — and every slice
 //	it is handed must be cut at the call to a LazyBatch-derived length, the
 //	tile bound the analyzer cannot see inside the assembly. A kernel that
-//	returns nothing and takes a []uint64 hands its raw sums back through
-//	that argument instead (the panel kernels behind DotPackedRows, one row
-//	or two rows into four vectors per pass, and the row-block kernels behind
-//	its one-vector form, four rows per pass, whose panel spans many rows, so
-//	no slice they read is one tile long): it must declare its column count
-//	as a parameter named n, and every call, on whichever branch of a tier
-//	dispatch, must hand it an n derived from LazyBatch. Its sums then reach the caller's
-//	accumulators as plain values, where rules 1 to 3 apply as usual. A
+//	returns nothing and whose first parameter (its destination, by the
+//	package's dst-first convention) is a []uint64 hands its raw sums back
+//	through that argument instead (the panel kernels behind DotPackedRows,
+//	one row or two rows into four vectors per pass, and the row-block
+//	kernels behind its one-vector form, four rows per pass, whose panel
+//	spans many rows, so no slice they read is one tile long): it must
+//	declare its column count as a parameter named n, and every call, on
+//	whichever branch of a tier dispatch, must hand it an n derived from
+//	LazyBatch. Its sums then reach the caller's accumulators as plain
+//	values, where rules 1 to 3 apply as usual. A kernel whose destination
+//	is a []uint32 sums byte-by-limb products in int32 lanes (dotMaskedVNNI,
+//	the masked byte view's product: data bytes ≤ 255 times 7-bit limbs ≤
+//	127): LazyBatch does not bound it, the lane width does. It too must
+//	declare n, and every call must hand it an n derived, by the same
+//	clamping shapes, from a named integer constant of at most
+//	⌊(2³¹−1)/(255·127)⌋ = 66 311 columns (maskedTile, 65 536), so that no
+//	row-limb sum can overflow its lane. A kernel whose destination is bytes
+//	(the masked view's build) sums nothing. A
 //	kernel that adds its products into a []uint64 parameter named acc is an
 //	accumulator kernel (lazyAXPY4AVX2, which adds Σ_{k<4} c_k·row_k into
 //	the accumulator behind LazyAcc.AXPY4): one call adds one raw product per
@@ -152,14 +162,41 @@ func isBatchSelector(e ast.Expr) bool {
 	return false
 }
 
+// laneTileMax is the widest column tile an int32-lane kernel may take: a
+// row-limb sum of byte-by-limb products is at most 255·127·n, below 2³¹
+// exactly when n ≤ ⌊(2³¹−1)/(255·127)⌋.
+const laneTileMax = (1<<31 - 1) / (255 * 127)
+
+// laneTile returns the test for an int32-lane kernel's tile bound: e names
+// a constant of integer value at most laneTileMax.
+func laneTile(pass *Pass) func(ast.Expr) bool {
+	return func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		c, ok := pass.Info.Uses[id].(*types.Const)
+		if !ok {
+			return false
+		}
+		v, exact := constant.Int64Val(constant.ToInt(c.Val()))
+		return exact && v > 0 && v <= laneTileMax
+	}
+}
+
 // boundedBy reports whether e is exactly the batch bound or exactly an
 // identifier already known to be at most the bound.
 func boundedBy(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+	return boundedWith(pass, e, tainted, isBatchSelector)
+}
+
+// boundedWith is boundedBy for the bound that isBound recognises.
+func boundedWith(pass *Pass, e ast.Expr, tainted map[types.Object]bool, isBound func(ast.Expr) bool) bool {
 	if e == nil {
 		return false
 	}
 	e = ast.Unparen(e)
-	if isBatchSelector(e) {
+	if isBound(e) {
 		return true
 	}
 	id, ok := e.(*ast.Ident)
@@ -172,8 +209,14 @@ func boundedBy(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 // high bound is tainted, and min() with a tainted argument — never through
 // enlarging arithmetic, so a tainted loop bound really is ≤ LazyBatch.
 func batchTainted(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	return taintedBy(pass, body, isBatchSelector)
+}
+
+// taintedBy computes the objects whose value is at most the bound isBound
+// recognises, through the clamping shapes batchTainted names.
+func taintedBy(pass *Pass, body *ast.BlockStmt, isBound func(ast.Expr) bool) map[types.Object]bool {
 	tainted := make(map[types.Object]bool)
-	taintedExpr := func(e ast.Expr) bool { return boundedBy(pass, e, tainted) }
+	taintedExpr := func(e ast.Expr) bool { return boundedWith(pass, e, tainted, isBound) }
 	// seedIn: shapes whose value cannot exceed a tainted input.
 	seedIn := func(e ast.Expr) bool {
 		switch e := ast.Unparen(e).(type) {
@@ -323,41 +366,58 @@ func checkAsmTiles(pass *Pass, fn *ast.FuncDecl, sites []rawSite, tainted map[ty
 	}
 }
 
+// rawOutKernel is an assembly kernel that hands its raw sums back through
+// its destination argument: col is the index of its column-count parameter
+// n, or -1 where it declares none, and lane is set when the destination is
+// a []uint32 of int32-lane sums.
+type rawOutKernel struct {
+	col  int
+	lane bool
+}
+
 // rawOutKernels returns the assembly kernels that hand their raw sums back
-// through a []uint64 argument rather than a result, each with the index of
-// its column-count parameter n, or -1 where it declares none. Accumulator
-// kernels, which add into their acc argument, are not among them.
-func rawOutKernels(kernels map[types.Object]bool, accs map[types.Object]accumulator) map[types.Object]int {
-	out := make(map[types.Object]int)
+// through their first argument, a []uint64 or a []uint32, rather than a
+// result. Accumulator kernels, which add into their acc argument, are not
+// among them.
+func rawOutKernels(kernels map[types.Object]bool, accs map[types.Object]accumulator) map[types.Object]rawOutKernel {
+	out := make(map[types.Object]rawOutKernel)
 	for obj := range kernels {
 		sig, ok := obj.Type().(*types.Signature)
-		if _, acc := accs[obj]; !ok || acc || sig.Results().Len() != 0 {
+		if _, acc := accs[obj]; !ok || acc || sig.Results().Len() != 0 || sig.Params().Len() == 0 {
 			continue
 		}
-		col, rawOut := -1, false
+		sl, ok := sig.Params().At(0).Type().Underlying().(*types.Slice)
+		if !ok {
+			continue
+		}
+		k := rawOutKernel{col: -1}
+		switch elem, _ := sl.Elem().Underlying().(*types.Basic); {
+		case isUint64(sl.Elem()):
+		case elem != nil && elem.Kind() == types.Uint32:
+			k.lane = true
+		default:
+			continue
+		}
 		for i := 0; i < sig.Params().Len(); i++ {
-			p := sig.Params().At(i)
-			if sl, ok := p.Type().Underlying().(*types.Slice); ok && isUint64(sl.Elem()) {
-				rawOut = true
-			}
-			if p.Name() == "n" {
-				col = i
+			if sig.Params().At(i).Name() == "n" {
+				k.col = i
 			}
 		}
-		if rawOut {
-			out[obj] = col
-		}
+		out[obj] = k
 	}
 	return out
 }
 
 // checkRawOutTiles enforces rule 4 for the kernels rawOutKernels finds: the
-// column count handed to one must be exactly a LazyBatch-derived value, and
-// a kernel that declares no column count cannot be bounded at all.
-func checkRawOutTiles(pass *Pass, fn *ast.FuncDecl, rawOut map[types.Object]int, tainted map[types.Object]bool) {
+// column count handed to one must be exactly a LazyBatch-derived value (a
+// lane-tile-derived one for an int32-lane kernel), and a kernel that
+// declares no column count cannot be bounded at all.
+func checkRawOutTiles(pass *Pass, fn *ast.FuncDecl, rawOut map[types.Object]rawOutKernel, tainted map[types.Object]bool) {
 	if len(rawOut) == 0 {
 		return
 	}
+	isLane := laneTile(pass)
+	lane := taintedBy(pass, fn.Body, isLane)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -367,14 +427,20 @@ func checkRawOutTiles(pass *Pass, fn *ast.FuncDecl, rawOut map[types.Object]int,
 		if !ok {
 			return true
 		}
-		col, ok := rawOut[pass.Info.Uses[id]]
+		k, ok := rawOut[pass.Info.Uses[id]]
 		switch {
 		case !ok:
-		case col < 0:
+		case k.col < 0:
 			pass.Reportf(call.Pos(),
-				"assembly kernel %s in %s returns raw sums through a []uint64 but declares no column count n: its tiles cannot be bounded",
+				"assembly kernel %s in %s returns raw sums through its destination but declares no column count n: its tiles cannot be bounded",
 				id.Name, fn.Name.Name)
-		case col >= len(call.Args) || !boundedBy(pass, call.Args[col], tainted):
+		case k.lane:
+			if k.col >= len(call.Args) || !boundedWith(pass, call.Args[k.col], lane, isLane) {
+				pass.Reportf(call.Pos(),
+					"assembly kernel %s in %s sums in int32 lanes but is handed a column count not cut to a lane tile: pass n derived from a constant of at most %d columns",
+					id.Name, fn.Name.Name, laneTileMax)
+			}
+		case k.col >= len(call.Args) || !boundedBy(pass, call.Args[k.col], tainted):
 			pass.Reportf(call.Pos(),
 				"assembly kernel %s in %s is handed a column count not cut to LazyBatch: pass n derived from LazyBatch",
 				id.Name, fn.Name.Name)

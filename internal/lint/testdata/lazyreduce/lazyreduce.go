@@ -277,7 +277,7 @@ func rowSums(sums []uint64, a []uint32, cols int, x []uint64)
 func AsmRowsUncounted(f *Field, ys []uint64, a []uint32, x []uint64) {
 	var sums [4]uint64
 	n := min(len(x), f.lazyBatch)
-	rowSums(sums[:len(ys)], a, n, x) // want "assembly kernel rowSums in AsmRowsUncounted returns raw sums through a .]uint64 but declares no column count n"
+	rowSums(sums[:len(ys)], a, n, x) // want "assembly kernel rowSums in AsmRowsUncounted returns raw sums through its destination but declares no column count n"
 	for r := range ys {
 		ys[r] = f.barrett(sums[r])
 	}
@@ -460,4 +460,52 @@ func Acc4BatchRows(f *Field, acc []uint64, c *[4]uint64, rows *[4][]uint64) {
 	}
 	f.ReduceAcc(local)
 	copy(acc, local)
+}
+
+// laneTile is an int32-lane kernel's column tile: 255·127·laneTile < 2³¹.
+const laneTile = 1 << 16
+
+// wideTile is too wide a tile for int32 lanes: 255·127·wideTile ≥ 2³¹.
+const wideTile = 1 << 17
+
+// laneSums is an int32-lane kernel, the masked product's shape: it stores
+// into sums[4r+l] the int32 sum of byte row r times the 7-bit limb l of
+// the n input words, masks selecting each row's nonzero bytes.
+func laneSums(sums []uint32, masks []uint64, vals []uint8, limbs []uint8, n int)
+
+// expandBytes writes bytes, not sums: no raw-out kernel, though it takes
+// a []uint64 of masks.
+func expandBytes(dst []uint8, masks []uint64, vals []uint8)
+
+// AsmLaneRows mirrors the masked row loop: the column count cut to the lane
+// tile, each row's limb sums combined and reduced per tile. Clean.
+func AsmLaneRows(f *Field, y []uint64, masks []uint64, vals []uint8, limbs []uint8, cols int) {
+	var sums [16]uint32
+	expandBytes(vals[:0], masks, vals)
+	for c0 := 0; c0 < cols; c0 += laneTile {
+		n := min(cols-c0, laneTile)
+		laneSums(sums[:], masks, vals, limbs, n)
+		for i := range y {
+			t := sums[4*i : 4*i+4]
+			s := uint64(t[0]) + uint64(t[1])<<7 + uint64(t[2])<<14 + uint64(t[3])<<21
+			if c0 > 0 {
+				s += y[i]
+			}
+			y[i] = f.barrett(s)
+		}
+	}
+}
+
+// AsmLaneBatchTiles cuts the int32-lane kernel's columns to LazyBatch,
+// which bounds uint64 sums, not int32 lanes, and to a tile too wide for
+// them.
+func AsmLaneBatchTiles(f *Field, y []uint64, masks []uint64, vals []uint8, limbs []uint8, cols int) {
+	var sums [16]uint32
+	n := min(cols, f.lazyBatch)
+	laneSums(sums[:], masks, vals, limbs, n) // want "assembly kernel laneSums in AsmLaneBatchTiles sums in int32 lanes but is handed a column count not cut to a lane tile"
+	w := min(cols, wideTile)
+	laneSums(sums[:], masks, vals, limbs, w) // want "assembly kernel laneSums in AsmLaneBatchTiles sums in int32 lanes but is handed a column count not cut to a lane tile"
+	for i := range y {
+		y[i] = f.barrett(uint64(sums[4*i]))
+	}
 }
