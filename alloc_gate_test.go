@@ -1,7 +1,8 @@
 package repro_test
 
 // TestAllocGate pins the committed zero-allocation contract: every "lazy",
-// "packed", "packed-batch", "words…" and "bytes…" (masked among them) row in BENCH_kernels.json
+// "packed", "packed-batch", "words…", "bytes…" (masked among them) and
+// "round-12-callers" row in BENCH_kernels.json
 // recorded with allocs_per_op = 0 is re-measured
 // here with testing.AllocsPerRun and must still be zero. The noalloc static
 // analyzer (internal/lint, DESIGN.md §13) enforces the same contract at
@@ -136,6 +137,12 @@ func gateKernels(t *testing.T) map[string]func() {
 			next = (next + 1) % len(shards)
 		}
 	}
+	// A forward round on twelve goroutines at once: nine raw blocks and
+	// three parity shards.
+	roundShards := []*fieldmat.Matrix{masked, masked, masked, masked, masked, masked, masked, masked, masked, words, words, words}
+	round, stopRound := concurrentRound(f, roundShards, roundIn[:gateDim])
+	t.Cleanup(stopRound)
+	kernels["MatVec/round-12-callers/paper"] = round
 	kernels["Pack/bytes/paper"] = func() {
 		if !field.PackBytes(f.Q(), packBytesOut, bytes.Data) {
 			t.Fatal("PackBytes refused a shard of bytes")
@@ -192,8 +199,8 @@ func TestAllocGate(t *testing.T) {
 	}
 	// The artifact currently commits six zero-alloc lazy rows (Keygen among
 	// them), one packed and two packed-batch rows, ten words/bytes rows (the
-	// two masked ones among them) and the byte narrowing's Pack row; losing
-	// rows silently would hollow out the gate.
+	// two masked ones among them), the twelve-caller round and the byte
+	// narrowing's Pack row; losing rows silently would hollow out the gate.
 	if gated < 20 {
 		t.Errorf("only %d zero-alloc rows gated; BENCH_kernels.json should commit at least 20", gated)
 	}

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/commit"
@@ -142,6 +143,8 @@ type kernelBenchRecord struct {
 	// "masked_tier"). There the "bytes…" cells run masked views too, at
 	// 99 % nonzero, so they compare only with refreshes whose env block
 	// names the same masked_tier; elsewhere they run the dense byte view.
+	// "round-12-callers" is one train_logreg forward round, nine raw blocks
+	// and three parity shards at batch 1, on twelve goroutines at once.
 	// On the Pack cell "bytes" (field.PackBytes, the byte view's narrowing), or on
 	// LCCEncode "fused" (the production encoder).
 	Variant string `json:"variant"`
@@ -164,7 +167,7 @@ type kernelBenchRecord struct {
 var sideVariants = []string{
 	"packed-batch",
 	"words", "bytes", "words-stream", "bytes-stream",
-	"bytes-masked", "bytes-masked-stream",
+	"bytes-masked", "bytes-masked-stream", "round-12-callers",
 	"words-batch4", "bytes-batch4", "words-batch32", "bytes-batch32",
 }
 
@@ -194,12 +197,10 @@ func integerMatrix(rng *rand.Rand, rows, cols int) *fieldmat.Matrix {
 	return m
 }
 
-// logregShard returns the first rows rows of train_logreg's fwd matrix at
-// trainN samples of features features (dataset.Generate at the workload's
-// config, integer data below 100, about 26 % nonzero, plus the bias
-// column): worker 0's raw block, whose byte view is the one a systematic
-// worker packs.
-func logregShard(f *field.Field, trainN, features, rows int) *fieldmat.Matrix {
+// logregMatrix returns train_logreg's fwd matrix at trainN samples of
+// features features: dataset.Generate at the workload's config, integer
+// data below 100, about 26 % nonzero, plus the bias column.
+func logregMatrix(f *field.Field, trainN, features int) *fieldmat.Matrix {
 	dc := dataset.DefaultConfig()
 	dc.TrainN, dc.TestN = trainN, trainN/6
 	dc.Features, dc.Informative = features, features*2/25
@@ -208,10 +209,49 @@ func logregShard(f *field.Field, trainN, features, rows int) *fieldmat.Matrix {
 	if err != nil {
 		panic(err)
 	}
-	x := ds.FieldMatrix(f)
+	return ds.FieldMatrix(f)
+}
+
+// logregShard returns the first rows rows of logregMatrix: worker 0's raw
+// block, whose byte view is the one a systematic worker packs.
+func logregShard(f *field.Field, trainN, features, rows int) *fieldmat.Matrix {
+	x := logregMatrix(f, trainN, features)
 	shard := fieldmat.NewMatrix(rows, x.Cols)
 	copy(shard.Data, x.Data)
 	return shard
+}
+
+// concurrentRound starts one goroutine per shard, each holding its own
+// output. A call of round has every goroutine multiply its shard by in
+// (batch 1), all started together, and returns once all are done; stop
+// ends the goroutines. The goroutines outlive the calls, so round
+// allocates nothing.
+func concurrentRound(f *field.Field, shards []*fieldmat.Matrix, in []field.Elem) (round, stop func()) {
+	var done sync.WaitGroup
+	starts := make([]chan struct{}, len(shards))
+	for i, shard := range shards {
+		starts[i] = make(chan struct{}, 1)
+		out := make([]field.Elem, shard.Rows)
+		go func() {
+			for range starts[i] {
+				fieldmat.MatVecInto(f, out, shard, in)
+				done.Done()
+			}
+		}()
+	}
+	round = func() {
+		done.Add(len(starts))
+		for _, start := range starts {
+			start <- struct{}{}
+		}
+		done.Wait()
+	}
+	stop = func() {
+		for _, start := range starts {
+			close(start)
+		}
+	}
+	return round, stop
 }
 
 // kernelCell runs fn as a sub-benchmark and records ns/op, allocs/op, and
@@ -390,7 +430,8 @@ func BenchmarkKernels(b *testing.B) {
 	// The batch-1 round on a raw block of train_logreg's data, at its
 	// density: the masked view a systematic worker streams on the masked
 	// tier.
-	masked := fieldmat.Pack(f, logregShard(f, 3000, trainCols-1, trainRows))
+	rawBlocks := fieldmat.SplitRows(fieldmat.PadRows(logregMatrix(f, 3000, trainCols-1), 9), 9)
+	masked := fieldmat.Pack(f, rawBlocks[0])
 	if masked.Masked() != f.MaskedTier() {
 		b.Fatal("fieldmat.Pack built the wrong byte view for the train_logreg raw block")
 	}
@@ -411,6 +452,23 @@ func BenchmarkKernels(b *testing.B) {
 			next = (next + 1) % len(shards)
 		})
 	}
+
+	// One forward round of train_logreg as its twelve in-process framed
+	// workers run it: nine raw blocks (masked views on the masked tier) and
+	// three parity shards (word views, drawn from their own source so the
+	// later cells keep their inputs), each times the round's input on its
+	// own goroutine.
+	roundRng := rand.New(rand.NewSource(100))
+	roundShards := make([]*fieldmat.Matrix, 0, 12)
+	for _, blk := range rawBlocks {
+		roundShards = append(roundShards, fieldmat.Pack(f, blk))
+	}
+	for len(roundShards) < 12 {
+		roundShards = append(roundShards, fieldmat.Pack(f, fieldmat.Rand(f, roundRng, trainRows, trainCols)))
+	}
+	round, stopRound := concurrentRound(f, roundShards, trainIn[:trainCols])
+	kernelCell(b, records, iters, "MatVec", "round-12-callers", "paper", "12 shards 334x2501 batch 1 on 12 goroutines, train_logreg data", round)
+	stopRound()
 
 	// MatMul: a shard times a 64-wide weight batch.
 	bm := fieldmat.Rand(f, rng, d, mulCols)

@@ -3,8 +3,11 @@ package fieldmat
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/field"
 )
@@ -186,6 +189,89 @@ func TestPoolSizedFromGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// goroutineID returns the running goroutine's number, read off the first
+// line of its stack trace ("goroutine 7 [running]:").
+func goroutineID() field.Elem {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, err := strconv.ParseUint(s[:strings.IndexByte(s, ' ')], 10, 64)
+	if err != nil {
+		panic("goroutineID: " + err.Error())
+	}
+	return id
+}
+
+// markRangeOn records its task's range and goroutine: y[lo] = hi and
+// x[lo] = the goroutine's number.
+func markRangeOn(t *task) {
+	t.y[t.lo] = field.Elem(t.hi)
+	t.x[t.lo] = goroutineID()
+}
+
+// TestDispatchRunsInlineBesideAnotherCall pins the pool's rule for
+// concurrent callers: while one dispatch is in flight (held on a channel in
+// its tasks), a second covers [0, n) in one task on its caller's goroutine.
+// Once the first returns, a lone dispatch splits again into
+// min(poolSize, ⌈n/grain⌉) tasks cut on the grain.
+func TestDispatchRunsInlineBesideAnotherCall(t *testing.T) {
+	ensurePool()
+	const n = 334 // train_logreg's fwd shard rows
+	started, release, done := make(chan struct{}, poolSize), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		hold := func(*task) {
+			started <- struct{}{}
+			<-release
+		}
+		dispatch(poolSize*rowGrain, rowGrain, &task{run: hold})
+	}()
+	<-started
+	marks, ids := make([]field.Elem, n), make([]field.Elem, n)
+	caller, second := make(chan field.Elem, 1), make(chan struct{})
+	go func() {
+		defer close(second)
+		caller <- goroutineID()
+		dispatch(n, rowGrain, &task{run: markRangeOn, x: ids, y: marks})
+	}()
+	waited := false
+	select {
+	case <-second:
+	case <-time.After(10 * time.Second):
+		waited = true
+	}
+	close(release)
+	<-done
+	<-second
+	if waited {
+		t.Fatal("beside a call in flight, a second call waited for the pool's held workers")
+	}
+	oneTask := make([]field.Elem, n)
+	oneTask[0] = n
+	if !field.EqualVec(marks, oneTask) {
+		t.Fatalf("beside a call in flight, the tasks did not cover [0, %d) as one", n)
+	}
+	if me := <-caller; ids[0] != me {
+		t.Fatalf("beside a call in flight, the task ran on goroutine %d, want its caller's %d", ids[0], me)
+	}
+
+	if poolSize == 1 {
+		t.Skip("a one-worker pool never splits")
+	}
+	clear(marks)
+	dispatch(n, rowGrain, &task{run: markRange, y: marks})
+	tasks, next := 0, 0
+	for lo := 0; lo < n; lo = int(marks[lo]) {
+		if lo != next || lo%rowGrain != 0 || int(marks[lo]) <= lo {
+			t.Fatalf("a lone call cut a task at [%d, %d)", lo, marks[lo])
+		}
+		tasks++
+		next = int(marks[lo])
+	}
+	if want := min(poolSize, (n+rowGrain-1)/rowGrain); tasks != want || next != n {
+		t.Fatalf("a lone call ran %d tasks over [0, %d), want %d over [0, %d)", tasks, next, want, n)
+	}
+}
+
 // TestKernelsConcurrentCallers hammers the shared pool from many goroutines
 // at once — a framed server's access pattern (one matvec per request) — and
 // checks every result. Run under -race in CI.
@@ -216,6 +302,53 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+
+	// A train_logreg round: twelve workers multiply their 334×2501 shards at
+	// once, nine raw blocks of integer data (byte views, masked on the
+	// masked tier) and three parity shards (word views), at batch 1 and 32.
+	const rows, cols, batch, workers = 334, 2501, 32, 12
+	in := f.RandVec(rng, batch*cols)
+	shards, wants := make([]*Matrix, workers), make([][]field.Elem, workers)
+	for i := range shards {
+		var m *Matrix
+		if i < 9 {
+			m = sparseMatrix(rng, rows, cols, 0.26, 100)
+		} else {
+			m = Rand(f, rng, rows, cols)
+		}
+		wants[i] = make([]field.Elem, batch*rows)
+		for b := 0; b < batch; b++ {
+			MatVecInto(f, wants[i][b*rows:(b+1)*rows], m, in[b*cols:(b+1)*cols])
+		}
+		if shards[i] = Pack(f, m); shards[i].BytePacked() != (i < 9) {
+			t.Fatalf("shard %d: Pack built a byte view %v", i, shards[i].BytePacked())
+		}
+	}
+	errs = make(chan string, workers)
+	for i, p := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]field.Elem, batch*rows)
+			for it := 0; it < 2; it++ {
+				MatVecInto(f, out[:rows], p, in[:cols])
+				if !field.EqualVec(out[:rows], wants[i][:rows]) {
+					errs <- "concurrent packed MatVecInto diverged on shard " + strconv.Itoa(i)
+					return
+				}
+				MatVecBatchInto(f, out, p, in, batch)
+				if !field.EqualVec(out, wants[i]) {
+					errs <- "concurrent packed MatVecBatchInto diverged on shard " + strconv.Itoa(i)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	close(errs)

@@ -13,10 +13,21 @@ package fieldmat
 //
 // Tasks never submit sub-tasks, so the pool cannot deadlock on itself: every
 // task runs straight-line kernel code over its row range.
+//
+// The pool splits a call only when the call is alone. A call that starts
+// while another dispatch is in flight runs its whole range on its caller's
+// goroutine: its callers are already parallel (a framed server's
+// concurrent requests, twelve in-process workers of one round), so a split
+// would add two hand-offs and a queue in front of the pool and no
+// parallelism. The pool exists for the lone callers, which have idle cores
+// to spread over: single-caller set-up (the LCC encoder's combination,
+// Freivalds keygen, the receipt commitment) and a remote worker process
+// serving one request at a time.
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/field"
 )
@@ -51,6 +62,9 @@ var (
 	poolTasks chan *task
 	poolSize  int
 
+	// inFlight counts the dispatch calls under way, inline ones included.
+	inFlight atomic.Int32
+
 	taskPool = sync.Pool{New: func() any { return new(task) }}
 	wgPool   = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 )
@@ -82,14 +96,20 @@ func ensurePool() {
 // cut on a multiple of grain (the last ends at n), and blocks until all
 // blocks complete. The MatVec kernels cut on row blocks of four (rowGrain):
 // the masked kernel starts a task only on a block, and the dense row-block
-// kernels leave no rows of a task's middle to the one-row kernel. proto
-// supplies the kernel and operands; it is copied into pooled tasks, never
-// retained. Safe for concurrent use from many goroutines (a framed server
-// runs one matvec per request at once).
+// kernels leave no rows of a task's middle to the one-row kernel. A call
+// that starts while another dispatch is in flight, and a call with one
+// block to give (one grain of work, or one pool worker), runs [0, n) as one
+// task on its caller's goroutine instead: no kernel's reduction depends on
+// the cut, so the result is the same bit for bit. proto supplies the kernel
+// and operands; it is copied into pooled tasks, never retained. Safe for
+// concurrent use from many goroutines (a framed server runs one matvec per
+// request at once).
 func dispatch(n, grain int, proto *task) {
 	ensurePool()
 	workers := min(poolSize, (n+grain-1)/grain)
-	if workers <= 1 {
+	alone := inFlight.Add(1) == 1
+	defer inFlight.Add(-1)
+	if workers <= 1 || !alone {
 		// Run inline, but still through a pooled copy: passing proto itself
 		// into the indirect call would make it escape and cost the callers
 		// their zero-allocation guarantee.
