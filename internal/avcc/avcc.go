@@ -48,25 +48,12 @@ type Params struct {
 	M int
 	// T is the collusion/privacy budget (random masks).
 	T int
-	// DegF is the degree of the computed polynomial (1 for the paper's
-	// logistic-regression matvec rounds).
-	DegF int
-	// VerifyTrials amplifies Freivalds soundness to (1/q)^trials;
-	// 0 means the paper's single trial.
-	VerifyTrials int
 }
 
-// Feasible reports whether the parameters satisfy the AVCC bound (eq. 2):
-// N ≥ (K+T−1)·deg f + S + M + 1.
+// Feasible reports whether the parameters satisfy the AVCC bound (eq. 2) for
+// the master's degree-1 matvec rounds: N ≥ K + T + S + M.
 func (p Params) Feasible() bool {
-	return p.N >= lcc.RequiredWorkersAVCC(p.K, p.T, p.S, p.M, p.DegF)
-}
-
-func (p Params) trials() int {
-	if p.VerifyTrials <= 0 {
-		return 1
-	}
-	return p.VerifyTrials
+	return p.N >= lcc.RequiredWorkersAVCC(p.K, p.T, p.S, p.M, 1)
 }
 
 // Options configure a master beyond the coding parameters.
@@ -77,10 +64,11 @@ type Options struct {
 	// Seed drives all master-side randomness (verification keys, privacy
 	// masks, jitter) for reproducible runs.
 	Seed int64
-	// Dynamic enables the dynamic re-coding of Section IV (step 5).
-	// Disabled it yields the paper's "Static VCC" comparison point:
-	// verification still rejects Byzantine results every iteration, but the
-	// code never changes and no worker is ever removed.
+	// Dynamic enables the dynamic re-coding of Section IV (step 5). The
+	// scheme registry sets it for "avcc" and clears it for "static-vcc", the
+	// paper's comparison point: verification still rejects Byzantine results
+	// every iteration, but the code never changes and no worker is ever
+	// removed.
 	Dynamic bool
 	// PregeneratedCodings models the paper's mitigation of generating
 	// encoded datasets for multiple coding configurations offline: when
@@ -125,7 +113,7 @@ type Master struct {
 	// surviving shards still decode) — only a re-encode reassigns positions.
 	codePos []int
 	// keys[key][workerID] is the Freivalds key for that worker's shard.
-	keys   map[string][]*verify.AmplifiedKey
+	keys   map[string][]*verify.Key
 	keySrc verify.Source
 
 	// Per-iteration observations feeding the adaptation rule. obsIter is the
@@ -150,8 +138,8 @@ type Master struct {
 func NewMaster(f *field.Field, opt Options, data map[string]*fieldmat.Matrix,
 	behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (*Master, error) {
 	if !opt.Feasible() {
-		return nil, fmt.Errorf("avcc: params %+v violate N >= (K+T-1)degF+S+M+1 = %d",
-			opt.Params, lcc.RequiredWorkersAVCC(opt.K, opt.T, opt.S, opt.M, opt.DegF))
+		return nil, fmt.Errorf("avcc: params %+v violate N >= K+T+S+M = %d",
+			opt.Params, lcc.RequiredWorkersAVCC(opt.K, opt.T, opt.S, opt.M, 1))
 	}
 	if opt.Receipts && opt.T > 0 {
 		return nil, fmt.Errorf("avcc: receipts require T == 0 (got T = %d)", opt.T)
@@ -202,7 +190,7 @@ func (m *Master) IndependentRounds() bool { return !m.opt.Dynamic && m.Driver.In
 // currently active workers, regenerates verification keys, and returns the
 // total encode op count and total distributed elements for cost accounting.
 func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err error) {
-	code, err := lcc.New(m.f, n, k, m.opt.T, m.opt.DegF)
+	code, err := lcc.New(m.f, n, k, m.opt.T, 1)
 	if err != nil {
 		return 0, 0, fmt.Errorf("avcc: cannot build (%d,%d) code: %w", n, k, err)
 	}
@@ -210,12 +198,11 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 		return 0, 0, fmt.Errorf("avcc: %d active workers for code length %d", len(m.active), n)
 	}
 	workers := m.Workers()
-	newKeys := make(map[string][]*verify.AmplifiedKey, len(m.data))
+	newKeys := make(map[string][]*verify.Key, len(m.data))
 	newPos := make([]int, len(workers))
 	for pos, id := range m.active {
 		newPos[id] = pos
 	}
-	trials := m.opt.trials()
 	for key, x := range m.data {
 		shards, err := code.EncodeMatrix(x, m.rng)
 		if err != nil {
@@ -224,14 +211,14 @@ func (m *Master) installCoding(n, k int) (encodeOps, distElems float64, err erro
 		// Encoding each shard combines K+T blocks of shard-size elements.
 		shardElems := float64(shards[0].Rows) * float64(shards[0].Cols)
 		encodeOps += float64(k+m.opt.T) * shardElems * float64(n)
-		keys := make([]*verify.AmplifiedKey, len(workers))
+		keys := make([]*verify.Key, len(workers))
 		for pos, id := range m.active {
 			workers[id].Install(key, shards[pos]) // a stopped round's calls may still be computing
-			keys[id] = verify.NewAmplifiedKey(m.f, m.keySrc, shards[pos], trials)
+			keys[id] = verify.NewKey(m.f, m.keySrc, shards[pos])
 			distElems += shardElems
 		}
-		// Key generation is trials × one pass over the shard.
-		encodeOps += float64(trials) * shardElems * float64(n)
+		// Key generation is one pass over each shard.
+		encodeOps += shardElems * float64(n)
 		newKeys[key] = keys
 	}
 	m.code = code
@@ -267,10 +254,10 @@ func (m *Master) Plan(_ string, iter int) cluster.Plan {
 }
 
 // Check implements cluster.Policy: ONE stacked Freivalds sweep over the
-// worker's whole packed result (verify.CheckBatch), at trials × (input +
-// output) operations.
+// worker's whole packed result (verify.CheckBatch), at input + output
+// operations.
 func (m *Master) Check(r *cluster.Round, res *cluster.Result) (bool, float64) {
-	ops := float64(m.opt.trials()) * float64(len(r.Input)+len(res.Output))
+	ops := float64(len(r.Input) + len(res.Output))
 	return m.keys[r.Key][res.Worker].CheckBatch(r.Input, res.Output, r.Batch), ops
 }
 
@@ -327,8 +314,9 @@ func (m *Master) Observe(r *cluster.Round) int {
 //	A_t = N_t − M_t − S_t − threshold(K_t)  (+1 −1 bookkeeping folded in)
 //
 // decides the next scheme: quarantine the Byzantines (N_{t+1} = N_t − M_t)
-// and, when A_t < 0, shrink K by ⌊A_t/deg f⌋ so the remaining honest
-// non-stragglers suffice to decode without tail latency.
+// and, when A_t < 0, shrink K by ⌊A_t/deg f⌋ = −|A_t| (the matvec rounds have
+// deg f = 1) so the remaining honest non-stragglers suffice to decode
+// without tail latency.
 func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
 	m.obsMu.Lock()
 	defer m.obsMu.Unlock()
@@ -356,21 +344,18 @@ func (m *Master) FinishIteration(iter int) (recodeCost float64, recoded bool) {
 	nNext := len(m.active)
 
 	// Slack beyond what decode needs: how many more stragglers we could
-	// absorb. threshold = (K+T-1)degF + 1 results must arrive and verify.
+	// absorb. threshold = K+T results must arrive and verify.
 	at := nNext - st - m.code.Threshold()
 	kNext := m.kCur
 	if at < 0 {
-		kNext = m.kCur + floorDiv(at, m.opt.DegF)
-		if kNext < 1 {
-			kNext = 1
-		}
+		kNext = max(m.kCur+at, 1)
 	}
 	if kNext == m.kCur {
 		return 0, false
 	}
 	// A valid code must still exist; if not, keep the old one (degenerate
 	// end state: fewer workers than the minimum — surface at next RunRound).
-	if nNext < lcc.RecoveryThreshold(kNext, m.opt.T, m.opt.DegF) || nNext < 1 {
+	if nNext < lcc.RecoveryThreshold(kNext, m.opt.T, 1) || nNext < 1 {
 		return 0, false
 	}
 	encodeOps, distElems, err := m.installCoding(nNext, kNext)
@@ -408,14 +393,4 @@ func median(xs []float64) float64 {
 	}
 	slices.Sort(xs)
 	return xs[len(xs)/2]
-}
-
-// floorDiv is integer division rounding toward negative infinity (Go's /
-// truncates toward zero, which would under-shrink K for negative slack).
-func floorDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
 }

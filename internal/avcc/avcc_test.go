@@ -9,6 +9,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/lcc"
 	"repro/internal/simnet"
 )
 
@@ -32,7 +33,7 @@ func testData(rng *rand.Rand, m, d int) (map[string]*fieldmat.Matrix, *fieldmat.
 
 func paperOpts(s, m int, dynamic bool) Options {
 	return Options{
-		Params:  Params{N: 12, K: 9, S: s, M: m, T: 0, DegF: 1},
+		Params:  Params{N: 12, K: 9, S: s, M: m, T: 0},
 		Sim:     quietSim(),
 		Seed:    1,
 		Dynamic: dynamic,
@@ -41,16 +42,16 @@ func paperOpts(s, m int, dynamic bool) Options {
 
 func TestFeasibility(t *testing.T) {
 	good := []Params{
-		{N: 12, K: 9, S: 1, M: 2, DegF: 1},
-		{N: 12, K: 9, S: 2, M: 1, DegF: 1},
-		{N: 12, K: 9, S: 3, M: 0, DegF: 1},
+		{N: 12, K: 9, S: 1, M: 2},
+		{N: 12, K: 9, S: 2, M: 1},
+		{N: 12, K: 9, S: 3, M: 0},
 	}
 	for _, p := range good {
 		if !p.Feasible() {
 			t.Errorf("%+v should be feasible", p)
 		}
 	}
-	bad := Params{N: 12, K: 9, S: 2, M: 2, DegF: 1} // needs 13
+	bad := Params{N: 12, K: 9, S: 2, M: 2} // needs 13
 	if bad.Feasible() {
 		t.Error("S=2,M=2 at N=12,K=9 should be infeasible")
 	}
@@ -301,31 +302,6 @@ func TestBreakdownConsistency(t *testing.T) {
 	}
 }
 
-func TestVerifyTrialsAmplification(t *testing.T) {
-	rng := rand.New(rand.NewSource(150))
-	data, _ := testData(rng, 18, 6)
-	opt := paperOpts(1, 1, true)
-	opt.VerifyTrials = 3
-	m, err := NewMaster(f, opt, data, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.RunRound(context.Background(), "fwd", f.RandVec(rng, 6), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify time must scale with trials: compare against a 1-trial master.
-	m1, _ := NewMaster(f, paperOpts(1, 1, true), data, nil, nil)
-	out1, err := m1.RunRound(context.Background(), "fwd", f.RandVec(rng, 6), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Breakdown.Verify <= 2*out1.Breakdown.Verify {
-		t.Fatalf("3-trial verify %.3g not ~3x of 1-trial %.3g",
-			out.Breakdown.Verify, out1.Breakdown.Verify)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	data, _ := testData(rng, 18, 6)
@@ -350,28 +326,19 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestDegFValidation(t *testing.T) {
-	data := map[string]*fieldmat.Matrix{"fwd": fieldmat.NewMatrix(18, 6)}
-	opt := paperOpts(1, 1, true)
-	opt.DegF = 0
-	if _, err := NewMaster(f, opt, data, nil, nil); err == nil {
-		t.Fatal("DegF=0 accepted")
-	}
-}
-
 func TestOverProvisionedDegreeStillDecodes(t *testing.T) {
-	// Configuring DegF=2 for a linear (matvec) round over-provisions the
-	// code: the recovery threshold rises to 2(K-1)+1 but the computation is
-	// still degree 1, so interpolation from the larger point set remains
-	// exact. This guards the master's robustness to conservative degree
-	// declarations.
+	// The master codes its matvec rounds at degree 1, so N = 9 workers
+	// over-provision K = 4, S = M = 1 (which need 6): the round still
+	// decodes exactly from the threshold K. A code declared for degree 2
+	// over the same shards raises the threshold to 2(K-1)+1 = 7, but the
+	// computation is still degree 1, so interpolation from the larger
+	// point set remains exact.
 	rng := rand.New(rand.NewSource(170))
 	data, x := testData(rng, 12, 6)
 	opt := Options{
-		Params:  Params{N: 9, K: 4, S: 1, M: 1, DegF: 2}, // threshold 7, N>=9
-		Sim:     quietSim(),
-		Seed:    1,
-		Dynamic: false,
+		Params: Params{N: 9, K: 4, S: 1, M: 1},
+		Sim:    quietSim(),
+		Seed:   1,
 	}
 	m, err := NewMaster(f, opt, data, nil, nil)
 	if err != nil {
@@ -382,10 +349,39 @@ func TestOverProvisionedDegreeStillDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.EqualVec(out.Decoded, fieldmat.MatVec(f, x, w)) {
+	want := fieldmat.MatVec(f, x, w)
+	if !field.EqualVec(out.Decoded, want) {
 		t.Fatal("over-provisioned decode wrong")
 	}
-	if len(out.Used) != 7 {
-		t.Fatalf("used %d, want threshold 7", len(out.Used))
+	if len(out.Used) != 4 {
+		t.Fatalf("used %d, want threshold 4", len(out.Used))
+	}
+
+	code, err := lcc.New(f, 9, 4, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code.Threshold() != 7 {
+		t.Fatalf("degree-2 threshold %d, want 7", code.Threshold())
+	}
+	shards, err := code.EncodeMatrix(x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := []int{8, 0, 5, 2, 7, 3, 1}
+	results := make([][]field.Elem, len(workers))
+	for r, i := range workers {
+		results[r] = fieldmat.MatVec(f, shards[i], w)
+	}
+	blocks, err := code.DecodeVectors(workers, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []field.Elem
+	for _, b := range blocks {
+		got = append(got, b...)
+	}
+	if !field.EqualVec(got, want) {
+		t.Fatal("degree-2 code decoded a degree-1 round wrong")
 	}
 }

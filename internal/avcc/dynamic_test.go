@@ -216,14 +216,3 @@ func TestRepeatedAdaptationEventuallyStable(t *testing.T) {
 		}
 	}
 }
-
-func TestFloorDiv(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{-1, 1, -1}, {-1, 2, -1}, {-3, 2, -2}, {3, 2, 1}, {-4, 2, -2}, {4, 2, 2}, {0, 3, 0},
-	}
-	for _, c := range cases {
-		if got := floorDiv(c.a, c.b); got != c.want {
-			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}

@@ -19,7 +19,7 @@ func TestPrivateModeDecodesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	data, x := testData(rng, 18, 6)
 	opt := Options{
-		Params:  Params{N: 12, K: 9, S: 1, M: 1, T: 1, DegF: 1},
+		Params:  Params{N: 12, K: 9, S: 1, M: 1, T: 1},
 		Sim:     quietSim(),
 		Seed:    3,
 		Dynamic: true,
@@ -45,7 +45,7 @@ func TestPrivateModeShardsAreMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	data, x := testData(rng, 18, 6)
 	opt := Options{
-		Params:  Params{N: 12, K: 9, S: 1, M: 1, T: 1, DegF: 1},
+		Params:  Params{N: 12, K: 9, S: 1, M: 1, T: 1},
 		Sim:     quietSim(),
 		Seed:    3,
 		Dynamic: true,
@@ -70,7 +70,7 @@ func TestPrivateModeByzantineStillCaught(t *testing.T) {
 	data, x := testData(rng, 18, 6)
 	behaviors := byzBehaviors(12, map[int]attack.Behavior{6: attack.Constant{V: 5}})
 	opt := Options{
-		Params:  Params{N: 12, K: 9, S: 0, M: 1, T: 1, DegF: 1},
+		Params:  Params{N: 12, K: 9, S: 0, M: 1, T: 1},
 		Sim:     quietSim(),
 		Seed:    3,
 		Dynamic: true,
@@ -96,7 +96,7 @@ func TestInfeasiblePrivateParamsRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	data, _ := testData(rng, 18, 6)
 	opt := Options{
-		Params: Params{N: 12, K: 9, S: 2, M: 1, T: 1, DegF: 1}, // needs 13
+		Params: Params{N: 12, K: 9, S: 2, M: 1, T: 1}, // needs 13
 		Sim:    quietSim(),
 	}
 	if _, err := NewMaster(f, opt, data, nil, nil); err == nil {

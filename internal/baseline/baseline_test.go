@@ -38,7 +38,7 @@ func honestWith(n int, byz map[int]attack.Behavior) []attack.Behavior {
 }
 
 func lccOpts(s, m int) LCCOptions {
-	return LCCOptions{N: 12, K: 9, S: s, M: m, DegF: 1, Sim: quietSim(), Seed: 3}
+	return LCCOptions{N: 12, K: 9, S: s, M: m, Sim: quietSim(), Seed: 3}
 }
 
 func TestLCCValidation(t *testing.T) {

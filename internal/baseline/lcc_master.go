@@ -21,10 +21,8 @@ import (
 // LCCOptions configure the LCC baseline master.
 type LCCOptions struct {
 	// N, K, S, M, T are the coding parameters; the design point must
-	// satisfy eq. (1): N ≥ (K+T−1)·deg f + S + 2M + 1.
+	// satisfy eq. (1) for the degree-1 matvec rounds: N ≥ K + T + S + 2M.
 	N, K, S, M, T int
-	// DegF is the computation degree (1 for the logreg rounds).
-	DegF int
 	// Sim is the latency model.
 	Sim simnet.Config
 	// Seed drives privacy masks and the error-locating projection.
@@ -32,7 +30,7 @@ type LCCOptions struct {
 	// Receipts turns on the committed-verification plane: every round
 	// carries a tenant-verifiable receipt over the outputs it consumed.
 	// Requires T == 0 (masked shards are not openable against the public
-	// matrix digest) and DegF == 1.
+	// matrix digest).
 	Receipts bool
 }
 
@@ -60,17 +58,14 @@ type LCCMaster struct {
 // NewLCCMaster encodes data at (N, K, T) and wires up the virtual cluster.
 func NewLCCMaster(f *field.Field, opt LCCOptions, data map[string]*fieldmat.Matrix,
 	behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (*LCCMaster, error) {
-	if opt.DegF < 1 {
-		opt.DegF = 1
+	if opt.N < lcc.RequiredWorkersLCC(opt.K, opt.T, opt.S, opt.M, 1) {
+		return nil, fmt.Errorf("lcc: params violate N >= K+T+S+2M = %d",
+			lcc.RequiredWorkersLCC(opt.K, opt.T, opt.S, opt.M, 1))
 	}
-	if opt.N < lcc.RequiredWorkersLCC(opt.K, opt.T, opt.S, opt.M, opt.DegF) {
-		return nil, fmt.Errorf("lcc: params violate N >= (K+T-1)degF+S+2M+1 = %d",
-			lcc.RequiredWorkersLCC(opt.K, opt.T, opt.S, opt.M, opt.DegF))
+	if opt.Receipts && opt.T > 0 {
+		return nil, fmt.Errorf("lcc: receipts require T == 0 (got T = %d)", opt.T)
 	}
-	if opt.Receipts && (opt.T > 0 || opt.DegF != 1) {
-		return nil, fmt.Errorf("lcc: receipts require T == 0 and DegF == 1 (got T = %d, DegF = %d)", opt.T, opt.DegF)
-	}
-	code, err := lcc.New(f, opt.N, opt.K, opt.T, opt.DegF)
+	code, err := lcc.New(f, opt.N, opt.K, opt.T, 1)
 	if err != nil {
 		return nil, err
 	}

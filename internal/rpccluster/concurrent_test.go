@@ -30,7 +30,6 @@ func overlapCases() []overlapCase {
 	}
 	return []overlapCase{
 		matvec("static-vcc", "static-vcc"),
-		matvec("avcc-static", "avcc", scheme.WithDynamic(false)),
 		matvec("lcc", "lcc"),
 		matvec("uncoded", "uncoded"),
 		// The degree-2 backend's feasible topology, as in the conformance suite.
@@ -167,7 +166,7 @@ func TestIndependentRoundsIsDerived(t *testing.T) {
 		}
 	}
 	dynamic := overlapCase{name: "avcc", scheme: "avcc", key: "fwd",
-		opts: []scheme.Option{scheme.WithCoding(12, 9), scheme.WithBudgets(1, 1, 0), scheme.WithDynamic(true)}}
+		opts: []scheme.Option{scheme.WithCoding(12, 9), scheme.WithBudgets(1, 1, 0)}}
 	if deployOverFrames(t, dynamic, x, nil).IndependentRounds() {
 		t.Error("dynamic avcc over frames declared independent rounds")
 	}

@@ -388,10 +388,9 @@ func TestDeadWorkerIsLostToEveryFastRoundUntilItReturns(t *testing.T) {
 	overFrames(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(215))
 		x := fieldmat.Rand(f, rng, 36, 10)
-		master, err := scheme.New("avcc", f, scheme.NewConfig(
+		master, err := scheme.New("static-vcc", f, scheme.NewConfig(
 			scheme.WithCoding(12, 9),
 			scheme.WithBudgets(1, 2, 0),
-			scheme.WithDynamic(false),
 			scheme.WithSeed(47),
 		), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
 		if err != nil {

@@ -190,10 +190,7 @@ func attachScenario(m Master, f *field.Field, cfg Config, stragglers attack.Stra
 func init() {
 	avccOptions := func(cfg Config, dynamic bool) avcc.Options {
 		return avcc.Options{
-			Params: avcc.Params{
-				N: cfg.N, K: cfg.K, S: cfg.S, M: cfg.M, T: cfg.T,
-				DegF: cfg.DegF, VerifyTrials: cfg.VerifyTrials,
-			},
+			Params:              avcc.Params{N: cfg.N, K: cfg.K, S: cfg.S, M: cfg.M, T: cfg.T},
 			Sim:                 cfg.Sim,
 			Seed:                cfg.Seed,
 			Dynamic:             dynamic,
@@ -204,10 +201,10 @@ func init() {
 	}
 	Register("avcc", nil, func(f *field.Field, cfg Config, data map[string]*fieldmat.Matrix,
 		behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (Master, error) {
-		return avcc.NewMaster(f, avccOptions(cfg, cfg.Dynamic), data, behaviors, stragglers)
+		return avcc.NewMaster(f, avccOptions(cfg, true), data, behaviors, stragglers)
 	})
 	// static-vcc is the paper's non-adaptive comparison point: the same
-	// verified master with re-coding forced off, whatever cfg.Dynamic says.
+	// verified master with re-coding off.
 	Register("static-vcc", nil, func(f *field.Field, cfg Config, data map[string]*fieldmat.Matrix,
 		behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (Master, error) {
 		return avcc.NewMaster(f, avccOptions(cfg, false), data, behaviors, stragglers)
@@ -229,7 +226,7 @@ func init() {
 		behaviors []attack.Behavior, stragglers attack.StragglerSchedule) (Master, error) {
 		return baseline.NewLCCMaster(f, baseline.LCCOptions{
 			N: cfg.N, K: cfg.K, S: cfg.S, M: cfg.M, T: cfg.T,
-			DegF: cfg.DegF, Sim: cfg.Sim, Seed: cfg.Seed,
+			Sim: cfg.Sim, Seed: cfg.Seed,
 			Receipts: cfg.Receipts,
 		}, data, behaviors, stragglers)
 	})

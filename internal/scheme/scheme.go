@@ -99,20 +99,11 @@ type Config struct {
 	N, K int
 	// S, M, T are the straggler, Byzantine, and privacy/collusion budgets.
 	S, M, T int
-	// DegF is the degree of the computed polynomial (1 for matvec rounds;
-	// the gavcc backend fixes its own degree of 2).
-	DegF int
-	// VerifyTrials amplifies Freivalds soundness to (1/q)^trials; 0 means
-	// the paper's single trial.
-	VerifyTrials int
 	// Sim is the latency model used for virtual-time accounting.
 	Sim simnet.Config
 	// Seed drives all master-side randomness (verification keys, privacy
 	// masks, jitter) for reproducible runs.
 	Seed int64
-	// Dynamic enables AVCC's dynamic re-coding (Section IV step 5). The
-	// "static-vcc" scheme name forces it off.
-	Dynamic bool
 	// PregeneratedCodings models offline-generated alternative codings: a
 	// re-code charges only shard redistribution, not re-encoding.
 	PregeneratedCodings bool
@@ -161,20 +152,17 @@ type Config struct {
 type Option func(*Config)
 
 // NewConfig returns the default configuration — the paper's (12, 9)
-// topology with budgets S = M = 1, T = 0, a degree-1 computation, the
-// calibrated latency model, and dynamic re-coding on — overridden by the
-// given options.
+// topology with budgets S = M = 1, T = 0 and the calibrated latency model —
+// overridden by the given options.
 func NewConfig(opts ...Option) Config {
 	cfg := Config{
-		N:       12,
-		K:       9,
-		S:       1,
-		M:       1,
-		T:       0,
-		DegF:    1,
-		Sim:     simnet.DefaultConfig(),
-		Seed:    1,
-		Dynamic: true,
+		N:    12,
+		K:    9,
+		S:    1,
+		M:    1,
+		T:    0,
+		Sim:  simnet.DefaultConfig(),
+		Seed: 1,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -192,11 +180,6 @@ func WithBudgets(s, m, t int) Option {
 	return func(c *Config) { c.S, c.M, c.T = s, m, t }
 }
 
-// WithDegF sets the computed polynomial's degree.
-func WithDegF(degF int) Option {
-	return func(c *Config) { c.DegF = degF }
-}
-
 // WithSim sets the latency model.
 func WithSim(sim simnet.Config) Option {
 	return func(c *Config) { c.Sim = sim }
@@ -205,16 +188,6 @@ func WithSim(sim simnet.Config) Option {
 // WithSeed sets the master-side randomness seed.
 func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }
-}
-
-// WithDynamic toggles AVCC's dynamic re-coding.
-func WithDynamic(dynamic bool) Option {
-	return func(c *Config) { c.Dynamic = dynamic }
-}
-
-// WithVerifyTrials sets the Freivalds amplification factor.
-func WithVerifyTrials(trials int) Option {
-	return func(c *Config) { c.VerifyTrials = trials }
 }
 
 // WithPregeneratedCodings toggles the offline-coding-generation model under

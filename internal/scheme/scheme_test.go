@@ -62,15 +62,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.S != 1 || cfg.M != 1 || cfg.T != 0 {
 		t.Fatalf("default budgets (S=%d,M=%d,T=%d), want (1,1,0)", cfg.S, cfg.M, cfg.T)
 	}
-	if cfg.DegF != 1 {
-		t.Fatalf("default DegF %d, want 1", cfg.DegF)
-	}
-	if cfg.VerifyTrials != 0 {
-		t.Fatalf("default VerifyTrials %d, want 0 (single trial)", cfg.VerifyTrials)
-	}
-	if !cfg.Dynamic {
-		t.Fatal("dynamic re-coding should default on")
-	}
 	if cfg.PregeneratedCodings {
 		t.Fatal("pregenerated codings should default off")
 	}
@@ -85,16 +76,13 @@ func TestConfigOptions(t *testing.T) {
 	cfg := NewConfig(
 		WithCoding(10, 4),
 		WithBudgets(2, 3, 1),
-		WithDegF(2),
 		WithSim(sim),
 		WithSeed(99),
-		WithDynamic(false),
-		WithVerifyTrials(4),
 		WithPregeneratedCodings(true),
 	)
 	want := Config{
-		N: 10, K: 4, S: 2, M: 3, T: 1, DegF: 2, VerifyTrials: 4,
-		Sim: sim, Seed: 99, Dynamic: false, PregeneratedCodings: true,
+		N: 10, K: 4, S: 2, M: 3, T: 1,
+		Sim: sim, Seed: 99, PregeneratedCodings: true,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("options applied wrong:\n got %+v\nwant %+v", cfg, want)
@@ -212,7 +200,7 @@ func TestAdaptiveInterface(t *testing.T) {
 
 	// static-vcc is the same master type with adaptation off; its Name must
 	// reflect that so experiment tables stay distinguishable.
-	s, err := New("static-vcc", f, NewConfig(WithSeed(9), WithDynamic(true)), data, nil, nil)
+	s, err := New("static-vcc", f, NewConfig(WithSeed(9)), data, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

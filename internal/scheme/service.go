@@ -219,12 +219,8 @@ type Service struct {
 	q uint64
 	// elastic is non-nil when master is a shard-plane fleet: after every
 	// successful round the dispatcher feeds it the live load signal (queue
-	// depth, service-wide p99) so the fleet can rebalance or autoscale.
+	// depth) so the fleet can rebalance or autoscale.
 	elastic Elastic
-	// latency aggregates Submit→resolve wall latency across ALL tenants —
-	// the p99 the elastic policy scales on is the service's, not any one
-	// tenant's.
-	latency *metrics.Histogram
 
 	mu    sync.Mutex
 	queue []*request
@@ -260,7 +256,6 @@ func NewService(master Master, cfg ServiceConfig) *Service {
 		master:  master,
 		cfg:     cfg,
 		slots:   slots,
-		latency: metrics.NewHistogram(),
 		pending: make(map[string]int),
 		tenants: make(map[string]*tenantCounters),
 		wake:    make(chan struct{}, 1),
@@ -540,10 +535,7 @@ func (s *Service) runBatch(batch []*request, iter int) {
 			// master's RebalanceStatus().LastError; serving continues on the
 			// previous plan, so there is nothing for the dispatcher to do
 			// with the error here.
-			_, _ = s.elastic.Tick(shard.LoadSignal{
-				QueueDepth: depth,
-				P99Sec:     s.latency.Quantile(0.99),
-			})
+			_, _ = s.elastic.Tick(shard.LoadSignal{QueueDepth: depth})
 		}
 	}
 
@@ -599,6 +591,5 @@ func (s *Service) finish(r *request, out *cluster.RoundOutput, err error) {
 	latency := tc.latency
 	s.mu.Unlock()
 	latency.Observe(elapsed)
-	s.latency.Observe(elapsed)
 	r.fu.resolve(out, err)
 }

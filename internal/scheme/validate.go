@@ -23,8 +23,7 @@ func (e *InvalidConfigError) Error() string {
 
 // Validate checks the scheme-independent invariants every backend relies
 // on: positive topology, K ≤ N, non-negative budgets that leave the code a
-// chance (S+M erasures/corruptions must fit in the N−K redundancy), a
-// positive computation degree, non-negative verification trials, and a
+// chance (S+M erasures/corruptions must fit in the N−K redundancy), and a
 // sane latency model. Backends still enforce their own tighter feasibility
 // bounds (eq. 1 / eq. 2 scale with T and deg f); Validate rejects what no
 // backend could ever accept, with a typed *InvalidConfigError naming the
@@ -51,10 +50,6 @@ func (c Config) Validate() error {
 		return &InvalidConfigError{"T", fmt.Sprintf("= %d, the privacy budget cannot be negative", c.T)}
 	case c.S+c.M > c.N-c.K:
 		return &InvalidConfigError{"S+M", fmt.Sprintf("= %d exceeds the N-K = %d redundant workers: no code can absorb more faults than it has redundancy", c.S+c.M, c.N-c.K)}
-	case c.DegF < 1:
-		return &InvalidConfigError{"DegF", fmt.Sprintf("= %d, the computation degree must be at least 1", c.DegF)}
-	case c.VerifyTrials < 0:
-		return &InvalidConfigError{"VerifyTrials", fmt.Sprintf("= %d, the amplification factor cannot be negative", c.VerifyTrials)}
 	case c.Shards < 0:
 		return &InvalidConfigError{"Shards", fmt.Sprintf("= %d, the shard-group count cannot be negative (0 or 1 means a single group)", c.Shards)}
 	case c.Receipts && c.T > 0:

@@ -3,9 +3,11 @@ package scheme
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fieldmat"
+	"repro/internal/shard"
 	"repro/internal/simnet"
 )
 
@@ -17,23 +19,35 @@ func TestValidateAcceptsTheDefaults(t *testing.T) {
 
 func TestValidateRejectsImpossibleConfigs(t *testing.T) {
 	badSim := simnet.Config{}
+	rebalance := func(rc shard.RebalanceConfig) Config { return NewConfig(WithRebalance(rc)) }
 	cases := []struct {
 		name  string
 		cfg   Config
 		field string
+		// knob, when set, is the RebalanceConfig field the reason must name:
+		// every rebalance rule reports under the one field "Rebalance".
+		knob string
 	}{
-		{"zero workers", NewConfig(WithCoding(0, 1)), "N"},
-		{"negative workers", NewConfig(WithCoding(-3, 1)), "N"},
-		{"zero blocks", NewConfig(WithCoding(12, 0)), "K"},
-		{"K exceeds N", NewConfig(WithCoding(9, 12)), "K"},
-		{"negative straggler budget", NewConfig(WithBudgets(-1, 1, 0)), "S"},
-		{"negative Byzantine budget", NewConfig(WithBudgets(1, -1, 0)), "M"},
-		{"negative privacy budget", NewConfig(WithBudgets(1, 1, -1)), "T"},
-		{"budgets exceed redundancy", NewConfig(WithCoding(12, 9), WithBudgets(2, 2, 0)), "S+M"},
-		{"zero degree", NewConfig(WithDegF(0)), "DegF"},
-		{"negative trials", NewConfig(WithVerifyTrials(-1)), "VerifyTrials"},
-		{"broken latency model", NewConfig(WithSim(badSim)), "Sim"},
-		{"negative shard groups", NewConfig(WithShards(-2)), "Shards"},
+		{"zero workers", NewConfig(WithCoding(0, 1)), "N", ""},
+		{"negative workers", NewConfig(WithCoding(-3, 1)), "N", ""},
+		{"zero blocks", NewConfig(WithCoding(12, 0)), "K", ""},
+		{"K exceeds N", NewConfig(WithCoding(9, 12)), "K", ""},
+		{"negative straggler budget", NewConfig(WithBudgets(-1, 1, 0)), "S", ""},
+		{"negative Byzantine budget", NewConfig(WithBudgets(1, -1, 0)), "M", ""},
+		{"negative privacy budget", NewConfig(WithBudgets(1, 1, -1)), "T", ""},
+		{"budgets exceed redundancy", NewConfig(WithCoding(12, 9), WithBudgets(2, 2, 0)), "S+M", ""},
+		{"broken latency model", NewConfig(WithSim(badSim)), "Sim", ""},
+		{"negative shard groups", NewConfig(WithShards(-2)), "Shards", ""},
+		{"negative EWMA alpha", rebalance(shard.RebalanceConfig{Alpha: -0.1}), "Rebalance", "Alpha"},
+		{"EWMA alpha above one", rebalance(shard.RebalanceConfig{Alpha: 1.5}), "Rebalance", "Alpha"},
+		{"trigger ratio at one", rebalance(shard.RebalanceConfig{Ratio: 1}), "Rebalance", "Ratio"},
+		{"negative min groups", rebalance(shard.RebalanceConfig{MinGroups: -1}), "Rebalance", "MinGroups"},
+		{"negative max groups", rebalance(shard.RebalanceConfig{MaxGroups: -1}), "Rebalance", "MaxGroups"},
+		{"min groups exceed max", rebalance(shard.RebalanceConfig{MinGroups: 3, MaxGroups: 2}), "Rebalance", "exceeds MaxGroups"},
+		{"negative scale-up depth", rebalance(shard.RebalanceConfig{ScaleUpDepth: -1}), "Rebalance", "ScaleUpDepth"},
+		{"negative scale-down depth", rebalance(shard.RebalanceConfig{ScaleDownDepth: -1}), "Rebalance", "ScaleDownDepth"},
+		{"negative scale-up wall", rebalance(shard.RebalanceConfig{ScaleUpWall: -1}), "Rebalance", "ScaleUpWall"},
+		{"negative scale-down ticks", rebalance(shard.RebalanceConfig{ScaleDownTicks: -1}), "Rebalance", "ScaleDownTicks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,6 +61,9 @@ func TestValidateRejectsImpossibleConfigs(t *testing.T) {
 			}
 			if cfgErr.Field != tc.field {
 				t.Fatalf("error names field %q, want %q (%v)", cfgErr.Field, tc.field, err)
+			}
+			if !strings.Contains(cfgErr.Reason, tc.knob) {
+				t.Fatalf("reason %q does not name %s", cfgErr.Reason, tc.knob)
 			}
 		})
 	}

@@ -31,8 +31,8 @@ type Span struct {
 func (s Span) End() int { return s.Start + s.Rows }
 
 // Plan partitions Rows matrix rows into contiguous, non-empty, gap-free
-// spans — one per worker group. Build one with EvenPlan or WeightedPlan (or
-// by hand, then Validate).
+// spans — one per worker group. Build one with EvenPlan (or by hand, then
+// Validate); the elastic plane moves rows between groups at runtime.
 type Plan struct {
 	// Rows is the total row count being partitioned.
 	Rows int `json:"rows"`
@@ -91,62 +91,6 @@ func EvenPlan(rows, groups int) (*Plan, error) {
 		}
 		p.Spans[g] = Span{Start: at, Rows: n}
 		at += n
-	}
-	return p, nil
-}
-
-// WeightedPlan splits rows into len(weights) contiguous spans proportional
-// to the (positive) weights — the knob for heterogeneous groups, where a
-// pool of faster workers should hold a larger row slice. Rounding uses
-// largest-remainder apportionment and every group is guaranteed at least one
-// row, so rows >= len(weights) is required.
-func WeightedPlan(rows int, weights []float64) (*Plan, error) {
-	groups := len(weights)
-	if groups < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 weight")
-	}
-	if rows < groups {
-		return nil, fmt.Errorf("shard: cannot split %d rows across %d groups (every group needs at least one row)", rows, groups)
-	}
-	var total float64
-	for g, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("shard: weight %d is %v, weights must be positive", g, w)
-		}
-		total += w
-	}
-	// Largest-remainder apportionment with a floor of one row per group:
-	// start every group at 1, apportion the remaining rows by weight floors,
-	// then hand out the leftover rows to the largest fractional remainders.
-	counts := make([]int, groups)
-	fracs := make([]float64, groups)
-	spare := rows - groups
-	assigned := 0
-	for g, w := range weights {
-		exact := float64(spare) * (w / total)
-		counts[g] = 1 + int(exact)
-		fracs[g] = exact - float64(int(exact))
-		assigned += counts[g]
-	}
-	for assigned < rows {
-		best := 0
-		for g := 1; g < groups; g++ {
-			if fracs[g] > fracs[best] {
-				best = g
-			}
-		}
-		counts[best]++
-		fracs[best] = -1 // consumed
-		assigned++
-	}
-	p := &Plan{Rows: rows, Spans: make([]Span, groups)}
-	at := 0
-	for g, n := range counts {
-		p.Spans[g] = Span{Start: at, Rows: n}
-		at += n
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

@@ -47,44 +47,6 @@ func TestEvenPlanRejectsImpossibleSplits(t *testing.T) {
 	}
 }
 
-func TestWeightedPlanProportions(t *testing.T) {
-	p, err := WeightedPlan(100, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Spans[0].Rows != 75 || p.Spans[1].Rows != 25 {
-		t.Fatalf("WeightedPlan(100, 3:1) = %d/%d rows, want 75/25", p.Spans[0].Rows, p.Spans[1].Rows)
-	}
-	// Every group keeps at least one row even under extreme skew.
-	p, err = WeightedPlan(10, []float64{1000, 1e-9, 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, s := range p.Spans {
-		if s.Rows < 1 {
-			t.Fatalf("WeightedPlan skew left group %d with %d rows", g, s.Rows)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWeightedPlanRejectsBadWeights(t *testing.T) {
-	if _, err := WeightedPlan(10, []float64{1, 0}); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := WeightedPlan(10, []float64{1, -2}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := WeightedPlan(1, []float64{1, 1}); err == nil {
-		t.Error("more groups than rows accepted")
-	}
-	if _, err := WeightedPlan(10, nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-}
-
 func TestPlanValidateCatchesCorruptPlans(t *testing.T) {
 	bad := []Plan{
 		{Rows: 10, Spans: nil},

@@ -51,9 +51,6 @@ type RebalanceConfig struct {
 	// ScaleUpDepth adds a group when the serving queue depth reaches it
 	// (0 = queue depth does not trigger scale-up).
 	ScaleUpDepth int
-	// ScaleUpP99 adds a group when the serving p99 latency (seconds) reaches
-	// it (0 = p99 does not trigger scale-up).
-	ScaleUpP99 float64
 	// ScaleUpWall adds a group when the slowest group's EWMA VIRTUAL wall
 	// (seconds) reaches it — the deployment-side signal, independent of host
 	// load (0 = wall does not trigger scale-up).
@@ -62,10 +59,6 @@ type RebalanceConfig struct {
 	// it for ScaleDownTicks consecutive ticks. Only consulted when
 	// ScaleUpDepth > 0 (the queue signal is in use).
 	ScaleDownDepth int
-	// ScaleDownWall retires a group when the slowest group's EWMA wall stays
-	// at or below it (seconds) for ScaleDownTicks consecutive ticks
-	// (0 = wall does not trigger scale-down).
-	ScaleDownWall float64
 	// ScaleDownTicks is the consecutive-idle-tick threshold above.
 	// 0 means DefaultScaleDownTicks.
 	ScaleDownTicks int
@@ -115,7 +108,7 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 func (c RebalanceConfig) Validate() error {
 	switch {
 	case c.Alpha < 0 || c.Alpha > 1:
-		return fmt.Errorf("Alpha = %v outside (0, 1]", c.Alpha)
+		return fmt.Errorf("Alpha = %v outside [0, 1] (0 means DefaultAlpha)", c.Alpha)
 	case c.Ratio != 0 && c.Ratio <= 1:
 		return fmt.Errorf("Ratio = %v must exceed 1 (a group slower than itself triggers forever)", c.Ratio)
 	case c.MinGroups < 0 || c.MaxGroups < 0:
@@ -124,8 +117,8 @@ func (c RebalanceConfig) Validate() error {
 		return fmt.Errorf("MinGroups = %d exceeds MaxGroups = %d", c.MinGroups, c.MaxGroups)
 	case c.ScaleUpDepth < 0 || c.ScaleDownDepth < 0:
 		return fmt.Errorf("ScaleUpDepth/ScaleDownDepth = %d/%d cannot be negative", c.ScaleUpDepth, c.ScaleDownDepth)
-	case c.ScaleUpP99 < 0 || c.ScaleUpWall < 0 || c.ScaleDownWall < 0:
-		return fmt.Errorf("scale thresholds cannot be negative")
+	case c.ScaleUpWall < 0:
+		return fmt.Errorf("ScaleUpWall = %v cannot be negative", c.ScaleUpWall)
 	case c.ScaleDownTicks < 0:
 		return fmt.Errorf("ScaleDownTicks = %d cannot be negative", c.ScaleDownTicks)
 	}
@@ -136,11 +129,10 @@ func (c RebalanceConfig) Validate() error {
 func (c RebalanceConfig) autoscale() bool { return c.MaxGroups > 0 }
 
 // LoadSignal is the serving-side feedback Tick consumes: the admission queue
-// depth and the p99 submit-to-resolve latency at tick time. The virtual-wall
-// signals need no plumbing — the master observes its own group walls.
+// depth at tick time. The virtual-wall signal needs no plumbing — the master
+// observes its own group walls.
 type LoadSignal struct {
 	QueueDepth int
-	P99Sec     float64
 }
 
 // TickResult reports what one Tick changed.
@@ -390,7 +382,7 @@ func (m *Master) tickLocked(load LoadSignal, ewma []float64, slow int, slowWall 
 		}
 	}
 
-	if m.rcfg.autoscale() && len(m.groups) > m.rcfg.MinGroups && m.wantScaleDown(load, slowWall) {
+	if m.rcfg.autoscale() && len(m.groups) > m.rcfg.MinGroups && m.wantScaleDown(load) {
 		if nbr, ok := anyNeighbour(ewma, slow); ok {
 			return m.retireLocked(slow, nbr)
 		}
@@ -410,8 +402,6 @@ func (m *Master) wantScaleUp(load LoadSignal, slowWall float64) bool {
 	switch {
 	case m.rcfg.ScaleUpDepth > 0 && load.QueueDepth >= m.rcfg.ScaleUpDepth:
 		return true
-	case m.rcfg.ScaleUpP99 > 0 && load.P99Sec >= m.rcfg.ScaleUpP99:
-		return true
 	case m.rcfg.ScaleUpWall > 0 && slowWall >= m.rcfg.ScaleUpWall:
 		return true
 	}
@@ -420,14 +410,8 @@ func (m *Master) wantScaleUp(load LoadSignal, slowWall float64) bool {
 
 // wantScaleDown accumulates consecutive idle ticks and fires when enough
 // have passed. Callers hold m.mu; the idle counter lives under statsMu.
-func (m *Master) wantScaleDown(load LoadSignal, slowWall float64) bool {
-	idle := false
-	switch {
-	case m.rcfg.ScaleUpDepth > 0 && load.QueueDepth <= m.rcfg.ScaleDownDepth:
-		idle = true
-	case m.rcfg.ScaleDownWall > 0 && slowWall > 0 && slowWall <= m.rcfg.ScaleDownWall:
-		idle = true
-	}
+func (m *Master) wantScaleDown(load LoadSignal) bool {
+	idle := m.rcfg.ScaleUpDepth > 0 && load.QueueDepth <= m.rcfg.ScaleDownDepth
 	m.statsMu.Lock()
 	defer m.statsMu.Unlock()
 	if !idle {

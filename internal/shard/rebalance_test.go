@@ -449,7 +449,7 @@ func TestSiblingCancelLeavesAvccAdaptationUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	real, err := avcc.NewMaster(f, avcc.Options{
-		Params:            avcc.Params{N: 12, K: 9, S: 1, M: 1, DegF: 1},
+		Params:            avcc.Params{N: 12, K: 9, S: 1, M: 1},
 		Sim:               simnet.DefaultConfig(),
 		Seed:              7,
 		Dynamic:           true,
