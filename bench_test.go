@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -238,8 +239,12 @@ func BenchmarkAblationMatmulPar(b *testing.B) {
 }
 
 // BenchmarkAblationDecoders quantifies why LCC pays 2M workers per
-// Byzantine: erasure-only interpolation versus Berlekamp–Welch error
-// decoding at the paper's (12,9) configuration.
+// Byzantine: erasure-only decoding of nine verified results versus
+// Berlekamp–Welch error location plus the same erasure decode over the
+// unflagged results, at the paper's (12,9) configuration. Both decode
+// straight into one output (DecodeInto). The first nine workers are the
+// systematic ones, so the erasure arm copies every block; the error arm,
+// one flagged, combines one.
 func BenchmarkAblationDecoders(b *testing.B) {
 	f := field.Default()
 	rng := rand.New(rand.NewSource(3))
@@ -259,10 +264,11 @@ func BenchmarkAblationDecoders(b *testing.B) {
 		idx[i] = i
 		results[i] = fieldmat.MatVec(f, shards[i], w)
 	}
+	out := [][]field.Elem{make([]field.Elem, x.Rows)}
 	b.Run("erasure-9-verified", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := code.DecodeVectors(idx[:9], results[:9]); err != nil {
+			if err := code.DecodeInto(out, idx[:9], results[:9]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -274,10 +280,14 @@ func BenchmarkAblationDecoders(b *testing.B) {
 		bad[j] = f.Add(bad[j], 3)
 	}
 	corrupted[4] = bad
+	cleanIdx, cleanResults := slices.Delete(slices.Clone(idx), 4, 5), slices.Delete(slices.Clone(corrupted), 4, 5)
 	b.Run("berlekamp-welch-11-with-error", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := code.DecodeWithErrors(idx, corrupted, 1, rng); err != nil {
+			if flagged, err := code.Locate(idx, corrupted, 1, rng); err != nil || !slices.Equal(flagged, []int{4}) {
+				b.Fatalf("located %v, %v", flagged, err)
+			}
+			if err := code.DecodeInto(out, cleanIdx, cleanResults); err != nil {
 				b.Fatal(err)
 			}
 		}

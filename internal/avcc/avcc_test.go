@@ -373,13 +373,9 @@ func TestOverProvisionedDegreeStillDecodes(t *testing.T) {
 	for r, i := range workers {
 		results[r] = fieldmat.MatVec(f, shards[i], w)
 	}
-	blocks, err := code.DecodeVectors(workers, results)
-	if err != nil {
+	got := make([]field.Elem, len(want))
+	if err := code.DecodeInto([][]field.Elem{got}, workers, results); err != nil {
 		t.Fatal(err)
-	}
-	var got []field.Elem
-	for _, b := range blocks {
-		got = append(got, b...)
 	}
 	if !field.EqualVec(got, want) {
 		t.Fatal("degree-2 code decoded a degree-1 round wrong")

@@ -3,6 +3,7 @@ package baseline
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/attack"
@@ -35,6 +36,32 @@ func honestWith(n int, byz map[int]attack.Behavior) []attack.Behavior {
 		bs[i] = b
 	}
 	return bs
+}
+
+// withOddKey adds a batch arm to a test's data: key "odd", a 20×6 matrix
+// whose 20 rows do not split evenly into K = 9 blocks, and four inputs for
+// one RunRoundBatch over it. It draws from its own seed, so the test's
+// batch-1 arm sees the stream it always saw.
+func withOddKey(data map[string]*fieldmat.Matrix, seed int64) (*fieldmat.Matrix, [][]field.Elem) {
+	rng := rand.New(rand.NewSource(seed))
+	x := fieldmat.Rand(f, rng, 20, 6)
+	data["odd"] = x
+	inputs := make([][]field.Elem, 4)
+	for c := range inputs {
+		inputs[c] = f.RandVec(rng, x.Cols)
+	}
+	return x, inputs
+}
+
+// checkBatch fails t unless every output of a batch round is the product of
+// its input.
+func checkBatch(t *testing.T, out *cluster.BatchOutput, x *fieldmat.Matrix, inputs [][]field.Elem) {
+	t.Helper()
+	for c, in := range inputs {
+		if !field.EqualVec(out.Outputs[c], fieldmat.MatVec(f, x, in)) {
+			t.Fatalf("batch output %d wrong", c)
+		}
+	}
 }
 
 func lccOpts(s, m int) LCCOptions {
@@ -85,6 +112,7 @@ func TestLCCOneByzantineCorrected(t *testing.T) {
 	// Within its M=1 budget LCC corrects the error inside decoding.
 	rng := rand.New(rand.NewSource(172))
 	data, x := testData(rng, 18, 6)
+	odd, inputs := withOddKey(data, 1172)
 	behaviors := honestWith(12, map[int]attack.Behavior{5: attack.Constant{V: 3}})
 	m, err := NewLCCMaster(f, lccOpts(1, 1), data, behaviors, nil)
 	if err != nil {
@@ -101,6 +129,15 @@ func TestLCCOneByzantineCorrected(t *testing.T) {
 	if len(out.Byzantine) != 1 || out.Byzantine[0] != 5 {
 		t.Fatalf("LCC identified %v, want [5]", out.Byzantine)
 	}
+	// A batch: the one projection locates the worker across every column.
+	batch, err := m.RunRoundBatch(context.Background(), "odd", inputs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(t, batch, odd, inputs)
+	if !slices.Equal(batch.Byzantine, []int{5}) {
+		t.Fatalf("LCC identified %v in a batch, want [5]", batch.Byzantine)
+	}
 }
 
 func TestLCCTwoByzantinesSilentlyCorrupt(t *testing.T) {
@@ -109,11 +146,14 @@ func TestLCCTwoByzantinesSilentlyCorrupt(t *testing.T) {
 	// lets corruption through (which is why LCC's accuracy degrades).
 	rng := rand.New(rand.NewSource(173))
 	data, x := testData(rng, 18, 6)
+	odd, inputs := withOddKey(data, 1173)
 	behaviors := honestWith(12, map[int]attack.Behavior{
 		2: attack.Constant{V: 3},
 		6: attack.Constant{V: 4},
 	})
-	m, err := NewLCCMaster(f, lccOpts(1, 1), data, behaviors, nil)
+	opt := lccOpts(1, 1)
+	opt.Receipts = true // the receipt names what the fallback attests
+	m, err := NewLCCMaster(f, opt, data, behaviors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +167,27 @@ func TestLCCTwoByzantinesSilentlyCorrupt(t *testing.T) {
 	}
 	if len(out.Byzantine) != 0 {
 		t.Fatal("over-budget fallback should not claim identifications")
+	}
+	// A batch falls back the same way, every column decoded from, and the
+	// receipt attesting, the first threshold (9) results.
+	batch, err := m.RunRoundBatch(context.Background(), "odd", inputs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Byzantine) != 0 {
+		t.Fatal("over-budget batch fallback should not claim identifications")
+	}
+	for c, in := range inputs {
+		if field.EqualVec(batch.Outputs[c], fieldmat.MatVec(f, odd, in)) {
+			t.Fatalf("batch output %d decoded correctly with 2 Byzantines at M=1", c)
+		}
+	}
+	var attested []int
+	for _, w := range batch.Receipt.Groups[0].Workers {
+		attested = append(attested, w.ID)
+	}
+	if !slices.Equal(attested, batch.Used[:9]) {
+		t.Fatalf("fallback attested %v, want the first threshold results %v", attested, batch.Used[:9])
 	}
 }
 
@@ -310,6 +371,17 @@ func TestUncodedPadding(t *testing.T) {
 	if !field.EqualVec(out.Decoded, fieldmat.MatVec(f, x, w)) {
 		t.Fatal("padded uncoded result wrong")
 	}
+	// A batch: each worker's result holds one column per input, and every
+	// column lands at its block's offset in its own output.
+	inputs := make([][]field.Elem, 4)
+	for c := range inputs {
+		inputs[c] = f.RandVec(rng, x.Cols)
+	}
+	batch, err := m.RunRoundBatch(context.Background(), "fwd", inputs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(t, batch, x, inputs)
 }
 
 // deadExecutor returns no results at all: every worker crashed or dropped.

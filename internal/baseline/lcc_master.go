@@ -98,10 +98,11 @@ func (m *LCCMaster) Plan(string, int) cluster.Plan { return m.plan }
 // Byzantine identification is coupled into Reed–Solomon decoding.
 func (m *LCCMaster) Check(*cluster.Round, *cluster.Result) (bool, float64) { return true, 0 }
 
-// Decode implements cluster.Policy: one Reed–Solomon decode over the stacked
-// results with an M-error budget (the error-locating projection sees every
-// vector of the batch at once, so a worker corrupting ANY column is located
-// by the same single solve).
+// Decode implements cluster.Policy: one Reed–Solomon error location over the
+// stacked results with an M-error budget (the projection sees every vector
+// of the batch at once, so a worker corrupting ANY column is located by the
+// same single solve), then the erasure decode over the results it did not
+// flag.
 func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 	threshold, wait := m.code.Threshold(), len(r.Workers)
 	if wait < threshold {
@@ -114,34 +115,40 @@ func (m *LCCMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 		float64(wait*wait*wait) + // BW linear system
 		float64(threshold)*float64(r.Batch*r.Rows+threshold) // interpolation
 	m.rngMu.Lock()
-	blocks, bad, err := m.code.DecodeWithErrors(r.Workers, r.Outputs, m.opt.M, m.rng)
+	bad, err := m.code.Locate(r.Workers, r.Outputs, m.opt.M, m.rng)
 	m.rngMu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		// Over-budget corruption: fall back to erasure-only decoding on the
 		// fastest threshold results. Byzantine contributions pass through —
 		// and stay in the receipt, whose verification is what exposes them
 		// to the tenant.
-		blocks, err = m.code.DecodeVectors(r.Workers[:threshold], r.Outputs[:threshold])
-		if err != nil {
-			return nil, 0, fmt.Errorf("fallback decode: %w", err)
-		}
 		r.Attest = m.plan.Active[:threshold] // Active is 0..N−1: its prefix is the index list
-		return r.Unpack(blocks), ops, nil
-	}
-	// The located-bad workers were excluded by the Reed–Solomon solve, so
-	// the receipt excludes them too.
-	if len(bad) > 0 {
+	case len(bad) > 0:
+		// The located-bad workers are left out of the decode, so the receipt
+		// leaves them out too.
 		r.Attest = make([]int, 0, wait-len(bad))
 		for i := range r.Workers {
 			if !slices.Contains(bad, i) {
 				r.Attest = append(r.Attest, i)
 			}
 		}
+		for _, pos := range bad {
+			r.Byzantine = append(r.Byzantine, r.Workers[pos])
+		}
 	}
-	for _, pos := range bad {
-		r.Byzantine = append(r.Byzantine, r.Workers[pos])
+	workers, results := r.Workers, r.Outputs
+	if r.Attest != nil {
+		workers, results = make([]int, len(r.Attest)), make([][]field.Elem, len(r.Attest))
+		for k, i := range r.Attest {
+			workers[k], results[k] = r.Workers[i], r.Outputs[i]
+		}
 	}
-	return r.Unpack(blocks), ops, nil
+	outputs := r.NewOutputs()
+	if err := m.code.DecodeInto(outputs, workers, results); err != nil {
+		return nil, 0, fmt.Errorf("decode: %w", err)
+	}
+	return outputs, ops, nil
 }
 
 // Observe implements cluster.Policy: the workers LCC did not wait for —

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/lcc"
 	"repro/internal/simnet"
 )
 
@@ -34,6 +35,9 @@ type UncodedOptions struct {
 // both effects the paper's figures show.
 type UncodedMaster struct {
 	*cluster.Driver
+	// code is the (K, K) systematic Lagrange code the uncoded split is: its
+	// decode copies every block from its worker's result.
+	code *lcc.Code
 	plan cluster.Plan
 }
 
@@ -44,15 +48,18 @@ func NewUncodedMaster(f *field.Field, opt UncodedOptions, data map[string]*field
 	if opt.K < 1 {
 		return nil, fmt.Errorf("uncoded: needs K >= 1")
 	}
-	m := &UncodedMaster{}
-	var err error
+	code, err := lcc.New(f, opt.K, opt.K, 0, 1)
+	if err != nil {
+		return nil, fmt.Errorf("uncoded: %w", err)
+	}
+	m := &UncodedMaster{code: code}
 	m.Driver, err = cluster.NewDriver(f, "uncoded", m, opt.K, data, opt.Sim, opt.Seed, opt.Receipts, behaviors, stragglers)
 	if err != nil {
 		return nil, err
 	}
 	// The uncoded split IS the systematic part of the block code: worker i
 	// holds block i, i.e. the evaluation at interpolation point i+1.
-	m.plan = cluster.Plan{Active: make([]int, opt.K), Alphas: f.DistinctPoints(opt.K, 1), K: opt.K, Need: opt.K}
+	m.plan = cluster.Plan{Active: make([]int, opt.K), Alphas: code.Alphas(), K: opt.K, Need: opt.K}
 	for i := range m.plan.Active {
 		m.plan.Active[i] = i
 	}
@@ -71,19 +78,21 @@ func (m *UncodedMaster) Plan(string, int) cluster.Plan { return m.plan }
 func (m *UncodedMaster) Check(*cluster.Round, *cluster.Result) (bool, float64) { return true, 0 }
 
 // Decode implements cluster.Policy: each worker's result IS its block, so
-// decoding is putting the blocks back in worker order, at no cost. No
-// redundancy means no erasure tolerance: a missing block is simply gone, and
-// the round fails loudly rather than silently zero-filling the output.
+// decoding copies every column of it into that column's output at the
+// block's offset (lcc.Code.DecodeInto over a code with no parity), at no
+// cost. No redundancy means no erasure tolerance: a missing block is simply
+// gone, and the round fails loudly rather than silently zero-filling the
+// output.
 func (m *UncodedMaster) Decode(r *cluster.Round) ([][]field.Elem, float64, error) {
 	if len(r.Workers) < m.plan.K {
 		return nil, 0, fmt.Errorf("got %d of %d worker results (mis-sized: workers %v; the rest crashed or were lost) and the uncoded scheme cannot recover",
 			len(r.Workers), m.plan.K, r.Byzantine)
 	}
-	blocks := make([][]field.Elem, m.plan.K)
-	for i, id := range r.Workers {
-		blocks[id] = r.Outputs[i]
+	outputs := r.NewOutputs()
+	if err := m.code.DecodeInto(outputs, r.Workers, r.Outputs); err != nil {
+		return nil, 0, fmt.Errorf("decode: %w", err)
 	}
-	return r.Unpack(blocks), 0, nil
+	return outputs, 0, nil
 }
 
 // Observe implements cluster.Policy: every worker was waited for.

@@ -66,7 +66,7 @@ type Round struct {
 	// the receipt attests. nil means all of them.
 	Attest []int
 
-	gram bool // the round is Plan.Gram's: one shared K·b×b decode
+	outLen int // elements of each output: Rows, or K·b×b for a Gram round
 }
 
 // Policy is everything a scheme contributes to a round. The Driver owns the
@@ -84,8 +84,8 @@ type Policy interface {
 	// Decode turns the accepted results into the round's decoded outputs —
 	// entry c is vector c's result, trimmed to Rows; a Gram round has the
 	// one shared decode — and returns the decode's operation count. The
-	// outputs go to the caller and must share nothing with the results
-	// (Round.Unpack makes them from decoded blocks). It errors when the
+	// outputs go to the caller and must share nothing with the results:
+	// Decode fills the ones Round.NewOutputs makes. It errors when the
 	// accepted set cannot decode.
 	Decode(r *Round) (outputs [][]field.Elem, ops float64, err error)
 	// Observe closes a successful round and returns the stragglers observed.
@@ -242,6 +242,10 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		}
 		packed, batch, resultLen = nil, 1, blockRows*blockRows
 	}
+	outLen := rows
+	if plan.Gram {
+		outLen = plan.K * resultLen
+	}
 
 	out := &BatchOutput{}
 	a := &acceptance{
@@ -249,7 +253,7 @@ func (d *Driver) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 			Key: key, Iter: iter, Batch: batch, Rows: rows, Input: packed,
 			Workers: make([]int, 0, plan.Need),
 			Outputs: make([][]field.Elem, 0, plan.Need),
-			gram:    plan.Gram,
+			outLen:  outLen,
 		},
 		d: d, need: plan.Need, resultLen: resultLen, out: out,
 	}
@@ -419,15 +423,15 @@ func (a *acceptance) halt(res *Result) {
 	a.stop()
 }
 
-// Unpack turns decoded blocks into the round's outputs (UnpackBlocks at the
-// round's batch, each output trimmed to Rows; a Gram round's one output is
-// every block).
-func (r *Round) Unpack(blocks [][]field.Elem) [][]field.Elem {
-	n := r.Rows
-	if r.gram {
-		n = len(blocks) * len(blocks[0])
+// NewOutputs makes the round's outputs for Decode to fill in place: Batch
+// outputs of Rows elements, or a Gram round's one output of K·b×b
+// elements.
+func (r *Round) NewOutputs() [][]field.Elem {
+	outputs := make([][]field.Elem, r.Batch)
+	for c := range outputs {
+		outputs[c] = make([]field.Elem, r.outLen)
 	}
-	return UnpackBlocks(blocks, r.Batch, n)
+	return outputs
 }
 
 // Answered reports whether worker has a result among r.Results.
@@ -442,10 +446,9 @@ func (r *Round) Answered(worker int) bool {
 
 // DecodeVerified is the decoder of the schemes that verify before they decode
 // (AVCC, Generalized AVCC): every accepted result is known good, so the
-// first threshold of them interpolate directly. A matvec round decodes
-// straight into its outputs (lcc.Code.DecodeInto), copying the blocks of
-// accepted systematic workers; a Gram round decodes its blocks and unpacks
-// them.
+// first threshold of them interpolate directly, straight into the round's
+// outputs (lcc.Code.DecodeInto, copying the blocks of accepted systematic
+// workers). A Gram round is the batch-1 case.
 func DecodeVerified(code *lcc.Code, r *Round) ([][]field.Elem, float64, error) {
 	threshold := code.Threshold()
 	if len(r.Workers) < threshold {
@@ -455,17 +458,7 @@ func DecodeVerified(code *lcc.Code, r *Round) ([][]field.Elem, float64, error) {
 	// The cost of interpolating K blocks as long as a result from threshold
 	// results, however the decode lays them out.
 	ops := float64(threshold)*float64(code.K()*len(r.Outputs[0])) + float64(threshold*threshold)
-	if r.gram {
-		blocks, err := code.DecodeVectors(r.Positions, r.Outputs)
-		if err != nil {
-			return nil, 0, fmt.Errorf("decode: %w", err)
-		}
-		return r.Unpack(blocks), ops, nil
-	}
-	outputs := make([][]field.Elem, r.Batch)
-	for c := range outputs {
-		outputs[c] = make([]field.Elem, r.Rows)
-	}
+	outputs := r.NewOutputs()
 	if err := code.DecodeInto(outputs, r.Positions, r.Outputs); err != nil {
 		return nil, 0, fmt.Errorf("decode: %w", err)
 	}

@@ -47,7 +47,12 @@ func (p *scriptPolicy) Decode(r *Round) ([][]field.Elem, float64, error) {
 	if len(r.Outputs) < p.need {
 		return nil, 0, errors.New("too few results")
 	}
-	return r.Unpack(r.Outputs[:1]), 1, nil
+	// One block (K = 1): column c of the first output is vector c's result.
+	outputs := r.NewOutputs()
+	for c, out := range outputs {
+		copy(out, r.Outputs[0][c*len(out):])
+	}
+	return outputs, 1, nil
 }
 
 func (p *scriptPolicy) Observe(r *Round) int {

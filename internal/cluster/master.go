@@ -165,8 +165,9 @@ func SplitPacked(packed []field.Elem, batch int) [][]field.Elem {
 // decoded block holds its rows for vector 0, then vector 1, ... (the layout
 // worker-side batching produces — see MatVecOp.ApplyBatch); the result's
 // entry c is block 0's slice for vector c, then block 1's, ..., trimmed to
-// origRows. This is the ONE inverse of the batch packing layout, shared by
-// every decoding master so the decode paths cannot drift apart.
+// origRows. No round decodes through it: every Policy.Decode fills
+// Round.NewOutputs in place. The benchmark harness's probes
+// (benchmark/probes.go) are its last caller, and it goes with them.
 func UnpackBlocks(blocks [][]field.Elem, batch, origRows int) [][]field.Elem {
 	shardRows := len(blocks[0]) / batch
 	outputs := make([][]field.Elem, batch)

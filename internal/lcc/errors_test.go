@@ -40,18 +40,40 @@ func allWorkers(n int) []int {
 	return idx
 }
 
+// decodeWithErrors is the LCC baseline's error-correcting decode: Locate,
+// then DecodeInto over the results it did not flag (decodeFlat: K blocks end
+// to end).
+func decodeWithErrors(code *Code, workers []int, results [][]field.Elem, maxErrors int, rng *rand.Rand) ([]field.Elem, []int, error) {
+	bad, err := code.Locate(workers, results, maxErrors, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	var cw []int
+	var cr [][]field.Elem
+	for i := range workers {
+		if !slices.Contains(bad, i) {
+			cw, cr = append(cw, workers[i]), append(cr, results[i])
+		}
+	}
+	out, err := decodeFlat(code, cw, cr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, bad, nil
+}
+
 func TestDecodeWithErrorsNoErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	code, res, want := setupLinear(t, rng, 12, 9)
 	// 11 results (one straggler), M=1 budget, nobody actually Byzantine.
-	got, bad, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
+	got, bad, err := decodeWithErrors(code, allWorkers(11), res[:11], 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 0 {
 		t.Fatalf("flagged %v as Byzantine with none present", bad)
 	}
-	if !field.EqualVec(slices.Concat(got...), want) {
+	if !field.EqualVec(got, want) {
 		t.Fatal("decode mismatch")
 	}
 }
@@ -65,14 +87,14 @@ func TestDecodeWithErrorsOneByzantine(t *testing.T) {
 	for j := range res[byz] {
 		res[byz][j] = f.Add(res[byz][j], 7) // arbitrary corruption
 	}
-	got, bad, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
+	got, bad, err := decodeWithErrors(code, allWorkers(11), res[:11], 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 1 || bad[0] != byz {
 		t.Fatalf("identified Byzantine positions %v, want [%d]", bad, byz)
 	}
-	if !field.EqualVec(slices.Concat(got...), want) {
+	if !field.EqualVec(got, want) {
 		t.Fatal("decode with 1 error failed")
 	}
 }
@@ -86,14 +108,14 @@ func TestDecodeWithErrorsTwoByzantine(t *testing.T) {
 			res[byz][j] = f.RandNonZero(rng)
 		}
 	}
-	got, bad, err := code.DecodeWithErrors(allWorkers(13), res[:13], 2, rng)
+	got, bad, err := decodeWithErrors(code, allWorkers(13), res[:13], 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 2 {
 		t.Fatalf("identified %v, want 2 positions", bad)
 	}
-	if !field.EqualVec(slices.Concat(got...), want) {
+	if !field.EqualVec(got, want) {
 		t.Fatal("decode with 2 errors failed")
 	}
 }
@@ -108,8 +130,8 @@ func TestDecodeWithErrorsBudgetExceeded(t *testing.T) {
 			res[byz][j] = f.Rand(rng)
 		}
 	}
-	got, _, err := code.DecodeWithErrors(allWorkers(11), res[:11], 1, rng)
-	if err == nil && field.EqualVec(slices.Concat(got...), want) {
+	got, _, err := decodeWithErrors(code, allWorkers(11), res[:11], 1, rng)
+	if err == nil && field.EqualVec(got, want) {
 		t.Fatal("decode claimed success beyond its error budget")
 	}
 }
@@ -118,7 +140,7 @@ func TestDecodeWithErrorsTooFewResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	code, res, _ := setupLinear(t, rng, 12, 9)
 	// 10 results cannot correct 1 error (need 11).
-	if _, _, err := code.DecodeWithErrors(allWorkers(10), res[:10], 1, rng); !errors.Is(err, ErrTooManyByzantine) {
+	if _, err := code.Locate(allWorkers(10), res[:10], 1, rng); !errors.Is(err, ErrTooManyByzantine) {
 		t.Fatalf("expected ErrTooManyByzantine, got %v", err)
 	}
 }
@@ -126,15 +148,20 @@ func TestDecodeWithErrorsTooFewResults(t *testing.T) {
 func TestDecodeWithErrorsZeroBudgetFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	code, res, want := setupLinear(t, rng, 12, 9)
-	got, bad, err := code.DecodeWithErrors(allWorkers(9), res[:9], 0, rng)
+	// A zero budget locates nothing and draws no projection.
+	probe, twin := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	got, bad, err := decodeWithErrors(code, allWorkers(9), res[:9], 0, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 0 {
 		t.Fatal("zero-budget decode flagged workers")
 	}
-	if !field.EqualVec(slices.Concat(got...), want) {
+	if !field.EqualVec(got, want) {
 		t.Fatal("zero-budget decode mismatch")
+	}
+	if probe.Int63() != twin.Int63() {
+		t.Fatal("zero-budget Locate drew from rng")
 	}
 }
 
@@ -160,15 +187,16 @@ func TestDecodeWithErrorsDegreeTwo(t *testing.T) {
 	for j := range res[byz] {
 		res[byz][j] = f.Add(res[byz][j], 1)
 	}
-	got, bad, err := code.DecodeWithErrors(allWorkers(7), res, 1, rng)
+	b := len(res[0])
+	got, bad, err := decodeWithErrors(code, allWorkers(7), res, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bad) != 1 || bad[0] != byz {
 		t.Fatalf("flagged %v, want [%d]", bad, byz)
 	}
-	for j, b := range blocks {
-		if !field.EqualVec(got[j], applySquare(b)) {
+	for j, blk := range blocks {
+		if !field.EqualVec(got[j*b:(j+1)*b], applySquare(blk)) {
 			t.Fatalf("block %d mismatch after error correction", j)
 		}
 	}
@@ -194,7 +222,7 @@ func BenchmarkLCCErrorDecode12Workers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := code.DecodeWithErrors(idx, res, 1, rng); err != nil {
+		if _, _, err := decodeWithErrors(code, idx, res, 1, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

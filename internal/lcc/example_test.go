@@ -1,22 +1,7 @@
-// T-private coded computation: Lagrange coding with random masks.
-//
-// With T = 1, the encoder adds a uniformly random mask block W so that any
-// single worker's shard is statistically independent of the data
-// (Theorem 1's T-privacy: I(X; X̃_T) = 0 for |T| ≤ T). This example shows
-//
-//  1. no shard equals (or resembles) any raw data block,
-//  2. re-encoding the same data yields completely different shards
-//     (the masks dominate), yet
-//  3. decoding from any threshold-many worker results is still exact —
-//     here for a degree-2 computation (element-wise square) that plain
-//     MDS coding could not handle.
-//
-// Run: go run ./examples/private_matvec
-package main
+package lcc_test
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 
 	"repro/internal/field"
@@ -24,7 +9,19 @@ import (
 	"repro/internal/lcc"
 )
 
-func main() {
+// T-private coded computation: Lagrange coding with random masks.
+//
+// With T = 1, the encoder adds a uniformly random mask block W so that any
+// single worker's shard is statistically independent of the data
+// (Theorem 1's T-privacy: I(X; X̃_T) = 0 for |T| ≤ T). The example shows
+//
+//  1. no shard equals (or resembles) any raw data block,
+//  2. re-encoding the same data yields completely different shards
+//     (the masks dominate), yet
+//  3. decoding from any threshold-many worker results is still exact —
+//     here for a degree-2 computation (element-wise square) that plain
+//     MDS coding could not handle.
+func Example_private() {
 	f := field.Default()
 	rng := rand.New(rand.NewSource(3))
 
@@ -34,21 +31,23 @@ func main() {
 	const k, t, degF, n = 3, 1, 2, 8
 	code, err := lcc.New(f, n, k, t, degF)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("LCC code: N=%d K=%d T=%d degf=%d, recovery threshold %d\n",
 		n, k, t, degF, code.Threshold())
 
 	x := fieldmat.Rand(f, rng, 6, 4)
 	blocks := fieldmat.SplitRows(x, k)
-
 	shards1, err := code.EncodeBlocks(blocks, rng)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	shards2, err := code.EncodeBlocks(blocks, rng) // fresh masks
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	// 1) No shard leaks a raw block; 2) fresh masks change every shard.
@@ -64,8 +63,8 @@ func main() {
 	fmt.Printf("re-encoding with fresh masks changed shard 0: %v\n", !shards1[0].Equal(shards2[0]))
 
 	// 3) Workers compute the element-wise square of their shard; the
-	// master decodes f(X_j) exactly from any 7 of the 8 results (worker 2
-	// straggles here).
+	// master decodes f(X_1), f(X_2), f(X_3) end to end into one output from
+	// any 7 of the 8 results (worker 2 straggles here).
 	square := func(m *fieldmat.Matrix) []field.Elem {
 		out := make([]field.Elem, len(m.Data))
 		for i, v := range m.Data {
@@ -78,15 +77,23 @@ func main() {
 	for r, i := range workers {
 		results[r] = square(shards1[i])
 	}
-	decoded, err := code.DecodeVectors(workers, results)
-	if err != nil {
-		log.Fatal(err)
+	b := len(results[0])
+	decoded := make([]field.Elem, k*b)
+	if err := code.DecodeInto([][]field.Elem{decoded}, workers, results); err != nil {
+		fmt.Println(err)
+		return
 	}
 	exact := true
-	for j, b := range blocks {
-		if !field.EqualVec(decoded[j], square(b)) {
+	for j, blk := range blocks {
+		if !field.EqualVec(decoded[j*b:(j+1)*b], square(blk)) {
 			exact = false
 		}
 	}
 	fmt.Printf("decoded f(X_j) = X_j∘X_j exactly from 7 of 8 masked shards: %v\n", exact)
+
+	// Output:
+	// LCC code: N=8 K=3 T=1 degf=2, recovery threshold 7
+	// any shard equals a raw data block: false
+	// re-encoding with fresh masks changed shard 0: true
+	// decoded f(X_j) = X_j∘X_j exactly from 7 of 8 masked shards: true
 }

@@ -93,7 +93,7 @@ func RequiredWorkersAVCC(k, t, s, m, degF int) int {
 
 // RequiredWorkersLCC returns the paper's eq. (1):
 // N ≥ (K+T−1)·deg f + S + 2M + 1. The factor 2 is the Reed–Solomon
-// error-correction cost implemented by DecodeWithErrors.
+// error-correction cost of locating M errors (Locate).
 func RequiredWorkersLCC(k, t, s, m, degF int) int {
 	return (k+t-1)*degF + s + 2*m + 1
 }
@@ -188,39 +188,21 @@ func (c *Code) EncodeMatrix(x *fieldmat.Matrix, rng *rand.Rand) ([]*fieldmat.Mat
 	return c.EncodeBlocks(blocks, rng)
 }
 
-// DecodeVectors recovers f(X_1)..f(X_K) (flattened as vectors) from at least
-// Threshold() verified worker results. results[r] = f(u(α_{workers[r]})).
-// All supplied results are trusted; AVCC guarantees this by Freivalds
-// verification before decode.
-func (c *Code) DecodeVectors(workers []int, results [][]field.Elem) ([][]field.Elem, error) {
-	if err := c.checkResults(workers, results); err != nil {
-		return nil, err
-	}
-	// Interpolation uses exactly the threshold count (extra results are
-	// redundant once verified).
-	th := c.Threshold()
-	workers = workers[:th]
-	results = results[:th]
-	weights := c.plans.Weights(c.points(workers))
-	out := make([][]field.Elem, c.k)
-	for j := 0; j < c.k; j++ {
-		out[j] = poly.CombineVectors(c.f, weights[j], results)
-	}
-	return out, nil
-}
-
-// DecodeInto is DecodeVectors for a batched round, written straight into the
-// round's per-request outputs instead of K fresh blocks. Every result packs
-// len(dst) columns of b = len(result)/len(dst) rows, column col at
-// [col·b, (col+1)·b); dst[col] receives column col of block 0, then of block
-// 1, …, trimmed to len(dst[col]) ≤ K·b. The results must be canonical, as
-// verified results are.
+// DecodeInto recovers f(X_1)..f(X_K) from at least Threshold() verified
+// worker results (results[r] = f(u(α_{workers[r]}))) straight into a
+// round's per-request outputs. Every result packs len(dst) columns of
+// b = len(result)/len(dst) rows, column col at [col·b, (col+1)·b); dst[col]
+// receives column col of block 0, then of block 1, …, trimmed to
+// len(dst[col]) ≤ K·b. A Gram round's one output is batch 1. All supplied
+// results are trusted and canonical — AVCC verifies them first, the LCC
+// baseline drops what Locate flags — and only the first Threshold() of them
+// are read (extra results are redundant once verified).
 //
 // With T = 0 the code is systematic: block j is what worker j computed, so a
 // block whose worker is among the first Threshold() results is copied from
 // its result. Its interpolation weights are a unit vector, which makes the
 // copy the combination, bit for bit. Only the other blocks are combined, one
-// column at a time.
+// column at a time, with the weights of the sorted worker set.
 func (c *Code) DecodeInto(dst [][]field.Elem, workers []int, results [][]field.Elem) error {
 	if err := c.checkResults(workers, results); err != nil {
 		return err
@@ -266,6 +248,26 @@ func (c *Code) DecodeInto(dst [][]field.Elem, workers []int, results [][]field.E
 		}
 	}
 	return nil
+}
+
+// DecodeVectors is DecodeInto at batch 1 into one K·dim vector, returned as
+// its K blocks of dim = len(results[0]) elements. No round decodes through
+// it; the benchmark harness's probes (benchmark/probes.go) are its last
+// caller, and it goes with them.
+func (c *Code) DecodeVectors(workers []int, results [][]field.Elem) ([][]field.Elem, error) {
+	if err := c.checkResults(workers, results); err != nil {
+		return nil, err
+	}
+	dim := len(results[0])
+	full := make([]field.Elem, c.k*dim)
+	if err := c.DecodeInto([][]field.Elem{full}, workers, results); err != nil {
+		return nil, err
+	}
+	blocks := make([][]field.Elem, c.k)
+	for j := range blocks {
+		blocks[j] = full[j*dim : (j+1)*dim : (j+1)*dim]
+	}
+	return blocks, nil
 }
 
 // sortedWeights returns the decode weights of a worker set taken in worker

@@ -2,12 +2,12 @@ package lcc
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/poly"
 )
 
 // Property-based tests over randomly drawn code configurations: the
@@ -89,9 +89,9 @@ func TestEncodeDecodeIdentityQuickQuadratic(t *testing.T) {
 }
 
 func TestErrorDecodeIdentityQuick(t *testing.T) {
-	// With up to maxErrors corruptions at random positions, DecodeWithErrors
-	// must recover the exact result and identify exactly the corrupted
-	// positions.
+	// With up to maxErrors corruptions at random positions, Locate must
+	// identify exactly the corrupted positions, and DecodeInto over the
+	// unflagged results must recover the exact result.
 	rng := rand.New(rand.NewSource(502))
 	if err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -121,11 +121,11 @@ func TestErrorDecodeIdentityQuick(t *testing.T) {
 			res[p] = field.CopyVec(res[p])
 			res[p][r.Intn(len(res[p]))] = f.Add(res[p][0], f.RandNonZero(r))
 		}
-		got, bad, err := code.DecodeWithErrors(idx, res, maxErr, r)
+		got, bad, err := decodeWithErrors(code, idx, res, maxErr, r)
 		if err != nil {
 			return false
 		}
-		if !field.EqualVec(slices.Concat(got...), fieldmat.MatVec(f, x, w)) {
+		if !field.EqualVec(got, fieldmat.MatVec(f, x, w)) {
 			return false
 		}
 		// Flagged positions must be a subset of the corrupted ones (a
@@ -168,66 +168,102 @@ func TestGeneratorColumnsSumToOneAtSystematicPoints(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoMatchesDecodeVectors: decoding a batched round straight into
-// its trimmed per-column outputs gives, element for element, what
-// DecodeVectors' blocks give once unpacked — and the product itself — for
-// systematic and private codes, in any arrival order, with or without
-// results beyond the threshold. With T = 0 this covers every mix of copied
-// and combined blocks.
-func TestDecodeIntoMatchesDecodeVectors(t *testing.T) {
+// TestDecodeIntoMatchesLagrange: decoding a round straight into its trimmed
+// per-column outputs gives, element for element, a test-local Lagrange
+// interpolation of the first threshold results (lagrangeOutputs) — and the
+// product itself — for systematic and private codes, in any arrival order,
+// with or without results beyond the threshold. The degree-1 arm is a
+// batched matvec round, the degree-2 arm a Gram round: one flattened b×b
+// result per worker, decoded at batch 1 into one K·b×b output. With T = 0
+// both arms cover every mix of copied and combined blocks.
+func TestDecodeIntoMatchesLagrange(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	if err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		degF := 1 + r.Intn(2)
 		k := 1 + r.Intn(6)
 		tt := r.Intn(2)
-		threshold := RecoveryThreshold(k, tt, 1)
+		threshold := RecoveryThreshold(k, tt, degF)
 		n := threshold + 1 + r.Intn(4)
-		code, err := New(f, n, k, tt, 1)
+		code, err := New(f, n, k, tt, degF)
 		if err != nil {
 			return false
 		}
-		rows, cols, batch := 1+r.Intn(4*k), 1+r.Intn(5), 1+r.Intn(5)
+		rows, cols := 1+r.Intn(4*k), 1+r.Intn(5)
 		x := fieldmat.Rand(f, r, rows, cols)
 		shards, err := code.EncodeMatrix(x, r)
 		if err != nil {
 			return false
 		}
-		b := shards[0].Rows
-		inputs := make([][]field.Elem, batch)
-		for c := range inputs {
-			inputs[c] = f.RandVec(r, cols)
-		}
 		workers := r.Perm(n)[:threshold+r.Intn(n-threshold+1)]
 		res := make([][]field.Elem, len(workers))
-		for i, w := range workers {
-			for _, in := range inputs {
-				res[i] = append(res[i], fieldmat.MatVec(f, shards[w], in)...)
+		var want [][]field.Elem
+		if degF == 1 {
+			batch := 1 + r.Intn(5)
+			inputs := make([][]field.Elem, batch)
+			for c := range inputs {
+				inputs[c] = f.RandVec(r, cols)
+				want = append(want, fieldmat.MatVec(f, x, inputs[c]))
 			}
+			for i, w := range workers {
+				for _, in := range inputs {
+					res[i] = append(res[i], fieldmat.MatVec(f, shards[w], in)...)
+				}
+			}
+		} else {
+			gram := func(m *fieldmat.Matrix) []field.Elem { return fieldmat.MatMul(f, m, m.Transpose()).Data }
+			for i, w := range workers {
+				res[i] = gram(shards[w])
+			}
+			var blocks []field.Elem
+			for _, blk := range fieldmat.SplitRows(fieldmat.PadRows(x, k), k) {
+				blocks = append(blocks, gram(blk)...)
+			}
+			want = [][]field.Elem{blocks}
 		}
-		blocks, err := code.DecodeVectors(workers, res)
-		if err != nil {
-			return false
-		}
-		dst := make([][]field.Elem, batch)
+		dst := make([][]field.Elem, len(want))
 		for c := range dst {
-			dst[c] = make([]field.Elem, rows)
+			dst[c] = make([]field.Elem, len(want[c]))
 		}
 		if err := code.DecodeInto(dst, workers, res); err != nil {
 			return false
 		}
+		oracle := lagrangeOutputs(code, workers, res, dst)
 		for c, out := range dst {
-			var unpacked []field.Elem
-			for _, blk := range blocks {
-				unpacked = append(unpacked, blk[c*b:(c+1)*b]...)
-			}
-			if !field.EqualVec(out, unpacked[:rows]) || !field.EqualVec(out, fieldmat.MatVec(f, x, inputs[c])) {
+			if !field.EqualVec(out, oracle[c]) || !field.EqualVec(out, want[c]) {
 				return false
 			}
 		}
 		return true
-	}, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
+	}, &quick.Config{MaxCount: 80, Rand: rng}); err != nil {
 		t.Error(err)
 	}
+}
+
+// lagrangeOutputs is DecodeInto's oracle, sharing neither its plan cache nor
+// its systematic copies: the first threshold results, in arrival order,
+// interpolated at every data point (poly.InterpWeights, then
+// poly.CombineVectorsInto over whole results), and column c of every block
+// appended to output c, trimmed to len(dst[c]).
+func lagrangeOutputs(code *Code, workers []int, results, dst [][]field.Elem) [][]field.Elem {
+	th := code.Threshold()
+	xs := make([]field.Elem, th)
+	for i, w := range workers[:th] {
+		xs[i] = code.alphas[w]
+	}
+	b := len(results[0]) / len(dst)
+	block := make([]field.Elem, len(results[0]))
+	outs := make([][]field.Elem, len(dst))
+	for j := 0; j < code.K(); j++ {
+		poly.CombineVectorsInto(f, block, poly.InterpWeights(f, xs, code.betas[j]), results[:th])
+		for c := range outs {
+			outs[c] = append(outs[c], block[c*b:(c+1)*b]...)
+		}
+	}
+	for c := range outs {
+		outs[c] = outs[c][:len(dst[c])]
+	}
+	return outs
 }
 
 // TestDecodeIntoRejectsBadShapes: outputs longer than K blocks, or results

@@ -254,7 +254,8 @@ func TestCombineVectorsMatchesComponentwise(t *testing.T) {
 		vecs[i] = v
 	}
 	target := field.Elem(77)
-	got := CombineVectors(f, InterpWeights(f, xs, target), vecs)
+	got := make([]field.Elem, dim)
+	CombineVectorsInto(f, got, InterpWeights(f, xs, target), vecs)
 	for c := range polys {
 		if got[c] != polys[c].Eval(f, target) {
 			t.Fatal("vector combine mismatch at component")
@@ -342,7 +343,11 @@ func TestCombineVectorsManyTerms(t *testing.T) {
 			vecs[i][c] = fld.Q() - 1 - field.Elem(rng.Intn(2))
 		}
 	}
-	got := CombineVectors(fld, w, vecs)
+	got := make([]field.Elem, dim)
+	for c := range got {
+		got[c] = fld.Q() - 1 // stale contents: dst is overwritten, not added to
+	}
+	CombineVectorsInto(fld, got, w, vecs)
 	want := make([]field.Elem, dim)
 	for i := range w {
 		for c := range want {
@@ -350,7 +355,7 @@ func TestCombineVectorsManyTerms(t *testing.T) {
 		}
 	}
 	if !field.EqualVec(got, want) {
-		t.Fatal("CombineVectors diverges from per-element reference")
+		t.Fatal("CombineVectorsInto diverges from per-element reference")
 	}
 }
 

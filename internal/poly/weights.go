@@ -215,35 +215,21 @@ func productDenominators(f *field.Field, xs []field.Elem) []field.Elem {
 	return den
 }
 
-// CombineVectors returns Σ_j w[j]·vecs[j], the vector-valued evaluation that
-// pairs with InterpWeights. All vectors must share a length. The sum runs
-// through a lazy accumulator: raw multiply-adds with one reduction pass per
-// field.LazyBatch contributing vectors (the output slice doubles as the
-// uint64 accumulator row, so no scratch is allocated).
-func CombineVectors(f *field.Field, w []field.Elem, vecs [][]field.Elem) []field.Elem {
-	if len(vecs) == 0 {
-		if len(w) != 0 {
-			panic("poly: CombineVectors length mismatch")
-		}
-		return nil
-	}
-	out := make([]field.Elem, len(vecs[0]))
-	CombineVectorsInto(f, out, w, vecs)
-	return out
-}
-
-// CombineVectorsInto is CombineVectors writing into a caller-owned dst —
-// the zero-allocation form the pooled decode path uses. dst is
-// overwritten, must match the vectors' length, and must not alias them.
+// CombineVectorsInto writes Σ_j w[j]·vecs[j] into dst, the vector-valued
+// evaluation that pairs with InterpWeights. dst is overwritten, must match
+// the vectors' length, and must not alias them. The sum runs through a lazy
+// accumulator: raw multiply-adds with one reduction pass per
+// field.LazyBatch contributing vectors (dst doubles as the uint64
+// accumulator row, so no scratch is allocated).
 func CombineVectorsInto(f *field.Field, dst []field.Elem, w []field.Elem, vecs [][]field.Elem) {
 	if len(w) != len(vecs) {
-		panic("poly: CombineVectors length mismatch")
+		panic("poly: CombineVectorsInto length mismatch")
 	}
 	clear(dst)
 	la := f.NewLazyAcc(dst)
 	for j, wj := range w {
 		if len(vecs[j]) != len(dst) {
-			panic("poly: CombineVectors ragged vectors")
+			panic("poly: CombineVectorsInto ragged vectors")
 		}
 		if wj != 0 {
 			la.AXPY(wj, vecs[j])
